@@ -18,7 +18,8 @@ then absorbs R_u + G_B in one decomposition.
 Per-frame amplitude fields are not materialized at construction: a
 desk-scale grid makes twelve scalar fields more expensive than the
 stresses themselves, and every consumer walks time slices anyway. The
-slice accessors recompute the affine coefficients on demand.
+slice accessors recompute the affine coefficients on demand, all six
+frames of a family in one (n^3, 9) @ (9, 6) product.
 """
 
 import math
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blocks import envelope_stack, flow_terms
 from .field import Field
 from .geometry import (
     ConstructionError, GeometrySet, skew_generator, sym_generator,
@@ -183,39 +185,39 @@ class AmplitudeSet:
         raise ValueError(f"unknown amplitude family {family!r}")
 
     def _slice_state(self, family: str, j: int):
-        """Slice density, normalized stress argument, cutoff weight, and
-        the affine geometry tables of one family."""
+        """Slice density, the stress slices whose sum the family's
+        amplitudes are affine in, cutoff weight, and affine tables."""
         if family == "magnetic":
-            rho = self.rho_b.data[j]
-            arg = -self.r_l_b.data[j] / rho[..., None, None]
-            return rho, arg, self.f_b[j] ** 2, self.geom.c_b, self.geom.L_b
+            return (self.rho_b.data[j], (self.r_l_b.data[j],),
+                    self.f_b[j] ** 2, self.geom.c_b, self.geom.L_b)
         if family == "velocity":
-            rho = self.rho_u.data[j]
-            arg = -(self.r_l_u.data[j] + self.g_b.data[j]) \
-                / rho[..., None, None]
-            return rho, arg, self.f_u[j] ** 2, self.geom.c_u, self.geom.L_u
+            return (self.rho_u.data[j], (self.r_l_u.data[j], self.g_b.data[j]),
+                    self.f_u[j] ** 2, self.geom.c_u, self.geom.L_u)
         raise ValueError(f"unknown amplitude family {family!r}")
 
     def squared_slice(self, family: str, j: int) -> np.ndarray:
         """All squared amplitudes of one family on time slice j, shape
         (n_x, n_x, n_x, 6). Affine in the stress slice by construction."""
-        rho, arg, weight, c, L = self._slice_state(family, j)
-        vals = c + np.einsum("fab,...ab->...f", L, arg)
+        rho, stresses, weight, c, L = self._slice_state(family, j)
+        # rho (c + L : arg) with arg = -stress / rho; rho > 0 keeps the sign
+        vals = rho.reshape(-1, 1) * c - sum(
+            s.reshape(-1, 9) @ L.reshape(len(c), 9).T for s in stresses)
         if vals.min() <= 0.0:
             raise ConstructionError(
                 f"{family} amplitude square lost positivity on slice {j}")
-        return weight * rho[..., None] * vals
+        return (weight * vals).reshape(rho.shape + (len(c),))
 
     def squared_component_slice(self, family: str, i: int, j: int) -> np.ndarray:
         """Squared amplitude of the i-th frame of one family on slice j,
-        without computing the other five; the per-frame sweeps of the
-        corrector verifiers live on this."""
-        rho, arg, weight, c, L = self._slice_state(family, j)
-        vals = c[i] + np.einsum("ab,...ab->...", L[i], arg)
+        without the other five, so a sweep of one frame over every slice
+        holds one scalar time series."""
+        rho, stresses, weight, c, L = self._slice_state(family, j)
+        vals = rho * c[i] - sum(s.reshape(-1, 9) @ L[i].reshape(9)
+                                for s in stresses).reshape(rho.shape)
         if vals.min() <= 0.0:
             raise ConstructionError(
                 f"{family} amplitude square lost positivity on slice {j}")
-        return weight * rho * vals
+        return weight * vals
 
     def amplitude_slice(self, name: str, j: int) -> np.ndarray:
         family, i = self._index[name]
@@ -327,12 +329,6 @@ class CancellationReport:
         return max(self.magnetic, self.velocity) <= self.tol
 
 
-def _slice_pair(blocks, kind_a, kind_b, j):
-    a = blocks.flow_slice(kind_a, j)
-    b = blocks.flow_slice(kind_b, j)
-    return np.einsum("...a,...b->...ab", a, b)
-
-
 def verify_cancellation(amps: AmplitudeSet, blocks: dict, temporal=None,
                         time_indices=None, tol: float = 1e-7) -> CancellationReport:
     """Evaluate both cancellation identities literally on the grid.
@@ -344,7 +340,9 @@ def verify_cancellation(amps: AmplitudeSet, blocks: dict, temporal=None,
     relative residual per identity and the worst deviation of the grid
     block moments from the frame generators. Failure raises with the
     first violated term group named, in diagnostic order: block moments,
-    then magnetic cancellation, then velocity cancellation.
+    then magnetic cancellation, then velocity cancellation. A family's
+    six flow products (squared envelopes times direction tensors) sum as
+    one (n^3, 6) @ (6, 9) product.
     """
     grid = amps.grid
     for fr in amps.geom.lambda_b + amps.geom.lambda_u:
@@ -359,8 +357,20 @@ def verify_cancellation(amps: AmplitudeSet, blocks: dict, temporal=None,
     if temporal is not None:
         g_sq = temporal.g(grid.t()) ** 2
 
-    gens = {"magnetic": [skew_generator(fr) for fr in amps.geom.lambda_b],
-            "velocity": [sym_generator(fr) for fr in amps.geom.lambda_u]}
+    families = {}
+    for family, gen in (("magnetic", skew_generator),
+                        ("velocity", sym_generator)):
+        frames = amps.frames(family)
+        sets = [blocks[fr.name] for fr in frames]
+        [(pair, vel)] = flow_terms(sets, "velocity")
+        if family == "magnetic":
+            [(_, mag)] = flow_terms(sets, "magnetic")
+            prods = (np.einsum("fa,fb->fab", mag, vel)
+                     - np.einsum("fa,fb->fab", vel, mag))
+        else:
+            prods = np.einsum("fa,fb->fab", vel, vel)
+        gens = np.stack([gen(fr) for fr in frames])
+        families[family] = (sets, pair, prods.reshape(len(frames), 9), gens)
     moment_defect = 0.0
     resid = {"magnetic": 0.0, "velocity": 0.0}
     for j in time_indices:
@@ -370,24 +380,16 @@ def verify_cancellation(amps: AmplitudeSet, blocks: dict, temporal=None,
                          * amps.f_u[j] ** 2) * np.eye(3)
                         - amps.r_l_u.data[j] - amps.g_b.data[j],
         }
-        for family in ("magnetic", "velocity"):
-            a2 = amps.squared_slice(family, j)
-            lhs = np.zeros(grid.shape[1:] + (3, 3))
-            rhs = targets[family]
-            for i, fr in enumerate(amps.frames(family)):
-                blk = blocks[fr.name]
-                if family == "magnetic":
-                    prod = _slice_pair(blk, "magnetic", "velocity", j)
-                    prod -= np.swapaxes(prod, -1, -2)
-                else:
-                    prod = _slice_pair(blk, "velocity", "velocity", j)
-                mean = prod.mean(axis=(0, 1, 2))
-                moment_defect = max(moment_defect,
-                                    float(np.abs(mean - gens[family][i]).max()))
-                w2 = a2[..., i, None, None]
-                lhs += w2 * (g_sq[j] * prod)
-                rhs = rhs + w2 * (g_sq[j] * (prod - mean)
-                                  + (g_sq[j] - 1.0) * mean)
+        g2 = g_sq[j]
+        for family, (sets, pair, prods, gens) in families.items():
+            a2 = amps.squared_slice(family, j).reshape(-1, len(sets))
+            env2 = envelope_stack(sets, pair, j) ** 2
+            mean = env2.mean(axis=0)
+            moment_defect = max(moment_defect, float(np.abs(
+                mean[:, None, None] * prods.reshape(gens.shape) - gens).max()))
+            lhs = (a2 * (g2 * env2)) @ prods
+            rhs = (targets[family].reshape(-1, 9)
+                   + (a2 * (g2 * (env2 - mean) + (g2 - 1.0) * mean)) @ prods)
             scale = max(np.abs(lhs).max(), np.abs(rhs).max(),
                         amps.delta_next)
             resid[family] = max(resid[family],

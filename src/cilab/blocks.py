@@ -281,12 +281,55 @@ class BlockSet:
         return degree * self.params.n_shear_harmonics * self.rate
 
 
-# -- 3D spectral helpers for slice-wise verification ---------------------------
+# -- stacked envelopes ------------------------------------------------------------
 
-def _wavenumbers3(n: int):
-    kf = np.fft.fftfreq(n, 1.0 / n).astype(np.int64)
-    kh = np.arange(n // 2 + 1, dtype=np.int64)
-    return (kf[:, None, None], kf[None, :, None], kh[None, None, :])
+def envelope_stack(sets, pair, j: int) -> np.ndarray:
+    """(n_x**3, len(sets)) envelopes on slice j: column i is sets[i]'s
+    profile_slice(pair[0], j) * profile_slice(pair[1], j), flattened."""
+    s_kind, c_kind = pair
+    n3 = sets[0].grid.n_x ** 3
+    out = np.empty((n3, len(sets)))
+    for i, bs in enumerate(sets):
+        np.multiply(bs.profile_slice(s_kind, j).reshape(n3),
+                    bs.profile_slice(c_kind, j).reshape(n3), out=out[:, i])
+    return out
+
+
+def flow_terms(sets, kind: str):
+    """One flow kind as rank-one terms [(pair, rows)]: flow_slice(kind, j)
+    of sets[i] is column i of envelope_stack(sets, pair, j) times row i of
+    the (len(sets), 3) table. The velocity and magnetic flows share the
+    pair (shear, concentration)."""
+    parts = [bs._flow_parts(kind) for bs in sets]
+    return [(parts[0][:2], np.array([coef * direction
+                                     for _, _, coef, direction in parts]))]
+
+
+def curl_terms(sets, kind: str):
+    """Closed-form curl of a potential kind as rank-one terms. For
+    c psi(xi_s) Phi(xi_c) v, grad psi = psi' a_int and grad Phi = Phi'
+    m_int, so the curl is c psi' Phi (a_int x v) + c psi Phi' (m_int x v)."""
+    if kind not in ("velocity_potential", "magnetic_potential"):
+        raise ValueError(f"{kind!r} is not a potential kind")
+    [(_, rows)] = flow_terms(sets, kind)
+    a = np.array([bs.a_int for bs in sets], dtype=float)
+    m = np.array([bs.m_int for bs in sets], dtype=float)
+    return ((("shear_rate", "potential"), np.cross(a, rows)),
+            (("shear", "potential_rate"), np.cross(m, rows)))
+
+
+# -- 3D spectral helpers for slice-wise work -------------------------------------
+# One time slice, (n, n, n) plus trailing component axes; one forward and
+# one inverse transform however many components it carries.
+
+def _wavenumbers3(n: int, trailing: int = 0):
+    """Slice wavenumbers, shaped to broadcast over a spectrum with
+    `trailing` component axes."""
+    kf = np.fft.fftfreq(n, 1.0 / n)
+    kh = np.arange(n // 2 + 1, dtype=np.float64)
+    pad = (1,) * trailing
+    return (kf.reshape((n, 1, 1) + pad), kf.reshape((1, n, 1) + pad),
+            kh.reshape((1, 1, -1) + pad))
 
 
 def _rfft3(arr):
@@ -297,34 +340,58 @@ def _irfft3(spec, n):
     return sfft.irfftn(spec, s=(n, n, n), axes=(0, 1, 2), workers=fft_workers())
 
 
-def _grad3_scalar(arr):
+def _directional3(arr, dirs):
+    """Derivatives of each component i of arr (n, n, n, k) along row i (or
+    the only row) of each table in dirs, stacked last; np.eye(3)[:, None]
+    gives the gradient."""
     n = arr.shape[0]
-    k1, k2, k3 = _wavenumbers3(n)
+    k1, k2, k3 = _wavenumbers3(n, 1)
     spec = _rfft3(arr)
-    return np.stack([_irfft3(1j * k * spec, n) for k in (k1, k2, k3)], axis=-1)
+    out = np.empty(spec.shape + (len(dirs),), dtype=spec.dtype)
+    for d, rows in enumerate(dirs):
+        np.multiply(spec, 1j * (k1 * rows[:, 0] + k2 * rows[:, 1]
+                                + k3 * rows[:, 2]), out=out[..., d])
+    return _irfft3(out, n)
 
 
-def _div3(vec):
-    """Divergence of (n,n,n,3) plus the max single-term magnitude, which
-    scales the residual for identities whose truth value is zero."""
+def _div3_terms(arr):
+    """The three terms d_a arr[..., a] of the divergence that contracts the
+    last axis, stacked on that axis."""
+    n = arr.shape[0]
+    spec = _rfft3(arr)
+    out = np.empty_like(spec)
+    for a, k in enumerate(_wavenumbers3(n, arr.ndim - 4)):
+        np.multiply(spec[..., a], 1j * k, out=out[..., a])
+    return _irfft3(out, n)
+
+
+def _div3(arr):
+    """Divergence contracting the last axis, d_a arr[..., a]."""
+    n = arr.shape[0]
+    k1, k2, k3 = _wavenumbers3(n, arr.ndim - 4)
+    spec = _rfft3(arr)
+    return _irfft3(1j * (k1 * spec[..., 0] + k2 * spec[..., 1]
+                         + k3 * spec[..., 2]), n)
+
+
+def _curl3(vec):
     n = vec.shape[0]
-    k1, k2, k3 = _wavenumbers3(n)
-    total = None
-    scale = 0.0
-    for axis, k in enumerate((k1, k2, k3)):
-        term = _irfft3(1j * k * _rfft3(vec[..., axis]), n)
-        scale = max(scale, float(np.abs(term).max()))
-        total = term if total is None else total + term
-    return total, scale
+    k1, k2, k3 = _wavenumbers3(n, vec.ndim - 4)
+    spec = _rfft3(vec)
+    out = np.empty_like(spec)
+    out[..., 0] = 1j * (k2 * spec[..., 2] - k3 * spec[..., 1])
+    out[..., 1] = 1j * (k3 * spec[..., 0] - k1 * spec[..., 2])
+    out[..., 2] = 1j * (k1 * spec[..., 1] - k2 * spec[..., 0])
+    return _irfft3(out, n)
 
 
 def _curl_curl3(vec):
-    """Spectral double curl, |k|^2 v - k (k.v), of an (n,n,n,3) sample."""
+    """Spectral double curl, |k|^2 v - k (k.v), over the last axis."""
     n = vec.shape[0]
-    k1, k2, k3 = _wavenumbers3(n)
+    k1, k2, k3 = _wavenumbers3(n, vec.ndim - 4)
     spec = _rfft3(vec)
     kdotv = k1 * spec[..., 0] + k2 * spec[..., 1] + k3 * spec[..., 2]
-    ksq = (k1 * k1 + k2 * k2 + k3 * k3).astype(np.float64)
+    ksq = k1 * k1 + k2 * k2 + k3 * k3
     out = np.empty_like(spec)
     for axis, k in enumerate((k1, k2, k3)):
         out[..., axis] = ksq * spec[..., axis] - k * kdotv
@@ -358,7 +425,9 @@ def verify_identities(blocks: BlockSet, time_indices=None, tol: float = 1e-7):
         report["velocity_potential_curl"] = max(
             report["velocity_potential_curl"], _rel(np.abs(lhs - rhs).max(), scale))
 
-        div, scale = _div3(lhs)
+        # the largest single term scales identities whose truth value is 0
+        terms = _div3_terms(lhs)
+        div, scale = terms.sum(axis=-1), float(np.abs(terms).max())
         report["velocity_solenoidal"] = max(
             report["velocity_solenoidal"], _rel(np.abs(div).max(), scale))
 
@@ -373,14 +442,9 @@ def verify_identities(blocks: BlockSet, time_indices=None, tol: float = 1e-7):
                 ("magnetic_transport_null", D, D, None),
                 ("cross_transport", D, W, blocks.frame.k2),
                 ("cross_transport_null", W, D, None)):
-            div_parts = []
-            scale = 0.0
-            for i in range(3):
-                # div contracts the second factor: d_j (left_i right_j)
-                d, s = _div3(left[..., i, None] * right)
-                div_parts.append(d)
-                scale = max(scale, s)
-            div = np.stack(div_parts, axis=-1)
+            # div contracts the second factor: d_j (left_i right_j)
+            terms = _div3_terms(left[..., :, None] * right[..., None, :])
+            div, scale = terms.sum(axis=-1), float(np.abs(terms).max())
             if source_dir is None:
                 report[name] = max(report[name], _rel(np.abs(div).max(), scale))
             else:

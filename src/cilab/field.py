@@ -135,15 +135,17 @@ class Field:
 # -- spectral transforms -----------------------------------------------------
 
 def to_spectral(data, grid: Grid4) -> np.ndarray:
-    """Forward transform, normalized so coefficient (0,0,0,0) is the mean."""
+    """Forward transform, normalized so coefficient (0,0,0,0) is the mean;
+    the transform applies the 1/n_modes factor itself."""
     arr = data.data if isinstance(data, Field) else np.asarray(data)
-    return sfft.rfftn(arr, axes=(0, 1, 2, 3), workers=fft_workers()) / grid.n_modes
+    return sfft.rfftn(arr, axes=(0, 1, 2, 3), norm="forward",
+                      workers=fft_workers())
 
 
 def to_physical(coeffs, grid: Grid4) -> np.ndarray:
     """Inverse of to_spectral, returning the real sample array."""
     sizes = (grid.n_t, grid.n_x, grid.n_x, grid.n_x)
-    return sfft.irfftn(coeffs * grid.n_modes, s=sizes, axes=(0, 1, 2, 3),
+    return sfft.irfftn(coeffs, s=sizes, axes=(0, 1, 2, 3), norm="forward",
                        workers=fft_workers())
 
 
@@ -165,39 +167,37 @@ def ddt(f: Field) -> Field:
     return spectral_derivative(f, m=1)
 
 
+def _spatial_k(grid: Grid4, trailing: int):
+    """Spatial wavenumbers broadcast over spectra with trailing axes."""
+    return [k.reshape(k.shape + (1,) * trailing) for k in grid.k_broadcast()[1:]]
+
+
 def grad(f: Field) -> Field:
-    """Gradient of a scalar (vector) or of a vector (tensor, (grad u)_ij = d_j u_i)."""
+    """Gradient of a scalar (vector) or of a vector (tensor, (grad u)_ij = d_j u_i),
+    from one forward and one inverse transform."""
     if f.rank > 1:
         raise ValueError("grad is defined for scalar and vector fields")
-    parts = [spectral_derivative(f, zeta=tuple(int(j == a) for j in range(3))).data
-             for a in range(3)]
-    return Field(np.stack(parts, axis=-1), f.grid, _take=True)
+    parts = [1j * k * f.spectral for k in _spatial_k(f.grid, f.rank)]
+    return Field.from_spectral(np.stack(parts, axis=-1), f.grid)
+
+
+def _div_spectral(spec, grid, trailing):
+    """Spectrum of d_a A[..., a], contracting the last axis."""
+    k1, k2, k3 = _spatial_k(grid, trailing)
+    return 1j * (k1 * spec[..., 0] + k2 * spec[..., 1] + k3 * spec[..., 2])
 
 
 def div_vec(f: Field) -> Field:
     if f.rank != 1:
         raise ValueError("div_vec needs a vector field")
-    total = None
-    for a in range(3):
-        zeta = tuple(int(j == a) for j in range(3))
-        term = spectral_derivative(f.component(a), zeta=zeta).data
-        total = term if total is None else total + term
-    return Field(total, f.grid, _take=True)
+    return Field.from_spectral(_div_spectral(f.spectral, f.grid, 0), f.grid)
 
 
 def div_tensor(f: Field) -> Field:
     """(div A)_i = d_j A_ij, contracting the column index."""
     if f.rank != 2:
         raise ValueError("div_tensor needs a rank-2 field")
-    cols = []
-    for i in range(3):
-        total = None
-        for j in range(3):
-            zeta = tuple(int(a == j) for a in range(3))
-            term = spectral_derivative(f.component(i, j), zeta=zeta).data
-            total = term if total is None else total + term
-        cols.append(total)
-    return Field(np.stack(cols, axis=-1), f.grid, _take=True)
+    return Field.from_spectral(_div_spectral(f.spectral, f.grid, 1), f.grid)
 
 
 # -- pointwise tensor algebra -------------------------------------------------
@@ -207,10 +207,6 @@ def outer(u: Field, v: Field) -> Field:
     if u.rank != 1 or v.rank != 1:
         raise ValueError("outer needs two vector fields")
     return Field(u.data[..., :, None] * v.data[..., None, :], u.grid, _take=True)
-
-
-def transpose_tensor(t: Field) -> Field:
-    return Field(np.swapaxes(t.data, -1, -2), t.grid, _take=True)
 
 
 def sym(t: Field) -> Field:

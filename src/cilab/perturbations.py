@@ -8,6 +8,14 @@ absorb the transport time derivative that the quadratic products shed,
 and low-frequency correctors absorb the mean drift of the squared
 oscillation profile through its antiderivative.
 
+Every block field is rank one, a scalar envelope times a constant frame
+vector, so nothing here loops over frames: per time slice and family the
+six envelopes stack into one (n^3, 6) array that meets constant tables
+(frame directions, direction tensors, skew matrices for cross products)
+in one product, potential curls are closed forms, and every gradient or
+divergence is one transform pair per slice. The velocity family drives
+no magnetic part, so its magnetic tables are zero.
+
 Every balance these parts rely on can be evaluated literally on the
 grid, one term group at a time. The verifiers here do exactly that and
 compare against tolerances that grow with the measured spectral tail of
@@ -15,7 +23,10 @@ the amplitudes, reporting raw residual, tail, and effective tolerance
 side by side; concentrated inputs near the grid limit degrade the
 tolerance instead of silently failing. Block second moments enter the
 low-frequency correctors as measured grid averages rather than their
-continuum values, so the balances close at grid level.
+continuum values, so the balances close at grid level. Those mean
+matrices M_(k) are constant, so the low-frequency terms need only
+V = sum_k M_(k) grad a_(k)^2: the corrector drives h V, the balance's
+residue is (g^2 - 1) V and its wander term is h d_t V.
 """
 
 from __future__ import annotations
@@ -26,11 +37,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .amplitudes import AmplitudeSet, slice_support
-from .blocks import _curl_curl3, _div3, _irfft3, _rfft3, _wavenumbers3
+from .blocks import (_curl3, _curl_curl3, _directional3, _div3, _div3_terms,
+                     _rfft3, _wavenumbers3, curl_terms, envelope_stack,
+                     flow_terms)
 from .field import Field, MixedNormSpec, ddt, norm
 from .spectral_ops import _div_rel_defect, leray, p_neq0
 
 _TAIL_FACTOR = 10.0
+
+# summation order of the frame families on every slice
+_FAMILIES = ("magnetic", "velocity")
 
 
 class CorrectorIdentityError(RuntimeError):
@@ -47,9 +63,10 @@ def _as_samples(profile, grid, what):
     return vals
 
 
-def _family_blocks(amps, blocks, family):
-    triples = []
-    for i, fr in enumerate(amps.frames(family)):
+def _family_sets(amps, blocks, family):
+    """The block sets of one family in frame order, validated."""
+    sets = []
+    for fr in amps.frames(family):
         try:
             bs = blocks[fr.name]
         except KeyError:
@@ -59,46 +76,61 @@ def _family_blocks(amps, blocks, family):
         if bs.frame.name != fr.name:
             raise ValueError(f"block set keyed {fr.name} was sampled for "
                              f"frame {bs.frame.name}")
-        triples.append((i, fr, bs))
-    return triples
+        sets.append(bs)
+    return sets
 
 
 def _cutoff(amps, family):
     return amps.f_b if family == "magnetic" else amps.f_u
 
 
-def _grad3_batch(arr):
-    """Spatial gradient of one slice, gradient axis appended; any number
-    of trailing component axes."""
-    n = arr.shape[0]
-    spec = _rfft3(arr)
-    out = np.empty(arr.shape + (3,))
-    for a, k in enumerate(_wavenumbers3(n)):
-        mult = k.reshape(k.shape + (1,) * (arr.ndim - 3))
-        out[..., a] = _irfft3(1j * mult * spec, n)
+def _active(amps, families, j):
+    """Entries of families (name first) whose cutoff is nonzero on slice j,
+    with their squared amplitudes appended; the rest add exactly zero."""
+    for entry in families:
+        if _cutoff(amps, entry[0])[j] != 0.0:
+            yield entry + (amps.squared_slice(entry[0], j),)
+
+
+def _side_terms(sets, family, kind_w, kind_d, terms=flow_terms):
+    """Rank-one terms (pair, (k, 6) [velocity | magnetic] directions) of
+    two kinds; the velocity family drives no magnetic part."""
+    tables = {}
+    kinds = (kind_w, kind_d) if family == "magnetic" else (kind_w,)
+    for side, kind in enumerate(kinds):
+        for pair, rows in terms(sets, kind):
+            table = tables.setdefault(pair, np.zeros((len(sets), 6)))
+            table[:, 3 * side:3 * side + 3] += rows
+    return list(tables.items())
+
+
+def _families(amps, blocks, kind_w, kind_d):
+    """(family, sets, pair, table) per family for two kinds on one envelope."""
+    out = []
+    for family in _FAMILIES:
+        sets = _family_sets(amps, blocks, family)
+        [(pair, table)] = _side_terms(sets, family, kind_w, kind_d)
+        out.append((family, sets, pair, table))
     return out
 
 
-def _curl3(vec):
-    n = vec.shape[0]
-    k1, k2, k3 = _wavenumbers3(n)
-    spec = _rfft3(vec)
-    out = np.empty_like(spec)
-    out[..., 0] = 1j * (k2 * spec[..., 2] - k3 * spec[..., 1])
-    out[..., 1] = 1j * (k3 * spec[..., 0] - k1 * spec[..., 2])
-    out[..., 2] = 1j * (k1 * spec[..., 1] - k2 * spec[..., 0])
-    return _irfft3(out, n)
+def _cross_table(table):
+    """(k, 6) directions t_i as the (3 k, 6) matrix X with sum_i G_i x t_i
+    = G.reshape(N, 3 k) @ X on each side, for G of shape (N, k, 3)."""
+    basis = np.eye(3)[None, :, :]
+    return np.hstack([np.cross(basis, table[:, None, 3 * side:3 * side + 3])
+                      .reshape(-1, 3) for side in (0, 1)])
 
 
-def _div3_tensor(tens):
-    """(div T)_i = d_j T_ij on one slice, plus the largest term scale."""
-    rows = []
-    scale = 0.0
-    for i in range(3):
-        d, s = _div3(tens[..., i, :])
-        rows.append(d)
-        scale = max(scale, s)
-    return np.stack(rows, axis=-1), scale
+def _weighted(sets, pair, j, grads):
+    """Envelope-weighted gradients e_i G_i, flattened to (N, 3 k)."""
+    env = envelope_stack(sets, pair, j)
+    return (env[:, :, None] * grads).reshape(env.shape[0], -1)
+
+
+def _sides(arr, n):
+    """[velocity | magnetic] columns as (2, n, n, n, 3)."""
+    return np.moveaxis(arr.reshape(n, n, n, 2, 3), 3, 0)
 
 
 def _tail3(scalar):
@@ -113,11 +145,6 @@ def _tail3(scalar):
     if total <= 0.0:
         return 0.0
     return math.sqrt(float((np.abs(spec[high]) ** 2).sum()) / total)
-
-
-def _profile_square(bs, j):
-    """Squared scalar envelope of the flows on one slice."""
-    return (bs.profile_slice("shear", j) * bs.profile_slice("concentration", j)) ** 2
 
 
 def _gate(report, names, tol, tail):
@@ -158,22 +185,36 @@ def measured_second_moments(blocks, frames):
     return out
 
 
-def _mean_matrices(amps, blocks, vel, mag):
-    """Velocity-equation and magnetic-equation mean product matrices per
-    frame, from the measured second moments."""
-    moments = measured_second_moments(
-        blocks, [fr for _, fr, _ in vel] + [fr for _, fr, _ in mag])
-    m_vel = {}
-    m_mag = {}
-    for _, fr, _ in vel:
-        m_vel[fr.name] = moments[fr.name][("velocity", "velocity")]
-    for _, fr, _ in mag:
-        quart = moments[fr.name]
-        m_vel[fr.name] = (quart[("velocity", "velocity")]
-                          - quart[("magnetic", "magnetic")])
-        m_mag[fr.name] = (quart[("magnetic", "velocity")]
-                          - quart[("velocity", "magnetic")])
-    return m_vel, m_mag
+def _moment_tables(amps, blocks):
+    """Per family, the measured mean matrices of the velocity and magnetic
+    equations as one (6, 18) table, row k holding M_vel(k), M_mag(k)."""
+    tables = []
+    for family in ("velocity", "magnetic"):
+        _family_sets(amps, blocks, family)
+        rows = []
+        for q in measured_second_moments(blocks, amps.frames(family)).values():
+            m_vel, m_mag = q["velocity", "velocity"], np.zeros((3, 3))
+            if family == "magnetic":
+                m_vel = m_vel - q["magnetic", "magnetic"]
+                m_mag = q["magnetic", "velocity"] - q["velocity", "magnetic"]
+            rows.append(np.concatenate([m_vel.ravel(), m_mag.ravel()]))
+        tables.append((family, np.array(rows)))
+    return tables
+
+
+def _slice_drift(amps, tables, j):
+    """V = sum_k M_(k) grad a_(k)^2 = div sum_k M_(k) a_(k)^2 on slice j for
+    both equations, (2, n, n, n, 3) or None, and the squares it read."""
+    tens = None
+    squares = []
+    for _, table, a2 in _active(amps, tables, j):
+        squares.append(a2)
+        term = a2.reshape(-1, table.shape[0]) @ table
+        tens = term if tens is None else tens + term
+    if tens is None:
+        return None, squares
+    n = amps.grid.n_x
+    return np.moveaxis(_div3(tens.reshape(n, n, n, 2, 3, 3)), 3, 0), squares
 
 
 # -- the perturbation container --------------------------------------------------
@@ -218,15 +259,6 @@ class Perturbation:
     def d(self) -> Field:
         return self.d_p + self.d_c + self.d_t + self.d_o
 
-    def parts(self, family: str) -> dict:
-        if family == "velocity":
-            return {"principal": self.w_p, "incompressibility": self.w_c,
-                    "temporal": self.w_t, "low_frequency": self.w_o}
-        if family == "magnetic":
-            return {"principal": self.d_p, "incompressibility": self.d_c,
-                    "temporal": self.d_t, "low_frequency": self.d_o}
-        raise ValueError(f"unknown perturbation family {family!r}")
-
 
 # -- builders --------------------------------------------------------------------
 
@@ -235,24 +267,18 @@ def principal_parts(amps: AmplitudeSet, blocks: dict, g):
     families, and the magnetic flows over the skew family. Slices where g
     or the family cutoff vanishes are skipped exactly."""
     grid = amps.grid
+    n = grid.n_x
     g = _as_samples(g, grid, "oscillation profile g")
-    families = {"magnetic": _family_blocks(amps, blocks, "magnetic"),
-                "velocity": _family_blocks(amps, blocks, "velocity")}
-    w = np.zeros(grid.shape + (3,))
-    d = np.zeros(grid.shape + (3,))
+    families = _families(amps, blocks, "velocity", "magnetic")
+    out = np.zeros((2,) + grid.shape + (3,))
     for j in range(grid.n_t):
         if g[j] == 0.0:
             continue
-        for family, triples in families.items():
-            if _cutoff(amps, family)[j] == 0.0:
-                continue
-            amp = np.sqrt(amps.squared_slice(family, j))
-            for i, fr, bs in triples:
-                coef = (g[j] * amp[..., i])[..., None]
-                w[j] += coef * bs.flow_slice("velocity", j)
-                if family == "magnetic":
-                    d[j] += coef * bs.flow_slice("magnetic", j)
-    return Field(w, grid, _take=True), Field(d, grid, _take=True)
+        for _, sets, pair, table, a2 in _active(amps, families, j):
+            amp = np.sqrt(a2).reshape(-1, len(sets))
+            out[:, j] += _sides(
+                (g[j] * amp * envelope_stack(sets, pair, j)) @ table, n)
+    return Field(out[0], grid, _take=True), Field(out[1], grid, _take=True)
 
 
 def incompressibility_correctors(amps: AmplitudeSet, blocks: dict, g,
@@ -260,50 +286,47 @@ def incompressibility_correctors(amps: AmplitudeSet, blocks: dict, g,
     """Complete every principal term to the double curl of its shifted
     potential: per frame, curl curl (a g potential) minus a g flow splits
     into a curl of the amplitude-gradient cross term, the gradient cross
-    the potential curl, plus the small-scale corrector flow. The outer
-    curl is taken once per slice after summing frames.
+    the (closed-form) potential curl, plus the small-scale corrector flow.
+    The outer curl is taken once per slice for both sides.
 
     With check=True the double-curl representation and the divergence of
     the completed parts are verified (this rebuilds the principal parts;
     orchestrators that already hold them should verify directly).
     """
     grid = amps.grid
+    n = grid.n_x
     g = _as_samples(g, grid, "oscillation profile g")
-    families = {"magnetic": _family_blocks(amps, blocks, "magnetic"),
-                "velocity": _family_blocks(amps, blocks, "velocity")}
-    cross_w = np.zeros(grid.shape + (3,))
-    direct_w = np.zeros(grid.shape + (3,))
-    cross_d = np.zeros(grid.shape + (3,))
-    direct_d = np.zeros(grid.shape + (3,))
+    families = []
+    for family in _FAMILIES:
+        sets = _family_sets(amps, blocks, family)
+        kinds = (sets, family, "velocity_potential", "magnetic_potential")
+        pots = [(pair, _cross_table(t)) for pair, t in _side_terms(*kinds)]
+        curls = [(pair, _cross_table(t))
+                 for pair, t in _side_terms(*kinds, terms=curl_terms)]
+        families.append((family, sets, pots, curls, _side_terms(
+            sets, family, "velocity_corrector", "magnetic_corrector")))
+    out = np.zeros((2,) + grid.shape + (3,))
     for j in range(grid.n_t):
-        if g[j] == 0.0:
+        active = list(_active(amps, families, j)) if g[j] != 0.0 else []
+        if not active:
             continue
-        for family, triples in families.items():
-            if _cutoff(amps, family)[j] == 0.0:
-                continue
-            amp = np.sqrt(amps.squared_slice(family, j))
-            grads = _grad3_batch(amp)
-            for i, fr, bs in triples:
-                da = grads[..., i, :]
-                a = amp[..., i, None]
-                pot = bs.flow_slice("velocity_potential", j)
-                cross_w[j] += g[j] * np.cross(da, pot)
-                direct_w[j] += g[j] * (
-                    np.cross(da, _curl3(pot))
-                    + a * bs.flow_slice("velocity_corrector", j))
-                if family == "magnetic":
-                    pot = bs.flow_slice("magnetic_potential", j)
-                    cross_d[j] += g[j] * np.cross(da, pot)
-                    direct_d[j] += g[j] * (
-                        np.cross(da, _curl3(pot))
-                        + a * bs.flow_slice("magnetic_corrector", j))
-    for j in range(grid.n_t):
-        if g[j] == 0.0:
-            continue
-        cross_w[j] = _curl3(cross_w[j]) + direct_w[j]
-        cross_d[j] = _curl3(cross_d[j]) + direct_d[j]
-    w_c = Field(cross_w, grid, _take=True)
-    d_c = Field(cross_d, grid, _take=True)
+        cross = direct = 0.0
+        for _, sets, pots, curls, correctors, a2 in active:
+            amp = np.sqrt(a2)
+            grads = _directional3(amp, np.eye(3)[:, None]).reshape(
+                -1, len(sets), 3)
+            amp = amp.reshape(-1, len(sets))
+            cross = cross + sum(_weighted(sets, pair, j, grads) @ x
+                                for pair, x in pots)
+            direct = (direct
+                      + sum(_weighted(sets, pair, j, grads) @ x
+                            for pair, x in curls)
+                      + sum((amp * envelope_stack(sets, pair, j)) @ t
+                            for pair, t in correctors))
+        out[:, j] = g[j] * _sides(_curl3(cross.reshape(n, n, n, 2, 3))
+                                  + direct.reshape(n, n, n, 2, 3), n)
+    w_c, d_c = (Field(out[0], grid, _take=True),
+                Field(out[1], grid, _take=True))
     if check:
         w_p, d_p = principal_parts(amps, blocks, g)
         verify_divfree_representation(amps, blocks, g, w_p, w_c, d_p, d_c,
@@ -319,34 +342,28 @@ def temporal_correctors_t(amps: AmplitudeSet, blocks: dict, g, mu: float,
     derivative of these parts cancels the transport term the products
     shed; mu is the common block transport rate."""
     grid = amps.grid
+    n = grid.n_x
     g = _as_samples(g, grid, "oscillation profile g")
     if not mu > 0.0:
         raise ValueError("temporal correctors need a positive transport rate")
-    families = {"magnetic": _family_blocks(amps, blocks, "magnetic"),
-                "velocity": _family_blocks(amps, blocks, "velocity")}
-    for triples in families.values():
-        for _, fr, bs in triples:
+    families = _families(amps, blocks, "velocity", "magnetic")
+    for _, sets, _, _ in families:
+        for bs in sets:
             if bs.params.mu != mu:
                 raise ValueError(
-                    f"block set {fr.name} was sampled at transport rate "
+                    f"block set {bs.frame.name} was sampled at transport rate "
                     f"{bs.params.mu:g}, not {mu:g}")
-    acc_w = np.zeros(grid.shape + (3,))
-    acc_d = np.zeros(grid.shape + (3,))
+    acc = np.zeros((2,) + grid.shape + (3,))
     for j in range(grid.n_t):
         if g[j] == 0.0:
             continue
         g2 = g[j] ** 2
-        for family, triples in families.items():
-            if _cutoff(amps, family)[j] == 0.0:
-                continue
-            a2 = amps.squared_slice(family, j)
-            for i, fr, bs in triples:
-                charge = (g2 * a2[..., i] * _profile_square(bs, j))[..., None]
-                acc_w[j] += charge * fr.k1
-                if family == "magnetic":
-                    acc_d[j] += charge * fr.k2
-    w_t = (-1.0 / mu) * leray(p_neq0(Field(acc_w, grid, _take=True)))
-    d_t = (-1.0 / mu) * leray(p_neq0(Field(acc_d, grid, _take=True)))
+        for _, sets, pair, dirs, a2 in _active(amps, families, j):
+            a2 = a2.reshape(-1, len(sets))
+            acc[:, j] += _sides(
+                (g2 * a2 * envelope_stack(sets, pair, j) ** 2) @ dirs, n)
+    w_t, d_t = ((-1.0 / mu) * leray(p_neq0(Field(side, grid, _take=True)))
+                for side in acc)
     if check:
         verify_temporal_balance(amps, blocks, g, mu, w_t, d_t, tol=tol)
     return w_t, d_t
@@ -354,38 +371,27 @@ def temporal_correctors_t(amps: AmplitudeSet, blocks: dict, g, mu: float,
 
 def temporal_correctors_o(amps: AmplitudeSet, blocks: dict, h, sigma: float,
                           g=None, check: bool = True, tol: float = 1e-6):
-    """Minus sigma^{-1} times the solenoidal low-pass of the
-    antiderivative-weighted mean-product gradients. These absorb the
-    low-frequency residue of the squared oscillation profile, traded for
-    a time derivative through h with h' = sigma (g^2 - 1); the mean
-    matrices are the measured grid moments. Checking the balance needs
-    the oscillation profile g itself."""
+    """Minus sigma^{-1} times the solenoidal low-pass of h V, with V the
+    mean-matrix-weighted amplitude gradients sum_k M_(k) grad a_(k)^2.
+    These absorb the low-frequency residue of the squared oscillation
+    profile, traded for a time derivative through h with h' = sigma
+    (g^2 - 1); the mean matrices are the measured grid moments. Checking
+    the balance needs the oscillation profile g itself."""
     grid = amps.grid
     h = _as_samples(h, grid, "antiderivative profile h")
     if not sigma > 0.0:
         raise ValueError("low-frequency correctors need a positive "
                          "oscillation rate sigma")
-    vel = _family_blocks(amps, blocks, "velocity")
-    mag = _family_blocks(amps, blocks, "magnetic")
-    m_vel, m_mag = _mean_matrices(amps, blocks, vel, mag)
-    acc_w = np.zeros(grid.shape + (3,))
-    acc_d = np.zeros(grid.shape + (3,))
+    tables = _moment_tables(amps, blocks)
+    acc = np.zeros((2,) + grid.shape + (3,))
     for j in range(grid.n_t):
         if h[j] == 0.0:
             continue
-        for family, triples in (("velocity", vel), ("magnetic", mag)):
-            if _cutoff(amps, family)[j] == 0.0:
-                continue
-            grads = _grad3_batch(amps.squared_slice(family, j))
-            for i, fr, bs in triples:
-                ga2 = grads[..., i, :]
-                acc_w[j] += h[j] * np.einsum(
-                    "ab,...b->...a", m_vel[fr.name], ga2)
-                if family == "magnetic":
-                    acc_d[j] += h[j] * np.einsum(
-                        "ab,...b->...a", m_mag[fr.name], ga2)
-    w_o = (-1.0 / sigma) * leray(p_neq0(Field(acc_w, grid, _take=True)))
-    d_o = (-1.0 / sigma) * leray(p_neq0(Field(acc_d, grid, _take=True)))
+        drift, _ = _slice_drift(amps, tables, j)
+        if drift is not None:
+            acc[:, j] = h[j] * drift
+    w_o, d_o = ((-1.0 / sigma) * leray(p_neq0(Field(side, grid, _take=True)))
+                for side in acc)
     if check:
         if g is None:
             raise ValueError("checking the low-frequency balance needs the "
@@ -443,48 +449,41 @@ def verify_divfree_representation(amps, blocks, g, w_p, w_c, d_p, d_c,
     divergence vanishes against the gradient scale. Returns the residual
     report; raises naming the violated balance."""
     grid = amps.grid
+    n = grid.n_x
     g = _as_samples(g, grid, "oscillation profile g")
     _require_vector_on(grid, "perturbation part", w_p, w_c, d_p, d_c)
-    families = {"magnetic": _family_blocks(amps, blocks, "magnetic"),
-                "velocity": _family_blocks(amps, blocks, "velocity")}
+    families = _families(amps, blocks, "velocity_potential",
+                         "magnetic_potential")
     if time_indices is None:
         time_indices = range(grid.n_t)
-    report = {"velocity_representation": 0.0, "magnetic_representation": 0.0,
-              "velocity_divergence": 0.0, "magnetic_divergence": 0.0}
+    keys = (("velocity_representation", "velocity_divergence"),
+            ("magnetic_representation", "magnetic_divergence"))
+    report = dict.fromkeys(sum(keys, ()), 0.0)
     tail = 0.0
     for j in time_indices:
-        wsum = w_p.data[j] + w_c.data[j]
-        dsum = d_p.data[j] + d_c.data[j]
-        div, scale = _div3(wsum)
-        if scale > 0.0:
-            report["velocity_divergence"] = max(
-                report["velocity_divergence"], float(np.abs(div).max()) / scale)
-        div, scale = _div3(dsum)
-        if scale > 0.0:
-            report["magnetic_divergence"] = max(
-                report["magnetic_divergence"], float(np.abs(div).max()) / scale)
+        lhs = np.stack([w_p.data[j] + w_c.data[j], d_p.data[j] + d_c.data[j]],
+                       axis=-2)
+        terms = _div3_terms(lhs)
+        for s, (_, key) in enumerate(keys):
+            side = terms[..., s, :]
+            scale = float(np.abs(side).max())
+            if scale > 0.0:
+                report[key] = max(report[key], float(
+                    np.abs(side.sum(axis=-1)).max()) / scale)
         if g[j] == 0.0:
             continue
-        pot_w = np.zeros(grid.shape[1:] + (3,))
-        pot_d = np.zeros(grid.shape[1:] + (3,))
-        for family, triples in families.items():
-            if _cutoff(amps, family)[j] == 0.0:
-                continue
-            a2 = amps.squared_slice(family, j)
+        pot = np.zeros((n ** 3, 6))
+        for _, sets, pair, table, a2 in _active(amps, families, j):
             tail = max(tail, _tail3(a2.sum(axis=-1)))
-            amp = np.sqrt(a2)
-            for i, fr, bs in triples:
-                coef = (g[j] * amp[..., i])[..., None]
-                pot_w += coef * bs.flow_slice("velocity_potential", j)
-                if family == "magnetic":
-                    pot_d += coef * bs.flow_slice("magnetic_potential", j)
-        for key, lhs, pot in (("velocity_representation", wsum, pot_w),
-                              ("magnetic_representation", dsum, pot_d)):
-            rhs = _curl_curl3(pot)
-            scale = max(float(np.abs(lhs).max()), float(np.abs(rhs).max()),
+            amp = np.sqrt(a2).reshape(-1, len(sets))
+            pot += (amp * envelope_stack(sets, pair, j)) @ table
+        rhs = _curl_curl3(g[j] * pot.reshape(n, n, n, 2, 3))
+        for s, (key, _) in enumerate(keys):
+            left, right = lhs[..., s, :], rhs[..., s, :]
+            scale = max(float(np.abs(left).max()), float(np.abs(right).max()),
                         amps.delta_next)
             report[key] = max(report[key],
-                              float(np.abs(lhs - rhs).max()) / scale)
+                              float(np.abs(left - right).max()) / scale)
     _gate(report, (("velocity_representation",
                     "velocity double-curl representation"),
                    ("magnetic_representation",
@@ -506,73 +505,70 @@ def verify_temporal_balance(amps, blocks, g, mu: float, w_t, d_t,
     corrector evolution plus oscillation transport against the pressure
     gradient plus the gradient-transfer and profile-drift remainders.
     Every group is assembled from samples; the time derivative forces a
-    full sweep, so there is no slice subsetting here."""
+    full sweep, so there is no slice subsetting here. The flow products
+    are squared envelopes times P_v = k1 (x) k1 - k2 (x) k2 and P_m =
+    k2 (x) k1 - k1 (x) k2, so the gradient transfer P grad a^2 needs only
+    the derivatives of a^2 along k1 and k2."""
     grid = amps.grid
+    n = grid.n_x
     g = _as_samples(g, grid, "oscillation profile g")
     if not mu > 0.0:
         raise ValueError("the temporal balance needs a positive transport rate")
     _require_vector_on(grid, "temporal corrector", w_t, d_t)
-    families = {"magnetic": _family_blocks(amps, blocks, "magnetic"),
-                "velocity": _family_blocks(amps, blocks, "velocity")}
-    shape_v = grid.shape + (3,)
-    acc = {"velocity": np.zeros(shape_v), "magnetic": np.zeros(shape_v)}
-    osc = {"velocity": np.zeros(shape_v), "magnetic": np.zeros(shape_v)}
-    drift = {"velocity": np.zeros(shape_v), "magnetic": np.zeros(shape_v)}
+    families = []
+    for family, sets, pair, dirs in _families(amps, blocks, "velocity",
+                                              "magnetic"):
+        k1, k2 = dirs[:, :3], dirs[:, 3:]
+        p_v = k1[:, :, None] * k1[:, None] - k2[:, :, None] * k2[:, None]
+        p_m = k2[:, :, None] * k1[:, None] - k1[:, :, None] * k2[:, None]
+        products = np.hstack([p_v.reshape(-1, 9), p_m.reshape(-1, 9)])
+        # rows: per frame, derivative along k1 then k2 (none for velocity)
+        ks = (k1, k2) if family == "magnetic" else (k1,)
+        transfer = np.stack([dirs, -np.hstack([k2, k1])], axis=1)[
+            :, :len(ks)].reshape(-1, 6)
+        families.append((family, sets, pair, dirs, products, ks, transfer))
+    shape = (2,) + grid.shape + (3,)
+    acc = np.zeros(shape)
+    osc = np.zeros(shape)
+    drift = np.zeros(shape)
     tail = 0.0
     for j in range(grid.n_t):
         if g[j] == 0.0:
             continue
         g2 = g[j] ** 2
-        tens_v = np.zeros(grid.shape[1:] + (3, 3))
-        tens_m = np.zeros(grid.shape[1:] + (3, 3))
-        for family, triples in families.items():
-            if _cutoff(amps, family)[j] == 0.0:
-                continue
-            a2 = amps.squared_slice(family, j)
+        tens = np.zeros((n ** 3, 18))
+        for (_, sets, pair, dirs, products, ks, transfer,
+             a2) in _active(amps, families, j):
             tail = max(tail, _tail3(a2.sum(axis=-1)))
-            grads = _grad3_batch(a2)
-            for i, fr, bs in triples:
-                flow_w = bs.flow_slice("velocity", j)
-                charge = (g2 * a2[..., i] * _profile_square(bs, j))[..., None]
-                acc["velocity"][j] += charge * fr.k1
-                prod_v = np.einsum("...a,...b->...ab", flow_w, flow_w)
-                if family == "magnetic":
-                    flow_d = bs.flow_slice("magnetic", j)
-                    acc["magnetic"][j] += charge * fr.k2
-                    prod_v = prod_v - np.einsum(
-                        "...a,...b->...ab", flow_d, flow_d)
-                    prod_m = np.einsum("...a,...b->...ab", flow_d, flow_w)
-                    prod_m = prod_m - np.swapaxes(prod_m, -1, -2)
-                    tens_m += a2[..., i, None, None] * prod_m
-                    drift["magnetic"][j] += g2 * np.einsum(
-                        "...ab,...b->...a", prod_m, grads[..., i, :])
-                tens_v += a2[..., i, None, None] * prod_v
-                drift["velocity"][j] += g2 * np.einsum(
-                    "...ab,...b->...a", prod_v, grads[..., i, :])
-        osc["velocity"][j], _ = _div3_tensor(tens_v)
-        osc["velocity"][j] *= g2
-        osc["magnetic"][j], _ = _div3_tensor(tens_m)
-        osc["magnetic"][j] *= g2
+            env2 = envelope_stack(sets, pair, j) ** 2
+            derivs = _directional3(a2, ks).reshape(len(env2), len(sets), -1)
+            weight = a2.reshape(-1, len(sets)) * env2
+            acc[:, j] += _sides(g2 * (weight @ dirs), n)
+            drift[:, j] += _sides(g2 * ((env2[:, :, None] * derivs).reshape(
+                len(env2), -1) @ transfer), n)
+            tens += weight @ products
+        osc[:, j] = g2 * np.moveaxis(_div3(tens.reshape(n, n, n, 2, 3, 3)),
+                                     3, 0)
     # profile drift, time-derivative half: - mu^{-1} envelope^2 k d_t(a^2 g^2)
     g2_all = g ** 2
-    for family, triples in families.items():
-        for i, fr, bs in triples:
+    for family, sets, pair, dirs, _, ks, _ in families:
+        for i, bs in enumerate(sets):
             q = np.empty(grid.shape)
             for j in range(grid.n_t):
                 q[j] = g2_all[j] * amps.squared_component_slice(family, i, j)
             dq = ddt(Field(q, grid, _take=True)).data
             for j in range(grid.n_t):
-                pulled = (_profile_square(bs, j) * dq[j])[..., None] / mu
-                drift["velocity"][j] -= pulled * fr.k1
-                if family == "magnetic":
-                    drift["magnetic"][j] -= pulled * fr.k2
+                pulled = (envelope_stack([bs], pair, j) ** 2
+                          * dq[j].reshape(-1, 1) / mu)
+                for s, k in enumerate(ks):
+                    drift[s, j] -= (pulled * k[i]).reshape(n, n, n, 3)
     report = {}
-    for side, part in (("velocity", w_t), ("magnetic", d_t)):
-        charge = p_neq0(ddt(Field(acc[side], grid, _take=True)))
+    for s, (side, part) in enumerate((("velocity", w_t), ("magnetic", d_t))):
+        charge = p_neq0(ddt(Field(acc[s], grid, _take=True)))
         pressure = (1.0 / mu) * (charge - leray(charge))
         evolution = ddt(part)
-        transport = p_neq0(Field(osc[side], grid, _take=True))
-        transfer = p_neq0(Field(drift[side], grid, _take=True))
+        transport = p_neq0(Field(osc[s], grid, _take=True))
+        transfer = p_neq0(Field(drift[s], grid, _take=True))
         resid = (evolution.data + transport.data
                  - pressure.data - transfer.data)
         scale = max(evolution.max_abs(), transport.max_abs(),
@@ -588,9 +584,10 @@ def verify_temporal_balance(amps, blocks, g, mu: float, w_t, d_t,
 def verify_low_frequency_balance(amps, blocks, h, sigma: float, g, w_o, d_o,
                                  tol: float = 1e-6):
     """Evaluate both low-frequency balances literally: corrector evolution
-    plus the squared-profile residue against the pressure gradient plus
-    the antiderivative-weighted gradient drift. Relies on h' = sigma
-    (g^2 - 1) holding exactly for the supplied profile pair."""
+    plus the squared-profile residue (g^2 - 1) V against the pressure
+    gradient plus the antiderivative-weighted gradient drift h d_t V, with
+    V = sum_k M_(k) grad a_(k)^2 formed once per slice. Relies on
+    h' = sigma (g^2 - 1) holding exactly for the supplied profile pair."""
     grid = amps.grid
     h = _as_samples(h, grid, "antiderivative profile h")
     g = _as_samples(g, grid, "oscillation profile g")
@@ -598,50 +595,25 @@ def verify_low_frequency_balance(amps, blocks, h, sigma: float, g, w_o, d_o,
         raise ValueError("the low-frequency balance needs a positive "
                          "oscillation rate sigma")
     _require_vector_on(grid, "low-frequency corrector", w_o, d_o)
-    vel = _family_blocks(amps, blocks, "velocity")
-    mag = _family_blocks(amps, blocks, "magnetic")
-    m_vel, m_mag = _mean_matrices(amps, blocks, vel, mag)
-    shape_v = grid.shape + (3,)
-    residue = {"velocity": np.zeros(shape_v), "magnetic": np.zeros(shape_v)}
-    wander = {"velocity": np.zeros(shape_v), "magnetic": np.zeros(shape_v)}
+    tables = _moment_tables(amps, blocks)
+    drift = np.zeros((2,) + grid.shape + (3,))
     tail = 0.0
-    g2m1 = g ** 2 - 1.0
     for j in range(grid.n_t):
-        for family, triples in (("velocity", vel), ("magnetic", mag)):
-            if _cutoff(amps, family)[j] == 0.0:
-                continue
-            a2 = amps.squared_slice(family, j)
+        v, squares = _slice_drift(amps, tables, j)
+        for a2 in squares:
             tail = max(tail, _tail3(a2.sum(axis=-1)))
-            grads = _grad3_batch(a2)
-            for i, fr, bs in triples:
-                ga2 = grads[..., i, :]
-                residue["velocity"][j] += g2m1[j] * np.einsum(
-                    "ab,...b->...a", m_vel[fr.name], ga2)
-                if family == "magnetic":
-                    residue["magnetic"][j] += g2m1[j] * np.einsum(
-                        "ab,...b->...a", m_mag[fr.name], ga2)
-    for family, triples in (("velocity", vel), ("magnetic", mag)):
-        for i, fr, bs in triples:
-            q = np.empty(grid.shape)
-            for j in range(grid.n_t):
-                q[j] = amps.squared_component_slice(family, i, j)
-            dq = ddt(Field(q, grid, _take=True)).data
-            for j in range(grid.n_t):
-                if h[j] == 0.0:
-                    continue
-                gdq = _grad3_batch(dq[j])
-                wander["velocity"][j] += h[j] * np.einsum(
-                    "ab,...b->...a", m_vel[fr.name], gdq)
-                if family == "magnetic":
-                    wander["magnetic"][j] += h[j] * np.einsum(
-                        "ab,...b->...a", m_mag[fr.name], gdq)
+        if v is not None:
+            drift[:, j] = v
+    g2m1 = (g ** 2 - 1.0)[:, None, None, None, None]
+    h_col = h[:, None, None, None, None]
     report = {}
-    for side, part in (("velocity", w_o), ("magnetic", d_o)):
+    for s, (side, part) in enumerate((("velocity", w_o), ("magnetic", d_o))):
+        v = Field(drift[s], grid, _take=True)
         evolution = ddt(part)
-        res = p_neq0(Field(residue[side], grid, _take=True))
+        res = p_neq0(Field(g2m1 * v.data, grid, _take=True))
         pressure = res - leray(res)
         transfer = (-1.0 / sigma) * leray(
-            p_neq0(Field(wander[side], grid, _take=True)))
+            p_neq0(Field(h_col * ddt(v).data, grid, _take=True)))
         resid = (evolution.data + res.data - pressure.data - transfer.data)
         scale = max(evolution.max_abs(), res.max_abs(), pressure.max_abs(),
                     transfer.max_abs(), amps.delta_next)
@@ -716,45 +688,3 @@ def assemble_iterate(u_l: Field, B_l: Field, pert: Perturbation,
     report["increment_over_sqrt_delta"] = (
         report["velocity_increment"] / math.sqrt(amps.delta_next))
     return u_l + w, B_l + d, report
-
-
-# -- decorrelation of slow and oscillated profiles ---------------------------------
-
-def decorrelation_constant(slow, fast, sigma: int, p: float,
-                           n: int = 1 << 13) -> float:
-    """Fitted constant of the product-norm decorrelation law on the
-    circle: sigma^{1/p} |  ||f g(sigma .)||_p - ||f||_p ||g||_p  | over
-    ||f||_{C^1} ||g||_p, with probability-normalized norms so the
-    factorized limit is exact. Both profiles must be 2 pi periodic
-    callables; fast is sampled at the oscillated argument."""
-    if sigma < 1 or int(sigma) != sigma:
-        raise ValueError("the oscillation factor sigma must be a positive "
-                         "integer")
-    if not (np.isfinite(p) and p >= 1.0):
-        raise ValueError("the exponent p must be finite and at least one")
-    if n < 8 or n % 2:
-        raise ValueError("the quadrature size must be even and at least 8")
-    step = 2.0 * np.pi / n
-    t = -np.pi + (np.arange(n) + 0.5) * step
-    f = np.asarray(slow(t), dtype=float)
-    gv = np.asarray(fast(sigma * t), dtype=float)
-    if f.shape != (n,) or gv.shape != (n,):
-        raise ValueError("profiles must map samples to samples")
-    norm_f = float(np.mean(np.abs(f) ** p) ** (1.0 / p))
-    norm_g = float(np.mean(np.abs(gv) ** p) ** (1.0 / p))
-    norm_fg = float(np.mean(np.abs(f * gv) ** p) ** (1.0 / p))
-    modes = np.fft.rfftfreq(n, d=1.0 / n)
-    df = np.fft.irfft(1j * modes * np.fft.rfft(f), n)
-    c1 = float(np.abs(f).max() + np.abs(df).max())
-    if c1 <= 0.0 or norm_g <= 0.0:
-        raise ValueError("decorrelation needs nonzero profiles")
-    return float(sigma ** (1.0 / p) * abs(norm_fg - norm_f * norm_g)
-                 / (c1 * norm_g))
-
-
-def decorrelation_constants(slow, fast, sigmas=(2, 4, 8), ps=(1.0, 2.0),
-                            n: int = 1 << 13) -> dict:
-    """Constant table over a sigma sweep and exponent set, keyed (p, sigma).
-    Stability of each row is the caller's acceptance question."""
-    return {(p, s): decorrelation_constant(slow, fast, s, p, n)
-            for p in ps for s in sigmas}

@@ -12,9 +12,10 @@ projected.
 from __future__ import annotations
 
 import numpy as np
+import scipy.fft as sfft
 
 from .field import Field
-from .grid import Grid4
+from .grid import Grid4, fft_workers
 
 
 def _k_components(grid: Grid4):
@@ -51,22 +52,30 @@ def _div_rel_defect(f: Field) -> float:
 
 
 def p_neq0(f: Field) -> Field:
-    """Remove the spatial mean of every time slice."""
-    spec = f.spectral.copy()
-    spec[:, 0, 0, 0, ...] = 0.0
-    return Field.from_spectral(spec, f.grid)
+    """Remove the spatial mean of every time slice: the multiplier zeroing
+    the spatial zero modes, applied without a transform, so zero slices stay
+    exactly zero. (A matrix-vector product beats numpy's strided mean.)"""
+    grid = f.grid
+    n3 = grid.n_x ** 3
+    means = np.ones(n3) @ f.data.reshape(grid.n_t, n3, -1) / n3
+    return Field(f.data - means.reshape((grid.n_t, 1, 1, 1) + f.data.shape[4:]),
+                 grid, _take=True)
 
 
 def leray(f: Field) -> Field:
-    """Helmholtz projection onto divergence-free fields, identity on means."""
-    spec = _vec_spectral(f)
+    """Helmholtz projection onto divergence-free fields, identity on means;
+    slice-wise 3D transforms, so a zero slice stays exactly zero."""
+    if f.rank != 1:
+        raise ValueError("expected a vector field")
+    spec = sfft.rfftn(f.data, axes=(1, 2, 3), workers=fft_workers())
     ks, ksq = _k_components(f.grid)
     inv = _safe_inv(ksq)
     kdotu = sum(ks[a] * spec[..., a] for a in range(3))
     out = np.empty_like(spec)
     for a in range(3):
         out[..., a] = spec[..., a] - ks[a] * inv * kdotu
-    return Field.from_spectral(out, f.grid)
+    return Field(sfft.irfftn(out, s=f.data.shape[1:4], axes=(1, 2, 3),
+                             workers=fft_workers()), f.grid, _take=True)
 
 
 def frac_laplacian(f: Field, alpha: float) -> Field:
@@ -93,14 +102,18 @@ def inv_laplacian(f: Field) -> Field:
     return Field.from_spectral(spec * mult, f.grid)
 
 
-def curl(f: Field) -> Field:
-    spec = _vec_spectral(f)
-    ks, _ = _k_components(f.grid)
+def _curl_spectral(spec, ks, weight=1.0):
+    """Spectrum of the curl, times a multiplier weight."""
     out = np.empty_like(spec)
-    out[..., 0] = 1j * (ks[1] * spec[..., 2] - ks[2] * spec[..., 1])
-    out[..., 1] = 1j * (ks[2] * spec[..., 0] - ks[0] * spec[..., 2])
-    out[..., 2] = 1j * (ks[0] * spec[..., 1] - ks[1] * spec[..., 0])
-    return Field.from_spectral(out, f.grid)
+    for a in range(3):
+        b, c = (a + 1) % 3, (a + 2) % 3
+        out[..., a] = 1j * weight * (ks[b] * spec[..., c] - ks[c] * spec[..., b])
+    return out
+
+
+def curl(f: Field) -> Field:
+    ks, _ = _k_components(f.grid)
+    return Field.from_spectral(_curl_spectral(_vec_spectral(f), ks), f.grid)
 
 
 def inv_div_sym(f: Field, tol: float = 1e-10) -> Field:
@@ -143,11 +156,7 @@ def inv_div_skew(f: Field, tol: float = 1e-8) -> Field:
             f"inv_div_skew needs a divergence-free input, relative defect {defect:.3e}")
     spec = _vec_spectral(f)
     ks, ksq = _k_components(f.grid)
-    inv = _safe_inv(ksq)
-    c = np.empty_like(spec)
-    c[..., 0] = 1j * inv * (ks[1] * spec[..., 2] - ks[2] * spec[..., 1])
-    c[..., 1] = 1j * inv * (ks[2] * spec[..., 0] - ks[0] * spec[..., 2])
-    c[..., 2] = 1j * inv * (ks[0] * spec[..., 1] - ks[1] * spec[..., 0])
+    c = _curl_spectral(spec, ks, _safe_inv(ksq))
     out = np.zeros(spec.shape[:-1] + (3, 3), dtype=np.complex128)
     # R_ij = eps_ijk c_k
     out[..., 0, 1] = c[..., 2]
@@ -168,11 +177,6 @@ def biot_savart(b: Field, tol: float = 1e-10) -> Field:
     """
     if not b.is_mean_free(tol):
         raise ValueError("biot_savart needs a mean-free input field")
-    spec = _vec_spectral(b)
     ks, ksq = _k_components(b.grid)
-    inv = _safe_inv(ksq)
-    out = np.empty_like(spec)
-    out[..., 0] = 1j * inv * (ks[1] * spec[..., 2] - ks[2] * spec[..., 1])
-    out[..., 1] = 1j * inv * (ks[2] * spec[..., 0] - ks[0] * spec[..., 2])
-    out[..., 2] = 1j * inv * (ks[0] * spec[..., 1] - ks[1] * spec[..., 0])
-    return Field.from_spectral(out, b.grid)
+    return Field.from_spectral(
+        _curl_spectral(_vec_spectral(b), ks, _safe_inv(ksq)), b.grid)

@@ -1,0 +1,619 @@
+"""Perturbation builders and balance verifiers against a per-frame reference.
+
+The reference below is the literal frame-by-frame formulation: every
+block field is sampled with flow_slice, every product is an explicit
+outer product, every gradient, curl and divergence is a spectral
+transform of one component, and the spatial-mean projection zeroes
+spectral modes. The module's stacked-envelope products must reproduce
+it term group by term group.
+"""
+
+import numpy as np
+import pytest
+import scipy.fft as sfft
+
+from cilab import perturbations as pt
+from cilab.amplitudes import build_amplitudes
+from cilab.blocks import (BlockParams, _curl3, _directional3, _div3,
+                          _div3_terms, curl_terms, envelope_stack,
+                          sample_blocks)
+from cilab.field import Field, ddt, div_tensor, div_vec, grad
+from cilab.geometry import build_geometry
+from cilab.grid import Grid4
+from cilab.profiles import BumpTrain, make_spatial_profiles, make_temporal
+from cilab.spectral_ops import leray, p_neq0
+
+from conftest import random_field
+from test_amplitudes import stress_pair
+
+MU = 0.2
+
+
+# -- per-frame reference ---------------------------------------------------------
+
+def ref_wavenumbers3(n):
+    kf = np.fft.fftfreq(n, 1.0 / n).astype(np.int64)
+    kh = np.arange(n // 2 + 1, dtype=np.int64)
+    return kf[:, None, None], kf[None, :, None], kh[None, None, :]
+
+
+def ref_rfft3(arr):
+    return sfft.rfftn(arr, axes=(0, 1, 2))
+
+
+def ref_irfft3(spec, n):
+    return sfft.irfftn(spec, s=(n, n, n), axes=(0, 1, 2))
+
+
+def ref_grad3(arr):
+    n = arr.shape[0]
+    spec = ref_rfft3(arr)
+    out = np.empty(arr.shape + (3,))
+    for a, k in enumerate(ref_wavenumbers3(n)):
+        mult = k.reshape(k.shape + (1,) * (arr.ndim - 3))
+        out[..., a] = ref_irfft3(1j * mult * spec, n)
+    return out
+
+
+def ref_div3(vec):
+    n = vec.shape[0]
+    total = None
+    scale = 0.0
+    for axis, k in enumerate(ref_wavenumbers3(n)):
+        term = ref_irfft3(1j * k * ref_rfft3(vec[..., axis]), n)
+        scale = max(scale, float(np.abs(term).max()))
+        total = term if total is None else total + term
+    return total, scale
+
+
+def ref_div3_tensor(tens):
+    return np.stack([ref_div3(tens[..., i, :])[0] for i in range(3)], axis=-1)
+
+
+def ref_curl3(vec):
+    n = vec.shape[0]
+    k1, k2, k3 = ref_wavenumbers3(n)
+    spec = ref_rfft3(vec)
+    out = np.empty_like(spec)
+    out[..., 0] = 1j * (k2 * spec[..., 2] - k3 * spec[..., 1])
+    out[..., 1] = 1j * (k3 * spec[..., 0] - k1 * spec[..., 2])
+    out[..., 2] = 1j * (k1 * spec[..., 1] - k2 * spec[..., 0])
+    return ref_irfft3(out, n)
+
+
+def ref_curl_curl3(vec):
+    n = vec.shape[0]
+    k1, k2, k3 = ref_wavenumbers3(n)
+    spec = ref_rfft3(vec)
+    kdotv = k1 * spec[..., 0] + k2 * spec[..., 1] + k3 * spec[..., 2]
+    ksq = (k1 * k1 + k2 * k2 + k3 * k3).astype(np.float64)
+    out = np.empty_like(spec)
+    for axis, k in enumerate((k1, k2, k3)):
+        out[..., axis] = ksq * spec[..., axis] - k * kdotv
+    return ref_irfft3(out, n)
+
+
+def ref_p_neq0(f):
+    spec = f.spectral.copy()
+    spec[:, 0, 0, 0, ...] = 0.0
+    return Field.from_spectral(spec, f.grid)
+
+
+def ref_profile_square(bs, j):
+    return (bs.profile_slice("shear", j)
+            * bs.profile_slice("concentration", j)) ** 2
+
+
+def ref_families(amps, blocks):
+    return {family: [(i, fr, blocks[fr.name])
+                     for i, fr in enumerate(amps.frames(family))]
+            for family in ("magnetic", "velocity")}
+
+
+def ref_mean_matrices(amps, blocks):
+    moments = pt.measured_second_moments(
+        blocks, amps.geom.lambda_u + amps.geom.lambda_b)
+    m_vel, m_mag = {}, {}
+    for fr in amps.geom.lambda_u:
+        m_vel[fr.name] = moments[fr.name][("velocity", "velocity")]
+    for fr in amps.geom.lambda_b:
+        quart = moments[fr.name]
+        m_vel[fr.name] = (quart[("velocity", "velocity")]
+                          - quart[("magnetic", "magnetic")])
+        m_mag[fr.name] = (quart[("magnetic", "velocity")]
+                          - quart[("velocity", "magnetic")])
+    return m_vel, m_mag
+
+
+def ref_gate(report, tol, tail):
+    report["amplitude_tail"] = tail
+    report["tolerance"] = tol
+    report["effective_tolerance"] = max(tol, pt._TAIL_FACTOR * tail)
+    return report
+
+
+def ref_principal(amps, blocks, g):
+    grid = amps.grid
+    w = np.zeros(grid.shape + (3,))
+    d = np.zeros(grid.shape + (3,))
+    for j in range(grid.n_t):
+        if g[j] == 0.0:
+            continue
+        for family, triples in ref_families(amps, blocks).items():
+            if pt._cutoff(amps, family)[j] == 0.0:
+                continue
+            amp = np.sqrt(amps.squared_slice(family, j))
+            for i, fr, bs in triples:
+                coef = (g[j] * amp[..., i])[..., None]
+                w[j] += coef * bs.flow_slice("velocity", j)
+                if family == "magnetic":
+                    d[j] += coef * bs.flow_slice("magnetic", j)
+    return w, d
+
+
+def ref_incompressibility(amps, blocks, g):
+    grid = amps.grid
+    cross_w, direct_w, cross_d, direct_d = (
+        np.zeros(grid.shape + (3,)) for _ in range(4))
+    for j in range(grid.n_t):
+        if g[j] == 0.0:
+            continue
+        for family, triples in ref_families(amps, blocks).items():
+            if pt._cutoff(amps, family)[j] == 0.0:
+                continue
+            amp = np.sqrt(amps.squared_slice(family, j))
+            grads = ref_grad3(amp)
+            for i, fr, bs in triples:
+                da = grads[..., i, :]
+                a = amp[..., i, None]
+                pot = bs.flow_slice("velocity_potential", j)
+                cross_w[j] += g[j] * np.cross(da, pot)
+                direct_w[j] += g[j] * (
+                    np.cross(da, ref_curl3(pot))
+                    + a * bs.flow_slice("velocity_corrector", j))
+                if family == "magnetic":
+                    pot = bs.flow_slice("magnetic_potential", j)
+                    cross_d[j] += g[j] * np.cross(da, pot)
+                    direct_d[j] += g[j] * (
+                        np.cross(da, ref_curl3(pot))
+                        + a * bs.flow_slice("magnetic_corrector", j))
+    for j in range(grid.n_t):
+        if g[j] == 0.0:
+            continue
+        cross_w[j] = ref_curl3(cross_w[j]) + direct_w[j]
+        cross_d[j] = ref_curl3(cross_d[j]) + direct_d[j]
+    return cross_w, cross_d
+
+
+def ref_temporal_t(amps, blocks, g, mu):
+    grid = amps.grid
+    acc_w = np.zeros(grid.shape + (3,))
+    acc_d = np.zeros(grid.shape + (3,))
+    for j in range(grid.n_t):
+        if g[j] == 0.0:
+            continue
+        for family, triples in ref_families(amps, blocks).items():
+            if pt._cutoff(amps, family)[j] == 0.0:
+                continue
+            a2 = amps.squared_slice(family, j)
+            for i, fr, bs in triples:
+                charge = (g[j] ** 2 * a2[..., i]
+                          * ref_profile_square(bs, j))[..., None]
+                acc_w[j] += charge * fr.k1
+                if family == "magnetic":
+                    acc_d[j] += charge * fr.k2
+    return tuple(((-1.0 / mu) * leray(ref_p_neq0(Field(acc, grid)))).data
+                 for acc in (acc_w, acc_d))
+
+
+def ref_temporal_o(amps, blocks, h, sigma):
+    grid = amps.grid
+    m_vel, m_mag = ref_mean_matrices(amps, blocks)
+    acc_w = np.zeros(grid.shape + (3,))
+    acc_d = np.zeros(grid.shape + (3,))
+    for j in range(grid.n_t):
+        if h[j] == 0.0:
+            continue
+        for family in ("velocity", "magnetic"):
+            if pt._cutoff(amps, family)[j] == 0.0:
+                continue
+            grads = ref_grad3(amps.squared_slice(family, j))
+            for i, fr in enumerate(amps.frames(family)):
+                ga2 = grads[..., i, :]
+                acc_w[j] += h[j] * np.einsum("ab,...b->...a",
+                                             m_vel[fr.name], ga2)
+                if family == "magnetic":
+                    acc_d[j] += h[j] * np.einsum("ab,...b->...a",
+                                                 m_mag[fr.name], ga2)
+    return tuple(((-1.0 / sigma) * leray(ref_p_neq0(Field(acc, grid)))).data
+                 for acc in (acc_w, acc_d))
+
+
+def ref_divfree(amps, blocks, g, w_p, w_c, d_p, d_c, tol=1e-7, div_tol=1e-8):
+    grid = amps.grid
+    report = {"velocity_representation": 0.0, "magnetic_representation": 0.0,
+              "velocity_divergence": 0.0, "magnetic_divergence": 0.0}
+    tail = 0.0
+    for j in range(grid.n_t):
+        wsum = w_p[j] + w_c[j]
+        dsum = d_p[j] + d_c[j]
+        for key, vec in (("velocity_divergence", wsum),
+                         ("magnetic_divergence", dsum)):
+            div, scale = ref_div3(vec)
+            if scale > 0.0:
+                report[key] = max(report[key],
+                                  float(np.abs(div).max()) / scale)
+        if g[j] == 0.0:
+            continue
+        pot_w = np.zeros(grid.shape[1:] + (3,))
+        pot_d = np.zeros(grid.shape[1:] + (3,))
+        for family, triples in ref_families(amps, blocks).items():
+            if pt._cutoff(amps, family)[j] == 0.0:
+                continue
+            a2 = amps.squared_slice(family, j)
+            tail = max(tail, pt._tail3(a2.sum(axis=-1)))
+            amp = np.sqrt(a2)
+            for i, fr, bs in triples:
+                coef = (g[j] * amp[..., i])[..., None]
+                pot_w += coef * bs.flow_slice("velocity_potential", j)
+                if family == "magnetic":
+                    pot_d += coef * bs.flow_slice("magnetic_potential", j)
+        for key, lhs, pot in (("velocity_representation", wsum, pot_w),
+                              ("magnetic_representation", dsum, pot_d)):
+            rhs = ref_curl_curl3(pot)
+            scale = max(float(np.abs(lhs).max()), float(np.abs(rhs).max()),
+                        amps.delta_next)
+            report[key] = max(report[key],
+                              float(np.abs(lhs - rhs).max()) / scale)
+    ref_gate(report, tol, tail)
+    report["divergence_tolerance"] = max(div_tol, pt._TAIL_FACTOR * tail)
+    return report
+
+
+def ref_temporal_balance(amps, blocks, g, mu, w_t, d_t, tol=1e-6):
+    grid = amps.grid
+    families = ref_families(amps, blocks)
+    shape_v = grid.shape + (3,)
+    acc = {"velocity": np.zeros(shape_v), "magnetic": np.zeros(shape_v)}
+    osc = {"velocity": np.zeros(shape_v), "magnetic": np.zeros(shape_v)}
+    drift = {"velocity": np.zeros(shape_v), "magnetic": np.zeros(shape_v)}
+    tail = 0.0
+    for j in range(grid.n_t):
+        if g[j] == 0.0:
+            continue
+        g2 = g[j] ** 2
+        tens_v = np.zeros(grid.shape[1:] + (3, 3))
+        tens_m = np.zeros(grid.shape[1:] + (3, 3))
+        for family, triples in families.items():
+            if pt._cutoff(amps, family)[j] == 0.0:
+                continue
+            a2 = amps.squared_slice(family, j)
+            tail = max(tail, pt._tail3(a2.sum(axis=-1)))
+            grads = ref_grad3(a2)
+            for i, fr, bs in triples:
+                flow_w = bs.flow_slice("velocity", j)
+                charge = (g2 * a2[..., i] * ref_profile_square(bs, j))[..., None]
+                acc["velocity"][j] += charge * fr.k1
+                prod_v = np.einsum("...a,...b->...ab", flow_w, flow_w)
+                if family == "magnetic":
+                    flow_d = bs.flow_slice("magnetic", j)
+                    acc["magnetic"][j] += charge * fr.k2
+                    prod_v = prod_v - np.einsum("...a,...b->...ab",
+                                                flow_d, flow_d)
+                    prod_m = np.einsum("...a,...b->...ab", flow_d, flow_w)
+                    prod_m = prod_m - np.swapaxes(prod_m, -1, -2)
+                    tens_m += a2[..., i, None, None] * prod_m
+                    drift["magnetic"][j] += g2 * np.einsum(
+                        "...ab,...b->...a", prod_m, grads[..., i, :])
+                tens_v += a2[..., i, None, None] * prod_v
+                drift["velocity"][j] += g2 * np.einsum(
+                    "...ab,...b->...a", prod_v, grads[..., i, :])
+        osc["velocity"][j] = g2 * ref_div3_tensor(tens_v)
+        osc["magnetic"][j] = g2 * ref_div3_tensor(tens_m)
+    for family, triples in families.items():
+        for i, fr, bs in triples:
+            q = np.empty(grid.shape)
+            for j in range(grid.n_t):
+                q[j] = g[j] ** 2 * amps.squared_component_slice(family, i, j)
+            dq = ddt(Field(q, grid)).data
+            for j in range(grid.n_t):
+                pulled = (ref_profile_square(bs, j) * dq[j])[..., None] / mu
+                drift["velocity"][j] -= pulled * fr.k1
+                if family == "magnetic":
+                    drift["magnetic"][j] -= pulled * fr.k2
+    report = {}
+    for side, part in (("velocity", w_t), ("magnetic", d_t)):
+        charge = ref_p_neq0(ddt(Field(acc[side], grid)))
+        pressure = (1.0 / mu) * (charge - leray(charge))
+        evolution = ddt(Field(part, grid))
+        transport = ref_p_neq0(Field(osc[side], grid))
+        transfer = ref_p_neq0(Field(drift[side], grid))
+        resid = (evolution.data + transport.data
+                 - pressure.data - transfer.data)
+        scale = max(evolution.max_abs(), transport.max_abs(),
+                    pressure.max_abs(), transfer.max_abs(), amps.delta_next)
+        report[f"{side}_temporal_balance"] = float(np.abs(resid).max()) / scale
+    return ref_gate(report, tol, tail)
+
+
+def ref_low_frequency_balance(amps, blocks, h, sigma, g, w_o, d_o, tol=1e-6):
+    grid = amps.grid
+    m_vel, m_mag = ref_mean_matrices(amps, blocks)
+    shape_v = grid.shape + (3,)
+    residue = {"velocity": np.zeros(shape_v), "magnetic": np.zeros(shape_v)}
+    wander = {"velocity": np.zeros(shape_v), "magnetic": np.zeros(shape_v)}
+    tail = 0.0
+    g2m1 = g ** 2 - 1.0
+    for j in range(grid.n_t):
+        for family in ("velocity", "magnetic"):
+            if pt._cutoff(amps, family)[j] == 0.0:
+                continue
+            a2 = amps.squared_slice(family, j)
+            tail = max(tail, pt._tail3(a2.sum(axis=-1)))
+            grads = ref_grad3(a2)
+            for i, fr in enumerate(amps.frames(family)):
+                ga2 = grads[..., i, :]
+                residue["velocity"][j] += g2m1[j] * np.einsum(
+                    "ab,...b->...a", m_vel[fr.name], ga2)
+                if family == "magnetic":
+                    residue["magnetic"][j] += g2m1[j] * np.einsum(
+                        "ab,...b->...a", m_mag[fr.name], ga2)
+    for family in ("velocity", "magnetic"):
+        for i, fr in enumerate(amps.frames(family)):
+            q = np.empty(grid.shape)
+            for j in range(grid.n_t):
+                q[j] = amps.squared_component_slice(family, i, j)
+            dq = ddt(Field(q, grid)).data
+            for j in range(grid.n_t):
+                if h[j] == 0.0:
+                    continue
+                gdq = ref_grad3(dq[j])
+                wander["velocity"][j] += h[j] * np.einsum(
+                    "ab,...b->...a", m_vel[fr.name], gdq)
+                if family == "magnetic":
+                    wander["magnetic"][j] += h[j] * np.einsum(
+                        "ab,...b->...a", m_mag[fr.name], gdq)
+    report = {}
+    for side, part in (("velocity", w_o), ("magnetic", d_o)):
+        evolution = ddt(Field(part, grid))
+        res = ref_p_neq0(Field(residue[side], grid))
+        pressure = res - leray(res)
+        transfer = (-1.0 / sigma) * leray(ref_p_neq0(Field(wander[side], grid)))
+        resid = evolution.data + res.data - pressure.data - transfer.data
+        scale = max(evolution.max_abs(), res.max_abs(), pressure.max_abs(),
+                    transfer.max_abs(), amps.delta_next)
+        report[f"{side}_low_frequency_balance"] = \
+            float(np.abs(resid).max()) / scale
+    return ref_gate(report, tol, tail)
+
+
+# -- fixtures ----------------------------------------------------------------------
+
+PART_NAMES = ("w_p", "d_p", "w_c", "d_c", "w_t", "d_t", "w_o", "d_o")
+
+
+@pytest.fixture(scope="module")
+def geom():
+    return build_geometry()
+
+
+@pytest.fixture(scope="module")
+def temporal():
+    return make_temporal(BumpTrain(m0=2), tau=1, sigma=1, n_t=16)
+
+
+def _build(geom, temporal, window=None):
+    """The smallest grid the blocks accept at n_conc_harmonics=1, random
+    admissible stresses, optionally confined to a window of time slices."""
+    grid = Grid4(16, 38)
+    rng = np.random.default_rng(11)
+    r_u, r_b = stress_pair(grid, rng)
+    if window is not None:
+        r_u = Field(r_u.data * window[:, None, None, None, None, None], grid)
+        r_b = Field(r_b.data * window[:, None, None, None, None, None], grid)
+    amps = build_amplitudes(r_u, r_b, 0.25, geom, grid, ell=0.7)
+    params = BlockParams(lam=1, mu=MU, n_conc_harmonics=1)
+    base = make_spatial_profiles()
+    blocks = {fr.name: sample_blocks(fr, params, grid, base)
+              for fr in geom.lambda_b + geom.lambda_u}
+    t = grid.t()
+    g, h = temporal.g(t), temporal.h(t)
+    sigma = float(temporal.sigma)
+    parts = dict(zip(("w_p", "d_p"), pt.principal_parts(amps, blocks, g)))
+    parts.update(zip(("w_c", "d_c"), pt.incompressibility_correctors(
+        amps, blocks, g, check=False)))
+    parts.update(zip(("w_t", "d_t"), pt.temporal_correctors_t(
+        amps, blocks, g, MU, check=False)))
+    parts.update(zip(("w_o", "d_o"), pt.temporal_correctors_o(
+        amps, blocks, h, sigma, check=False)))
+    return amps, blocks, g, h, sigma, parts
+
+
+@pytest.fixture(scope="module")
+def built(geom, temporal):
+    return _build(geom, temporal)
+
+
+@pytest.fixture(scope="module")
+def reference_parts(built):
+    amps, blocks, g, h, sigma, _ = built
+    out = dict(zip(("w_p", "d_p"), ref_principal(amps, blocks, g)))
+    out.update(zip(("w_c", "d_c"), ref_incompressibility(amps, blocks, g)))
+    out.update(zip(("w_t", "d_t"), ref_temporal_t(amps, blocks, g, MU)))
+    out.update(zip(("w_o", "d_o"), ref_temporal_o(amps, blocks, h, sigma)))
+    return out
+
+
+def rel_max(a, b):
+    return float(np.abs(a - b).max()) / max(float(np.abs(b).max()), 1e-300)
+
+
+def assert_reports_match(got, want):
+    assert set(got) == set(want)
+    for key, val in want.items():
+        assert got[key] == pytest.approx(val, rel=1e-10, abs=1e-14), key
+
+
+# -- builders ----------------------------------------------------------------------
+
+class TestBuilders:
+    @pytest.mark.parametrize("name", PART_NAMES)
+    def test_part_matches_per_frame_reference(self, built, reference_parts,
+                                              name):
+        got = built[-1][name].data
+        want = reference_parts[name]
+        assert np.abs(want).max() > 0.0
+        assert rel_max(got, want) <= 1e-12
+
+    def test_parts_vanish_where_both_cutoffs_vanish(self, geom, temporal):
+        window = np.zeros(16)
+        window[5:9] = np.sin(np.pi * np.arange(1, 5) / 5) ** 2
+        amps, _, _, _, _, parts = _build(geom, temporal, window)
+        idle = (amps.f_u == 0.0) & (amps.f_b == 0.0)
+        assert idle.sum() >= 4
+        for name, part in parts.items():
+            assert np.abs(part.data[~idle]).max() > 0.0, name
+            assert np.all(part.data[idle] == 0.0), name
+
+    def test_block_sets_validated(self, built):
+        amps, blocks, g, _, _, _ = built
+        partial = dict(blocks)
+        del partial["u2"]
+        with pytest.raises(ValueError, match="u2"):
+            pt.principal_parts(amps, partial, g)
+        swapped = dict(blocks)
+        swapped["u2"] = blocks["u3"]
+        with pytest.raises(ValueError, match="sampled for frame"):
+            pt.incompressibility_correctors(amps, swapped, g, check=False)
+
+
+# -- verifiers ---------------------------------------------------------------------
+
+def passing_tol(report, keys):
+    return 2.0 * max(report[k] for k in keys)
+
+
+class TestVerifiers:
+    def test_divfree_representation_report(self, built, reference_parts):
+        amps, blocks, g, _, _, parts = built
+        want = ref_divfree(amps, blocks, g, *(
+            reference_parts[k] for k in ("w_p", "w_c", "d_p", "d_c")))
+        tol = passing_tol(want, ("velocity_representation",
+                                 "magnetic_representation"))
+        div_tol = passing_tol(want, ("velocity_divergence",
+                                     "magnetic_divergence"))
+        ref_gate(want, tol, want["amplitude_tail"])
+        want["divergence_tolerance"] = max(
+            div_tol, pt._TAIL_FACTOR * want["amplitude_tail"])
+        got = pt.verify_divfree_representation(
+            amps, blocks, g, parts["w_p"], parts["w_c"], parts["d_p"],
+            parts["d_c"], tol=tol, div_tol=div_tol)
+        assert_reports_match(got, want)
+        worst = max(want["velocity_representation"],
+                    want["magnetic_representation"])
+        assert worst > pt._TAIL_FACTOR * want["amplitude_tail"]
+        with pytest.raises(pt.CorrectorIdentityError,
+                           match="double-curl representation"):
+            pt.verify_divfree_representation(
+                amps, blocks, g, parts["w_p"], parts["w_c"], parts["d_p"],
+                parts["d_c"], tol=worst / 2, div_tol=div_tol)
+
+    def test_temporal_balance_report(self, built, reference_parts):
+        amps, blocks, g, _, _, parts = built
+        want = ref_temporal_balance(amps, blocks, g, MU,
+                                    reference_parts["w_t"],
+                                    reference_parts["d_t"])
+        tol = passing_tol(want, ("velocity_temporal_balance",
+                                 "magnetic_temporal_balance"))
+        got = pt.verify_temporal_balance(amps, blocks, g, MU, parts["w_t"],
+                                         parts["d_t"], tol=tol)
+        assert_reports_match(got, ref_gate(want, tol, want["amplitude_tail"]))
+
+    def test_low_frequency_balance_report(self, built, reference_parts):
+        amps, blocks, g, h, sigma, parts = built
+        want = ref_low_frequency_balance(
+            amps, blocks, h, sigma, g, reference_parts["w_o"],
+            reference_parts["d_o"])
+        tol = passing_tol(want, ("velocity_low_frequency_balance",
+                                 "magnetic_low_frequency_balance"))
+        got = pt.verify_low_frequency_balance(
+            amps, blocks, h, sigma, g, parts["w_o"], parts["d_o"], tol=tol)
+        assert_reports_match(got, ref_gate(want, tol, want["amplitude_tail"]))
+
+
+# -- operators ---------------------------------------------------------------------
+
+class TestOperators:
+    def test_closed_form_potential_curl(self, geom, built):
+        _, blocks, _, _, _, _ = built
+        n = blocks["u1"].grid.n_x
+        worst = 0.0
+        for fr in geom.lambda_b + geom.lambda_u:
+            bs = blocks[fr.name]
+            for kind in ("velocity_potential", "magnetic_potential"):
+                for j in (0, 5):
+                    curl = sum(
+                        envelope_stack([bs], pair, j)[:, :1] * rows
+                        for pair, rows in curl_terms([bs], kind))
+                    want = ref_curl3(bs.flow_slice(kind, j))
+                    worst = max(worst, rel_max(curl.reshape(n, n, n, 3), want))
+        assert worst <= 1e-12
+
+    def test_p_neq0_is_the_zero_mode_projection(self, small_grid):
+        rng = np.random.default_rng(3)
+        f = random_field(small_grid, rng, rank=1)
+        f = Field(f.data + rng.normal(size=(small_grid.n_t, 1, 1, 1, 3)),
+                  small_grid)
+        assert rel_max(p_neq0(f).data, ref_p_neq0(f).data) <= 1e-14
+
+    def test_slice_wise_leray_is_the_4d_multiplier(self, small_grid):
+        rng = np.random.default_rng(4)
+        f = random_field(small_grid, rng, rank=1)
+        spec = f.spectral
+        _, k1, k2, k3 = small_grid.k_broadcast()
+        ks = [k.astype(float) for k in (k1, k2, k3)]
+        ksq = small_grid.k_sq_spatial()
+        inv = np.where(ksq > 0, 1.0 / np.where(ksq > 0, ksq, 1.0), 0.0)
+        kdotu = sum(ks[a] * spec[..., a] for a in range(3))
+        want = np.stack([spec[..., a] - ks[a] * inv * kdotu
+                         for a in range(3)], axis=-1)
+        want = Field.from_spectral(want, small_grid).data
+        assert rel_max(leray(f).data, want) <= 1e-14
+
+    def test_batched_slice_helpers_match_per_component(self):
+        rng = np.random.default_rng(5)
+        n = 16
+        amp = rng.normal(size=(n, n, n, 6))
+        grads = ref_grad3(amp)
+        assert rel_max(_directional3(amp, np.eye(3)[:, None]), grads) <= 1e-13
+        frames = rng.normal(size=(2, 6, 3))
+        want = np.stack([(grads * rows).sum(axis=-1) for rows in frames],
+                        axis=-1)
+        assert rel_max(_directional3(amp, frames), want) <= 1e-13
+        tens = rng.normal(size=(n, n, n, 2, 3, 3))
+        want = np.stack([np.stack([ref_div3(tens[..., s, i, :])[0]
+                                   for i in range(3)], axis=-1)
+                         for s in range(2)], axis=-2)
+        assert rel_max(_div3(tens), want) <= 1e-13
+        assert rel_max(_div3_terms(tens).sum(axis=-1), want) <= 1e-13
+        vec = tens[..., 0]
+        assert rel_max(_curl3(vec), np.stack(
+            [ref_curl3(vec[..., s, :]) for s in range(2)], axis=-2)) <= 1e-13
+
+    def test_field_calculus_matches_per_component(self, small_grid):
+        rng = np.random.default_rng(9)
+        u = random_field(small_grid, rng, rank=1)
+        r = random_field(small_grid, rng, rank=2)
+        from cilab.field import spectral_derivative
+
+        def d(f, a):
+            return spectral_derivative(f, zeta=tuple(int(b == a)
+                                                     for b in range(3))).data
+
+        want = np.stack([d(u, a) for a in range(3)], axis=-1)
+        assert rel_max(grad(u).data, want) <= 1e-13
+        want = sum(d(u.component(a), a) for a in range(3))
+        assert rel_max(div_vec(u).data, want) <= 1e-13
+        want = np.stack([sum(d(r.component(i, a), a) for a in range(3))
+                         for i in range(3)], axis=-1)
+        assert rel_max(div_tensor(r).data, want) <= 1e-13
