@@ -21,9 +21,12 @@ grid, one term group at a time. The verifiers here do exactly that and
 compare against tolerances that grow with the measured spectral tail of
 the amplitudes, reporting raw residual, tail, and effective tolerance
 side by side; concentrated inputs near the grid limit degrade the
-tolerance instead of silently failing. Block second moments enter the
-low-frequency correctors as measured grid averages rather than their
-continuum values, so the balances close at grid level. Those mean
+tolerance instead of silently failing. Only the sums that a time
+derivative needs are held as whole fields; every other term group and
+the residual are formed one slice at a time with running maxima, in the
+same order of operations as the whole-field expressions. Block second
+moments enter the low-frequency correctors as measured grid averages
+rather than their continuum values, so the balances close at grid level. Those mean
 matrices M_(k) are constant, so the low-frequency terms need only
 V = sum_k M_(k) grad a_(k)^2: the corrector drives h V, the balance's
 residue is (g^2 - 1) V and its wander term is h d_t V.
@@ -41,7 +44,7 @@ from .blocks import (_curl3, _curl_curl3, _directional3, _div3, _div3_terms,
                      _rfft3, _wavenumbers3, curl_terms, envelope_stack,
                      flow_terms)
 from .field import Field, MixedNormSpec, ddt, norm
-from .spectral_ops import _div_rel_defect, leray, p_neq0
+from .spectral_ops import _div_rel_defect, _leray3, _mean_free3, leray, p_neq0
 
 _TAIL_FACTOR = 10.0
 
@@ -133,6 +136,24 @@ def _sides(arr, n):
     return np.moveaxis(arr.reshape(n, n, n, 2, 3), 3, 0)
 
 
+def _side_fields(grid):
+    """Zeroed velocity and magnetic accumulators, kept as separate arrays so
+    each can be released on its own."""
+    return [np.zeros(grid.shape + (3,)) for _ in range(2)]
+
+
+def _add_sides(acc, j, terms):
+    """Add (2, n, n, n, 3) terms onto slice j of the two accumulators."""
+    for side, term in zip(acc, terms):
+        side[j] += term
+
+
+def _solenoidal(acc, grid):
+    """leray(p_neq0(.)) of each accumulator, releasing it once read."""
+    return [leray(p_neq0(Field(acc.pop(0), grid, _take=True)))
+            for _ in range(len(acc))]
+
+
 def _tail3(scalar):
     """High-mode mass fraction of one slice: an aliasing indicator, not a
     norm. Modes above half the Nyquist band in any direction count."""
@@ -145,6 +166,20 @@ def _tail3(scalar):
     if total <= 0.0:
         return 0.0
     return math.sqrt(float((np.abs(spec[high]) ** 2).sum()) / total)
+
+
+def _ddt_components(data, grid):
+    """ddt of a vector array one component at a time: one component's
+    spectrum is live at once, and none is cached on a caller's field."""
+    out = np.empty_like(data)
+    for a in range(3):
+        out[..., a] = ddt(Field(data[..., a], grid)).data
+    return out
+
+
+def _abs_maxima(*arrays):
+    """max |a| of each array, as one array for running maxima."""
+    return np.array([np.abs(a).max() for a in arrays])
 
 
 def _gate(report, names, tol, tail):
@@ -253,11 +288,19 @@ class Perturbation:
 
     @property
     def w(self) -> Field:
-        return self.w_p + self.w_c + self.w_t + self.w_o
+        return _total(self.w_p, self.w_c, self.w_t, self.w_o)
 
     @property
     def d(self) -> Field:
-        return self.d_p + self.d_c + self.d_t + self.d_o
+        return _total(self.d_p, self.d_c, self.d_t, self.d_o)
+
+
+def _total(first, second, *rest):
+    """((first + second) + ...) summed in place into one new array."""
+    out = first.data + second.data
+    for part in rest:
+        out += part.data
+    return Field(out, first.grid, _take=True)
 
 
 # -- builders --------------------------------------------------------------------
@@ -353,17 +396,18 @@ def temporal_correctors_t(amps: AmplitudeSet, blocks: dict, g, mu: float,
                 raise ValueError(
                     f"block set {bs.frame.name} was sampled at transport rate "
                     f"{bs.params.mu:g}, not {mu:g}")
-    acc = np.zeros((2,) + grid.shape + (3,))
+    acc = _side_fields(grid)
     for j in range(grid.n_t):
         if g[j] == 0.0:
             continue
         g2 = g[j] ** 2
         for _, sets, pair, dirs, a2 in _active(amps, families, j):
             a2 = a2.reshape(-1, len(sets))
-            acc[:, j] += _sides(
-                (g2 * a2 * envelope_stack(sets, pair, j) ** 2) @ dirs, n)
-    w_t, d_t = ((-1.0 / mu) * leray(p_neq0(Field(side, grid, _take=True)))
-                for side in acc)
+            _add_sides(acc, j, _sides(
+                (g2 * a2 * envelope_stack(sets, pair, j) ** 2) @ dirs, n))
+        for side in acc:
+            side[j] *= -1.0 / mu
+    w_t, d_t = _solenoidal(acc, grid)
     if check:
         verify_temporal_balance(amps, blocks, g, mu, w_t, d_t, tol=tol)
     return w_t, d_t
@@ -383,15 +427,15 @@ def temporal_correctors_o(amps: AmplitudeSet, blocks: dict, h, sigma: float,
         raise ValueError("low-frequency correctors need a positive "
                          "oscillation rate sigma")
     tables = _moment_tables(amps, blocks)
-    acc = np.zeros((2,) + grid.shape + (3,))
+    acc = _side_fields(grid)
     for j in range(grid.n_t):
         if h[j] == 0.0:
             continue
         drift, _ = _slice_drift(amps, tables, j)
         if drift is not None:
-            acc[:, j] = h[j] * drift
-    w_o, d_o = ((-1.0 / sigma) * leray(p_neq0(Field(side, grid, _take=True)))
-                for side in acc)
+            for side, v in zip(acc, drift):
+                side[j] = h[j] * v * (-1.0 / sigma)
+    w_o, d_o = _solenoidal(acc, grid)
     if check:
         if g is None:
             raise ValueError("checking the low-frequency balance needs the "
@@ -527,10 +571,7 @@ def verify_temporal_balance(amps, blocks, g, mu: float, w_t, d_t,
         transfer = np.stack([dirs, -np.hstack([k2, k1])], axis=1)[
             :, :len(ks)].reshape(-1, 6)
         families.append((family, sets, pair, dirs, products, ks, transfer))
-    shape = (2,) + grid.shape + (3,)
-    acc = np.zeros(shape)
-    osc = np.zeros(shape)
-    drift = np.zeros(shape)
+    acc, osc, drift = _side_fields(grid), _side_fields(grid), _side_fields(grid)
     tail = 0.0
     for j in range(grid.n_t):
         if g[j] == 0.0:
@@ -543,12 +584,14 @@ def verify_temporal_balance(amps, blocks, g, mu: float, w_t, d_t,
             env2 = envelope_stack(sets, pair, j) ** 2
             derivs = _directional3(a2, ks).reshape(len(env2), len(sets), -1)
             weight = a2.reshape(-1, len(sets)) * env2
-            acc[:, j] += _sides(g2 * (weight @ dirs), n)
-            drift[:, j] += _sides(g2 * ((env2[:, :, None] * derivs).reshape(
-                len(env2), -1) @ transfer), n)
+            _add_sides(acc, j, _sides(g2 * (weight @ dirs), n))
+            _add_sides(drift, j, _sides(g2 * ((env2[:, :, None] * derivs)
+                                              .reshape(len(env2), -1)
+                                              @ transfer), n))
             tens += weight @ products
-        osc[:, j] = g2 * np.moveaxis(_div3(tens.reshape(n, n, n, 2, 3, 3)),
-                                     3, 0)
+        for side, term in zip(osc, np.moveaxis(
+                _div3(tens.reshape(n, n, n, 2, 3, 3)), 3, 0)):
+            side[j] = g2 * term
     # profile drift, time-derivative half: - mu^{-1} envelope^2 k d_t(a^2 g^2)
     g2_all = g ** 2
     for family, sets, pair, dirs, _, ks, _ in families:
@@ -561,19 +604,26 @@ def verify_temporal_balance(amps, blocks, g, mu: float, w_t, d_t,
                 pulled = (envelope_stack([bs], pair, j) ** 2
                           * dq[j].reshape(-1, 1) / mu)
                 for s, k in enumerate(ks):
-                    drift[s, j] -= (pulled * k[i]).reshape(n, n, n, 3)
+                    drift[s][j] -= (pulled * k[i]).reshape(n, n, n, 3)
+    project = _leray3(grid)
     report = {}
     for s, (side, part) in enumerate((("velocity", w_t), ("magnetic", d_t))):
-        charge = p_neq0(ddt(Field(acc[s], grid, _take=True)))
-        pressure = (1.0 / mu) * (charge - leray(charge))
-        evolution = ddt(part)
-        transport = p_neq0(Field(osc[s], grid, _take=True))
-        transfer = p_neq0(Field(drift[s], grid, _take=True))
-        resid = (evolution.data + transport.data
-                 - pressure.data - transfer.data)
-        scale = max(evolution.max_abs(), transport.max_abs(),
-                    pressure.max_abs(), transfer.max_abs(), amps.delta_next)
-        report[f"{side}_temporal_balance"] = float(np.abs(resid).max()) / scale
+        d_acc = _ddt_components(acc[s], grid)
+        acc[s] = None
+        evolution = _ddt_components(part.data, grid)
+        peaks = np.zeros(5)  # the residual, then the terms that scale it
+        for j in range(grid.n_t):
+            charge = _mean_free3(d_acc[j])
+            pressure = (charge - project(charge)) * (1.0 / mu)
+            transport = _mean_free3(osc[s][j])
+            transfer = _mean_free3(drift[s][j])
+            peaks = np.maximum(peaks, _abs_maxima(
+                evolution[j] + transport - pressure - transfer,
+                evolution[j], transport, pressure, transfer))
+        del d_acc, evolution
+        osc[s] = drift[s] = None
+        report[f"{side}_temporal_balance"] = float(
+            peaks[0] / max(*peaks[1:], amps.delta_next))
     return _gate(report,
                  (("velocity_temporal_balance",
                    "velocity temporal corrector balance"),
@@ -596,29 +646,33 @@ def verify_low_frequency_balance(amps, blocks, h, sigma: float, g, w_o, d_o,
                          "oscillation rate sigma")
     _require_vector_on(grid, "low-frequency corrector", w_o, d_o)
     tables = _moment_tables(amps, blocks)
-    drift = np.zeros((2,) + grid.shape + (3,))
+    drift = _side_fields(grid)
     tail = 0.0
     for j in range(grid.n_t):
         v, squares = _slice_drift(amps, tables, j)
         for a2 in squares:
             tail = max(tail, _tail3(a2.sum(axis=-1)))
         if v is not None:
-            drift[:, j] = v
-    g2m1 = (g ** 2 - 1.0)[:, None, None, None, None]
-    h_col = h[:, None, None, None, None]
+            for side, term in zip(drift, v):
+                side[j] = term
+    g2m1 = g ** 2 - 1.0
+    project = _leray3(grid)
     report = {}
     for s, (side, part) in enumerate((("velocity", w_o), ("magnetic", d_o))):
-        v = Field(drift[s], grid, _take=True)
-        evolution = ddt(part)
-        res = p_neq0(Field(g2m1 * v.data, grid, _take=True))
-        pressure = res - leray(res)
-        transfer = (-1.0 / sigma) * leray(
-            p_neq0(Field(h_col * ddt(v).data, grid, _take=True)))
-        resid = (evolution.data + res.data - pressure.data - transfer.data)
-        scale = max(evolution.max_abs(), res.max_abs(), pressure.max_abs(),
-                    transfer.max_abs(), amps.delta_next)
-        report[f"{side}_low_frequency_balance"] = \
-            float(np.abs(resid).max()) / scale
+        evolution = _ddt_components(part.data, grid)
+        wander = _ddt_components(drift[s], grid)
+        peaks = np.zeros(5)  # the residual, then the terms that scale it
+        for j in range(grid.n_t):
+            res = _mean_free3(g2m1[j] * drift[s][j])
+            pressure = res - project(res)
+            transfer = project(_mean_free3(h[j] * wander[j])) * (-1.0 / sigma)
+            peaks = np.maximum(peaks, _abs_maxima(
+                evolution[j] + res - pressure - transfer,
+                evolution[j], res, pressure, transfer))
+        del evolution, wander
+        drift[s] = None
+        report[f"{side}_low_frequency_balance"] = float(
+            peaks[0] / max(*peaks[1:], amps.delta_next))
     return _gate(report,
                  (("velocity_low_frequency_balance",
                    "velocity low-frequency corrector balance"),
@@ -645,10 +699,11 @@ def assemble_iterate(u_l: Field, B_l: Field, pert: Perturbation,
     _require_vector_on(grid, "state field", u_l, B_l)
     if pert.grid != grid:
         raise ValueError("perturbation lives on a different grid")
-    w = pert.w
-    d = pert.d
     report = {}
-    for name, inc in (("velocity", w), ("magnetic", d)):
+    totals = []  # the magnetic total is summed only once the velocity passes
+    for name, attr in (("velocity", "w"), ("magnetic", "d")):
+        inc = getattr(pert, attr)
+        totals.append(inc)
         div_defect = _div_rel_defect(inc)
         peak = inc.max_abs()
         mean_defect = (float(np.abs(inc.spatial_means()).max())
@@ -663,6 +718,7 @@ def assemble_iterate(u_l: Field, B_l: Field, pert: Perturbation,
             raise CorrectorIdentityError(
                 f"{name} perturbation is not spatially mean-free: relative "
                 f"defect {mean_defect:g} exceeds {tol:g}")
+    w, d = totals
     mask = (slice_support(_slice_frobenius_max(amps.r_l_u.data))
             | slice_support(_slice_frobenius_max(amps.r_l_b.data)))
     for name, inc in (("velocity", w), ("magnetic", d)):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.fft as sfft
 
-from .field import Field
+from .field import Field, to_spectral
 from .grid import Grid4, fft_workers
 
 
@@ -40,42 +40,77 @@ def _vec_spectral(f: Field):
 
 
 def _div_rel_defect(f: Field) -> float:
-    """Relative size of div f measured against the gradient scale of f."""
-    spec = _vec_spectral(f)
+    """Relative size of div f measured against the gradient scale of f.
+    One component's spectrum is held at a time, and none is cached on f."""
+    if f.rank != 1:
+        raise ValueError("expected a vector field")
     ks, ksq = _k_components(f.grid)
-    div = sum(1j * ks[a] * spec[..., a] for a in range(3))
+    kmag = np.sqrt(ksq)
+    div = 0.0
+    den = 0.0
+    for a in range(3):
+        spec = to_spectral(f.data[..., a], f.grid)
+        div = div + 1j * ks[a] * spec
+        den = max(den, float((kmag * np.abs(spec)).max()))
     num = float(np.abs(div).max())
-    den = float((np.sqrt(ksq)[..., None] * np.abs(spec)).max())
     if den == 0.0:
         return 0.0
     return num / den
 
 
+# -- slice kernels ---------------------------------------------------------------
+#
+# The projections act on each time slice alone. Their whole-field forms
+# below run one kernel per slice into a zeroed output and skip zero slices,
+# so no whole-field spectrum is built and idle slices are never touched;
+# verifiers that need a projection of one slice call the kernel directly.
+
+def _mean_free3(slab: np.ndarray) -> np.ndarray:
+    """One slice minus its spatial mean. (A matrix-vector product beats
+    numpy's strided mean.)"""
+    n3 = slab.shape[0] * slab.shape[1] * slab.shape[2]
+    mean = np.ones(n3) @ slab.reshape(n3, -1) / n3
+    return slab - mean.reshape(slab.shape[3:])
+
+
+def _leray3(grid: Grid4):
+    """The Leray multiplier as a kernel on one (n, n, n, 3) slice."""
+    ks, ksq = _k_components(grid)
+    inv = _safe_inv(ksq)
+    kinv = [(k * inv)[0] for k in ks]
+    ks = [k[0] for k in ks]
+    shape = (grid.n_x,) * 3
+
+    def project(slab):
+        spec = sfft.rfftn(slab, axes=(0, 1, 2), workers=fft_workers())
+        kdotu = sum(ks[a] * spec[..., a] for a in range(3))
+        for a in range(3):
+            spec[..., a] -= kinv[a] * kdotu
+        return sfft.irfftn(spec, s=shape, axes=(0, 1, 2),
+                           workers=fft_workers())
+    return project
+
+
+def _slicewise(f: Field, kernel) -> Field:
+    out = np.zeros_like(f.data)
+    for j, slab in enumerate(f.data):
+        if slab.any():
+            out[j] = kernel(slab)
+    return Field(out, f.grid, _take=True)
+
+
 def p_neq0(f: Field) -> Field:
     """Remove the spatial mean of every time slice: the multiplier zeroing
-    the spatial zero modes, applied without a transform, so zero slices stay
-    exactly zero. (A matrix-vector product beats numpy's strided mean.)"""
-    grid = f.grid
-    n3 = grid.n_x ** 3
-    means = np.ones(n3) @ f.data.reshape(grid.n_t, n3, -1) / n3
-    return Field(f.data - means.reshape((grid.n_t, 1, 1, 1) + f.data.shape[4:]),
-                 grid, _take=True)
+    the spatial zero modes, applied without a transform."""
+    return _slicewise(f, _mean_free3)
 
 
 def leray(f: Field) -> Field:
-    """Helmholtz projection onto divergence-free fields, identity on means;
-    slice-wise 3D transforms, so a zero slice stays exactly zero."""
+    """Helmholtz projection onto divergence-free fields, identity on means,
+    by one 3D transform pair per nonzero slice."""
     if f.rank != 1:
         raise ValueError("expected a vector field")
-    spec = sfft.rfftn(f.data, axes=(1, 2, 3), workers=fft_workers())
-    ks, ksq = _k_components(f.grid)
-    inv = _safe_inv(ksq)
-    kdotu = sum(ks[a] * spec[..., a] for a in range(3))
-    out = np.empty_like(spec)
-    for a in range(3):
-        out[..., a] = spec[..., a] - ks[a] * inv * kdotu
-    return Field(sfft.irfftn(out, s=f.data.shape[1:4], axes=(1, 2, 3),
-                             workers=fft_workers()), f.grid, _take=True)
+    return _slicewise(f, _leray3(f.grid))
 
 
 def frac_laplacian(f: Field, alpha: float) -> Field:

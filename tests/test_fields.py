@@ -128,6 +128,21 @@ class TestCalculus:
         df = ddt(f)
         assert np.abs(df.data - np.cos(t)).max() <= 1e-12
 
+    @pytest.mark.parametrize("axis", [
+        None, 1, 2,
+        pytest.param(3, marks=pytest.mark.xfail(strict=True, reason=(
+            "on the k3 > 0 planes of the half spectrum the 4D multiplier "
+            "gives the time-Nyquist mode i k_t = -i n_t/2 instead of 0")))])
+    def test_ddt_of_time_nyquist_mode_is_zero(self, axis):
+        # cos(8 t) on 16 time samples is its own alias at k_t = +-8, and so
+        # is its product with any spatial mode: its time derivative is zero
+        grid = Grid4(16, 8)
+        t = grid.axes()[0]
+        x = 0.0 if axis is None else grid.axes()[axis]
+        f = Field(np.broadcast_to(np.cos(8 * t) * np.cos(x), grid.shape),
+                  grid)
+        assert ddt(f).max_abs() <= 1e-12
+
     def test_grad_and_div_roundtrip(self, small_grid):
         rng = np.random.default_rng(12)
         f = random_field(small_grid, rng, k_max=3)

@@ -1,5 +1,7 @@
 """Multiplier operators: projections, inverse divergences, Biot-Savart."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,76 @@ class TestProjectors:
         rng = np.random.default_rng(24)
         u = random_divfree(small_grid, rng)
         assert rel_max(leray(u).data, u.data) <= 1e-10
+
+
+def leray_multiplier(f):
+    """The Leray projection as one multiplier on the whole 4D spectrum."""
+    spec = f.spectral
+    _, k1, k2, k3 = f.grid.k_broadcast()
+    ks = [k.astype(float) for k in (k1, k2, k3)]
+    ksq = f.grid.k_sq_spatial()
+    inv = np.where(ksq > 0, 1.0 / np.where(ksq > 0, ksq, 1.0), 0.0)
+    kdotu = sum(ks[a] * spec[..., a] for a in range(3))
+    out = np.stack([spec[..., a] - ks[a] * inv * kdotu for a in range(3)],
+                   axis=-1)
+    return Field.from_spectral(out, f.grid).data
+
+
+def p_neq0_multiplier(f):
+    """Zeroing the spatial zero modes of the whole 4D spectrum."""
+    spec = f.spectral.copy()
+    spec[:, 0, 0, 0] = 0.0
+    return Field.from_spectral(spec, f.grid).data
+
+
+def traced_peak(fn, *args, **kwargs):
+    """Peak traced allocation of one call above the level at entry, and
+    the result."""
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        out = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    return peak, out
+
+
+class TestStreamedProjections:
+    """leray and p_neq0 run one kernel per time slice."""
+
+    def test_leray_is_the_4d_multiplier(self, small_grid):
+        rng = np.random.default_rng(4)
+        for _ in range(3):
+            u = random_field(small_grid, rng, rank=1)
+            assert rel_max(leray(u).data, leray_multiplier(u)) <= 1e-14
+
+    @pytest.mark.parametrize("rank", [0, 1, 2])
+    def test_p_neq0_is_the_4d_multiplier(self, small_grid, rank):
+        rng = np.random.default_rng(3)
+        f = random_field(small_grid, rng, rank=rank)
+        shape = (small_grid.n_t, 1, 1, 1) + f.data.shape[4:]
+        f = Field(f.data + rng.normal(size=shape), small_grid, _take=True)
+        assert rel_max(p_neq0(f).data, p_neq0_multiplier(f)) <= 1e-14
+
+    def test_one_slice_stays_on_its_slice(self, small_grid):
+        rng = np.random.default_rng(44)
+        data = np.zeros(small_grid.shape + (3,))
+        data[5] = random_field(small_grid, rng, rank=1).data[5] + 1.0
+        u = Field(data, small_grid, _take=True)
+        for op in (leray, p_neq0):
+            out = op(u).data
+            assert np.abs(out[5]).max() > 0.0
+            assert np.all(np.delete(out, 5, axis=0) == 0.0)
+
+    def test_leray_peak_is_output_plus_a_few_slices(self, small_grid):
+        # a whole-field spectrum, its projection and the output come to
+        # about three field copies; a slice loop needs the output alone
+        rng = np.random.default_rng(45)
+        u = random_field(small_grid, rng, rank=1)
+        peak, out = traced_peak(leray, u)
+        slice_bytes = out.data.nbytes // small_grid.n_t
+        assert peak <= out.data.nbytes + 6 * slice_bytes
 
 
 class TestFractionalLaplacian:
