@@ -52,24 +52,13 @@ def _smooth_step(s):
     return lo / (lo + hi)
 
 
-class ChiCutoff:
+def chi(z):
     """Smooth rescaling cutoff: 1 below one, the identity above two, and a
     C-infinity blend chi(z) = 1 + w(z-1)(z-1) in between, which sits inside
     the required wedge z/2 <= chi(z) <= 2z there."""
-
-    __slots__ = ()
-
-    def __call__(self, z):
-        z = np.asarray(z, dtype=float)
-        w = _smooth_step(z - 1.0)
-        return 1.0 + w * (z - 1.0)
-
-
-_CHI = ChiCutoff()
-
-
-def chi(z):
-    return _CHI(z)
+    z = np.asarray(z, dtype=float)
+    w = _smooth_step(z - 1.0)
+    return 1.0 + w * (z - 1.0)
 
 
 # -- temporal cutoffs ---------------------------------------------------------

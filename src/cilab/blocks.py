@@ -28,10 +28,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as sfft
 
+from . import spectral
 from .field import Field
-from .grid import Grid4, GridResolutionError, fft_workers
+from .grid import Grid4, GridResolutionError
 from .profiles import (BandProfile, SpatialProfiles, band_project, fit_loglog,
                        make_spatial_profiles, rescaled)
 
@@ -318,86 +318,6 @@ def curl_terms(sets, kind: str):
             (("shear", "potential_rate"), np.cross(m, rows)))
 
 
-# -- 3D spectral helpers for slice-wise work -------------------------------------
-# One time slice, (n, n, n) plus trailing component axes; one forward and
-# one inverse transform however many components it carries.
-
-def _wavenumbers3(n: int, trailing: int = 0):
-    """Slice wavenumbers, shaped to broadcast over a spectrum with
-    `trailing` component axes."""
-    kf = np.fft.fftfreq(n, 1.0 / n)
-    kh = np.arange(n // 2 + 1, dtype=np.float64)
-    pad = (1,) * trailing
-    return (kf.reshape((n, 1, 1) + pad), kf.reshape((1, n, 1) + pad),
-            kh.reshape((1, 1, -1) + pad))
-
-
-def _rfft3(arr):
-    return sfft.rfftn(arr, axes=(0, 1, 2), workers=fft_workers())
-
-
-def _irfft3(spec, n):
-    return sfft.irfftn(spec, s=(n, n, n), axes=(0, 1, 2), workers=fft_workers())
-
-
-def _directional3(arr, dirs):
-    """Derivatives of each component i of arr (n, n, n, k) along row i (or
-    the only row) of each table in dirs, stacked last; np.eye(3)[:, None]
-    gives the gradient."""
-    n = arr.shape[0]
-    k1, k2, k3 = _wavenumbers3(n, 1)
-    spec = _rfft3(arr)
-    out = np.empty(spec.shape + (len(dirs),), dtype=spec.dtype)
-    for d, rows in enumerate(dirs):
-        np.multiply(spec, 1j * (k1 * rows[:, 0] + k2 * rows[:, 1]
-                                + k3 * rows[:, 2]), out=out[..., d])
-    return _irfft3(out, n)
-
-
-def _div3_terms(arr):
-    """The three terms d_a arr[..., a] of the divergence that contracts the
-    last axis, stacked on that axis."""
-    n = arr.shape[0]
-    spec = _rfft3(arr)
-    out = np.empty_like(spec)
-    for a, k in enumerate(_wavenumbers3(n, arr.ndim - 4)):
-        np.multiply(spec[..., a], 1j * k, out=out[..., a])
-    return _irfft3(out, n)
-
-
-def _div3(arr):
-    """Divergence contracting the last axis, d_a arr[..., a]."""
-    n = arr.shape[0]
-    k1, k2, k3 = _wavenumbers3(n, arr.ndim - 4)
-    spec = _rfft3(arr)
-    return _irfft3(1j * (k1 * spec[..., 0] + k2 * spec[..., 1]
-                         + k3 * spec[..., 2]), n)
-
-
-def _curl3(vec):
-    n = vec.shape[0]
-    k1, k2, k3 = _wavenumbers3(n, vec.ndim - 4)
-    spec = _rfft3(vec)
-    out = np.empty_like(spec)
-    out[..., 0] = 1j * (k2 * spec[..., 2] - k3 * spec[..., 1])
-    out[..., 1] = 1j * (k3 * spec[..., 0] - k1 * spec[..., 2])
-    out[..., 2] = 1j * (k1 * spec[..., 1] - k2 * spec[..., 0])
-    return _irfft3(out, n)
-
-
-def _curl_curl3(vec):
-    """Spectral double curl, |k|^2 v - k (k.v), over the last axis."""
-    n = vec.shape[0]
-    k1, k2, k3 = _wavenumbers3(n, vec.ndim - 4)
-    spec = _rfft3(vec)
-    kdotv = k1 * spec[..., 0] + k2 * spec[..., 1] + k3 * spec[..., 2]
-    ksq = k1 * k1 + k2 * k2 + k3 * k3
-    out = np.empty_like(spec)
-    for axis, k in enumerate((k1, k2, k3)):
-        out[..., axis] = ksq * spec[..., axis] - k * kdotv
-    return _irfft3(out, n)
-
-
 def _rel(diff_max: float, scale: float) -> float:
     return diff_max / max(scale, 1e-300)
 
@@ -420,19 +340,19 @@ def verify_identities(blocks: BlockSet, time_indices=None, tol: float = 1e-7):
         Dct = blocks.flow_slice("magnetic_corrector", j)
 
         lhs = W + Wct
-        rhs = _curl_curl3(blocks.flow_slice("velocity_potential", j))
+        rhs = spectral.curl_curl(blocks.flow_slice("velocity_potential", j))
         scale = max(np.abs(lhs).max(), np.abs(rhs).max())
         report["velocity_potential_curl"] = max(
             report["velocity_potential_curl"], _rel(np.abs(lhs - rhs).max(), scale))
 
         # the largest single term scales identities whose truth value is 0
-        terms = _div3_terms(lhs)
+        terms = spectral.div_terms(lhs)
         div, scale = terms.sum(axis=-1), float(np.abs(terms).max())
         report["velocity_solenoidal"] = max(
             report["velocity_solenoidal"], _rel(np.abs(div).max(), scale))
 
         lhs = D + Dct
-        rhs = _curl_curl3(blocks.flow_slice("magnetic_potential", j))
+        rhs = spectral.curl_curl(blocks.flow_slice("magnetic_potential", j))
         scale = max(np.abs(lhs).max(), np.abs(rhs).max())
         report["magnetic_potential_curl"] = max(
             report["magnetic_potential_curl"], _rel(np.abs(lhs - rhs).max(), scale))
@@ -443,7 +363,7 @@ def verify_identities(blocks: BlockSet, time_indices=None, tol: float = 1e-7):
                 ("cross_transport", D, W, blocks.frame.k2),
                 ("cross_transport_null", W, D, None)):
             # div contracts the second factor: d_j (left_i right_j)
-            terms = _div3_terms(left[..., :, None] * right[..., None, :])
+            terms = spectral.div_terms(left[..., :, None] * right[..., None, :])
             div, scale = terms.sum(axis=-1), float(np.abs(terms).max())
             if source_dir is None:
                 report[name] = max(report[name], _rel(np.abs(div).max(), scale))

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft as sfft
 
+from . import spectral
 from .grid import Grid4, fft_workers
 
 MAGIC = b"CILAB1\x00"
@@ -167,37 +168,27 @@ def ddt(f: Field) -> Field:
     return spectral_derivative(f, m=1)
 
 
-def _spatial_k(grid: Grid4, trailing: int):
-    """Spatial wavenumbers broadcast over spectra with trailing axes."""
-    return [k.reshape(k.shape + (1,) * trailing) for k in grid.k_broadcast()[1:]]
-
-
 def grad(f: Field) -> Field:
     """Gradient of a scalar (vector) or of a vector (tensor, (grad u)_ij = d_j u_i),
-    from one forward and one inverse transform."""
+    from one forward and one inverse spatial transform."""
     if f.rank > 1:
         raise ValueError("grad is defined for scalar and vector fields")
-    parts = [1j * k * f.spectral for k in _spatial_k(f.grid, f.rank)]
-    return Field.from_spectral(np.stack(parts, axis=-1), f.grid)
-
-
-def _div_spectral(spec, grid, trailing):
-    """Spectrum of d_a A[..., a], contracting the last axis."""
-    k1, k2, k3 = _spatial_k(grid, trailing)
-    return 1j * (k1 * spec[..., 0] + k2 * spec[..., 1] + k3 * spec[..., 2])
+    data = f.data if f.rank else f.data[..., None]
+    out = spectral.directional(data, np.eye(3)[:, None], lead=1)
+    return Field(out.reshape(f.data.shape + (3,)), f.grid, _take=True)
 
 
 def div_vec(f: Field) -> Field:
     if f.rank != 1:
         raise ValueError("div_vec needs a vector field")
-    return Field.from_spectral(_div_spectral(f.spectral, f.grid, 0), f.grid)
+    return Field(spectral.div(f.data, lead=1), f.grid, _take=True)
 
 
 def div_tensor(f: Field) -> Field:
     """(div A)_i = d_j A_ij, contracting the column index."""
     if f.rank != 2:
         raise ValueError("div_tensor needs a rank-2 field")
-    return Field.from_spectral(_div_spectral(f.spectral, f.grid, 1), f.grid)
+    return Field(spectral.div(f.data, lead=1), f.grid, _take=True)
 
 
 # -- pointwise tensor algebra -------------------------------------------------
@@ -328,8 +319,9 @@ def norm(f: Field, spec: MixedNormSpec) -> float:
             total += _lebesgue_norm(g, spec.p, spec.p)
         return total
     if spec.kind == "hbeta":
-        kt, k1, k2, k3 = f.grid.k_broadcast()
-        weight = (1.0 + kt.astype(float) ** 2 + f.grid.k_sq_spatial()) ** spec.beta
+        kt = f.grid.k_broadcast()[0]
+        ksq = spectral.wavenumbers(f.grid.n_x, lead=1)[3]
+        weight = (1.0 + kt.astype(float) ** 2 + ksq) ** spec.beta
         weight = weight * f.grid.rfft_weight()
         spec_arr = f.spectral
         if f.rank > 0:

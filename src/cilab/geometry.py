@@ -265,7 +265,6 @@ def _functional_norm_skew(cmat: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class GeometrySet:
-    profile: str
     lambda_u: tuple
     lambda_b: tuple
     c_u: np.ndarray
@@ -280,13 +279,10 @@ class GeometrySet:
     m_star: float
 
 
-def build_geometry(profile: str = "default") -> GeometrySet:
-    if profile not in ("default", "desk_scale"):
-        raise ValueError(f"unknown geometry profile {profile!r}")
+def build_geometry() -> GeometrySet:
     frames_b = SKEW_FRAME_CANDIDATES
     frames_u = SYM_FRAME_CANDIDATES
 
-    names = [(f.name, tuple(f.k_num), f.denom) for f in frames_b + frames_u]
     dirset = {(tuple(Fraction(c, f.denom) for c in f.k_num)) for f in frames_b}
     dirset_u = {(tuple(Fraction(c, f.denom) for c in f.k_num)) for f in frames_u}
     if dirset & dirset_u:
@@ -294,7 +290,6 @@ def build_geometry(profile: str = "default") -> GeometrySet:
     k2s = [tuple(Fraction(c, f.denom) for c in f.k2_num) for f in frames_b + frames_u]
     if len(set(k2s)) != len(k2s):
         raise ConstructionError("candidate second tangents are not pairwise distinct")
-    del names
 
     c_b = _solve_skew_coefficients(frames_b)
     c_u = _solve_sym_coefficients(frames_u)
@@ -308,7 +303,6 @@ def build_geometry(profile: str = "default") -> GeometrySet:
     eps_u = margin * float(min(c_u)) / op_u
 
     geom = GeometrySet(
-        profile=profile,
         lambda_u=frames_u, lambda_b=frames_b,
         c_u=np.array([float(c) for c in c_u]),
         c_b=np.array([float(c) for c in c_b]),

@@ -1,9 +1,9 @@
 """Uniform space-time grid on the periodic box [-pi, pi)^4.
 
-The time circle is the first axis; the three spatial axes follow. All
-spectral work in the package runs through the integer wavenumber tables
-defined here, so a single Grid4 instance is shared by every field that
-must interoperate.
+The time circle is the first axis; the three spatial axes follow. The
+space-time transforms run through the integer wavenumber tables defined
+here (the spatial operators take float tables from cilab.spectral), so a
+single Grid4 instance is shared by every field that must interoperate.
 """
 
 from __future__ import annotations
@@ -96,14 +96,6 @@ class Grid4:
         k3 = self.k_half()[None, None, None, :]
         return kt, k1, k2, k3
 
-    def k_sq_spatial(self) -> np.ndarray:
-        """|k|^2 over the spatial modes, shape (1, n_x, n_x, n_x//2 + 1)."""
-        key = "k_sq"
-        if key not in self._cache:
-            _, k1, k2, k3 = self.k_broadcast()
-            self._cache[key] = (k1 * k1 + k2 * k2 + k3 * k3).astype(np.float64)
-        return self._cache[key]
-
     def rfft_weight(self) -> np.ndarray:
         """Multiplicity of each stored mode under the rfft convention.
 
@@ -117,7 +109,3 @@ class Grid4:
             w[-1] = 1.0
             self._cache[key] = w[None, None, None, :]
         return self._cache[key]
-
-    @property
-    def n_modes(self) -> int:
-        return self.n_t * self.n_x ** 3

@@ -39,12 +39,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import spectral
 from .amplitudes import AmplitudeSet, slice_support
-from .blocks import (_curl3, _curl_curl3, _directional3, _div3, _div3_terms,
-                     _rfft3, _wavenumbers3, curl_terms, envelope_stack,
-                     flow_terms)
+from .blocks import curl_terms, envelope_stack, flow_terms
 from .field import Field, MixedNormSpec, ddt, norm
-from .spectral_ops import _div_rel_defect, _leray3, _mean_free3, leray, p_neq0
+from .spectral_ops import _div_rel_defect, _mean_free3, leray, p_neq0
 
 _TAIL_FACTOR = 10.0
 
@@ -154,20 +153,6 @@ def _solenoidal(acc, grid):
             for _ in range(len(acc))]
 
 
-def _tail3(scalar):
-    """High-mode mass fraction of one slice: an aliasing indicator, not a
-    norm. Modes above half the Nyquist band in any direction count."""
-    n = scalar.shape[0]
-    k1, k2, k3 = _wavenumbers3(n)
-    spec = _rfft3(scalar)
-    cut = n // 4
-    high = (np.abs(k1) > cut) | (np.abs(k2) > cut) | (k3 > cut)
-    total = float((np.abs(spec) ** 2).sum())
-    if total <= 0.0:
-        return 0.0
-    return math.sqrt(float((np.abs(spec[high]) ** 2).sum()) / total)
-
-
 def _ddt_components(data, grid):
     """ddt of a vector array one component at a time: one component's
     spectrum is live at once, and none is cached on a caller's field."""
@@ -182,15 +167,15 @@ def _abs_maxima(*arrays):
     return np.array([np.abs(a).max() for a in arrays])
 
 
-def _gate(report, names, tol, tail):
+def _gate(report, names, tol, tail, key="effective_tolerance"):
+    """Raise naming the first residual in names above max(tol, _TAIL_FACTOR
+    tail); that effective tolerance is recorded under key."""
     effective = max(tol, _TAIL_FACTOR * tail)
-    report["amplitude_tail"] = tail
-    report["tolerance"] = tol
-    report["effective_tolerance"] = effective
-    for key, label in names:
-        if report[key] > effective:
+    report[key] = effective
+    for name, label in names:
+        if report[name] > effective:
             raise CorrectorIdentityError(
-                f"{label} residual {report[key]:g} exceeds {effective:g} "
+                f"{label} residual {report[name]:g} exceeds {effective:g} "
                 f"(raw tolerance {tol:g}, amplitude tail {tail:g})")
     return report
 
@@ -249,7 +234,7 @@ def _slice_drift(amps, tables, j):
     if tens is None:
         return None, squares
     n = amps.grid.n_x
-    return np.moveaxis(_div3(tens.reshape(n, n, n, 2, 3, 3)), 3, 0), squares
+    return np.moveaxis(spectral.div(tens.reshape(n, n, n, 2, 3, 3)), 3, 0), squares
 
 
 # -- the perturbation container --------------------------------------------------
@@ -356,7 +341,7 @@ def incompressibility_correctors(amps: AmplitudeSet, blocks: dict, g,
         cross = direct = 0.0
         for _, sets, pots, curls, correctors, a2 in active:
             amp = np.sqrt(a2)
-            grads = _directional3(amp, np.eye(3)[:, None]).reshape(
+            grads = spectral.directional(amp, np.eye(3)[:, None]).reshape(
                 -1, len(sets), 3)
             amp = amp.reshape(-1, len(sets))
             cross = cross + sum(_weighted(sets, pair, j, grads) @ x
@@ -366,7 +351,7 @@ def incompressibility_correctors(amps: AmplitudeSet, blocks: dict, g,
                             for pair, x in curls)
                       + sum((amp * envelope_stack(sets, pair, j)) @ t
                             for pair, t in correctors))
-        out[:, j] = g[j] * _sides(_curl3(cross.reshape(n, n, n, 2, 3))
+        out[:, j] = g[j] * _sides(spectral.curl(cross.reshape(n, n, n, 2, 3))
                                   + direct.reshape(n, n, n, 2, 3), n)
     w_c, d_c = (Field(out[0], grid, _take=True),
                 Field(out[1], grid, _take=True))
@@ -507,7 +492,7 @@ def verify_divfree_representation(amps, blocks, g, w_p, w_c, d_p, d_c,
     for j in time_indices:
         lhs = np.stack([w_p.data[j] + w_c.data[j], d_p.data[j] + d_c.data[j]],
                        axis=-2)
-        terms = _div3_terms(lhs)
+        terms = spectral.div_terms(lhs)
         for s, (_, key) in enumerate(keys):
             side = terms[..., s, :]
             scale = float(np.abs(side).max())
@@ -518,29 +503,24 @@ def verify_divfree_representation(amps, blocks, g, w_p, w_c, d_p, d_c,
             continue
         pot = np.zeros((n ** 3, 6))
         for _, sets, pair, table, a2 in _active(amps, families, j):
-            tail = max(tail, _tail3(a2.sum(axis=-1)))
+            tail = max(tail, spectral.tail(a2.sum(axis=-1)))
             amp = np.sqrt(a2).reshape(-1, len(sets))
             pot += (amp * envelope_stack(sets, pair, j)) @ table
-        rhs = _curl_curl3(g[j] * pot.reshape(n, n, n, 2, 3))
+        rhs = spectral.curl_curl(g[j] * pot.reshape(n, n, n, 2, 3))
         for s, (key, _) in enumerate(keys):
             left, right = lhs[..., s, :], rhs[..., s, :]
             scale = max(float(np.abs(left).max()), float(np.abs(right).max()),
                         amps.delta_next)
             report[key] = max(report[key],
                               float(np.abs(left - right).max()) / scale)
+    report.update(amplitude_tail=tail, tolerance=tol)
     _gate(report, (("velocity_representation",
                     "velocity double-curl representation"),
                    ("magnetic_representation",
                     "magnetic double-curl representation")), tol, tail)
-    effective_div = max(div_tol, _TAIL_FACTOR * tail)
-    report["divergence_tolerance"] = effective_div
-    for key, label in (("velocity_divergence", "velocity incompressibility"),
-                       ("magnetic_divergence", "magnetic incompressibility")):
-        if report[key] > effective_div:
-            raise CorrectorIdentityError(
-                f"{label} residual {report[key]:g} exceeds {effective_div:g} "
-                f"(raw tolerance {div_tol:g}, amplitude tail {tail:g})")
-    return report
+    return _gate(report, (("velocity_divergence", "velocity incompressibility"),
+                          ("magnetic_divergence", "magnetic incompressibility")),
+                 div_tol, tail, "divergence_tolerance")
 
 
 def verify_temporal_balance(amps, blocks, g, mu: float, w_t, d_t,
@@ -580,9 +560,9 @@ def verify_temporal_balance(amps, blocks, g, mu: float, w_t, d_t,
         tens = np.zeros((n ** 3, 18))
         for (_, sets, pair, dirs, products, ks, transfer,
              a2) in _active(amps, families, j):
-            tail = max(tail, _tail3(a2.sum(axis=-1)))
+            tail = max(tail, spectral.tail(a2.sum(axis=-1)))
             env2 = envelope_stack(sets, pair, j) ** 2
-            derivs = _directional3(a2, ks).reshape(len(env2), len(sets), -1)
+            derivs = spectral.directional(a2, ks).reshape(len(env2), len(sets), -1)
             weight = a2.reshape(-1, len(sets)) * env2
             _add_sides(acc, j, _sides(g2 * (weight @ dirs), n))
             _add_sides(drift, j, _sides(g2 * ((env2[:, :, None] * derivs)
@@ -590,7 +570,7 @@ def verify_temporal_balance(amps, blocks, g, mu: float, w_t, d_t,
                                               @ transfer), n))
             tens += weight @ products
         for side, term in zip(osc, np.moveaxis(
-                _div3(tens.reshape(n, n, n, 2, 3, 3)), 3, 0)):
+                spectral.div(tens.reshape(n, n, n, 2, 3, 3)), 3, 0)):
             side[j] = g2 * term
     # profile drift, time-derivative half: - mu^{-1} envelope^2 k d_t(a^2 g^2)
     g2_all = g ** 2
@@ -605,8 +585,7 @@ def verify_temporal_balance(amps, blocks, g, mu: float, w_t, d_t,
                           * dq[j].reshape(-1, 1) / mu)
                 for s, k in enumerate(ks):
                     drift[s][j] -= (pulled * k[i]).reshape(n, n, n, 3)
-    project = _leray3(grid)
-    report = {}
+    report = {"amplitude_tail": tail, "tolerance": tol}
     for s, (side, part) in enumerate((("velocity", w_t), ("magnetic", d_t))):
         d_acc = _ddt_components(acc[s], grid)
         acc[s] = None
@@ -614,7 +593,7 @@ def verify_temporal_balance(amps, blocks, g, mu: float, w_t, d_t,
         peaks = np.zeros(5)  # the residual, then the terms that scale it
         for j in range(grid.n_t):
             charge = _mean_free3(d_acc[j])
-            pressure = (charge - project(charge)) * (1.0 / mu)
+            pressure = (charge - spectral.leray(charge)) * (1.0 / mu)
             transport = _mean_free3(osc[s][j])
             transfer = _mean_free3(drift[s][j])
             peaks = np.maximum(peaks, _abs_maxima(
@@ -651,21 +630,20 @@ def verify_low_frequency_balance(amps, blocks, h, sigma: float, g, w_o, d_o,
     for j in range(grid.n_t):
         v, squares = _slice_drift(amps, tables, j)
         for a2 in squares:
-            tail = max(tail, _tail3(a2.sum(axis=-1)))
+            tail = max(tail, spectral.tail(a2.sum(axis=-1)))
         if v is not None:
             for side, term in zip(drift, v):
                 side[j] = term
     g2m1 = g ** 2 - 1.0
-    project = _leray3(grid)
-    report = {}
+    report = {"amplitude_tail": tail, "tolerance": tol}
     for s, (side, part) in enumerate((("velocity", w_o), ("magnetic", d_o))):
         evolution = _ddt_components(part.data, grid)
         wander = _ddt_components(drift[s], grid)
         peaks = np.zeros(5)  # the residual, then the terms that scale it
         for j in range(grid.n_t):
             res = _mean_free3(g2m1[j] * drift[s][j])
-            pressure = res - project(res)
-            transfer = project(_mean_free3(h[j] * wander[j])) * (-1.0 / sigma)
+            pressure = res - spectral.leray(res)
+            transfer = spectral.leray(_mean_free3(h[j] * wander[j])) * (-1.0 / sigma)
             peaks = np.maximum(peaks, _abs_maxima(
                 evolution[j] + res - pressure - transfer,
                 evolution[j], res, pressure, transfer))

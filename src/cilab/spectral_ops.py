@@ -1,4 +1,4 @@
-"""Fourier multiplier operators acting per time slice on spatial modes.
+"""Fourier multipliers on the spatial modes of Fields, built on cilab.spectral.
 
 Every operator here is an exact multiplier in the discrete Fourier algebra,
 so compositions satisfy their operator identities (idempotence, right
@@ -12,39 +12,17 @@ projected.
 from __future__ import annotations
 
 import numpy as np
-import scipy.fft as sfft
 
+from . import spectral
 from .field import Field, to_spectral
-from .grid import Grid4, fft_workers
-
-
-def _k_components(grid: Grid4):
-    """Spatial wavenumbers broadcast over spectral arrays, plus |k|^2."""
-    _, k1, k2, k3 = grid.k_broadcast()
-    ks = [k1.astype(np.float64), k2.astype(np.float64), k3.astype(np.float64)]
-    ksq = grid.k_sq_spatial()
-    return ks, ksq
-
-
-def _safe_inv(ksq):
-    """1/|k|^2 with the zero mode mapped to 0."""
-    inv = np.where(ksq > 0, ksq, 1.0)
-    inv = 1.0 / inv
-    return np.where(ksq > 0, inv, 0.0)
-
-
-def _vec_spectral(f: Field):
-    if f.rank != 1:
-        raise ValueError("expected a vector field")
-    return f.spectral
 
 
 def _div_rel_defect(f: Field) -> float:
     """Relative size of div f measured against the gradient scale of f.
-    One component's spectrum is held at a time, and none is cached on f."""
+    One component's 4D spectrum is held at a time, and none is cached on f."""
     if f.rank != 1:
         raise ValueError("expected a vector field")
-    ks, ksq = _k_components(f.grid)
+    *ks, ksq = spectral.wavenumbers(f.grid.n_x, lead=1)
     kmag = np.sqrt(ksq)
     div = 0.0
     den = 0.0
@@ -73,24 +51,6 @@ def _mean_free3(slab: np.ndarray) -> np.ndarray:
     return slab - mean.reshape(slab.shape[3:])
 
 
-def _leray3(grid: Grid4):
-    """The Leray multiplier as a kernel on one (n, n, n, 3) slice."""
-    ks, ksq = _k_components(grid)
-    inv = _safe_inv(ksq)
-    kinv = [(k * inv)[0] for k in ks]
-    ks = [k[0] for k in ks]
-    shape = (grid.n_x,) * 3
-
-    def project(slab):
-        spec = sfft.rfftn(slab, axes=(0, 1, 2), workers=fft_workers())
-        kdotu = sum(ks[a] * spec[..., a] for a in range(3))
-        for a in range(3):
-            spec[..., a] -= kinv[a] * kdotu
-        return sfft.irfftn(spec, s=shape, axes=(0, 1, 2),
-                           workers=fft_workers())
-    return project
-
-
 def _slicewise(f: Field, kernel) -> Field:
     out = np.zeros_like(f.data)
     for j, slab in enumerate(f.data):
@@ -110,7 +70,19 @@ def leray(f: Field) -> Field:
     by one 3D transform pair per nonzero slice."""
     if f.rank != 1:
         raise ValueError("expected a vector field")
-    return _slicewise(f, _leray3(f.grid))
+    return _slicewise(f, spectral.leray)
+
+
+# -- whole-field multipliers -----------------------------------------------------
+#
+# One 3D transform pair over the spatial axes of the whole field.
+
+def _multiply(f: Field, mult) -> Field:
+    """The multiplier mult(|k|^2), applied to every component of f."""
+    n = f.grid.n_x
+    ksq = spectral.wavenumbers(n, 1, f.rank)[3]
+    spec = spectral.rfft(f.data, 1) * mult(ksq)
+    return Field(spectral.irfft(spec, n, 1), f.grid, _take=True)
 
 
 def frac_laplacian(f: Field, alpha: float) -> Field:
@@ -119,36 +91,22 @@ def frac_laplacian(f: Field, alpha: float) -> Field:
         raise ValueError("alpha must be nonnegative; use inv_laplacian")
     if alpha == 0:
         return f
-    _, ksq = _k_components(f.grid)
-    mult = ksq ** alpha
-    spec = f.spectral
-    if f.rank > 0:
-        mult = mult.reshape(mult.shape + (1,) * f.rank)
-    return Field.from_spectral(spec * mult, f.grid)
+    return _multiply(f, lambda ksq: ksq ** alpha)
 
 
 def inv_laplacian(f: Field) -> Field:
     """Inverse Laplacian with zero mode mapped to zero."""
-    _, ksq = _k_components(f.grid)
-    mult = -_safe_inv(ksq)
-    spec = f.spectral
-    if f.rank > 0:
-        mult = mult.reshape(mult.shape + (1,) * f.rank)
-    return Field.from_spectral(spec * mult, f.grid)
+    return _multiply(f, lambda ksq: -spectral.safe_inv(ksq))
 
 
-def _curl_spectral(spec, ks, weight=1.0):
-    """Spectrum of the curl, times a multiplier weight."""
-    out = np.empty_like(spec)
-    for a in range(3):
-        b, c = (a + 1) % 3, (a + 2) % 3
-        out[..., a] = 1j * weight * (ks[b] * spec[..., c] - ks[c] * spec[..., b])
-    return out
+def _vec_data(f: Field):
+    if f.rank != 1:
+        raise ValueError("expected a vector field")
+    return f.data
 
 
 def curl(f: Field) -> Field:
-    ks, _ = _k_components(f.grid)
-    return Field.from_spectral(_curl_spectral(_vec_spectral(f), ks), f.grid)
+    return Field(spectral.curl(_vec_data(f), 1), f.grid, _take=True)
 
 
 def inv_div_sym(f: Field, tol: float = 1e-10) -> Field:
@@ -159,9 +117,10 @@ def inv_div_sym(f: Field, tol: float = 1e-10) -> Field:
     """
     if not f.is_mean_free(tol):
         raise ValueError("inv_div_sym needs a mean-free input field")
-    spec = _vec_spectral(f)
-    ks, ksq = _k_components(f.grid)
-    inv = _safe_inv(ksq)
+    n = f.grid.n_x
+    spec = spectral.rfft(_vec_data(f), 1)
+    *ks, ksq = spectral.wavenumbers(n, 1)
+    inv = spectral.safe_inv(ksq)
     kdotw = sum(ks[a] * spec[..., a] for a in range(3))
     out = np.empty(spec.shape[:-1] + (3, 3), dtype=np.complex128)
     half = 0.5j * inv * kdotw
@@ -174,7 +133,7 @@ def inv_div_sym(f: Field, tol: float = 1e-10) -> Field:
             out[..., a, b] = term
             if a != b:
                 out[..., b, a] = term
-    return Field.from_spectral(out, f.grid)
+    return Field(spectral.irfft(out, n, 1), f.grid, _take=True)
 
 
 def inv_div_skew(f: Field, tol: float = 1e-8) -> Field:
@@ -189,10 +148,8 @@ def inv_div_skew(f: Field, tol: float = 1e-8) -> Field:
     if defect > tol:
         raise ValueError(
             f"inv_div_skew needs a divergence-free input, relative defect {defect:.3e}")
-    spec = _vec_spectral(f)
-    ks, ksq = _k_components(f.grid)
-    c = _curl_spectral(spec, ks, _safe_inv(ksq))
-    out = np.zeros(spec.shape[:-1] + (3, 3), dtype=np.complex128)
+    c = spectral.curl(f.data, 1, inverse_laplacian=True)
+    out = np.zeros(c.shape + (3,))
     # R_ij = eps_ijk c_k
     out[..., 0, 1] = c[..., 2]
     out[..., 1, 0] = -c[..., 2]
@@ -200,7 +157,7 @@ def inv_div_skew(f: Field, tol: float = 1e-8) -> Field:
     out[..., 2, 1] = -c[..., 0]
     out[..., 2, 0] = c[..., 1]
     out[..., 0, 2] = -c[..., 1]
-    return Field.from_spectral(out, f.grid)
+    return Field(out, f.grid, _take=True)
 
 
 def biot_savart(b: Field, tol: float = 1e-10) -> Field:
@@ -212,6 +169,5 @@ def biot_savart(b: Field, tol: float = 1e-10) -> Field:
     """
     if not b.is_mean_free(tol):
         raise ValueError("biot_savart needs a mean-free input field")
-    ks, ksq = _k_components(b.grid)
-    return Field.from_spectral(
-        _curl_spectral(_vec_spectral(b), ks, _safe_inv(ksq)), b.grid)
+    return Field(spectral.curl(_vec_data(b), 1, inverse_laplacian=True),
+                 b.grid, _take=True)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cilab.amplitudes import (
-    AmplitudeSet, CancellationError, ChiCutoff, build_amplitudes, chi,
+    AmplitudeSet, CancellationError, build_amplitudes, chi,
     slice_support, temporal_cutoff, verify_cancellation,
 )
 from cilab.blocks import BlockParams, sample_blocks
@@ -20,7 +20,7 @@ from conftest import random_field
 
 @pytest.fixture(scope="module")
 def geom():
-    return build_geometry("default")
+    return build_geometry()
 
 
 def stress_pair(grid, rng, scale=0.4, k_max=3):
@@ -65,8 +65,7 @@ class TestChiCutoff:
         assert np.all(chi(z) >= 0.5 * z)
 
     def test_callable_class_and_shapes(self):
-        cut = ChiCutoff()
-        arr = cut(np.ones((2, 3)) * 3.0)
+        arr = chi(np.full((2, 3), 3.0))
         assert arr.shape == (2, 3)
         assert np.all(arr == 3.0)
 

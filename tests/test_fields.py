@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cilab import spectral
 from cilab.field import (
     Field, FieldFormatError, MixedNormSpec, ddt, div_tensor, div_vec, dot,
     grad, norm, outer, read_field, skew, spectral_derivative, sym,
@@ -142,6 +143,21 @@ class TestCalculus:
         f = Field(np.broadcast_to(np.cos(8 * t) * np.cos(x), grid.shape),
                   grid)
         assert ddt(f).max_abs() <= 1e-12
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "on the k3 > 0 planes of the half spectrum the multiplier i k_a "
+        "gives the spatial-Nyquist mode -i n/2 instead of 0"))
+    @pytest.mark.parametrize("lead", [0, 1])
+    @pytest.mark.parametrize("axis", [1, 2])
+    def test_derivative_of_spatial_nyquist_mode_is_zero(self, axis, lead):
+        # cos(4 x_a) on 8 samples is its own alias at k_a = +-4, and so is
+        # its product with cos(x3): its x_a derivative is zero
+        grid = Grid4(8, 8)
+        x = grid.axes()
+        f = np.broadcast_to(np.cos(4 * x[axis]) * np.cos(x[3]), grid.shape)
+        arr = f[..., None] if lead else f[0, ..., None]
+        d = spectral.directional(arr, np.eye(3)[:, None], lead=lead)
+        assert np.abs(d[..., 0, axis - 1]).max() <= 1e-12
 
     def test_grad_and_div_roundtrip(self, small_grid):
         rng = np.random.default_rng(12)

@@ -13,10 +13,9 @@ import pytest
 import scipy.fft as sfft
 
 from cilab import perturbations as pt
+from cilab import spectral
 from cilab.amplitudes import build_amplitudes
-from cilab.blocks import (BlockParams, _curl3, _directional3, _div3,
-                          _div3_terms, curl_terms, envelope_stack,
-                          sample_blocks)
+from cilab.blocks import BlockParams, curl_terms, envelope_stack, sample_blocks
 from cilab.field import Field, ddt, div_tensor, div_vec, grad
 from cilab.geometry import build_geometry
 from cilab.grid import Grid4
@@ -252,7 +251,7 @@ def ref_divfree(amps, blocks, g, w_p, w_c, d_p, d_c, tol=1e-7, div_tol=1e-8):
             if pt._cutoff(amps, family)[j] == 0.0:
                 continue
             a2 = amps.squared_slice(family, j)
-            tail = max(tail, pt._tail3(a2.sum(axis=-1)))
+            tail = max(tail, spectral.tail(a2.sum(axis=-1)))
             amp = np.sqrt(a2)
             for i, fr, bs in triples:
                 coef = (g[j] * amp[..., i])[..., None]
@@ -289,7 +288,7 @@ def ref_temporal_balance(amps, blocks, g, mu, w_t, d_t, tol=1e-6):
             if pt._cutoff(amps, family)[j] == 0.0:
                 continue
             a2 = amps.squared_slice(family, j)
-            tail = max(tail, pt._tail3(a2.sum(axis=-1)))
+            tail = max(tail, spectral.tail(a2.sum(axis=-1)))
             grads = ref_grad3(a2)
             for i, fr, bs in triples:
                 flow_w = bs.flow_slice("velocity", j)
@@ -350,7 +349,7 @@ def ref_low_frequency_balance(amps, blocks, h, sigma, g, w_o, d_o, tol=1e-6):
             if pt._cutoff(amps, family)[j] == 0.0:
                 continue
             a2 = amps.squared_slice(family, j)
-            tail = max(tail, pt._tail3(a2.sum(axis=-1)))
+            tail = max(tail, spectral.tail(a2.sum(axis=-1)))
             grads = ref_grad3(a2)
             for i, fr in enumerate(amps.frames(family)):
                 ga2 = grads[..., i, :]
@@ -596,25 +595,51 @@ class TestOperators:
                     worst = max(worst, rel_max(curl.reshape(n, n, n, 3), want))
         assert worst <= 1e-12
 
-    def test_batched_slice_helpers_match_per_component(self):
+    @pytest.mark.parametrize("lead", [0, 1])
+    def test_batched_slice_helpers_match_per_component(self, lead):
+        # a whole-field array (lead=1, three slices here) must equal the
+        # slice kernel stacked over its slices
         rng = np.random.default_rng(5)
         n = 16
-        amp = rng.normal(size=(n, n, n, 6))
-        grads = ref_grad3(amp)
-        assert rel_max(_directional3(amp, np.eye(3)[:, None]), grads) <= 1e-13
+        slices = 3 if lead else 1
+
+        def check(kernel, arr, want, *args, **kw):
+            got = kernel(arr, *args, lead=lead, **kw)
+            if lead:
+                stacked = np.stack([kernel(a, *args, **kw) for a in arr])
+                assert rel_max(got, stacked) <= 1e-14
+                got = stacked
+            if want is not None:
+                assert rel_max(got, want) <= 1e-13
+
+        def per_slice(ref, arr):
+            if not lead:
+                return ref(arr)
+            return np.stack([ref(a) for a in arr])
+
+        shape = (slices,) * lead + (n, n, n)
+        amp = rng.normal(size=shape + (6,))
+        grads = per_slice(ref_grad3, amp)
+        check(spectral.directional, amp, grads, np.eye(3)[:, None])
         frames = rng.normal(size=(2, 6, 3))
         want = np.stack([(grads * rows).sum(axis=-1) for rows in frames],
                         axis=-1)
-        assert rel_max(_directional3(amp, frames), want) <= 1e-13
-        tens = rng.normal(size=(n, n, n, 2, 3, 3))
-        want = np.stack([np.stack([ref_div3(tens[..., s, i, :])[0]
-                                   for i in range(3)], axis=-1)
-                         for s in range(2)], axis=-2)
-        assert rel_max(_div3(tens), want) <= 1e-13
-        assert rel_max(_div3_terms(tens).sum(axis=-1), want) <= 1e-13
+        check(spectral.directional, amp, want, frames)
+        tens = rng.normal(size=shape + (2, 3, 3))
+        want = per_slice(lambda t: np.stack(
+            [np.stack([ref_div3(t[..., s, i, :])[0] for i in range(3)],
+                      axis=-1) for s in range(2)], axis=-2), tens)
+        check(spectral.div, tens, want)
+        check(lambda a, lead=0: spectral.div_terms(a, lead).sum(axis=-1),
+              tens, want)
         vec = tens[..., 0]
-        assert rel_max(_curl3(vec), np.stack(
-            [ref_curl3(vec[..., s, :]) for s in range(2)], axis=-2)) <= 1e-13
+        want = per_slice(lambda v: np.stack(
+            [ref_curl3(v[..., s, :]) for s in range(2)], axis=-2), vec)
+        check(spectral.curl, vec, want)
+        check(spectral.curl, vec, None, inverse_laplacian=True)
+        check(spectral.curl_curl, vec, per_slice(lambda v: np.stack(
+            [ref_curl_curl3(v[..., s, :]) for s in range(2)], axis=-2), vec))
+        check(spectral.leray, vec[..., 0, :], None)
 
     def test_field_calculus_matches_per_component(self, small_grid):
         rng = np.random.default_rng(9)

@@ -1,5 +1,7 @@
 """Multiplier operators: projections, inverse divergences, Biot-Savart."""
 
+import ast
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -55,7 +57,7 @@ def leray_multiplier(f):
     spec = f.spectral
     _, k1, k2, k3 = f.grid.k_broadcast()
     ks = [k.astype(float) for k in (k1, k2, k3)]
-    ksq = f.grid.k_sq_spatial()
+    ksq = sum(k * k for k in ks)
     inv = np.where(ksq > 0, 1.0 / np.where(ksq > 0, ksq, 1.0), 0.0)
     kdotu = sum(ks[a] * spec[..., a] for a in range(3))
     out = np.stack([spec[..., a] - ks[a] * inv * kdotu for a in range(3)],
@@ -214,3 +216,22 @@ class TestBiotSavart:
         phi = random_field(small_grid, rng, k_max=3)
         g = curl(grad(phi))
         assert g.max_abs() <= 1e-11 * max(1, phi.max_abs())
+
+
+def test_only_the_spectral_layer_imports_scipy_fft():
+    # spatial multipliers live in cilab.spectral; field keeps the 4D pair
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "cilab"
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module] + [f"{node.module}.{a.name}"
+                                         for a in node.names]
+            else:
+                continue
+            if any(name == "scipy.fft" or name.startswith("scipy.fft.")
+                   for name in names):
+                offenders.append(path.name)
+    assert set(offenders) <= {"spectral.py", "field.py"}, offenders
