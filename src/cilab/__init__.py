@@ -3,7 +3,8 @@ of a viscous and resistive relaxation system on the space-time torus."""
 
 __version__ = "0.1.0"
 
-from .grid import Grid4, GridResolutionError, fft_workers
+from .grid import Grid4, GridResolutionError
+from .threads import fft_workers
 from .field import Field, MixedNormSpec, norm
 
 __all__ = [

@@ -34,6 +34,7 @@ from .geometry import (
 )
 from .grid import Grid4, TWO_PI
 from .profiles import _bump
+from .threads import fold_maxima, map_slices
 
 
 class CancellationError(RuntimeError):
@@ -111,8 +112,11 @@ def temporal_cutoff(support_mask, grid: Grid4, ell: float) -> np.ndarray:
 def _frobenius_slices(data):
     """Pointwise Frobenius norm per time slice, streamed to limit peaks."""
     out = np.empty(data.shape[:4])
-    for j in range(data.shape[0]):
+
+    def fill(j):
         out[j] = np.sqrt((data[j] ** 2).sum(axis=(-2, -1)))
+
+    map_slices(fill, range(data.shape[0]))
     return out
 
 
@@ -275,7 +279,8 @@ def build_amplitudes(R_l_u: Field, R_l_B: Field, delta_next: float,
     frob_u = np.empty(grid.shape)
     norm_ru = np.empty(grid.n_t)
     norm_gb = np.empty(grid.n_t)
-    for j in range(grid.n_t):
+
+    def fill(j):
         arg = -R_l_B.data[j] / rho_b_data[j][..., None, None]
         vals = geom.c_b + np.einsum("fab,...ab->...f", geom.L_b, arg)
         if vals.min() <= 0.0:
@@ -288,6 +293,8 @@ def build_amplitudes(R_l_u: Field, R_l_B: Field, delta_next: float,
         norm_ru[j] = np.sqrt(
             (R_l_u.data[j] ** 2).sum(axis=(-2, -1))).max()
         norm_gb[j] = np.sqrt((g_b_data[j] ** 2).sum(axis=(-2, -1))).max()
+
+    map_slices(fill, range(grid.n_t))
     g_b = Field(g_b_data, grid, _take=True)
 
     rho_u_data = 2.0 / geom.eps_u * delta_next * chi(frob_u / delta_next)
@@ -360,9 +367,9 @@ def verify_cancellation(amps: AmplitudeSet, blocks: dict, temporal=None,
             prods = np.einsum("fa,fb->fab", vel, vel)
         gens = np.stack([gen(fr) for fr in frames])
         families[family] = (sets, pair, prods.reshape(len(frames), 9), gens)
-    moment_defect = 0.0
-    resid = {"magnetic": 0.0, "velocity": 0.0}
-    for j in time_indices:
+
+    def residuals(j):
+        updates = []
         targets = {
             "magnetic": -amps.r_l_b.data[j],
             "velocity": (amps.rho_u.data[j][..., None, None]
@@ -374,16 +381,20 @@ def verify_cancellation(amps: AmplitudeSet, blocks: dict, temporal=None,
             a2 = amps.squared_slice(family, j).reshape(-1, len(sets))
             env2 = envelope_stack(sets, pair, j) ** 2
             mean = env2.mean(axis=0)
-            moment_defect = max(moment_defect, float(np.abs(
-                mean[:, None, None] * prods.reshape(gens.shape) - gens).max()))
+            updates.append(("moment_defect", float(np.abs(
+                mean[:, None, None] * prods.reshape(gens.shape) - gens).max())))
             lhs = (a2 * (g2 * env2)) @ prods
             rhs = (targets[family].reshape(-1, 9)
                    + (a2 * (g2 * (env2 - mean) + (g2 - 1.0) * mean)) @ prods)
             scale = max(np.abs(lhs).max(), np.abs(rhs).max(),
                         amps.delta_next)
-            resid[family] = max(resid[family],
-                                float(np.abs(lhs - rhs).max()) / scale)
+            updates.append((family, float(np.abs(lhs - rhs).max()) / scale))
+        return updates
 
+    resid = fold_maxima(
+        dict.fromkeys(("moment_defect", "magnetic", "velocity"), 0.0),
+        map_slices(residuals, time_indices))
+    moment_defect = resid["moment_defect"]
     report = CancellationReport(magnetic=resid["magnetic"],
                                 velocity=resid["velocity"],
                                 moment_defect=moment_defect,

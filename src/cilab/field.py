@@ -20,7 +20,8 @@ import numpy as np
 import scipy.fft as sfft
 
 from . import spectral
-from .grid import Grid4, fft_workers
+from .grid import Grid4
+from .threads import fft_workers
 
 MAGIC = b"CILAB1\x00"
 
@@ -130,7 +131,9 @@ class Field:
         return np.sqrt((self.data ** 2).sum(axis=axes))
 
     def max_abs(self) -> float:
-        return float(np.abs(self.data).max())
+        """max |data| without a full-size temporary; abs maps a -0.0
+        maximum to 0.0 and leaves NaN alone."""
+        return abs(float(np.maximum(self.data.max(), -self.data.min())))
 
 
 # -- spectral transforms -----------------------------------------------------
@@ -193,19 +196,42 @@ def div_tensor(f: Field) -> Field:
 
 # -- pointwise tensor algebra -------------------------------------------------
 
+# The array kernels act on the trailing axes of any array, so a time slice
+# and a whole field give the same values point by point.
+
+def _outer(u, v):
+    return u[..., :, None] * v[..., None, :]
+
+
+def _sym(t):
+    return 0.5 * (t + np.swapaxes(t, -1, -2))
+
+
+def _skew(t):
+    return 0.5 * (t - np.swapaxes(t, -1, -2))
+
+
+def _traceless(t):
+    tr = np.trace(t, axis1=-2, axis2=-1) / 3.0
+    out = t.copy()
+    for i in range(3):
+        out[..., i, i] -= tr
+    return out
+
+
 def outer(u: Field, v: Field) -> Field:
     """u (x) v with components u_i v_j."""
     if u.rank != 1 or v.rank != 1:
         raise ValueError("outer needs two vector fields")
-    return Field(u.data[..., :, None] * v.data[..., None, :], u.grid, _take=True)
+    return Field(_outer(u.data, v.data), u.grid, _take=True)
 
 
 def sym(t: Field) -> Field:
-    return Field(0.5 * (t.data + np.swapaxes(t.data, -1, -2)), t.grid, _take=True)
+    return Field(_sym(t.data), t.grid, _take=True)
 
 
 def skew(t: Field) -> Field:
-    return Field(0.5 * (t.data - np.swapaxes(t.data, -1, -2)), t.grid, _take=True)
+    return Field(_skew(t.data), t.grid, _take=True)
 
 
 def trace(t: Field) -> Field:
@@ -213,11 +239,7 @@ def trace(t: Field) -> Field:
 
 
 def traceless(t: Field) -> Field:
-    tr = np.trace(t.data, axis1=-2, axis2=-1) / 3.0
-    out = t.data.copy()
-    for i in range(3):
-        out[..., i, i] -= tr
-    return Field(out, t.grid, _take=True)
+    return Field(_traceless(t.data), t.grid, _take=True)
 
 
 def tensor_apply(t: Field, v: Field) -> Field:

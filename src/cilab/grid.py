@@ -8,26 +8,17 @@ single Grid4 instance is shared by every field that must interoperate.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .threads import fft_workers  # noqa: F401  (cilab.grid.fft_workers)
 
 TWO_PI = 2.0 * np.pi
 
 
 class GridResolutionError(ValueError):
     """Raised when a grid cannot resolve a requested structure."""
-
-
-def fft_workers() -> int:
-    """Worker count for scipy.fft, from the CILAB_THREADS variable."""
-    raw = os.environ.get("CILAB_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
 
 
 @dataclass(frozen=True)
@@ -107,5 +98,6 @@ class Grid4:
             w = np.full(self.n_x // 2 + 1, 2.0)
             w[0] = 1.0
             w[-1] = 1.0
+            w.setflags(write=False)
             self._cache[key] = w[None, None, None, :]
         return self._cache[key]

@@ -24,9 +24,12 @@ up to rounding for band-limited inputs.
 
 import numpy as np
 
-from .field import Field, dot, outer, skew, sym, to_spectral, traceless
+from .field import (
+    Field, _outer, _skew, _sym, _traceless, dot, to_physical, to_spectral,
+)
 from .grid import Grid4, GridResolutionError, TWO_PI
 from .profiles import _bump
+from .threads import map_slices
 
 _QUAD_N = 1 << 12
 # half-width and center of the one-sided temporal kernel, in units of ell;
@@ -102,19 +105,22 @@ class Mollifier:
                 f"(time) need four cells at dx={dx:g}, dt={dt:g}")
 
     def apply(self, f: Field) -> Field:
-        self.validate(f.grid)
-        g = f.grid
-        pad = (1,) * f.rank
+        return Field(self._smooth(f.data, f.grid), f.grid, _take=True)
+
+    def _smooth(self, data, g: Grid4):
+        """The mollified samples of a (n_t, n, n, n, ...) array."""
+        self.validate(g)
+        pad = (1,) * (data.ndim - 4)
         # fresh coefficients, multiplied in place: applying to a temporary
         # field never caches a spectral copy on it
-        coef = to_spectral(f.data, g)
+        coef = to_spectral(data, g)
         coef *= self.temporal_symbol(g.k_t()).reshape((g.n_t, 1, 1, 1) + pad)
         mx = self.spatial_symbol(g.k_full())
         coef *= mx.reshape((1, g.n_x, 1, 1) + pad)
         coef *= mx.reshape((1, 1, g.n_x, 1) + pad)
         mh = self.spatial_symbol(g.k_half())
         coef *= mh.reshape((1, 1, 1, len(mh)) + pad)
-        return Field.from_spectral(coef, g)
+        return to_physical(coef, g)
 
 
 def mollify(f: Field, ell: float) -> Field:
@@ -132,15 +138,54 @@ def _check_mollified(name: str, given: Field, source: Field, mol: Mollifier):
             f"its source (relative defect {defect / scale:.2e})")
 
 
-def _enforce_class(field: Field, project, label: str, scale: float,
-                   tol: float = 1e-12) -> Field:
-    # scale is the quadratic input size: a commutator that is pure
-    # rounding noise must still pass its class check
-    fixed = project(field)
-    defect = (field - fixed).max_abs()
+# (rows, columns) of the independent components of a symmetric and of a
+# skew 3x3 tensor
+_SYM_PAIRS = ((0, 0, 0, 1, 1, 2), (0, 1, 2, 1, 2, 2))
+_SKEW_PAIRS = ((0, 0, 1), (1, 2, 2))
+
+
+def _sym_quad(u, b):
+    return _traceless(_outer(u, u) - _outer(b, b))
+
+
+def _skew_quad(u, b):
+    return _outer(b, u) - _outer(u, b)
+
+
+def _commutator(mol, quad, pairs, sign, project, label, state_q, state_l,
+                scale, tol=1e-12):
+    """project(quad(state_l) - mollified quad(state_q)), slice by slice.
+
+    quad(state_q) is exactly symmetric (sign 1) or exactly skew (sign -1):
+    IEEE products commute and negation is exact. So only its independent
+    components, at (rows, columns) `pairs`, are mollified and the rest are
+    mirrored, which gives the values mollifying all nine would. The class
+    projection's defect is checked against tol times the quadratic input
+    size scale: a commutator that is pure rounding noise must still pass."""
+    grid = state_q[0].grid
+    rows, cols = pairs
+    lifted = np.empty(grid.shape + (len(rows),))
+
+    def lift(j):
+        lifted[j] = quad(*(f.data[j] for f in state_q))[..., rows, cols]
+
+    map_slices(lift, range(grid.n_t))
+    base = mol._smooth(lifted, grid)
+    del lifted
+    out = np.empty(grid.shape + (3, 3))
+
+    def subtract(j):
+        full = np.zeros(base.shape[1:-1] + (3, 3))
+        full[..., rows, cols] = base[j]
+        full[..., cols, rows] = sign * base[j]
+        flux = quad(*(f.data[j] for f in state_l)) - full
+        out[j] = project(flux)
+        return float(np.abs(flux - out[j]).max())
+
+    defect = float(np.max(map_slices(subtract, range(grid.n_t))))
     if defect > tol * scale:
         raise ValueError(f"commutator stress is not {label}: defect {defect / scale:.2e}")
-    return fixed
+    return Field(out, grid, _take=True)
 
 
 def commutator_stresses(u_q: Field, B_q: Field, u_l: Field, B_l: Field,
@@ -155,17 +200,11 @@ def commutator_stresses(u_q: Field, B_q: Field, u_l: Field, B_l: Field,
     _check_mollified("u_l", u_l, u_q, mol)
     _check_mollified("B_l", B_l, B_q, mol)
     qscale = max(u_q.max_abs(), B_q.max_abs(), 1e-150) ** 2
-    # staged with eager frees: rank-2 temporaries dominate the footprint
-    base = mol.apply(traceless(outer(u_q, u_q) - outer(B_q, B_q)))
-    flux_u = traceless(outer(u_l, u_l) - outer(B_l, B_l)) - base
-    del base
-    r_u = _enforce_class(flux_u, lambda f: traceless(sym(f)),
-                         "symmetric traceless", qscale)
-    del flux_u
-    base = mol.apply(outer(B_q, u_q) - outer(u_q, B_q))
-    flux_b = (outer(B_l, u_l) - outer(u_l, B_l)) - base
-    del base
-    r_b = _enforce_class(flux_b, skew, "skew", qscale)
+    r_u = _commutator(mol, _sym_quad, _SYM_PAIRS, 1.0,
+                      lambda t: _traceless(_sym(t)), "symmetric traceless",
+                      (u_q, B_q), (u_l, B_l), qscale)
+    r_b = _commutator(mol, _skew_quad, _SKEW_PAIRS, -1.0, _skew, "skew",
+                      (u_q, B_q), (u_l, B_l), qscale)
     return r_u, r_b
 
 

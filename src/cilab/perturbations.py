@@ -24,7 +24,9 @@ side by side; concentrated inputs near the grid limit degrade the
 tolerance instead of silently failing. Only the sums that a time
 derivative needs are held as whole fields; every other term group and
 the residual are formed one slice at a time with running maxima, in the
-same order of operations as the whole-field expressions. Block second
+same order of operations as the whole-field expressions. Every slice loop
+runs on the slice pool of cilab.threads: a slice writes only its own
+output slice, and maxima are folded in slice order afterwards. Block second
 moments enter the low-frequency correctors as measured grid averages
 rather than their continuum values, so the balances close at grid level. Those mean
 matrices M_(k) are constant, so the low-frequency terms need only
@@ -44,6 +46,7 @@ from .amplitudes import AmplitudeSet, slice_support
 from .blocks import curl_terms, envelope_stack, flow_terms
 from .field import Field, MixedNormSpec, ddt, norm
 from .spectral_ops import _div_rel_defect, _mean_free3, leray, p_neq0
+from .threads import fold_maxima, map_slices
 
 _TAIL_FACTOR = 10.0
 
@@ -299,13 +302,16 @@ def principal_parts(amps: AmplitudeSet, blocks: dict, g):
     g = _as_samples(g, grid, "oscillation profile g")
     families = _families(amps, blocks, "velocity", "magnetic")
     out = np.zeros((2,) + grid.shape + (3,))
-    for j in range(grid.n_t):
+
+    def fill(j):
         if g[j] == 0.0:
-            continue
+            return
         for _, sets, pair, table, a2 in _active(amps, families, j):
             amp = np.sqrt(a2).reshape(-1, len(sets))
             out[:, j] += _sides(
                 (g[j] * amp * envelope_stack(sets, pair, j)) @ table, n)
+
+    map_slices(fill, range(grid.n_t))
     return Field(out[0], grid, _take=True), Field(out[1], grid, _take=True)
 
 
@@ -334,10 +340,11 @@ def incompressibility_correctors(amps: AmplitudeSet, blocks: dict, g,
         families.append((family, sets, pots, curls, _side_terms(
             sets, family, "velocity_corrector", "magnetic_corrector")))
     out = np.zeros((2,) + grid.shape + (3,))
-    for j in range(grid.n_t):
+
+    def fill(j):
         active = list(_active(amps, families, j)) if g[j] != 0.0 else []
         if not active:
-            continue
+            return
         cross = direct = 0.0
         for _, sets, pots, curls, correctors, a2 in active:
             amp = np.sqrt(a2)
@@ -353,6 +360,8 @@ def incompressibility_correctors(amps: AmplitudeSet, blocks: dict, g,
                             for pair, t in correctors))
         out[:, j] = g[j] * _sides(spectral.curl(cross.reshape(n, n, n, 2, 3))
                                   + direct.reshape(n, n, n, 2, 3), n)
+
+    map_slices(fill, range(grid.n_t))
     w_c, d_c = (Field(out[0], grid, _take=True),
                 Field(out[1], grid, _take=True))
     if check:
@@ -382,9 +391,10 @@ def temporal_correctors_t(amps: AmplitudeSet, blocks: dict, g, mu: float,
                     f"block set {bs.frame.name} was sampled at transport rate "
                     f"{bs.params.mu:g}, not {mu:g}")
     acc = _side_fields(grid)
-    for j in range(grid.n_t):
+
+    def fill(j):
         if g[j] == 0.0:
-            continue
+            return
         g2 = g[j] ** 2
         for _, sets, pair, dirs, a2 in _active(amps, families, j):
             a2 = a2.reshape(-1, len(sets))
@@ -392,6 +402,8 @@ def temporal_correctors_t(amps: AmplitudeSet, blocks: dict, g, mu: float,
                 (g2 * a2 * envelope_stack(sets, pair, j) ** 2) @ dirs, n))
         for side in acc:
             side[j] *= -1.0 / mu
+
+    map_slices(fill, range(grid.n_t))
     w_t, d_t = _solenoidal(acc, grid)
     if check:
         verify_temporal_balance(amps, blocks, g, mu, w_t, d_t, tol=tol)
@@ -413,13 +425,16 @@ def temporal_correctors_o(amps: AmplitudeSet, blocks: dict, h, sigma: float,
                          "oscillation rate sigma")
     tables = _moment_tables(amps, blocks)
     acc = _side_fields(grid)
-    for j in range(grid.n_t):
+
+    def fill(j):
         if h[j] == 0.0:
-            continue
+            return
         drift, _ = _slice_drift(amps, tables, j)
         if drift is not None:
             for side, v in zip(acc, drift):
                 side[j] = h[j] * v * (-1.0 / sigma)
+
+    map_slices(fill, range(grid.n_t))
     w_o, d_o = _solenoidal(acc, grid)
     if check:
         if g is None:
@@ -487,9 +502,9 @@ def verify_divfree_representation(amps, blocks, g, w_p, w_c, d_p, d_c,
         time_indices = range(grid.n_t)
     keys = (("velocity_representation", "velocity_divergence"),
             ("magnetic_representation", "magnetic_divergence"))
-    report = dict.fromkeys(sum(keys, ()), 0.0)
-    tail = 0.0
-    for j in time_indices:
+
+    def residuals(j):
+        updates = []
         lhs = np.stack([w_p.data[j] + w_c.data[j], d_p.data[j] + d_c.data[j]],
                        axis=-2)
         terms = spectral.div_terms(lhs)
@@ -497,13 +512,13 @@ def verify_divfree_representation(amps, blocks, g, w_p, w_c, d_p, d_c,
             side = terms[..., s, :]
             scale = float(np.abs(side).max())
             if scale > 0.0:
-                report[key] = max(report[key], float(
-                    np.abs(side.sum(axis=-1)).max()) / scale)
+                updates.append((key, float(
+                    np.abs(side.sum(axis=-1)).max()) / scale))
         if g[j] == 0.0:
-            continue
+            return updates
         pot = np.zeros((n ** 3, 6))
         for _, sets, pair, table, a2 in _active(amps, families, j):
-            tail = max(tail, spectral.tail(a2.sum(axis=-1)))
+            updates.append(("amplitude_tail", spectral.tail(a2.sum(axis=-1))))
             amp = np.sqrt(a2).reshape(-1, len(sets))
             pot += (amp * envelope_stack(sets, pair, j)) @ table
         rhs = spectral.curl_curl(g[j] * pot.reshape(n, n, n, 2, 3))
@@ -511,9 +526,14 @@ def verify_divfree_representation(amps, blocks, g, w_p, w_c, d_p, d_c,
             left, right = lhs[..., s, :], rhs[..., s, :]
             scale = max(float(np.abs(left).max()), float(np.abs(right).max()),
                         amps.delta_next)
-            report[key] = max(report[key],
-                              float(np.abs(left - right).max()) / scale)
-    report.update(amplitude_tail=tail, tolerance=tol)
+            updates.append((key, float(np.abs(left - right).max()) / scale))
+        return updates
+
+    report = fold_maxima(
+        dict.fromkeys(sum(keys, ()) + ("amplitude_tail",), 0.0),
+        map_slices(residuals, time_indices))
+    tail = report["amplitude_tail"]
+    report["tolerance"] = tol
     _gate(report, (("velocity_representation",
                     "velocity double-curl representation"),
                    ("magnetic_representation",
@@ -552,15 +572,16 @@ def verify_temporal_balance(amps, blocks, g, mu: float, w_t, d_t,
             :, :len(ks)].reshape(-1, 6)
         families.append((family, sets, pair, dirs, products, ks, transfer))
     acc, osc, drift = _side_fields(grid), _side_fields(grid), _side_fields(grid)
-    tail = 0.0
-    for j in range(grid.n_t):
+
+    def sweep(j):
         if g[j] == 0.0:
-            continue
+            return []
+        tails = []
         g2 = g[j] ** 2
         tens = np.zeros((n ** 3, 18))
         for (_, sets, pair, dirs, products, ks, transfer,
              a2) in _active(amps, families, j):
-            tail = max(tail, spectral.tail(a2.sum(axis=-1)))
+            tails.append(("amplitude_tail", spectral.tail(a2.sum(axis=-1))))
             env2 = envelope_stack(sets, pair, j) ** 2
             derivs = spectral.directional(a2, ks).reshape(len(env2), len(sets), -1)
             weight = a2.reshape(-1, len(sets)) * env2
@@ -572,33 +593,46 @@ def verify_temporal_balance(amps, blocks, g, mu: float, w_t, d_t,
         for side, term in zip(osc, np.moveaxis(
                 spectral.div(tens.reshape(n, n, n, 2, 3, 3)), 3, 0)):
             side[j] = g2 * term
+        return tails
+
+    report = fold_maxima({"amplitude_tail": 0.0},
+                          map_slices(sweep, range(grid.n_t)))
+    tail = report["amplitude_tail"]
+    report["tolerance"] = tol
     # profile drift, time-derivative half: - mu^{-1} envelope^2 k d_t(a^2 g^2)
     g2_all = g ** 2
     for family, sets, pair, dirs, _, ks, _ in families:
         for i, bs in enumerate(sets):
             q = np.empty(grid.shape)
-            for j in range(grid.n_t):
+
+            def fill(j):
                 q[j] = g2_all[j] * amps.squared_component_slice(family, i, j)
+
+            map_slices(fill, range(grid.n_t))
             dq = ddt(Field(q, grid, _take=True)).data
-            for j in range(grid.n_t):
+
+            def pull(j):
                 pulled = (envelope_stack([bs], pair, j) ** 2
                           * dq[j].reshape(-1, 1) / mu)
                 for s, k in enumerate(ks):
                     drift[s][j] -= (pulled * k[i]).reshape(n, n, n, 3)
-    report = {"amplitude_tail": tail, "tolerance": tol}
+
+            map_slices(pull, range(grid.n_t))
     for s, (side, part) in enumerate((("velocity", w_t), ("magnetic", d_t))):
         d_acc = _ddt_components(acc[s], grid)
         acc[s] = None
         evolution = _ddt_components(part.data, grid)
-        peaks = np.zeros(5)  # the residual, then the terms that scale it
-        for j in range(grid.n_t):
+
+        def residual(j):
             charge = _mean_free3(d_acc[j])
             pressure = (charge - spectral.leray(charge)) * (1.0 / mu)
             transport = _mean_free3(osc[s][j])
             transfer = _mean_free3(drift[s][j])
-            peaks = np.maximum(peaks, _abs_maxima(
-                evolution[j] + transport - pressure - transfer,
-                evolution[j], transport, pressure, transfer))
+            return _abs_maxima(evolution[j] + transport - pressure - transfer,
+                               evolution[j], transport, pressure, transfer)
+
+        peaks = np.max(map_slices(residual, range(grid.n_t)), axis=0,
+                       initial=0.0)
         del d_acc, evolution
         osc[s] = drift[s] = None
         report[f"{side}_temporal_balance"] = float(
@@ -626,27 +660,33 @@ def verify_low_frequency_balance(amps, blocks, h, sigma: float, g, w_o, d_o,
     _require_vector_on(grid, "low-frequency corrector", w_o, d_o)
     tables = _moment_tables(amps, blocks)
     drift = _side_fields(grid)
-    tail = 0.0
-    for j in range(grid.n_t):
+
+    def sweep(j):
         v, squares = _slice_drift(amps, tables, j)
-        for a2 in squares:
-            tail = max(tail, spectral.tail(a2.sum(axis=-1)))
         if v is not None:
             for side, term in zip(drift, v):
                 side[j] = term
+        return [("amplitude_tail", spectral.tail(a2.sum(axis=-1)))
+                for a2 in squares]
+
+    report = fold_maxima({"amplitude_tail": 0.0},
+                          map_slices(sweep, range(grid.n_t)))
+    tail = report["amplitude_tail"]
+    report["tolerance"] = tol
     g2m1 = g ** 2 - 1.0
-    report = {"amplitude_tail": tail, "tolerance": tol}
     for s, (side, part) in enumerate((("velocity", w_o), ("magnetic", d_o))):
         evolution = _ddt_components(part.data, grid)
         wander = _ddt_components(drift[s], grid)
-        peaks = np.zeros(5)  # the residual, then the terms that scale it
-        for j in range(grid.n_t):
+
+        def residual(j):
             res = _mean_free3(g2m1[j] * drift[s][j])
             pressure = res - spectral.leray(res)
             transfer = spectral.leray(_mean_free3(h[j] * wander[j])) * (-1.0 / sigma)
-            peaks = np.maximum(peaks, _abs_maxima(
-                evolution[j] + res - pressure - transfer,
-                evolution[j], res, pressure, transfer))
+            return _abs_maxima(evolution[j] + res - pressure - transfer,
+                               evolution[j], res, pressure, transfer)
+
+        peaks = np.max(map_slices(residual, range(grid.n_t)), axis=0,
+                       initial=0.0)
         del evolution, wander
         drift[s] = None
         report[f"{side}_low_frequency_balance"] = float(

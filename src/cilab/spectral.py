@@ -21,7 +21,7 @@ import math
 import numpy as np
 import scipy.fft as sfft
 
-from .grid import fft_workers
+from .threads import fft_workers
 
 
 @functools.lru_cache(maxsize=None)

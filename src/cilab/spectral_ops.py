@@ -15,21 +15,30 @@ import numpy as np
 
 from . import spectral
 from .field import Field, to_spectral
+from .threads import map_slices
 
 
 def _div_rel_defect(f: Field) -> float:
     """Relative size of div f measured against the gradient scale of f.
-    One component's 4D spectrum is held at a time, and none is cached on f."""
+    Each component's 4D spectrum is scaled in place and summed into one
+    accumulator, so two spectra are live at most, and none is cached on f."""
     if f.rank != 1:
         raise ValueError("expected a vector field")
     *ks, ksq = spectral.wavenumbers(f.grid.n_x, lead=1)
     kmag = np.sqrt(ksq)
-    div = 0.0
+    div = None
     den = 0.0
     for a in range(3):
         spec = to_spectral(f.data[..., a], f.grid)
-        div = div + 1j * ks[a] * spec
-        den = max(den, float((kmag * np.abs(spec)).max()))
+        mag = np.abs(spec)
+        den = max(den, float(np.multiply(kmag, mag, out=mag).max()))
+        del mag
+        spec *= 1j * ks[a]
+        if div is None:
+            div = spec
+        else:
+            div += spec
+        del spec
     num = float(np.abs(div).max())
     if den == 0.0:
         return 0.0
@@ -53,9 +62,12 @@ def _mean_free3(slab: np.ndarray) -> np.ndarray:
 
 def _slicewise(f: Field, kernel) -> Field:
     out = np.zeros_like(f.data)
-    for j, slab in enumerate(f.data):
-        if slab.any():
-            out[j] = kernel(slab)
+
+    def fill(j):
+        if f.data[j].any():
+            out[j] = kernel(f.data[j])
+
+    map_slices(fill, range(f.grid.n_t))
     return Field(out, f.grid, _take=True)
 
 

@@ -63,6 +63,20 @@ class TestTransforms:
         with pytest.raises(ValueError):
             f.data[0, 0, 0, 0] = 2.0
 
+    @pytest.mark.parametrize("special", [None, -0.0, np.nan])
+    def test_max_abs_is_the_largest_magnitude(self, small_grid, special):
+        rng = np.random.default_rng(9)
+        for data in (rng.normal(size=small_grid.shape),
+                     -np.abs(rng.normal(size=small_grid.shape)),
+                     np.full(small_grid.shape, -0.0)):
+            if special is not None:
+                data[3, 1, 4, 1] = special
+            f = Field(data, small_grid, _take=True)
+            want = np.abs(f.data).max()
+            # bitwise: same value, same sign of zero, NaN for NaN
+            assert np.array_equal(f.max_abs(), want, equal_nan=True)
+            assert np.signbit(f.max_abs()) == np.signbit(want)
+
     def test_mean_free_validation(self, small_grid):
         with pytest.raises(ValueError):
             Field(np.ones(small_grid.shape), small_grid, mean_free=True)

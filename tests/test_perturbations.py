@@ -14,10 +14,12 @@ import scipy.fft as sfft
 
 from cilab import perturbations as pt
 from cilab import spectral
-from cilab.amplitudes import build_amplitudes
+from cilab.amplitudes import (
+    AmplitudeSet, CancellationError, build_amplitudes, verify_cancellation,
+)
 from cilab.blocks import BlockParams, curl_terms, envelope_stack, sample_blocks
 from cilab.field import Field, ddt, div_tensor, div_vec, grad
-from cilab.geometry import build_geometry
+from cilab.geometry import ConstructionError, build_geometry
 from cilab.grid import Grid4
 from cilab.profiles import BumpTrain, make_spatial_profiles, make_temporal
 from cilab.spectral_ops import leray
@@ -541,6 +543,20 @@ class TestVerifiers:
         assert_reports_match(got, ref_gate(want, tol, want["amplitude_tail"]))
 
 
+def _verifier_peak(built, name):
+    """Traced peak of one ungated balance verifier, in vector-field copies."""
+    amps, blocks, g, h, sigma, parts = built
+    inf = float("inf")
+    if name == "temporal":
+        call = (pt.verify_temporal_balance, amps, blocks, g, MU,
+                parts["w_t"], parts["d_t"])
+    else:
+        call = (pt.verify_low_frequency_balance, amps, blocks, h, sigma,
+                g, parts["w_o"], parts["d_o"])
+    peak, _ = traced_peak(*call, tol=inf)
+    return peak / parts["w_t"].data.nbytes
+
+
 class TestVerifierMemory:
     """The balance verifiers stream their term groups slice by slice."""
 
@@ -548,17 +564,19 @@ class TestVerifierMemory:
     # and 5.8; whole-field term groups took 18.1 and 14.9
     @pytest.mark.parametrize("name,budget", [("temporal", 12.1),
                                              ("low_frequency", 6.9)])
-    def test_balance_verifier_peak(self, built, name, budget):
-        amps, blocks, g, h, sigma, parts = built
-        inf = float("inf")
-        if name == "temporal":
-            call = (pt.verify_temporal_balance, amps, blocks, g, MU,
-                    parts["w_t"], parts["d_t"])
-        else:
-            call = (pt.verify_low_frequency_balance, amps, blocks, h, sigma,
-                    g, parts["w_o"], parts["d_o"])
-        peak, _ = traced_peak(*call, tol=inf)
-        assert peak <= budget * parts["w_t"].data.nbytes
+    def test_balance_verifier_peak(self, built, name, budget, monkeypatch):
+        monkeypatch.setenv("CILAB_THREADS", "1")
+        assert _verifier_peak(built, name) <= budget
+
+    # two pool threads keep a second slice of temporaries in flight, which
+    # stays under the serial budgets (9.1 and 5.4 copies on two threads);
+    # each further thread adds about 1.5 copies
+    @pytest.mark.parametrize("name,budget", [("temporal", 12.1),
+                                             ("low_frequency", 6.9)])
+    def test_balance_verifier_peak_on_two_threads(self, built, name, budget,
+                                                  monkeypatch):
+        monkeypatch.setenv("CILAB_THREADS", "2")
+        assert _verifier_peak(built, name) <= budget
 
     def test_checks_cache_no_spectrum_on_the_parts(self, built):
         # a spectrum cached on a part stays resident as long as the part
@@ -575,6 +593,82 @@ class TestVerifierMemory:
         pt.assemble_iterate(state, state, pt.Perturbation(**parts), amps,
                             tol=inf)
         assert [k for k, p in parts.items() if p._spec is not None] == []
+
+
+# -- the slice pool ------------------------------------------------------------------
+
+def _checked(fn, *args, **kwargs):
+    """A check's report, or the type and message of its rejection."""
+    try:
+        return fn(*args, **kwargs)
+    except (pt.CorrectorIdentityError, CancellationError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _whole_step(geom, temporal):
+    """Parts, reports with every gate open, and the outcome of every check
+    at its default tolerance, for the fixture's inputs."""
+    amps, blocks, g, h, sigma, parts = _build(geom, temporal)
+    state = Field.zeros(amps.grid, rank=1)
+    checks = {
+        "cancellation": (verify_cancellation, amps, blocks, temporal),
+        "divfree": (pt.verify_divfree_representation, amps, blocks, g,
+                    parts["w_p"], parts["w_c"], parts["d_p"], parts["d_c"]),
+        "temporal": (pt.verify_temporal_balance, amps, blocks, g, MU,
+                     parts["w_t"], parts["d_t"]),
+        "low_frequency": (pt.verify_low_frequency_balance, amps, blocks, h,
+                          sigma, g, parts["w_o"], parts["d_o"]),
+        "assemble": (lambda *a, **k: pt.assemble_iterate(*a, **k)[2], state,
+                     state, pt.Perturbation(**parts), amps),
+    }
+    reports, outcomes = {}, {}
+    for name, (fn, *args) in checks.items():
+        gates = ("tol", "div_tol") if name == "divfree" else ("tol",)
+        report = fn(*args, **dict.fromkeys(gates, float("inf")))
+        reports[name] = (report if isinstance(report, dict)
+                         else {k: getattr(report, k) for k in
+                               ("magnetic", "velocity", "moment_defect")})
+        outcome = _checked(fn, *args)
+        outcomes[name] = outcome if isinstance(outcome, str) else "passed"
+    return parts, reports, outcomes
+
+
+class TestSlicePool:
+    """CILAB_THREADS=1 is the serial loop; wider pools give its results."""
+
+    def test_pool_width_leaves_results_unchanged(self, geom, temporal,
+                                                 monkeypatch):
+        runs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("CILAB_THREADS", threads)
+            runs.append(_whole_step(geom, temporal))
+        (serial, serial_reports, serial_outcomes), (pooled, reports,
+                                                    outcomes) = runs
+        for name in PART_NAMES:
+            assert rel_max(pooled[name].data, serial[name].data) <= 1e-14, name
+        assert reports.keys() == serial_reports.keys()
+        for name, want in serial_reports.items():
+            assert list(reports[name]) == list(want), name
+            for key, value in want.items():
+                assert reports[name][key] == pytest.approx(
+                    value, rel=1e-14, abs=1e-300), (name, key)
+        assert outcomes == serial_outcomes
+
+    def test_first_failing_slice_raises_at_any_width(self, built,
+                                                     monkeypatch):
+        amps, blocks, g, _, _, _ = built
+        bad = [j for j in range(amps.grid.n_t) if g[j] != 0.0][2:6:3]
+        rho = amps.rho_u.data.copy()
+        rho[bad] = -1e3
+        broken = AmplitudeSet(amps.geom, amps.grid, amps.delta_next, amps.ell,
+                              amps.rho_b, Field(rho, amps.grid), amps.g_b,
+                              amps.f_b, amps.f_u, amps.r_l_u, amps.r_l_b)
+        for threads in ("1", "2"):
+            monkeypatch.setenv("CILAB_THREADS", threads)
+            with pytest.raises(ConstructionError) as err:
+                pt.principal_parts(broken, blocks, g)
+            assert str(err.value) == (
+                f"velocity amplitude square lost positivity on slice {bad[0]}")
 
 
 # -- operators ---------------------------------------------------------------------
