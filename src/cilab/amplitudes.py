@@ -15,11 +15,21 @@ whose imbalance tensors cancel at the base point, so G_B is exactly affine
 in the magnetic stress with no dependence on rho_B; the velocity family
 then absorbs R_u + G_B in one decomposition.
 
+The set keeps its data at its true size: the two rescaling fields and the
+independent components of the two stresses, 6 of the symmetric traceless
+R_l^u and 3 of the skew R_l^B (field.SYM_PAIRS, field.SKEW_PAIRS), 11
+scalar fields in all, with the affine tables L_u and L_b folded onto those
+components. G_B is never stored: on each slice it is the magnetic squares
+times the imbalance table, the one definition that `build_amplitudes`
+(for rho_u and f_u), the velocity squares and `verify_cancellation` use.
+Full 3x3 slices of G_B and of the stresses are expanded only where a
+caller asks for one (`g_b_slice`, `stress_slice`).
+
 Per-frame amplitude fields are not materialized at construction: a
 desk-scale grid makes twelve scalar fields more expensive than the
 stresses themselves, and every consumer walks time slices anyway. The
 slice accessors recompute the affine coefficients on demand, all six
-frames of a family in one (n^3, 9) @ (9, 6) product.
+frames of a family in one (n^3, 6) @ (6, 6) or (n^3, 3) @ (3, 6) product.
 """
 
 import math
@@ -28,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import envelope_stack, flow_terms
-from .field import Field
+from .field import SKEW_PAIRS, SYM_PAIRS, Field, expand
 from .geometry import (
     ConstructionError, GeometrySet, skew_generator, sym_generator,
 )
@@ -109,59 +119,56 @@ def temporal_cutoff(support_mask, grid: Grid4, ell: float) -> np.ndarray:
 
 # -- amplitude construction ---------------------------------------------------
 
-def _frobenius_slices(data):
-    """Pointwise Frobenius norm per time slice, streamed to limit peaks."""
-    out = np.empty(data.shape[:4])
-
-    def fill(j):
-        out[j] = np.sqrt((data[j] ** 2).sum(axis=(-2, -1)))
-
-    map_slices(fill, range(data.shape[0]))
-    return out
+def _fold(table, pairs, sign):
+    """(k, 3, 3) coefficient tables as (k, len(pairs)) tables on compact
+    components: table : S = compact(S) @ folded.T for every S of the class
+    (sign 1 symmetric, -1 skew)."""
+    rows, cols = pairs
+    off = np.not_equal(rows, cols)
+    return table[:, rows, cols] + (sign * off) * table[:, cols, rows]
 
 
-def _require_skew(f: Field, what: str):
-    defect = np.abs(f.data + np.swapaxes(f.data, 4, 5)).max()
-    if defect > 1e-10 * max(1.0, f.max_abs()):
-        raise ValueError(f"{what} must be skew-symmetric (defect {defect:g})")
+def _frobenius(compact, pairs):
+    """Pointwise Frobenius norm of the tensors with these compact
+    components: a mirrored component counts twice."""
+    weights = np.where(np.equal(*pairs), 1.0, 2.0)
+    return np.sqrt((compact * compact * weights).sum(axis=-1))
 
 
-def _require_sym_traceless(f: Field, what: str):
-    scale = max(1.0, f.max_abs())
-    defect = np.abs(f.data - np.swapaxes(f.data, 4, 5)).max()
-    if defect > 1e-10 * scale:
-        raise ValueError(f"{what} must be symmetric (defect {defect:g})")
-    tr = f.data[..., 0, 0] + f.data[..., 1, 1] + f.data[..., 2, 2]
-    if np.abs(tr).max() > 1e-10 * scale:
-        raise ValueError(f"{what} must be traceless")
+_STRESSES = {"velocity": (SYM_PAIRS, 1.0), "magnetic": (SKEW_PAIRS, -1.0)}
 
 
 class AmplitudeSet:
-    """Amplitude data for one iteration step.
+    """Amplitude data for one iteration step, at its true size.
 
-    Holds the two rescaling fields, the auxiliary matrix G_B, the temporal
-    cutoffs, and references to the mollified stresses the amplitudes are
-    affine in. Per-frame amplitudes come from the accessors: full fields
-    for small grids, slice arrays for streaming consumers.
+    Holds the two rescaling fields rho_b and rho_u, the temporal cutoffs
+    f_b and f_u, the independent components of the mollified stresses the
+    amplitudes are affine in (`stress_u`, (n_t, n, n, n, 6) at
+    field.SYM_PAIRS, and `stress_b`, (n_t, n, n, n, 3) at field.SKEW_PAIRS)
+    and the per-slice peak Frobenius norms of the two stresses (`peak_u`,
+    `peak_b`). Per-frame amplitudes, G_B and full 3x3 stress slices come
+    from the accessors. Construct with keywords; `replace` swaps entries.
     """
 
-    __slots__ = ("geom", "grid", "delta_next", "ell", "rho_b", "rho_u",
-                 "g_b", "f_b", "f_u", "r_l_u", "r_l_b", "eps_u", "eps_b",
-                 "_index")
+    _FIELDS = ("geom", "grid", "delta_next", "ell", "rho_b", "rho_u", "f_b",
+               "f_u", "stress_u", "stress_b", "peak_u", "peak_b")
+    __slots__ = _FIELDS + ("eps_u", "eps_b", "_index", "_tables",
+                           "_imbalance")
 
-    def __init__(self, geom, grid, delta_next, ell, rho_b, rho_u, g_b,
-                 f_b, f_u, r_l_u, r_l_b):
+    def __init__(self, *, geom, grid, delta_next, ell, rho_b, rho_u, f_b,
+                 f_u, stress_u, stress_b, peak_u, peak_b):
         self.geom = geom
         self.grid = grid
         self.delta_next = float(delta_next)
         self.ell = float(ell)
         self.rho_b = rho_b
         self.rho_u = rho_u
-        self.g_b = g_b
         self.f_b = f_b
         self.f_u = f_u
-        self.r_l_u = r_l_u
-        self.r_l_b = r_l_b
+        self.stress_u = stress_u
+        self.stress_b = stress_b
+        self.peak_u = peak_u
+        self.peak_b = peak_b
         self.eps_u = geom.eps_u
         self.eps_b = geom.eps_b
         self._index = {}
@@ -169,6 +176,22 @@ class AmplitudeSet:
             self._index[fr.name] = ("magnetic", i)
         for i, fr in enumerate(geom.lambda_u):
             self._index[fr.name] = ("velocity", i)
+        self._tables = {
+            "magnetic": (geom.c_b, _fold(geom.L_b, *_STRESSES["magnetic"])),
+            "velocity": (geom.c_u, _fold(geom.L_u, *_STRESSES["velocity"])),
+        }
+        # mean velocity-magnetic imbalance k1 (x) k1 - k2 (x) k2 of each
+        # magnetic frame, on the independent symmetric components
+        rows, cols = SYM_PAIRS
+        self._imbalance = np.stack([
+            (np.outer(fr.k1, fr.k1) - np.outer(fr.k2, fr.k2))[rows, cols]
+            for fr in geom.lambda_b])
+
+    def replace(self, **changes) -> "AmplitudeSet":
+        """A new set with the named entries replaced; the rest are shared."""
+        entries = {name: getattr(self, name) for name in self._FIELDS}
+        entries.update(changes)
+        return AmplitudeSet(**entries)
 
     def frames(self, family: str):
         if family == "magnetic":
@@ -177,40 +200,69 @@ class AmplitudeSet:
             return self.geom.lambda_u
         raise ValueError(f"unknown amplitude family {family!r}")
 
-    def _slice_state(self, family: str, j: int):
-        """Slice density, the stress slices whose sum the family's
-        amplitudes are affine in, cutoff weight, and affine tables."""
+    def _squares(self, family: str, j: int, frame=None) -> np.ndarray:
+        """rho (c + L : arg) with arg = -stress / rho on slice j, times the
+        squared cutoff: all frames as (n^3, 6), or one frame as (n^3,). The
+        velocity stress is R_u + G_B, and G_B vanishes on slices where f_b
+        does. rho > 0 keeps the sign, so a nonpositive value is an error."""
         if family == "magnetic":
-            return (self.rho_b.data[j], (self.r_l_b.data[j],),
-                    self.f_b[j] ** 2, self.geom.c_b, self.geom.L_b)
-        if family == "velocity":
-            return (self.rho_u.data[j], (self.r_l_u.data[j], self.g_b.data[j]),
-                    self.f_u[j] ** 2, self.geom.c_u, self.geom.L_u)
-        raise ValueError(f"unknown amplitude family {family!r}")
+            rho, stress, cutoff = self.rho_b.data[j], self.stress_b[j], self.f_b
+        elif family == "velocity":
+            rho, stress, cutoff = self.rho_u.data[j], self.stress_u[j], self.f_u
+            if self.f_b[j] != 0.0:
+                g_b = self._g_b(j)
+                g_b += stress
+                stress = g_b
+        else:
+            raise ValueError(f"unknown amplitude family {family!r}")
+        c, table = self._tables[family]
+        stress = stress.reshape(-1, table.shape[1])
+        rho = rho.reshape(-1)
+        if frame is None:
+            vals = stress @ table.T
+            np.subtract(rho[:, None] * c, vals, out=vals)
+        else:
+            vals = stress @ table[frame]
+            np.subtract(rho * c[frame], vals, out=vals)
+        if vals.min() <= 0.0:
+            raise ConstructionError(
+                f"{family} amplitude square lost positivity on slice {j}")
+        vals *= cutoff[j] ** 2
+        return vals
+
+    def _g_b(self, j: int) -> np.ndarray:
+        """G_B on slice j, on its independent components: the magnetic
+        squares times the imbalance table."""
+        n = self.grid.n_x
+        return (self._squares("magnetic", j) @ self._imbalance).reshape(
+            n, n, n, -1)
 
     def squared_slice(self, family: str, j: int) -> np.ndarray:
         """All squared amplitudes of one family on time slice j, shape
         (n_x, n_x, n_x, 6). Affine in the stress slice by construction."""
-        rho, stresses, weight, c, L = self._slice_state(family, j)
-        # rho (c + L : arg) with arg = -stress / rho; rho > 0 keeps the sign
-        vals = rho.reshape(-1, 1) * c - sum(
-            s.reshape(-1, 9) @ L.reshape(len(c), 9).T for s in stresses)
-        if vals.min() <= 0.0:
-            raise ConstructionError(
-                f"{family} amplitude square lost positivity on slice {j}")
-        return (weight * vals).reshape(rho.shape + (len(c),))
+        n = self.grid.n_x
+        return self._squares(family, j).reshape(n, n, n, -1)
 
     def squared_component_slice(self, family: str, i: int, j: int) -> np.ndarray:
         """Squared amplitude of the i-th frame of one family on slice j,
         without the other five, so a sweep of one frame over every slice
         holds one scalar time series."""
-        rho, stresses, weight, c, L = self._slice_state(family, j)
-        vals = rho * c[i] - sum(s.reshape(-1, 9) @ L[i].reshape(9)
-                                for s in stresses).reshape(rho.shape)
-        if vals.min() <= 0.0:
-            raise ConstructionError(
-                f"{family} amplitude square lost positivity on slice {j}")
-        return weight * vals
+        n = self.grid.n_x
+        return self._squares(family, j, i).reshape(n, n, n)
+
+    def g_b_slice(self, j: int) -> np.ndarray:
+        """The auxiliary matrix G_B on slice j, (n_x, n_x, n_x, 3, 3)."""
+        return expand(self._g_b(j), SYM_PAIRS, 1.0)
+
+    def stress_slice(self, family: str, j: int) -> np.ndarray:
+        """The family's mollified stress on slice j, (n_x, n_x, n_x, 3, 3):
+        R_l^u for velocity, R_l^B for magnetic."""
+        stress = self.stress_u if family == "velocity" else self.stress_b
+        return expand(stress[j], *_STRESSES[family])
+
+    def stress_support(self) -> np.ndarray:
+        """Time slices where either stress is nonzero, by relative norm."""
+        return slice_support(self.peak_u) | slice_support(self.peak_b)
 
     def amplitude_slice(self, name: str, j: int) -> np.ndarray:
         family, i = self._index[name]
@@ -248,7 +300,10 @@ def build_amplitudes(R_l_u: Field, R_l_B: Field, delta_next: float,
     sums the squared magnetic amplitudes against the per-frame mean
     imbalance tensors, and rho_u then rescales R_u + G_B into the
     symmetric ball. Ball membership is asserted pointwise; a violation
-    means the cutoff chi lost its wedge property, not a bad input.
+    means the cutoff chi lost its wedge property, not a bad input. Two
+    slice passes on the pool: the first checks the stress classes, keeps
+    the independent components and forms rho_B; the second forms G_B and
+    rho_u. The set holds no reference to the inputs.
     """
     if R_l_u.grid != grid:
         raise ValueError("velocity stress lives on a different grid")
@@ -260,54 +315,66 @@ def build_amplitudes(R_l_u: Field, R_l_B: Field, delta_next: float,
         raise ValueError("amplitude scale delta_next must be positive")
     if not ell > 0.0:
         raise ValueError("support scale ell must be positive")
-    _require_sym_traceless(R_l_u, "velocity stress")
-    _require_skew(R_l_B, "magnetic stress")
+    stress_u = np.empty(grid.shape + (len(SYM_PAIRS[0]),))
+    stress_b = np.empty(grid.shape + (len(SKEW_PAIRS[0]),))
+    rho_b = np.empty(grid.shape)
+    peak_u = np.empty(grid.n_t)
+    peak_b = np.empty(grid.n_t)
 
-    frob_b = _frobenius_slices(R_l_B.data)
-    rho_b_data = 2.0 / geom.eps_b * delta_next * chi(frob_b / delta_next)
-    worst = (frob_b / rho_b_data).max()
-    if worst > geom.eps_b * (1.0 + 1e-12):
+    def split(j):
+        r_u, r_b = R_l_u.data[j], R_l_B.data[j]
+        stress_u[j] = r_u[..., SYM_PAIRS[0], SYM_PAIRS[1]]
+        stress_b[j] = r_b[..., SKEW_PAIRS[0], SKEW_PAIRS[1]]
+        frob_b = np.sqrt((r_b ** 2).sum(axis=(-2, -1)))
+        rho_b[j] = 2.0 / geom.eps_b * delta_next * chi(frob_b / delta_next)
+        peak_u[j] = np.sqrt((r_u ** 2).sum(axis=(-2, -1))).max()
+        peak_b[j] = frob_b.max()
+        trace = r_u[..., 0, 0] + r_u[..., 1, 1] + r_u[..., 2, 2]
+        return [
+            ("symmetric", float(np.abs(r_u - np.swapaxes(r_u, -1, -2)).max())),
+            ("trace", float(np.abs(trace).max())),
+            ("skew", float(np.abs(r_b + np.swapaxes(r_b, -1, -2)).max())),
+            ("ball", float((frob_b / rho_b[j]).max()))]
+
+    defects = fold_maxima(dict.fromkeys(("symmetric", "trace", "skew", "ball"),
+                                        0.0),
+                          map_slices(split, range(grid.n_t)))
+    scale_u = 1e-10 * max(1.0, R_l_u.max_abs())
+    if defects["symmetric"] > scale_u:
+        raise ValueError("velocity stress must be symmetric "
+                         f"(defect {defects['symmetric']:g})")
+    if defects["trace"] > scale_u:
+        raise ValueError("velocity stress must be traceless")
+    if defects["skew"] > 1e-10 * max(1.0, R_l_B.max_abs()):
+        raise ValueError("magnetic stress must be skew-symmetric "
+                         f"(defect {defects['skew']:g})")
+    if defects["ball"] > geom.eps_b * (1.0 + 1e-12):
         raise ConstructionError(
-            f"magnetic stress left the geometry ball: {worst:g}")
-    rho_b = Field(rho_b_data, grid, _take=True)
-    f_b = temporal_cutoff(
-        slice_support(frob_b.max(axis=(1, 2, 3))), grid, ell)
-
-    imbalance = np.stack([np.outer(fr.k1, fr.k1) - np.outer(fr.k2, fr.k2)
-                          for fr in geom.lambda_b])
-    g_b_data = np.empty(grid.shape + (3, 3))
-    frob_u = np.empty(grid.shape)
-    norm_ru = np.empty(grid.n_t)
-    norm_gb = np.empty(grid.n_t)
+            f"magnetic stress left the geometry ball: {defects['ball']:g}")
+    f_b = temporal_cutoff(slice_support(peak_b), grid, ell)
+    magnetic = AmplitudeSet(
+        geom=geom, grid=grid, delta_next=delta_next, ell=ell,
+        rho_b=Field(rho_b, grid, _take=True), rho_u=None, f_b=f_b, f_u=None,
+        stress_u=stress_u, stress_b=stress_b, peak_u=peak_u, peak_b=peak_b)
+    rho_u = np.empty(grid.shape)
+    peak_gb = np.empty(grid.n_t)
 
     def fill(j):
-        arg = -R_l_B.data[j] / rho_b_data[j][..., None, None]
-        vals = geom.c_b + np.einsum("fab,...ab->...f", geom.L_b, arg)
-        if vals.min() <= 0.0:
-            raise ConstructionError(
-                f"magnetic amplitude square lost positivity on slice {j}")
-        a2 = (f_b[j] ** 2) * rho_b_data[j][..., None] * vals
-        g_b_data[j] = np.einsum("...f,fab->...ab", a2, imbalance)
-        frob_u[j] = np.sqrt(
-            ((R_l_u.data[j] + g_b_data[j]) ** 2).sum(axis=(-2, -1)))
-        norm_ru[j] = np.sqrt(
-            (R_l_u.data[j] ** 2).sum(axis=(-2, -1))).max()
-        norm_gb[j] = np.sqrt((g_b_data[j] ** 2).sum(axis=(-2, -1))).max()
+        g_b = magnetic._g_b(j)
+        frob_u = _frobenius(stress_u[j] + g_b, SYM_PAIRS)
+        rho_u[j] = 2.0 / geom.eps_u * delta_next * chi(frob_u / delta_next)
+        peak_gb[j] = _frobenius(g_b, SYM_PAIRS).max()
+        return [("ball", float((frob_u / rho_u[j]).max()))]
 
-    map_slices(fill, range(grid.n_t))
-    g_b = Field(g_b_data, grid, _take=True)
-
-    rho_u_data = 2.0 / geom.eps_u * delta_next * chi(frob_u / delta_next)
-    worst = (frob_u / rho_u_data).max()
+    worst = fold_maxima({"ball": 0.0}, map_slices(fill, range(grid.n_t)))["ball"]
     if worst > geom.eps_u * (1.0 + 1e-12):
         raise ConstructionError(
             f"velocity stress left the geometry ball: {worst:g}")
-    rho_u = Field(rho_u_data, grid, _take=True)
-    f_u = temporal_cutoff(slice_support(norm_ru) | slice_support(norm_gb),
+    for arr in (stress_u, stress_b, peak_u, peak_b):
+        arr.setflags(write=False)
+    f_u = temporal_cutoff(slice_support(peak_u) | slice_support(peak_gb),
                           grid, ell)
-
-    return AmplitudeSet(geom, grid, delta_next, ell, rho_b, rho_u, g_b,
-                        f_b, f_u, R_l_u, R_l_B)
+    return magnetic.replace(rho_u=Field(rho_u, grid, _take=True), f_u=f_u)
 
 
 # -- cancellation identities --------------------------------------------------
@@ -371,10 +438,10 @@ def verify_cancellation(amps: AmplitudeSet, blocks: dict, temporal=None,
     def residuals(j):
         updates = []
         targets = {
-            "magnetic": -amps.r_l_b.data[j],
+            "magnetic": -amps.stress_slice("magnetic", j),
             "velocity": (amps.rho_u.data[j][..., None, None]
                          * amps.f_u[j] ** 2) * np.eye(3)
-                        - amps.r_l_u.data[j] - amps.g_b.data[j],
+                        - amps.stress_slice("velocity", j) - amps.g_b_slice(j),
         }
         g2 = g_sq[j]
         for family, (sets, pair, prods, gens) in families.items():

@@ -13,6 +13,7 @@ of a tensor contracts the second index, (div A)_i = d_j A_ij.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 
@@ -154,8 +155,12 @@ def to_physical(coeffs, grid: Grid4) -> np.ndarray:
 
 
 def spectral_derivative(f: Field, m: int = 0, zeta=(0, 0, 0)) -> Field:
-    """d_t^m d_x^zeta f computed by Fourier multipliers."""
+    """d_t^m d_x^zeta f computed by Fourier multipliers. For odd m the
+    time-Nyquist multiplier (k_t = -n_t/2 in storage order) is zero, as in
+    `ddt`: cos(n_t t / 2) is its own alias and has no resolved slope."""
     kt, k1, k2, k3 = f.grid.k_broadcast()
+    if m % 2:
+        kt = np.where(kt == -(f.grid.n_t // 2), 0, kt)
     factors = ((kt, m), (k1, zeta[0]), (k2, zeta[1]), (k3, zeta[2]))
     mult = np.complex128(1.0)
     for k, power in factors:
@@ -167,8 +172,39 @@ def spectral_derivative(f: Field, m: int = 0, zeta=(0, 0, 0)) -> Field:
     return Field.from_spectral(spec * mult, f.grid)
 
 
+@functools.lru_cache(maxsize=None)
+def time_derivative_matrix(n_t: int) -> np.ndarray:
+    """The n_t x n_t spectral differentiation matrix D on the time samples
+    (Trefethen, Spectral Methods in MATLAB, ch. 3): (D f)_j is the slope at
+    t_j of the trigonometric interpolant of f with its Nyquist mode
+    k_t = +-n_t/2 set to zero. D is circulant and skew,
+    D_jl = (-1)^(j-l) cot((j-l) dt / 2) / 2 off the diagonal; the entry at
+    offset n_t/2, cot(pi/2) / 2, is set to exactly 0. Read-only."""
+    dt = 2.0 * np.pi / n_t
+    row = np.zeros(n_t)
+    m = np.arange(1, n_t // 2)
+    row[m] = 0.5 * (-1.0) ** m / np.tan(0.5 * m * dt)
+    row[n_t - m] = -row[m]
+    idx = np.arange(n_t)
+    d = row[(idx[:, None] - idx[None, :]) % n_t]
+    d.setflags(write=False)
+    return d
+
+
+def ddt_slice(data, j: int) -> np.ndarray:
+    """Slice j of the time derivative of a sample array whose first axis is
+    time: D[j] @ data, one row of `time_derivative_matrix`, so no
+    whole-field derivative is built."""
+    n_t = data.shape[0]
+    row = time_derivative_matrix(n_t)[j]
+    return (row @ data.reshape(n_t, -1)).reshape(data.shape[1:])
+
+
 def ddt(f: Field) -> Field:
-    return spectral_derivative(f, m=1)
+    """d_t f: D applied along the time axis, with no spatial transform."""
+    n_t = f.grid.n_t
+    out = time_derivative_matrix(n_t) @ f.data.reshape(n_t, -1)
+    return Field(out.reshape(f.data.shape), f.grid, _take=True)
 
 
 def grad(f: Field) -> Field:
@@ -217,6 +253,23 @@ def _traceless(t):
     for i in range(3):
         out[..., i, i] -= tr
     return out
+
+
+# (rows, columns) of the independent components of a symmetric and of a
+# skew 3x3 tensor; a compact array holds them on its last axis
+SYM_PAIRS = ((0, 0, 0, 1, 1, 2), (0, 1, 2, 1, 2, 2))
+SKEW_PAIRS = ((0, 0, 1), (1, 2, 2))
+
+
+def expand(compact, pairs, sign):
+    """The 3x3 tensors whose independent components, at (rows, columns)
+    `pairs`, are the last axis of compact; the mirrored entries are sign
+    (1 symmetric, -1 skew) times them, and the rest are zero."""
+    rows, cols = pairs
+    full = np.zeros(compact.shape[:-1] + (3, 3))
+    full[..., rows, cols] = compact
+    full[..., cols, rows] = sign * compact
+    return full
 
 
 def outer(u: Field, v: Field) -> Field:

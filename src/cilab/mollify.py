@@ -25,7 +25,8 @@ up to rounding for band-limited inputs.
 import numpy as np
 
 from .field import (
-    Field, _outer, _skew, _sym, _traceless, dot, to_physical, to_spectral,
+    SKEW_PAIRS, SYM_PAIRS, Field, _outer, _skew, _sym, _traceless, dot,
+    expand, to_physical, to_spectral,
 )
 from .grid import Grid4, GridResolutionError, TWO_PI
 from .profiles import _bump
@@ -138,12 +139,6 @@ def _check_mollified(name: str, given: Field, source: Field, mol: Mollifier):
             f"its source (relative defect {defect / scale:.2e})")
 
 
-# (rows, columns) of the independent components of a symmetric and of a
-# skew 3x3 tensor
-_SYM_PAIRS = ((0, 0, 0, 1, 1, 2), (0, 1, 2, 1, 2, 2))
-_SKEW_PAIRS = ((0, 0, 1), (1, 2, 2))
-
-
 def _sym_quad(u, b):
     return _traceless(_outer(u, u) - _outer(b, b))
 
@@ -175,10 +170,8 @@ def _commutator(mol, quad, pairs, sign, project, label, state_q, state_l,
     out = np.empty(grid.shape + (3, 3))
 
     def subtract(j):
-        full = np.zeros(base.shape[1:-1] + (3, 3))
-        full[..., rows, cols] = base[j]
-        full[..., cols, rows] = sign * base[j]
-        flux = quad(*(f.data[j] for f in state_l)) - full
+        flux = (quad(*(f.data[j] for f in state_l))
+                - expand(base[j], pairs, sign))
         out[j] = project(flux)
         return float(np.abs(flux - out[j]).max())
 
@@ -200,10 +193,10 @@ def commutator_stresses(u_q: Field, B_q: Field, u_l: Field, B_l: Field,
     _check_mollified("u_l", u_l, u_q, mol)
     _check_mollified("B_l", B_l, B_q, mol)
     qscale = max(u_q.max_abs(), B_q.max_abs(), 1e-150) ** 2
-    r_u = _commutator(mol, _sym_quad, _SYM_PAIRS, 1.0,
+    r_u = _commutator(mol, _sym_quad, SYM_PAIRS, 1.0,
                       lambda t: _traceless(_sym(t)), "symmetric traceless",
                       (u_q, B_q), (u_l, B_l), qscale)
-    r_b = _commutator(mol, _skew_quad, _SKEW_PAIRS, -1.0, _skew, "skew",
+    r_b = _commutator(mol, _skew_quad, SKEW_PAIRS, -1.0, _skew, "skew",
                       (u_q, B_q), (u_l, B_l), qscale)
     return r_u, r_b
 

@@ -24,7 +24,9 @@ side by side; concentrated inputs near the grid limit degrade the
 tolerance instead of silently failing. Only the sums that a time
 derivative needs are held as whole fields; every other term group and
 the residual are formed one slice at a time with running maxima, in the
-same order of operations as the whole-field expressions. Every slice loop
+same order of operations as the whole-field expressions, and each time
+derivative a residual slice reads is one row of the time differentiation
+matrix, D[j] @ X (field.ddt_slice). Every slice loop
 runs on the slice pool of cilab.threads: a slice writes only its own
 output slice, and maxima are folded in slice order afterwards. Block second
 moments enter the low-frequency correctors as measured grid averages
@@ -42,9 +44,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .amplitudes import AmplitudeSet, slice_support
+from .amplitudes import AmplitudeSet
 from .blocks import curl_terms, envelope_stack, flow_terms
-from .field import Field, MixedNormSpec, ddt, norm
+from .field import Field, MixedNormSpec, ddt, ddt_slice, norm
 from .spectral_ops import _div_rel_defect, _mean_free3, leray, p_neq0
 from .threads import fold_maxima, map_slices
 
@@ -154,15 +156,6 @@ def _solenoidal(acc, grid):
     """leray(p_neq0(.)) of each accumulator, releasing it once read."""
     return [leray(p_neq0(Field(acc.pop(0), grid, _take=True)))
             for _ in range(len(acc))]
-
-
-def _ddt_components(data, grid):
-    """ddt of a vector array one component at a time: one component's
-    spectrum is live at once, and none is cached on a caller's field."""
-    out = np.empty_like(data)
-    for a in range(3):
-        out[..., a] = ddt(Field(data[..., a], grid)).data
-    return out
 
 
 def _abs_maxima(*arrays):
@@ -619,22 +612,18 @@ def verify_temporal_balance(amps, blocks, g, mu: float, w_t, d_t,
 
             map_slices(pull, range(grid.n_t))
     for s, (side, part) in enumerate((("velocity", w_t), ("magnetic", d_t))):
-        d_acc = _ddt_components(acc[s], grid)
-        acc[s] = None
-        evolution = _ddt_components(part.data, grid)
-
         def residual(j):
-            charge = _mean_free3(d_acc[j])
+            evolution = ddt_slice(part.data, j)
+            charge = _mean_free3(ddt_slice(acc[s], j))
             pressure = (charge - spectral.leray(charge)) * (1.0 / mu)
             transport = _mean_free3(osc[s][j])
             transfer = _mean_free3(drift[s][j])
-            return _abs_maxima(evolution[j] + transport - pressure - transfer,
-                               evolution[j], transport, pressure, transfer)
+            return _abs_maxima(evolution + transport - pressure - transfer,
+                               evolution, transport, pressure, transfer)
 
         peaks = np.max(map_slices(residual, range(grid.n_t)), axis=0,
                        initial=0.0)
-        del d_acc, evolution
-        osc[s] = drift[s] = None
+        acc[s] = osc[s] = drift[s] = None
         report[f"{side}_temporal_balance"] = float(
             peaks[0] / max(*peaks[1:], amps.delta_next))
     return _gate(report,
@@ -675,19 +664,17 @@ def verify_low_frequency_balance(amps, blocks, h, sigma: float, g, w_o, d_o,
     report["tolerance"] = tol
     g2m1 = g ** 2 - 1.0
     for s, (side, part) in enumerate((("velocity", w_o), ("magnetic", d_o))):
-        evolution = _ddt_components(part.data, grid)
-        wander = _ddt_components(drift[s], grid)
-
         def residual(j):
+            evolution = ddt_slice(part.data, j)
             res = _mean_free3(g2m1[j] * drift[s][j])
             pressure = res - spectral.leray(res)
-            transfer = spectral.leray(_mean_free3(h[j] * wander[j])) * (-1.0 / sigma)
-            return _abs_maxima(evolution[j] + res - pressure - transfer,
-                               evolution[j], res, pressure, transfer)
+            transfer = spectral.leray(_mean_free3(
+                h[j] * ddt_slice(drift[s], j))) * (-1.0 / sigma)
+            return _abs_maxima(evolution + res - pressure - transfer,
+                               evolution, res, pressure, transfer)
 
         peaks = np.max(map_slices(residual, range(grid.n_t)), axis=0,
                        initial=0.0)
-        del evolution, wander
         drift[s] = None
         report[f"{side}_low_frequency_balance"] = float(
             peaks[0] / max(*peaks[1:], amps.delta_next))
@@ -699,11 +686,6 @@ def verify_low_frequency_balance(amps, blocks, h, sigma: float, g, w_o, d_o,
 
 
 # -- assembly ---------------------------------------------------------------------
-
-def _slice_frobenius_max(data):
-    return np.array([math.sqrt(float((data[j] ** 2).sum(axis=(-2, -1)).max()))
-                     for j in range(data.shape[0])])
-
 
 def assemble_iterate(u_l: Field, B_l: Field, pert: Perturbation,
                      amps: AmplitudeSet, tol: float = 1e-8):
@@ -737,8 +719,7 @@ def assemble_iterate(u_l: Field, B_l: Field, pert: Perturbation,
                 f"{name} perturbation is not spatially mean-free: relative "
                 f"defect {mean_defect:g} exceeds {tol:g}")
     w, d = totals
-    mask = (slice_support(_slice_frobenius_max(amps.r_l_u.data))
-            | slice_support(_slice_frobenius_max(amps.r_l_b.data)))
+    mask = amps.stress_support()
     for name, inc in (("velocity", w), ("magnetic", d)):
         leak = 0.0
         if mask.any() and not mask.all():

@@ -5,9 +5,11 @@ import pytest
 
 from cilab import spectral
 from cilab.field import (
-    Field, FieldFormatError, MixedNormSpec, ddt, div_tensor, div_vec, dot,
-    grad, norm, outer, read_field, skew, spectral_derivative, sym,
-    tensor_apply, to_physical, to_spectral, trace, traceless, write_field,
+    SKEW_PAIRS, SYM_PAIRS, Field, FieldFormatError, MixedNormSpec, ddt,
+    ddt_slice, div_tensor, div_vec, dot, expand, grad, norm, outer,
+    read_field, skew, spectral_derivative, sym, tensor_apply,
+    time_derivative_matrix, to_physical, to_spectral, trace, traceless,
+    write_field,
 )
 from cilab.grid import Grid4, GridResolutionError
 
@@ -143,11 +145,53 @@ class TestCalculus:
         df = ddt(f)
         assert np.abs(df.data - np.cos(t)).max() <= 1e-12
 
-    @pytest.mark.parametrize("axis", [
-        None, 1, 2,
-        pytest.param(3, marks=pytest.mark.xfail(strict=True, reason=(
-            "on the k3 > 0 planes of the half spectrum the 4D multiplier "
-            "gives the time-Nyquist mode i k_t = -i n_t/2 instead of 0")))])
+    @staticmethod
+    def _generic(grid, rank, seed):
+        """Samples with every time mode present, the Nyquist one included."""
+        rng = np.random.default_rng(seed)
+        comps = {0: (), 1: (3,), 2: (3, 3)}[rank]
+        return Field(rng.normal(size=grid.shape + comps), grid, _take=True)
+
+    @pytest.mark.parametrize("rank", [0, 1, 2])
+    @pytest.mark.parametrize("n_t", [8, 16, 32])
+    def test_ddt_is_the_time_only_derivative(self, n_t, rank):
+        # the time-only rFFT derivative with the Nyquist multiplier zeroed
+        grid = Grid4(n_t, 8)
+        f = self._generic(grid, rank, n_t + rank)
+        k = np.arange(n_t // 2 + 1, dtype=float)
+        k[-1] = 0.0
+        k = k.reshape((-1,) + (1,) * (f.data.ndim - 1))
+        want = np.fft.irfft(1j * k * np.fft.rfft(f.data, axis=0), n=n_t, axis=0)
+        got = ddt(f).data
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_ddt_agrees_with_the_4d_multiplier(self, small_grid):
+        f = self._generic(small_grid, 1, 5)
+        want = spectral_derivative(f, m=1).data
+        assert np.abs(ddt(f).data - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_rows_of_d_are_the_slices_of_ddt(self, small_grid):
+        f = self._generic(small_grid, 1, 6)
+        whole = ddt(f).data
+        for j in range(small_grid.n_t):
+            row = ddt_slice(f.data, j)
+            assert row.shape == whole.shape[1:]
+            assert np.abs(row - whole[j]).max() <= 1e-14 * np.abs(whole).max()
+
+    def test_time_derivative_matrix(self):
+        d = time_derivative_matrix(16)
+        assert not d.flags.writeable
+        # circulant and skew, the Nyquist-offset entry exactly zero
+        for j in range(16):
+            assert np.array_equal(d[j], np.roll(d[0], j))
+        assert np.array_equal(d, -d.T)
+        assert d[0, 8] == 0.0 and np.all(np.diag(d) == 0.0)
+        # exact on the resolved modes: d/dt sin(k t) = k cos(k t)
+        t = Grid4(16, 8).t()
+        for k in range(1, 8):
+            assert np.abs(d @ np.sin(k * t) - k * np.cos(k * t)).max() <= 1e-12
+
+    @pytest.mark.parametrize("axis", [None, 1, 2, 3])
     def test_ddt_of_time_nyquist_mode_is_zero(self, axis):
         # cos(8 t) on 16 time samples is its own alias at k_t = +-8, and so
         # is its product with any spatial mode: its time derivative is zero
@@ -249,6 +293,15 @@ class TestTensorAlgebra:
         ov = outer(u, v)
         assert ov.data.shape == small_grid.shape + (3, 3)
         assert np.abs(trace(ov).data - dot(u, v).data).max() <= 1e-13 * max(1, ov.max_abs())
+
+    def test_compact_components_expand_back(self):
+        rng = np.random.default_rng(18)
+        a = rng.normal(size=(4, 3, 3))
+        s, k = a + np.swapaxes(a, -1, -2), a - np.swapaxes(a, -1, -2)
+        for full, pairs, sign in ((s, SYM_PAIRS, 1.0), (k, SKEW_PAIRS, -1.0)):
+            compact = full[..., pairs[0], pairs[1]]
+            assert compact.shape == (4, len(pairs[0]))
+            assert np.array_equal(expand(compact, pairs, sign), full)
 
 
 class TestSerialization:

@@ -15,7 +15,7 @@ import scipy.fft as sfft
 from cilab import perturbations as pt
 from cilab import spectral
 from cilab.amplitudes import (
-    AmplitudeSet, CancellationError, build_amplitudes, verify_cancellation,
+    CancellationError, build_amplitudes, verify_cancellation,
 )
 from cilab.blocks import BlockParams, curl_terms, envelope_stack, sample_blocks
 from cilab.field import Field, ddt, div_tensor, div_vec, grad
@@ -560,19 +560,21 @@ def _verifier_peak(built, name):
 class TestVerifierMemory:
     """The balance verifiers stream their term groups slice by slice."""
 
-    # peaks in vector-field copies, 20% over the streamed verifiers' 10.1
-    # and 5.8; whole-field term groups took 18.1 and 14.9
-    @pytest.mark.parametrize("name,budget", [("temporal", 12.1),
-                                             ("low_frequency", 6.9)])
+    # peaks in vector-field copies, 20% over the measured 7.55 and 3.66:
+    # the time derivatives are rows of D taken inside the slice residual;
+    # whole-field derivatives took 9.0 and 5.4, whole-field term groups
+    # 18.1 and 14.9
+    @pytest.mark.parametrize("name,budget", [("temporal", 9.1),
+                                             ("low_frequency", 4.4)])
     def test_balance_verifier_peak(self, built, name, budget, monkeypatch):
         monkeypatch.setenv("CILAB_THREADS", "1")
         assert _verifier_peak(built, name) <= budget
 
-    # two pool threads keep a second slice of temporaries in flight, which
-    # stays under the serial budgets (9.1 and 5.4 copies on two threads);
-    # each further thread adds about 1.5 copies
-    @pytest.mark.parametrize("name,budget", [("temporal", 12.1),
-                                             ("low_frequency", 6.9)])
+    # two pool threads keep a second slice of temporaries in flight: 9.1
+    # and 5.3 copies measured, the budgets 20% over them; each further
+    # thread adds about 1.5 copies
+    @pytest.mark.parametrize("name,budget", [("temporal", 10.9),
+                                             ("low_frequency", 6.4)])
     def test_balance_verifier_peak_on_two_threads(self, built, name, budget,
                                                   monkeypatch):
         monkeypatch.setenv("CILAB_THREADS", "2")
@@ -660,9 +662,7 @@ class TestSlicePool:
         bad = [j for j in range(amps.grid.n_t) if g[j] != 0.0][2:6:3]
         rho = amps.rho_u.data.copy()
         rho[bad] = -1e3
-        broken = AmplitudeSet(amps.geom, amps.grid, amps.delta_next, amps.ell,
-                              amps.rho_b, Field(rho, amps.grid), amps.g_b,
-                              amps.f_b, amps.f_u, amps.r_l_u, amps.r_l_b)
+        broken = amps.replace(rho_u=Field(rho, amps.grid))
         for threads in ("1", "2"):
             monkeypatch.setenv("CILAB_THREADS", threads)
             with pytest.raises(ConstructionError) as err:

@@ -1,15 +1,17 @@
 """Multiplier operators: projections, inverse divergences, Biot-Savart."""
 
 import ast
+import math
 import pathlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from cilab import threads
 from cilab.field import Field, MixedNormSpec, div_tensor, grad, norm, skew, sym, trace
 from cilab.spectral_ops import (
-    biot_savart, curl, frac_laplacian, inv_div_skew, inv_div_sym,
+    _mean_free3, biot_savart, curl, frac_laplacian, inv_div_skew, inv_div_sym,
     inv_laplacian, leray, p_neq0,
 )
 
@@ -111,6 +113,29 @@ class TestStreamedProjections:
             out = op(u).data
             assert np.abs(out[5]).max() > 0.0
             assert np.all(np.delete(out, 5, axis=0) == 0.0)
+
+    @pytest.mark.parametrize("comps", [(), (3,)])
+    def test_slice_mean_ignores_the_blas_thread_count(self, comps):
+        # at 64^3 a BLAS reduction of the same slice differs in its last
+        # bits between one and two OpenBLAS threads
+        blas = threads._handles()[0]
+        if blas is None:
+            pytest.skip("no OpenBLAS thread-count handle in this process")
+        get, put = blas
+        slab = np.random.default_rng(46).normal(size=(64, 64, 64) + comps) + 0.3
+        saved = get()
+        try:
+            runs = []
+            for count in (1, 2):
+                put(count)
+                runs.append(_mean_free3(slab))
+        finally:
+            put(saved)
+        assert np.array_equal(runs[0], runs[1])
+        points = slab.reshape(64 ** 3, -1)
+        mean = [math.fsum(points[:, c]) / 64 ** 3 for c in range(points.shape[1])]
+        want = slab - np.reshape(mean, comps)
+        assert np.abs(runs[0] - want).max() <= 1e-15
 
     @staticmethod
     def _leray_slices(small_grid):
