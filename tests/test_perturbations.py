@@ -570,15 +570,25 @@ class TestVerifierMemory:
         monkeypatch.setenv("CILAB_THREADS", "1")
         assert _verifier_peak(built, name) <= budget
 
-    # two pool threads keep a second slice of temporaries in flight: 9.1
-    # and 5.3 copies measured, the budgets 20% over them; each further
-    # thread adds about 1.5 copies
-    @pytest.mark.parametrize("name,budget", [("temporal", 10.9),
-                                             ("low_frequency", 6.4)])
+    # two pool threads keep a second slice of temporaries in flight, which
+    # stays under the budgets of whole-field derivatives (9.1 and 5.3
+    # copies measured on two threads)
+    @pytest.mark.parametrize("name,budget", [("temporal", 12.1),
+                                             ("low_frequency", 6.9)])
     def test_balance_verifier_peak_on_two_threads(self, built, name, budget,
                                                   monkeypatch):
         monkeypatch.setenv("CILAB_THREADS", "2")
         assert _verifier_peak(built, name) <= budget
+
+    # the second thread adds one slice of temporaries: 1.53 and 1.67
+    # copies measured, the bound 20% over the larger
+    @pytest.mark.parametrize("name", ["temporal", "low_frequency"])
+    def test_second_thread_adds_one_slice_of_temporaries(self, built, name,
+                                                         monkeypatch):
+        monkeypatch.setenv("CILAB_THREADS", "1")
+        serial = _verifier_peak(built, name)
+        monkeypatch.setenv("CILAB_THREADS", "2")
+        assert _verifier_peak(built, name) - serial <= 2.0
 
     def test_checks_cache_no_spectrum_on_the_parts(self, built):
         # a spectrum cached on a part stays resident as long as the part
