@@ -20,8 +20,11 @@ independent components of the two stresses, 6 of the symmetric traceless
 R_l^u and 3 of the skew R_l^B (field.SYM_PAIRS, field.SKEW_PAIRS), 11
 scalar fields in all, with the affine tables L_u and L_b folded onto those
 components. G_B is never stored: on each slice it is the magnetic squares
-times the imbalance table, the one definition that `build_amplitudes`
-(for rho_u and f_u), the velocity squares and `verify_cancellation` use.
+times the imbalance table, the definition that `build_amplitudes` (for
+rho_u and f_u) and `verify_cancellation` use. The velocity squares need only
+G_B through the velocity table, so that product is folded once into a
+vector w and a (3, 6) table W: their G_B share is f_b^2 (rho_B w - stress_b
+W), formed without the magnetic squares.
 Full 3x3 slices of G_B and of the stresses are expanded only where a
 caller asks for one (`g_b_slice`, `stress_slice`).
 
@@ -153,7 +156,7 @@ class AmplitudeSet:
     _FIELDS = ("geom", "grid", "delta_next", "ell", "rho_b", "rho_u", "f_b",
                "f_u", "stress_u", "stress_b", "peak_u", "peak_b")
     __slots__ = _FIELDS + ("eps_u", "eps_b", "_index", "_tables",
-                           "_imbalance")
+                           "_imbalance", "_via_g_b")
 
     def __init__(self, *, geom, grid, delta_next, ell, rho_b, rho_u, f_b,
                  f_u, stress_u, stress_b, peak_u, peak_b):
@@ -186,6 +189,11 @@ class AmplitudeSet:
         self._imbalance = np.stack([
             (np.outer(fr.k1, fr.k1) - np.outer(fr.k2, fr.k2))[rows, cols]
             for fr in geom.lambda_b])
+        # G_B carried through the velocity table: its share of the velocity
+        # squares is f_b^2 (rho_B w - stress_b W)
+        c_b, l_b = self._tables["magnetic"]
+        via_u = self._imbalance @ self._tables["velocity"][1].T
+        self._via_g_b = (c_b @ via_u, l_b.T @ via_u)
 
     def replace(self, **changes) -> "AmplitudeSet":
         """A new set with the named entries replaced; the rest are shared."""
@@ -202,28 +210,28 @@ class AmplitudeSet:
 
     def _squares(self, family: str, j: int, frame=None) -> np.ndarray:
         """rho (c + L : arg) with arg = -stress / rho on slice j, times the
-        squared cutoff: all frames as (n^3, 6), or one frame as (n^3,). The
-        velocity stress is R_u + G_B, and G_B vanishes on slices where f_b
-        does. rho > 0 keeps the sign, so a nonpositive value is an error."""
+        squared cutoff: all frames as (n^3, 6), or one frame as (n^3, 1).
+        The velocity stress is R_u + G_B; G_B enters through the folded
+        tables w and W as f_b^2 (rho_B w - stress_b W), without forming the
+        magnetic squares, and vanishes on slices where f_b does. rho > 0
+        keeps the sign, so a nonpositive value is an error."""
         if family == "magnetic":
             rho, stress, cutoff = self.rho_b.data[j], self.stress_b[j], self.f_b
         elif family == "velocity":
             rho, stress, cutoff = self.rho_u.data[j], self.stress_u[j], self.f_u
-            if self.f_b[j] != 0.0:
-                g_b = self._g_b(j)
-                g_b += stress
-                stress = g_b
         else:
             raise ValueError(f"unknown amplitude family {family!r}")
+        cols = slice(None) if frame is None else [frame]
         c, table = self._tables[family]
         stress = stress.reshape(-1, table.shape[1])
-        rho = rho.reshape(-1)
-        if frame is None:
-            vals = stress @ table.T
-            np.subtract(rho[:, None] * c, vals, out=vals)
-        else:
-            vals = stress @ table[frame]
-            np.subtract(rho * c[frame], vals, out=vals)
+        vals = stress @ table[cols].T
+        if family == "velocity" and self.f_b[j] != 0.0:
+            w, big_w = self._via_g_b
+            g_b = self.rho_b.data[j].reshape(-1, 1) * w[cols]
+            g_b -= self.stress_b[j].reshape(-1, big_w.shape[0]) @ big_w[:, cols]
+            g_b *= self.f_b[j] ** 2
+            vals += g_b
+        np.subtract(rho.reshape(-1, 1) * c[cols], vals, out=vals)
         if vals.min() <= 0.0:
             raise ConstructionError(
                 f"{family} amplitude square lost positivity on slice {j}")

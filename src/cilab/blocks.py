@@ -305,19 +305,6 @@ def flow_terms(sets, kind: str):
                                      for _, _, coef, direction in parts]))]
 
 
-def curl_terms(sets, kind: str):
-    """Closed-form curl of a potential kind as rank-one terms. For
-    c psi(xi_s) Phi(xi_c) v, grad psi = psi' a_int and grad Phi = Phi'
-    m_int, so the curl is c psi' Phi (a_int x v) + c psi Phi' (m_int x v)."""
-    if kind not in ("velocity_potential", "magnetic_potential"):
-        raise ValueError(f"{kind!r} is not a potential kind")
-    [(_, rows)] = flow_terms(sets, kind)
-    a = np.array([bs.a_int for bs in sets], dtype=float)
-    m = np.array([bs.m_int for bs in sets], dtype=float)
-    return ((("shear_rate", "potential"), np.cross(a, rows)),
-            (("shear", "potential_rate"), np.cross(m, rows)))
-
-
 def _rel(diff_max: float, scale: float) -> float:
     return diff_max / max(scale, 1e-300)
 

@@ -2,19 +2,19 @@
 
 The principal parts ride the intermittent blocks with amplitude and
 temporal-oscillation coefficients. Three corrector families repair what
-the principal parts spoil: incompressibility correctors complete every
-amplitude-times-block term to an exact double curl, temporal correctors
-absorb the transport time derivative that the quadratic products shed,
-and low-frequency correctors absorb the mean drift of the squared
-oscillation profile through its antiderivative.
+the principal parts spoil: incompressibility correctors complete the
+principal parts to the double curl of the amplitude-weighted potentials,
+which is how they are built (curl curl (g sum_k a_k potential_k) minus the
+principal slice), temporal correctors absorb the transport time derivative
+that the quadratic products shed, and low-frequency correctors absorb the
+mean drift of the squared oscillation profile through its antiderivative.
 
 Every block field is rank one, a scalar envelope times a constant frame
 vector, so nothing here loops over frames: per time slice and family the
 six envelopes stack into one (n^3, 6) array that meets constant tables
-(frame directions, direction tensors, skew matrices for cross products)
-in one product, potential curls are closed forms, and every gradient or
-divergence is one transform pair per slice. The velocity family drives
-no magnetic part, so its magnetic tables are zero.
+(frame directions, direction tensors) in one product, and every gradient,
+divergence or double curl is one transform pair per slice. The velocity
+family drives no magnetic part, so its magnetic tables are zero.
 
 Every balance these parts rely on can be evaluated literally on the
 grid, one term group at a time. The verifiers here do exactly that and
@@ -45,7 +45,7 @@ import numpy as np
 
 from . import spectral
 from .amplitudes import AmplitudeSet
-from .blocks import curl_terms, envelope_stack, flow_terms
+from .blocks import envelope_stack, flow_terms
 from .field import Field, MixedNormSpec, ddt, ddt_slice, norm
 from .spectral_ops import _div_rel_defect, _mean_free3, leray, p_neq0
 from .threads import fold_maxima, map_slices
@@ -99,40 +99,23 @@ def _active(amps, families, j):
             yield entry + (amps.squared_slice(entry[0], j),)
 
 
-def _side_terms(sets, family, kind_w, kind_d, terms=flow_terms):
-    """Rank-one terms (pair, (k, 6) [velocity | magnetic] directions) of
-    two kinds; the velocity family drives no magnetic part."""
-    tables = {}
-    kinds = (kind_w, kind_d) if family == "magnetic" else (kind_w,)
-    for side, kind in enumerate(kinds):
-        for pair, rows in terms(sets, kind):
-            table = tables.setdefault(pair, np.zeros((len(sets), 6)))
-            table[:, 3 * side:3 * side + 3] += rows
-    return list(tables.items())
-
-
 def _families(amps, blocks, kind_w, kind_d):
-    """(family, sets, pair, table) per family for two kinds on one envelope."""
+    """(family, sets, pair, table) per family for two kinds on one envelope
+    pair: rank-one terms with (k, 6) [velocity | magnetic] directions; the
+    velocity family drives no magnetic part."""
     out = []
     for family in _FAMILIES:
         sets = _family_sets(amps, blocks, family)
-        [(pair, table)] = _side_terms(sets, family, kind_w, kind_d)
+        kinds = (kind_w, kind_d) if family == "magnetic" else (kind_w,)
+        table = np.zeros((len(sets), 6))
+        pairs = set()
+        for side, kind in enumerate(kinds):
+            [(pair, rows)] = flow_terms(sets, kind)
+            pairs.add(pair)
+            table[:, 3 * side:3 * side + 3] = rows
+        [pair] = pairs
         out.append((family, sets, pair, table))
     return out
-
-
-def _cross_table(table):
-    """(k, 6) directions t_i as the (3 k, 6) matrix X with sum_i G_i x t_i
-    = G.reshape(N, 3 k) @ X on each side, for G of shape (N, k, 3)."""
-    basis = np.eye(3)[None, :, :]
-    return np.hstack([np.cross(basis, table[:, None, 3 * side:3 * side + 3])
-                      .reshape(-1, 3) for side in (0, 1)])
-
-
-def _weighted(sets, pair, j, grads):
-    """Envelope-weighted gradients e_i G_i, flattened to (N, 3 k)."""
-    env = envelope_stack(sets, pair, j)
-    return (env[:, :, None] * grads).reshape(env.shape[0], -1)
 
 
 def _sides(arr, n):
@@ -286,6 +269,12 @@ def _total(first, second, *rest):
 
 # -- builders --------------------------------------------------------------------
 
+def _weighted_sum(coef, sets, pair, table, j):
+    """One family's sum_k coef_k envelope_k table_k on slice j, (n^3, 6)
+    [velocity | magnetic], for coef of shape (n^3, k)."""
+    return (coef * envelope_stack(sets, pair, j)) @ table
+
+
 def principal_parts(amps: AmplitudeSet, blocks: dict, g):
     """Sum amplitude times oscillation times velocity flow over both frame
     families, and the magnetic flows over the skew family. Slices where g
@@ -301,8 +290,8 @@ def principal_parts(amps: AmplitudeSet, blocks: dict, g):
             return
         for _, sets, pair, table, a2 in _active(amps, families, j):
             amp = np.sqrt(a2).reshape(-1, len(sets))
-            out[:, j] += _sides(
-                (g[j] * amp * envelope_stack(sets, pair, j)) @ table, n)
+            out[:, j] += _sides(_weighted_sum(g[j] * amp, sets, pair, table,
+                                              j), n)
 
     map_slices(fill, range(grid.n_t))
     return Field(out[0], grid, _take=True), Field(out[1], grid, _take=True)
@@ -310,11 +299,13 @@ def principal_parts(amps: AmplitudeSet, blocks: dict, g):
 
 def incompressibility_correctors(amps: AmplitudeSet, blocks: dict, g,
                                  check: bool = True, tol: float = 1e-7):
-    """Complete every principal term to the double curl of its shifted
-    potential: per frame, curl curl (a g potential) minus a g flow splits
-    into a curl of the amplitude-gradient cross term, the gradient cross
-    the (closed-form) potential curl, plus the small-scale corrector flow.
-    The outer curl is taken once per slice for both sides.
+    """The incompressibility parts as defined: per slice, the double curl
+    of the summed potentials, curl curl (g sum_k a_k potential_k), minus
+    the principal slice, formed as principal_parts forms it. Principal plus
+    incompressibility parts are then that double curl to rounding, and
+    divergence-free up to the Nyquist planes of the transform. One double
+    curl per slice serves both sides and both families; slices where g or
+    both cutoffs vanish stay exactly zero.
 
     With check=True the double-curl representation and the divergence of
     the completed parts are verified (this rebuilds the principal parts;
@@ -323,36 +314,23 @@ def incompressibility_correctors(amps: AmplitudeSet, blocks: dict, g,
     grid = amps.grid
     n = grid.n_x
     g = _as_samples(g, grid, "oscillation profile g")
-    families = []
-    for family in _FAMILIES:
-        sets = _family_sets(amps, blocks, family)
-        kinds = (sets, family, "velocity_potential", "magnetic_potential")
-        pots = [(pair, _cross_table(t)) for pair, t in _side_terms(*kinds)]
-        curls = [(pair, _cross_table(t))
-                 for pair, t in _side_terms(*kinds, terms=curl_terms)]
-        families.append((family, sets, pots, curls, _side_terms(
-            sets, family, "velocity_corrector", "magnetic_corrector")))
+    families = [flows + pots[2:] for flows, pots in zip(
+        _families(amps, blocks, "velocity", "magnetic"),
+        _families(amps, blocks, "velocity_potential", "magnetic_potential"))]
     out = np.zeros((2,) + grid.shape + (3,))
 
     def fill(j):
         active = list(_active(amps, families, j)) if g[j] != 0.0 else []
         if not active:
             return
-        cross = direct = 0.0
-        for _, sets, pots, curls, correctors, a2 in active:
-            amp = np.sqrt(a2)
-            grads = spectral.directional(amp, np.eye(3)[:, None]).reshape(
-                -1, len(sets), 3)
-            amp = amp.reshape(-1, len(sets))
-            cross = cross + sum(_weighted(sets, pair, j, grads) @ x
-                                for pair, x in pots)
-            direct = (direct
-                      + sum(_weighted(sets, pair, j, grads) @ x
-                            for pair, x in curls)
-                      + sum((amp * envelope_stack(sets, pair, j)) @ t
-                            for pair, t in correctors))
-        out[:, j] = g[j] * _sides(spectral.curl(cross.reshape(n, n, n, 2, 3))
-                                  + direct.reshape(n, n, n, 2, 3), n)
+        pot = 0.0
+        for _, sets, pair, table, pot_pair, pot_table, a2 in active:
+            amp = np.sqrt(a2).reshape(-1, len(sets))
+            out[:, j] += _sides(_weighted_sum(g[j] * amp, sets, pair, table,
+                                              j), n)
+            pot = pot + _weighted_sum(amp, sets, pot_pair, pot_table, j)
+        np.subtract(_sides(spectral.curl_curl(
+            g[j] * pot.reshape(n, n, n, 2, 3)), n), out[:, j], out=out[:, j])
 
     map_slices(fill, range(grid.n_t))
     w_c, d_c = (Field(out[0], grid, _take=True),
@@ -484,7 +462,13 @@ def verify_divfree_representation(amps, blocks, g, w_p, w_c, d_p, d_c,
     """Check, slice by slice, that principal plus incompressibility parts
     equal the double curl of the summed potentials, and that their
     divergence vanishes against the gradient scale. Returns the residual
-    report; raises naming the violated balance."""
+    report; raises naming the violated balance.
+
+    The builder forms w_c and d_c as that double curl minus its own
+    principal sum, so on parts it built the representation residual is
+    rounding; it measures whether the stored principal parts are the ones
+    the builder subtracted. The divergence residual is what the Nyquist
+    planes of the transform leave, where i k is not a derivative."""
     grid = amps.grid
     n = grid.n_x
     g = _as_samples(g, grid, "oscillation profile g")
@@ -513,7 +497,7 @@ def verify_divfree_representation(amps, blocks, g, w_p, w_c, d_p, d_c,
         for _, sets, pair, table, a2 in _active(amps, families, j):
             updates.append(("amplitude_tail", spectral.tail(a2.sum(axis=-1))))
             amp = np.sqrt(a2).reshape(-1, len(sets))
-            pot += (amp * envelope_stack(sets, pair, j)) @ table
+            pot += _weighted_sum(amp, sets, pair, table, j)
         rhs = spectral.curl_curl(g[j] * pot.reshape(n, n, n, 2, 3))
         for s, (key, _) in enumerate(keys):
             left, right = lhs[..., s, :], rhs[..., s, :]

@@ -17,7 +17,7 @@ from cilab import spectral
 from cilab.amplitudes import (
     CancellationError, build_amplitudes, verify_cancellation,
 )
-from cilab.blocks import BlockParams, curl_terms, envelope_stack, sample_blocks
+from cilab.blocks import BlockParams, sample_blocks
 from cilab.field import Field, ddt, div_tensor, div_vec, grad
 from cilab.geometry import ConstructionError, build_geometry
 from cilab.grid import Grid4
@@ -155,36 +155,23 @@ def ref_principal(amps, blocks, g):
 
 def ref_incompressibility(amps, blocks, g):
     grid = amps.grid
-    cross_w, direct_w, cross_d, direct_d = (
-        np.zeros(grid.shape + (3,)) for _ in range(4))
+    w_p, d_p = ref_principal(amps, blocks, g)
+    w_c, d_c = np.zeros_like(w_p), np.zeros_like(d_p)
     for j in range(grid.n_t):
-        if g[j] == 0.0:
-            continue
+        pot_w = np.zeros(grid.shape[1:] + (3,))
+        pot_d = np.zeros(grid.shape[1:] + (3,))
         for family, triples in ref_families(amps, blocks).items():
             if pt._cutoff(amps, family)[j] == 0.0:
                 continue
             amp = np.sqrt(amps.squared_slice(family, j))
-            grads = ref_grad3(amp)
             for i, fr, bs in triples:
-                da = grads[..., i, :]
-                a = amp[..., i, None]
-                pot = bs.flow_slice("velocity_potential", j)
-                cross_w[j] += g[j] * np.cross(da, pot)
-                direct_w[j] += g[j] * (
-                    np.cross(da, ref_curl3(pot))
-                    + a * bs.flow_slice("velocity_corrector", j))
+                coef = (g[j] * amp[..., i])[..., None]
+                pot_w += coef * bs.flow_slice("velocity_potential", j)
                 if family == "magnetic":
-                    pot = bs.flow_slice("magnetic_potential", j)
-                    cross_d[j] += g[j] * np.cross(da, pot)
-                    direct_d[j] += g[j] * (
-                        np.cross(da, ref_curl3(pot))
-                        + a * bs.flow_slice("magnetic_corrector", j))
-    for j in range(grid.n_t):
-        if g[j] == 0.0:
-            continue
-        cross_w[j] = ref_curl3(cross_w[j]) + direct_w[j]
-        cross_d[j] = ref_curl3(cross_d[j]) + direct_d[j]
-    return cross_w, cross_d
+                    pot_d += coef * bs.flow_slice("magnetic_potential", j)
+        w_c[j] = ref_curl_curl3(pot_w) - w_p[j]
+        d_c[j] = ref_curl_curl3(pot_d) - d_p[j]
+    return w_c, d_c
 
 
 def ref_temporal_t(amps, blocks, g, mu):
@@ -488,6 +475,30 @@ class TestBuilders:
         with pytest.raises(ValueError, match="sampled for frame"):
             pt.incompressibility_correctors(amps, swapped, g, check=False)
 
+    def test_broken_magnetic_positivity_raises_from_the_builders(self,
+                                                                 built):
+        # the velocity squares carry G_B without forming the magnetic
+        # squares; the magnetic family's own squares still raise
+        amps, blocks, g, h, sigma, _ = built
+        bad = next(j for j in range(amps.grid.n_t)
+                   if g[j] != 0.0 and h[j] != 0.0 and amps.f_b[j] != 0.0)
+        rho = amps.rho_b.data.copy()
+        rho[bad] = -1e3
+        broken = amps.replace(rho_b=Field(rho, amps.grid))
+        builders = (
+            lambda: pt.principal_parts(broken, blocks, g),
+            lambda: pt.incompressibility_correctors(broken, blocks, g,
+                                                    check=False),
+            lambda: pt.temporal_correctors_t(broken, blocks, g, MU,
+                                             check=False),
+            lambda: pt.temporal_correctors_o(broken, blocks, h, sigma,
+                                             check=False))
+        for build in builders:
+            with pytest.raises(ConstructionError,
+                               match="magnetic amplitude square lost "
+                                     "positivity"):
+                build()
+
 
 # -- verifiers ---------------------------------------------------------------------
 
@@ -498,8 +509,9 @@ def passing_tol(report, keys):
 class TestVerifiers:
     def test_divfree_representation_report(self, built, reference_parts):
         amps, blocks, g, _, _, parts = built
-        want = ref_divfree(amps, blocks, g, *(
-            reference_parts[k] for k in ("w_p", "w_c", "d_p", "d_c")))
+        names = ("w_p", "w_c", "d_p", "d_c")
+        want = ref_divfree(amps, blocks, g, *(reference_parts[k]
+                                              for k in names))
         tol = passing_tol(want, ("velocity_representation",
                                  "magnetic_representation"))
         div_tol = passing_tol(want, ("velocity_divergence",
@@ -508,17 +520,67 @@ class TestVerifiers:
         want["divergence_tolerance"] = max(
             div_tol, pt._TAIL_FACTOR * want["amplitude_tail"])
         got = pt.verify_divfree_representation(
-            amps, blocks, g, parts["w_p"], parts["w_c"], parts["d_p"],
-            parts["d_c"], tol=tol, div_tol=div_tol)
+            amps, blocks, g, *(parts[k] for k in names), tol=tol,
+            div_tol=div_tol)
         assert_reports_match(got, want)
-        worst = max(want["velocity_representation"],
-                    want["magnetic_representation"])
+        # a w_c slice off by half of itself must be caught and reported
+        # as the reference reports it
+        inf = float("inf")
+        j = next(j for j in range(amps.grid.n_t)
+                 if g[j] != 0.0 and amps.f_u[j] != 0.0)
+        ref_w_c = reference_parts["w_c"].copy()
+        ref_w_c[j] *= 1.5
+        w_c = parts["w_c"].data.copy()
+        w_c[j] *= 1.5
+        w_c = Field(w_c, amps.grid, _take=True)
+        want = ref_divfree(amps, blocks, g, reference_parts["w_p"], ref_w_c,
+                           reference_parts["d_p"], reference_parts["d_c"],
+                           tol=inf, div_tol=inf)
+        got = pt.verify_divfree_representation(
+            amps, blocks, g, parts["w_p"], w_c, parts["d_p"], parts["d_c"],
+            tol=inf, div_tol=inf)
+        assert_reports_match(got, want)
+        worst = want["velocity_representation"]
         assert worst > pt._TAIL_FACTOR * want["amplitude_tail"]
         with pytest.raises(pt.CorrectorIdentityError,
-                           match="double-curl representation"):
+                           match="velocity double-curl representation"):
             pt.verify_divfree_representation(
-                amps, blocks, g, parts["w_p"], parts["w_c"], parts["d_p"],
-                parts["d_c"], tol=worst / 2, div_tol=div_tol)
+                amps, blocks, g, parts["w_p"], w_c, parts["d_p"],
+                parts["d_c"], tol=worst / 2, div_tol=inf)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_representation_is_exact_on_generic_inputs(self, built, threads,
+                                                       monkeypatch):
+        monkeypatch.setenv("CILAB_THREADS", threads)
+        amps, blocks, g, _, _, _ = built
+        w_p, d_p = pt.principal_parts(amps, blocks, g)
+        w_c, d_c = pt.incompressibility_correctors(amps, blocks, g,
+                                                   check=False)
+        inf = float("inf")
+        report = pt.verify_divfree_representation(
+            amps, blocks, g, w_p, w_c, d_p, d_c, tol=inf, div_tol=inf)
+        assert report["velocity_representation"] <= 1e-13
+        assert report["magnetic_representation"] <= 1e-13
+
+    def test_divergence_lives_on_the_nyquist_planes(self, built):
+        # curl curl is divergence-free mode by mode except on the planes
+        # |k_a| = n/2, where i k_a is not the derivative of a real field
+        amps, _, g, _, _, parts = built
+        n = amps.grid.n_x
+        raw = projected = 0.0
+        for j in range(amps.grid.n_t):
+            if g[j] == 0.0:
+                continue
+            for p, c in (("w_p", "w_c"), ("d_p", "d_c")):
+                total = parts[p].data[j] + parts[c].data[j]
+                div, scale = ref_div3(total)
+                raw = max(raw, float(np.abs(div).max()) / scale)
+                spec = ref_rfft3(total)
+                spec[n // 2] = spec[:, n // 2] = spec[:, :, n // 2] = 0.0
+                div, scale = ref_div3(ref_irfft3(spec, n))
+                projected = max(projected, float(np.abs(div).max()) / scale)
+        assert raw > 1e-6
+        assert projected <= 1e-13
 
     def test_temporal_balance_report(self, built, reference_parts):
         amps, blocks, g, _, _, parts = built
@@ -684,21 +746,6 @@ class TestSlicePool:
 # -- operators ---------------------------------------------------------------------
 
 class TestOperators:
-    def test_closed_form_potential_curl(self, geom, built):
-        _, blocks, _, _, _, _ = built
-        n = blocks["u1"].grid.n_x
-        worst = 0.0
-        for fr in geom.lambda_b + geom.lambda_u:
-            bs = blocks[fr.name]
-            for kind in ("velocity_potential", "magnetic_potential"):
-                for j in (0, 5):
-                    curl = sum(
-                        envelope_stack([bs], pair, j)[:, :1] * rows
-                        for pair, rows in curl_terms([bs], kind))
-                    want = ref_curl3(bs.flow_slice(kind, j))
-                    worst = max(worst, rel_max(curl.reshape(n, n, n, 3), want))
-        assert worst <= 1e-12
-
     @pytest.mark.parametrize("lead", [0, 1])
     def test_batched_slice_helpers_match_per_component(self, lead):
         # a whole-field array (lead=1, three slices here) must equal the
