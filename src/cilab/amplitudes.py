@@ -311,7 +311,12 @@ def build_amplitudes(R_l_u: Field, R_l_B: Field, delta_next: float,
     means the cutoff chi lost its wedge property, not a bad input. Two
     slice passes on the pool: the first checks the stress classes, keeps
     the independent components and forms rho_B; the second forms G_B and
-    rho_u. The set holds no reference to the inputs.
+    rho_u. A slice where both stresses vanish costs no work and no memory:
+    its stress components are left unwritten zeros and rho_B there is
+    2 delta_next / eps_B, and where f_b vanishes too, G_B is zero and
+    rho_u is 2 delta_next / eps_u. Every gate raises unless its defect is
+    within tolerance, so a NaN never passes. The set holds no reference to
+    the inputs.
     """
     if R_l_u.grid != grid:
         raise ValueError("velocity stress lives on a different grid")
@@ -323,24 +328,39 @@ def build_amplitudes(R_l_u: Field, R_l_B: Field, delta_next: float,
         raise ValueError("amplitude scale delta_next must be positive")
     if not ell > 0.0:
         raise ValueError("support scale ell must be positive")
-    stress_u = np.empty(grid.shape + (len(SYM_PAIRS[0]),))
-    stress_b = np.empty(grid.shape + (len(SKEW_PAIRS[0]),))
+    # zeroed, not empty: slices without stress are never written, and glibc
+    # leaves the pages of such large arrays unmapped until they are
+    stress_u = np.zeros(grid.shape + (len(SYM_PAIRS[0]),))
+    stress_b = np.zeros(grid.shape + (len(SKEW_PAIRS[0]),))
     rho_b = np.empty(grid.shape)
-    peak_u = np.empty(grid.n_t)
-    peak_b = np.empty(grid.n_t)
+    peak_u = np.zeros(grid.n_t)
+    peak_b = np.zeros(grid.n_t)
+    idle = np.zeros(grid.n_t, dtype=bool)
+    base_b = 2.0 / geom.eps_b * delta_next
 
     def split(j):
+        # a slice that is all zero passes every class check and sits at the
+        # plateau chi(0) = 1; .any() counts a NaN slice as nonzero
         r_u, r_b = R_l_u.data[j], R_l_B.data[j]
-        stress_u[j] = r_u[..., SYM_PAIRS[0], SYM_PAIRS[1]]
+        carries_u, carries_b = r_u.any(), r_b.any()
+        idle[j] = not (carries_u or carries_b)
+        defects = []
+        if carries_u:
+            stress_u[j] = r_u[..., SYM_PAIRS[0], SYM_PAIRS[1]]
+            peak_u[j] = np.sqrt((r_u ** 2).sum(axis=(-2, -1))).max()
+            trace = r_u[..., 0, 0] + r_u[..., 1, 1] + r_u[..., 2, 2]
+            defects += [
+                ("symmetric",
+                 float(np.abs(r_u - np.swapaxes(r_u, -1, -2)).max())),
+                ("trace", float(np.abs(trace).max()))]
+        if not carries_b:
+            rho_b[j] = base_b
+            return defects
         stress_b[j] = r_b[..., SKEW_PAIRS[0], SKEW_PAIRS[1]]
         frob_b = np.sqrt((r_b ** 2).sum(axis=(-2, -1)))
-        rho_b[j] = 2.0 / geom.eps_b * delta_next * chi(frob_b / delta_next)
-        peak_u[j] = np.sqrt((r_u ** 2).sum(axis=(-2, -1))).max()
+        rho_b[j] = base_b * chi(frob_b / delta_next)
         peak_b[j] = frob_b.max()
-        trace = r_u[..., 0, 0] + r_u[..., 1, 1] + r_u[..., 2, 2]
-        return [
-            ("symmetric", float(np.abs(r_u - np.swapaxes(r_u, -1, -2)).max())),
-            ("trace", float(np.abs(trace).max())),
+        return defects + [
             ("skew", float(np.abs(r_b + np.swapaxes(r_b, -1, -2)).max())),
             ("ball", float((frob_b / rho_b[j]).max()))]
 
@@ -348,15 +368,15 @@ def build_amplitudes(R_l_u: Field, R_l_B: Field, delta_next: float,
                                         0.0),
                           map_slices(split, range(grid.n_t)))
     scale_u = 1e-10 * max(1.0, R_l_u.max_abs())
-    if defects["symmetric"] > scale_u:
+    if not defects["symmetric"] <= scale_u:
         raise ValueError("velocity stress must be symmetric "
                          f"(defect {defects['symmetric']:g})")
-    if defects["trace"] > scale_u:
+    if not defects["trace"] <= scale_u:
         raise ValueError("velocity stress must be traceless")
-    if defects["skew"] > 1e-10 * max(1.0, R_l_B.max_abs()):
+    if not defects["skew"] <= 1e-10 * max(1.0, R_l_B.max_abs()):
         raise ValueError("magnetic stress must be skew-symmetric "
                          f"(defect {defects['skew']:g})")
-    if defects["ball"] > geom.eps_b * (1.0 + 1e-12):
+    if not defects["ball"] <= geom.eps_b * (1.0 + 1e-12):
         raise ConstructionError(
             f"magnetic stress left the geometry ball: {defects['ball']:g}")
     f_b = temporal_cutoff(slice_support(peak_b), grid, ell)
@@ -365,17 +385,22 @@ def build_amplitudes(R_l_u: Field, R_l_B: Field, delta_next: float,
         rho_b=Field(rho_b, grid, _take=True), rho_u=None, f_b=f_b, f_u=None,
         stress_u=stress_u, stress_b=stress_b, peak_u=peak_u, peak_b=peak_b)
     rho_u = np.empty(grid.shape)
-    peak_gb = np.empty(grid.n_t)
+    peak_gb = np.zeros(grid.n_t)
+    base_u = 2.0 / geom.eps_u * delta_next
 
     def fill(j):
+        if idle[j] and f_b[j] == 0.0:
+            # G_B carries the factor f_b^2, so R_u + G_B is zero here
+            rho_u[j] = base_u
+            return []
         g_b = magnetic._g_b(j)
         frob_u = _frobenius(stress_u[j] + g_b, SYM_PAIRS)
-        rho_u[j] = 2.0 / geom.eps_u * delta_next * chi(frob_u / delta_next)
+        rho_u[j] = base_u * chi(frob_u / delta_next)
         peak_gb[j] = _frobenius(g_b, SYM_PAIRS).max()
         return [("ball", float((frob_u / rho_u[j]).max()))]
 
     worst = fold_maxima({"ball": 0.0}, map_slices(fill, range(grid.n_t)))["ball"]
-    if worst > geom.eps_u * (1.0 + 1e-12):
+    if not worst <= geom.eps_u * (1.0 + 1e-12):
         raise ConstructionError(
             f"velocity stress left the geometry ball: {worst:g}")
     for arr in (stress_u, stress_b, peak_u, peak_b):
@@ -397,7 +422,7 @@ class CancellationReport:
 
     @property
     def passed(self) -> bool:
-        return max(self.magnetic, self.velocity) <= self.tol
+        return self.magnetic <= self.tol and self.velocity <= self.tol
 
 
 def verify_cancellation(amps: AmplitudeSet, blocks: dict, temporal=None,
@@ -474,12 +499,12 @@ def verify_cancellation(amps: AmplitudeSet, blocks: dict, temporal=None,
                                 velocity=resid["velocity"],
                                 moment_defect=moment_defect,
                                 time_indices=time_indices, tol=tol)
-    if moment_defect > tol:
+    if not moment_defect <= tol:
         raise CancellationError(
             f"block second moments deviate from the frame generators by "
             f"{moment_defect:g} (tolerance {tol:g})")
     for family in ("magnetic", "velocity"):
-        if resid[family] > tol:
+        if not resid[family] <= tol:
             raise CancellationError(
                 f"{family} cancellation residual {resid[family]:g} exceeds "
                 f"{tol:g} (block moment defect {moment_defect:g})")

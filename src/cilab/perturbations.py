@@ -147,12 +147,13 @@ def _abs_maxima(*arrays):
 
 
 def _gate(report, names, tol, tail, key="effective_tolerance"):
-    """Raise naming the first residual in names above max(tol, _TAIL_FACTOR
-    tail); that effective tolerance is recorded under key."""
-    effective = max(tol, _TAIL_FACTOR * tail)
+    """Raise naming the first residual in names not within max(tol,
+    _TAIL_FACTOR tail); that effective tolerance is recorded under key. A
+    NaN residual or tail is never within it."""
+    effective = float(np.maximum(tol, _TAIL_FACTOR * tail))
     report[key] = effective
     for name, label in names:
-        if report[name] > effective:
+        if not report[name] <= effective:
             raise CorrectorIdentityError(
                 f"{label} residual {report[name]:g} exceeds {effective:g} "
                 f"(raw tolerance {tol:g}, amplitude tail {tail:g})")
@@ -367,12 +368,15 @@ def temporal_correctors_t(amps: AmplitudeSet, blocks: dict, g, mu: float,
         if g[j] == 0.0:
             return
         g2 = g[j] ** 2
+        active = False
         for _, sets, pair, dirs, a2 in _active(amps, families, j):
             a2 = a2.reshape(-1, len(sets))
             _add_sides(acc, j, _sides(
                 (g2 * a2 * envelope_stack(sets, pair, j) ** 2) @ dirs, n))
-        for side in acc:
-            side[j] *= -1.0 / mu
+            active = True
+        if active:  # an idle slice stays unwritten
+            for side in acc:
+                side[j] *= -1.0 / mu
 
     map_slices(fill, range(grid.n_t))
     w_t, d_t = _solenoidal(acc, grid)
@@ -488,7 +492,7 @@ def verify_divfree_representation(amps, blocks, g, w_p, w_c, d_p, d_c,
         for s, (_, key) in enumerate(keys):
             side = terms[..., s, :]
             scale = float(np.abs(side).max())
-            if scale > 0.0:
+            if scale != 0.0:  # a NaN slice counts
                 updates.append((key, float(
                     np.abs(side.sum(axis=-1)).max()) / scale))
         if g[j] == 0.0:
@@ -694,11 +698,11 @@ def assemble_iterate(u_l: Field, B_l: Field, pert: Perturbation,
                        / max(peak, 1e-300))
         report[f"{name}_divergence_defect"] = div_defect
         report[f"{name}_mean_defect"] = mean_defect
-        if div_defect > tol:
+        if not div_defect <= tol:
             raise CorrectorIdentityError(
                 f"{name} perturbation is not solenoidal: relative defect "
                 f"{div_defect:g} exceeds {tol:g}")
-        if mean_defect > tol:
+        if not mean_defect <= tol:
             raise CorrectorIdentityError(
                 f"{name} perturbation is not spatially mean-free: relative "
                 f"defect {mean_defect:g} exceeds {tol:g}")
@@ -717,7 +721,7 @@ def assemble_iterate(u_l: Field, B_l: Field, pert: Perturbation,
                 if peak > 0.0:
                     leak = float(norms[~allowed].max()) / peak
         report[f"{name}_support_leak"] = leak
-        if leak > 1e-10:
+        if not leak <= 1e-10:
             raise CorrectorIdentityError(
                 f"{name} perturbation leaks outside the dilated stress "
                 f"support: relative slice norm {leak:g}")

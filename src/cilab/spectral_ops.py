@@ -31,7 +31,8 @@ def _div_rel_defect(f: Field) -> float:
     for a in range(3):
         spec = to_spectral(f.data[..., a], f.grid)
         mag = np.abs(spec)
-        den = max(den, float(np.multiply(kmag, mag, out=mag).max()))
+        # np.maximum, not max: a NaN component keeps the defect NaN
+        den = float(np.maximum(den, np.multiply(kmag, mag, out=mag).max()))
         del mag
         spec *= 1j * ks[a]
         if div is None:
@@ -64,7 +65,9 @@ def _mean_free3(slab: np.ndarray) -> np.ndarray:
 
 
 def _slicewise(f: Field, kernel) -> Field:
-    out = np.zeros_like(f.data)
+    # np.zeros, not zeros_like: the pages of slices never written stay
+    # unmapped (zeros_like writes every page)
+    out = np.zeros(f.data.shape)
 
     def fill(j):
         if f.data[j].any():
@@ -160,7 +163,7 @@ def inv_div_skew(f: Field, tol: float = 1e-8) -> Field:
     if not f.is_mean_free(tol):
         raise ValueError("inv_div_skew needs a mean-free input field")
     defect = _div_rel_defect(f)
-    if defect > tol:
+    if not defect <= tol:
         raise ValueError(
             f"inv_div_skew needs a divergence-free input, relative defect {defect:.3e}")
     c = spectral.curl(f.data, 1, inverse_laplacian=True)

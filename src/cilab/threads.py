@@ -157,8 +157,10 @@ def map_slices(fn, slices) -> list:
 
 def fold_maxima(report: dict, per_slice) -> dict:
     """Fold each slice's list of (key, value) pairs into report's running
-    maxima, in slice order, exactly as a serial loop would."""
+    maxima, in slice order, exactly as a serial loop would. A NaN value
+    sticks, so a gate testing `value <= tol` rejects it."""
     for updates in per_slice:
         for key, value in updates:
-            report[key] = max(report[key], value)
+            if value > report[key] or value != value:
+                report[key] = value
     return report

@@ -1,16 +1,24 @@
 """Amplitude coefficients: cutoff regimes, rescaling bounds, temporal
-supports, affine structure, and the two cancellation identities."""
+supports, affine structure, idle-slice storage, and the two cancellation
+identities."""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cilab
 from cilab.amplitudes import (
-    AmplitudeSet, CancellationError, build_amplitudes, chi,
+    AmplitudeSet, CancellationError, _frobenius, build_amplitudes, chi,
     slice_support, temporal_cutoff, verify_cancellation,
 )
 from cilab.blocks import BlockParams, sample_blocks
-from cilab.field import Field, skew, sym, traceless
+from cilab.field import SKEW_PAIRS, SYM_PAIRS, Field, skew, sym, traceless
 from cilab.geometry import build_geometry, skew_generator, sym_generator
 from cilab.grid import TWO_PI, Grid4
 from cilab.profiles import BumpTrain, make_spatial_profiles, make_temporal
@@ -190,6 +198,22 @@ class TestBuildAmplitudes:
             build_amplitudes(bad, r_b, 0.3, geom, grid)
         with pytest.raises(ValueError, match="rank-2"):
             build_amplitudes(random_field(grid, rng, rank=1), r_b,
+                             0.3, geom, grid)
+
+    # chi(nan) warns on the way to the gate
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("family,match", [
+        ("velocity", "velocity stress must be symmetric .*nan"),
+        ("magnetic", "magnetic stress must be skew-symmetric .*nan")])
+    def test_nan_stress_entry_rejected(self, geom, grid, family, match):
+        # every comparison with NaN is false: the class gates raise unless
+        # the defect is within tolerance
+        r_u, r_b = stress_pair(grid, np.random.default_rng(0))
+        stresses = {"velocity": r_u.data.copy(), "magnetic": r_b.data.copy()}
+        stresses[family][3, 1, 2, 3, 0, 1] = np.nan
+        with pytest.raises(ValueError, match=match):
+            build_amplitudes(Field(stresses["velocity"], grid, _take=True),
+                             Field(stresses["magnetic"], grid, _take=True),
                              0.3, geom, grid)
 
     def test_set_holds_at_most_eleven_scalar_fields(self, built):
@@ -425,6 +449,136 @@ class TestBuildAmplitudes:
             assert np.all(amps.amplitude_slice("u4", int(j)) == 0.0)
 
 
+def dense_reference(r_u, r_b, amps, geom):
+    """Every array of the set by its per-slice formula, applied to every
+    slice, all-zero ones included."""
+    grid, delta = amps.grid, amps.delta_next
+    ref = {"stress_u": r_u.data[..., SYM_PAIRS[0], SYM_PAIRS[1]],
+           "stress_b": r_b.data[..., SKEW_PAIRS[0], SKEW_PAIRS[1]]}
+    frob_b = np.sqrt((r_b.data ** 2).sum(axis=(-2, -1)))
+    ref["rho_b"] = 2.0 / geom.eps_b * delta * chi(frob_b / delta)
+    ref["peak_u"] = np.sqrt((r_u.data ** 2).sum(axis=(-2, -1))).max(
+        axis=(1, 2, 3))
+    ref["peak_b"] = frob_b.max(axis=(1, 2, 3))
+    ref["f_b"] = temporal_cutoff(slice_support(ref["peak_b"]), grid, amps.ell)
+    g_b = g_b_field(amps)[..., SYM_PAIRS[0], SYM_PAIRS[1]]
+    frob_u = _frobenius(ref["stress_u"] + g_b, SYM_PAIRS)
+    ref["rho_u"] = 2.0 / geom.eps_u * delta * chi(frob_u / delta)
+    peak_gb = _frobenius(g_b, SYM_PAIRS).max(axis=(1, 2, 3))
+    ref["f_u"] = temporal_cutoff(
+        slice_support(ref["peak_u"]) | slice_support(peak_gb), grid, amps.ell)
+    return ref
+
+
+# Run in a fresh process: builds a set on stresses carrying 4 of 16 slices
+# at 16 x 48^3 and a one-slice vector field, then reports, per output array,
+# the share of its carrying slices' pages that are resident and the number
+# of resident pages elsewhere. Allowed elsewhere: the 2 MiB around each edge
+# of the carrying slices (numpy advises huge pages) and the buffer's first
+# 2 MiB, where glibc writes the chunk header of the mapping.
+_RESIDENCY_SCRIPT = textwrap.dedent("""
+    import ctypes, json, mmap
+    import numpy as np
+    from cilab.amplitudes import build_amplitudes
+    from cilab.field import Field
+    from cilab.geometry import build_geometry
+    from cilab.grid import Grid4
+    from cilab.spectral_ops import leray, p_neq0
+
+    PAGE, HUGE = mmap.PAGESIZE, 2 << 20
+    libc = ctypes.CDLL(None, use_errno=True)
+    libc.mincore.argtypes = [ctypes.c_void_p, ctypes.c_size_t,
+                             ctypes.POINTER(ctypes.c_ubyte)]
+
+    def residency(arr, carrying):
+        addr = arr.ctypes.data
+        start = addr - addr % PAGE
+        pages = -(-(addr + arr.nbytes - start) // PAGE)
+        vec = (ctypes.c_ubyte * pages)()
+        if libc.mincore(start, addr + arr.nbytes - start, vec) != 0:
+            raise OSError(ctypes.get_errno(), "mincore")
+        resident = (np.frombuffer(vec, np.uint8) & 1).astype(bool)
+        lo = start + PAGE * np.arange(pages) - addr  # page offsets
+        hi = lo + PAGE
+        size = arr[0].nbytes
+        first, last = carrying.start * size, carrying.stop * size
+        inside = (lo >= first) & (hi <= last)
+        allowed = ((hi > first - HUGE) & (lo < last + HUGE)) | (lo < HUGE)
+        return [float(resident[inside].mean()),
+                int(resident[~allowed].sum())]
+
+    grid = Grid4(16, 48)
+    window = slice(9, 13)
+    rng = np.random.default_rng(3)
+    a = 0.1 * rng.standard_normal((4, 48, 48, 48, 3, 3))
+    sym = a + np.swapaxes(a, -1, -2)
+    sym -= np.trace(sym, axis1=-2, axis2=-1)[..., None, None] * np.eye(3) / 3
+    r_u, r_b = np.zeros(grid.shape + (3, 3)), np.zeros(grid.shape + (3, 3))
+    r_u[window], r_b[window] = sym, a - np.swapaxes(a, -1, -2)
+    del a, sym
+    amps = build_amplitudes(Field(r_u, grid, _take=True),
+                            Field(r_b, grid, _take=True), 0.25,
+                            build_geometry(), grid)
+    vec = np.zeros(grid.shape + (3,))
+    vec[3] = rng.standard_normal((48, 48, 48, 3))
+    one = Field(vec, grid, _take=True)
+    out = {"stress_u": residency(amps.stress_u, window),
+           "stress_b": residency(amps.stress_b, window),
+           "leray": residency(leray(one).data, slice(3, 4)),
+           "p_neq0": residency(p_neq0(one).data, slice(3, 4))}
+    print(json.dumps(out))
+""")
+
+
+class TestIdleSlices:
+    """Slices without stress are neither computed nor written."""
+
+    @pytest.fixture(scope="class")
+    def windowed(self, geom):
+        grid = Grid4(16, 16)
+        window = np.zeros(16)
+        window[5:9] = np.sin(np.pi * np.arange(1, 5) / 5) ** 2
+        w = window[:, None, None, None, None, None]
+        r_u, r_b = stress_pair(grid, np.random.default_rng(11))
+        r_u, r_b = Field(r_u.data * w, grid), Field(r_b.data * w, grid)
+        amps = build_amplitudes(r_u, r_b, 0.25, geom, grid, ell=0.7)
+        return r_u, r_b, amps, window == 0.0
+
+    def test_set_matches_dense_reference(self, geom, windowed):
+        r_u, r_b, amps, idle = windowed
+        assert idle.sum() == 12
+        # the cutoffs vanish on idle slices, so every shortcut is taken
+        assert np.all(amps.f_b[idle] == 0.0) and np.all(amps.f_u[idle] == 0.0)
+        for name, want in dense_reference(r_u, r_b, amps, geom).items():
+            got = getattr(amps, name)
+            got = got.data if isinstance(got, Field) else got
+            # values, so the -0.0 of a zero-weighted input equals +0.0
+            assert np.array_equal(got, want), name
+
+    def test_idle_slices_sit_at_the_plateau(self, geom, windowed):
+        _, _, amps, idle = windowed
+        delta = amps.delta_next
+        assert np.all(amps.rho_b.data[idle] == 2.0 * delta / geom.eps_b)
+        assert np.all(amps.rho_u.data[idle] == 2.0 * delta / geom.eps_u)
+        assert np.all(amps.stress_u[idle] == 0.0)
+        assert np.all(amps.stress_b[idle] == 0.0)
+        assert np.all(amps.peak_u[idle] == 0.0)
+        assert np.all(amps.peak_b[idle] == 0.0)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="lazily mapped zero pages are glibc's")
+    def test_idle_pages_stay_unmapped(self):
+        src = os.path.dirname(os.path.dirname(cilab.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", _RESIDENCY_SCRIPT],
+                              env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        for name, (carried, stray) in json.loads(proc.stdout).items():
+            assert carried == 1.0, name
+            assert stray == 0, name
+
+
 @pytest.fixture(scope="module")
 def cancel_setup(geom):
     grid = Grid4(8, 64)
@@ -477,3 +631,14 @@ class TestVerifyCancellation:
         bad = amps.replace(f_u=0.7 * np.ones_like(amps.f_u))
         with pytest.raises(CancellationError, match="velocity cancellation"):
             verify_cancellation(bad, blocks, time_indices=(0,))
+
+    @pytest.mark.parametrize("family,attr", [("magnetic", "stress_b"),
+                                             ("velocity", "stress_u")])
+    def test_nan_stress_names_its_group(self, cancel_setup, family, attr):
+        _, amps, blocks = cancel_setup
+        stress = getattr(amps, attr).copy()
+        stress[2, 1, 2, 3, 0] = np.nan
+        bad = amps.replace(**{attr: stress})
+        with pytest.raises(CancellationError,
+                           match=f"^{family} cancellation residual nan"):
+            verify_cancellation(bad, blocks, time_indices=(1, 2))

@@ -605,6 +605,66 @@ class TestVerifiers:
         assert_reports_match(got, ref_gate(want, tol, want["amplitude_tail"]))
 
 
+def _with_nan(part, j):
+    """A copy of part with one NaN entry on slice j."""
+    data = part.data.copy()
+    data[j, 1, 2, 3, 0] = np.nan
+    return Field(data, part.grid, _take=True)
+
+
+class TestNonFiniteParts:
+    """A NaN residual never passes a gate: every comparison with NaN is
+    false, so each gate raises unless its value is within tolerance."""
+
+    SIDES = [("velocity", 0), ("magnetic", 1)]
+
+    def _slice(self, built):
+        g = built[2]
+        return next(j for j in range(len(g)) if g[j] != 0.0)
+
+    @pytest.mark.parametrize("side,s", SIDES)
+    def test_nan_in_incompressibility_part(self, built, side, s):
+        amps, blocks, g, _, _, parts = built
+        names = ["w_p", "w_c", "d_p", "d_c"]
+        args = [parts[k] for k in names]
+        args[2 * s + 1] = _with_nan(args[2 * s + 1], self._slice(built))
+        with pytest.raises(pt.CorrectorIdentityError,
+                           match=f"^{side} double-curl .* residual nan"):
+            pt.verify_divfree_representation(amps, blocks, g, *args, tol=1.0,
+                                             div_tol=1.0)
+
+    @pytest.mark.parametrize("side,s", SIDES)
+    def test_nan_in_temporal_part(self, built, side, s):
+        amps, blocks, g, _, _, parts = built
+        args = [parts["w_t"], parts["d_t"]]
+        args[s] = _with_nan(args[s], self._slice(built))
+        with pytest.raises(pt.CorrectorIdentityError,
+                           match=f"^{side} temporal .* residual nan"):
+            pt.verify_temporal_balance(amps, blocks, g, MU, *args, tol=1.0)
+
+    @pytest.mark.parametrize("side,s", SIDES)
+    def test_nan_in_low_frequency_part(self, built, side, s):
+        amps, blocks, g, h, sigma, parts = built
+        args = [parts["w_o"], parts["d_o"]]
+        args[s] = _with_nan(args[s], self._slice(built))
+        with pytest.raises(pt.CorrectorIdentityError,
+                           match=f"^{side} low-frequency .* residual nan"):
+            pt.verify_low_frequency_balance(amps, blocks, h, sigma, g, *args,
+                                            tol=1.0)
+
+    @pytest.mark.parametrize("side,s", SIDES)
+    def test_nan_in_a_total(self, built, side, s):
+        amps, _, _, _, _, parts = built
+        name = ("w_p", "d_o")[s]
+        broken = dict(parts, **{name: _with_nan(parts[name],
+                                                self._slice(built))})
+        state = Field.zeros(amps.grid, rank=1)
+        with pytest.raises(pt.CorrectorIdentityError,
+                           match=f"^{side} perturbation .* defect nan"):
+            pt.assemble_iterate(state, state, pt.Perturbation(**broken), amps,
+                                tol=1.0)
+
+
 def _verifier_peak(built, name):
     """Traced peak of one ungated balance verifier, in vector-field copies."""
     amps, blocks, g, h, sigma, parts = built

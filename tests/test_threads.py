@@ -115,3 +115,16 @@ class TestMap:
                         assert np.array_equal(a, b), j
         finally:
             sys.setswitchinterval(interval)
+
+
+class TestFoldMaxima:
+    def test_running_maxima_in_slice_order(self):
+        got = threads.fold_maxima({"a": 0.0, "b": 1.0},
+                                  [[("a", 2.0)], [("a", 1.0), ("b", 3.0)], []])
+        assert got == {"a": 2.0, "b": 3.0}
+
+    @pytest.mark.parametrize("values", [(1.0, np.nan, 2.0), (np.nan, 2.0),
+                                        (2.0, np.nan)])
+    def test_nan_sticks(self, values):
+        got = threads.fold_maxima({"a": 0.0}, [[("a", v)] for v in values])
+        assert np.isnan(got["a"])
