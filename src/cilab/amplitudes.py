@@ -36,18 +36,18 @@ frames of a family in one (n^3, 6) @ (6, 6) or (n^3, 3) @ (3, 6) product.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import envelope_stack, flow_terms
+from .blocks import envelope_stack, family_sets, flow_terms
+from .checks import fold_maxima, gate
 from .field import SKEW_PAIRS, SYM_PAIRS, Field, expand
 from .geometry import (
     ConstructionError, GeometrySet, skew_generator, sym_generator,
 )
 from .grid import Grid4, TWO_PI
 from .profiles import _bump
-from .threads import fold_maxima, map_slices
+from .threads import map_slices
 
 
 class CancellationError(RuntimeError):
@@ -368,17 +368,13 @@ def build_amplitudes(R_l_u: Field, R_l_B: Field, delta_next: float,
                                         0.0),
                           map_slices(split, range(grid.n_t)))
     scale_u = 1e-10 * max(1.0, R_l_u.max_abs())
-    if not defects["symmetric"] <= scale_u:
-        raise ValueError("velocity stress must be symmetric "
-                         f"(defect {defects['symmetric']:g})")
-    if not defects["trace"] <= scale_u:
-        raise ValueError("velocity stress must be traceless")
-    if not defects["skew"] <= 1e-10 * max(1.0, R_l_B.max_abs()):
-        raise ValueError("magnetic stress must be skew-symmetric "
-                         f"(defect {defects['skew']:g})")
-    if not defects["ball"] <= geom.eps_b * (1.0 + 1e-12):
-        raise ConstructionError(
-            f"magnetic stress left the geometry ball: {defects['ball']:g}")
+    gate(defects, [
+        ("symmetric", "velocity stress must be symmetric (defect)", scale_u),
+        ("trace", "velocity stress must be traceless (defect)", scale_u),
+        ("skew", "magnetic stress must be skew-symmetric (defect)",
+         1e-10 * max(1.0, R_l_B.max_abs()))], ValueError)
+    gate(defects, [("ball", "magnetic stress left the geometry ball: ratio",
+                    geom.eps_b * (1.0 + 1e-12))], ConstructionError)
     f_b = temporal_cutoff(slice_support(peak_b), grid, ell)
     magnetic = AmplitudeSet(
         geom=geom, grid=grid, delta_next=delta_next, ell=ell,
@@ -399,10 +395,9 @@ def build_amplitudes(R_l_u: Field, R_l_B: Field, delta_next: float,
         peak_gb[j] = _frobenius(g_b, SYM_PAIRS).max()
         return [("ball", float((frob_u / rho_u[j]).max()))]
 
-    worst = fold_maxima({"ball": 0.0}, map_slices(fill, range(grid.n_t)))["ball"]
-    if not worst <= geom.eps_u * (1.0 + 1e-12):
-        raise ConstructionError(
-            f"velocity stress left the geometry ball: {worst:g}")
+    gate(fold_maxima({"ball": 0.0}, map_slices(fill, range(grid.n_t))),
+         [("ball", "velocity stress left the geometry ball: ratio",
+           geom.eps_u * (1.0 + 1e-12))], ConstructionError)
     for arr in (stress_u, stress_b, peak_u, peak_b):
         arr.setflags(write=False)
     f_u = temporal_cutoff(slice_support(peak_u) | slice_support(peak_gb),
@@ -412,43 +407,24 @@ def build_amplitudes(R_l_u: Field, R_l_B: Field, delta_next: float,
 
 # -- cancellation identities --------------------------------------------------
 
-@dataclass(frozen=True)
-class CancellationReport:
-    magnetic: float
-    velocity: float
-    moment_defect: float
-    time_indices: tuple
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return self.magnetic <= self.tol and self.velocity <= self.tol
-
-
 def verify_cancellation(amps: AmplitudeSet, blocks: dict, temporal=None,
-                        time_indices=None, tol: float = 1e-7) -> CancellationReport:
+                        time_indices=None, tol: float = 1e-7) -> dict:
     """Evaluate both cancellation identities literally on the grid.
 
     blocks maps frame names to BlockSet instances on the amplitude grid,
     covering both families. temporal supplies the oscillation profile g
     (g identically one when absent). Both sides of each identity are
     assembled term by term per time slice; the report carries the worst
-    relative residual per identity and the worst deviation of the grid
-    block moments from the frame generators. Failure raises with the
-    first violated term group named, in diagnostic order: block moments,
-    then magnetic cancellation, then velocity cancellation. A family's
-    six flow products (squared envelopes times direction tensors) sum as
-    one (n^3, 6) @ (6, 9) product.
+    relative residual per identity ("magnetic", "velocity") and the worst
+    deviation of the grid block moments from the frame generators
+    ("moment_defect"), each gated at tol through cilab.checks, in
+    diagnostic order: block moments, then magnetic cancellation, then
+    velocity cancellation. A family's six flow products (squared envelopes
+    times direction tensors) sum as one (n^3, 6) @ (6, 9) product.
     """
     grid = amps.grid
-    for fr in amps.geom.lambda_b + amps.geom.lambda_u:
-        if fr.name not in blocks:
-            raise ValueError(f"missing block set for frame {fr.name}")
-        if blocks[fr.name].grid != grid:
-            raise ValueError(f"block set {fr.name} lives on a different grid")
     if time_indices is None:
         time_indices = range(grid.n_t)
-    time_indices = tuple(int(j) for j in time_indices)
     g_sq = np.ones(grid.n_t)
     if temporal is not None:
         g_sq = temporal.g(grid.t()) ** 2
@@ -457,7 +433,7 @@ def verify_cancellation(amps: AmplitudeSet, blocks: dict, temporal=None,
     for family, gen in (("magnetic", skew_generator),
                         ("velocity", sym_generator)):
         frames = amps.frames(family)
-        sets = [blocks[fr.name] for fr in frames]
+        sets = family_sets(frames, blocks, grid)
         [(pair, vel)] = flow_terms(sets, "velocity")
         if family == "magnetic":
             [(_, mag)] = flow_terms(sets, "magnetic")
@@ -491,21 +467,11 @@ def verify_cancellation(amps: AmplitudeSet, blocks: dict, temporal=None,
             updates.append((family, float(np.abs(lhs - rhs).max()) / scale))
         return updates
 
-    resid = fold_maxima(
+    report = fold_maxima(
         dict.fromkeys(("moment_defect", "magnetic", "velocity"), 0.0),
         map_slices(residuals, time_indices))
-    moment_defect = resid["moment_defect"]
-    report = CancellationReport(magnetic=resid["magnetic"],
-                                velocity=resid["velocity"],
-                                moment_defect=moment_defect,
-                                time_indices=time_indices, tol=tol)
-    if not moment_defect <= tol:
-        raise CancellationError(
-            f"block second moments deviate from the frame generators by "
-            f"{moment_defect:g} (tolerance {tol:g})")
-    for family in ("magnetic", "velocity"):
-        if not resid[family] <= tol:
-            raise CancellationError(
-                f"{family} cancellation residual {resid[family]:g} exceeds "
-                f"{tol:g} (block moment defect {moment_defect:g})")
-    return report
+    return gate(report, [
+        ("moment_defect",
+         "block second moments deviate from the frame generators by", tol),
+        ("magnetic", "magnetic cancellation residual", tol),
+        ("velocity", "velocity cancellation residual", tol)], CancellationError)

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
+from .checks import fold_maxima, gate
 from .field import Field
 from .grid import Grid4, GridResolutionError
 from .profiles import (BandProfile, SpatialProfiles, band_project, fit_loglog,
@@ -49,12 +50,8 @@ IDENTITY_NAMES = ("velocity_potential_curl", "velocity_solenoidal",
 
 
 class BlockIdentityError(RuntimeError):
-    """One or more block identities exceeded tolerance on the grid."""
-
-    def __init__(self, failures):
-        self.failures = tuple(failures)
-        parts = ", ".join(f"{name}: {res:.3e}" for name, res in self.failures)
-        super().__init__(f"block identities failed: {parts}")
+    """One or more block identities exceeded tolerance on the grid; the
+    failing (identity, residual) pairs are in .failures."""
 
 
 @dataclass(frozen=True)
@@ -305,6 +302,24 @@ def flow_terms(sets, kind: str):
                                      for _, _, coef, direction in parts]))]
 
 
+def family_sets(frames, blocks, grid) -> list:
+    """The block sets of frames in frame order, validated: each is in
+    blocks, lives on grid and was sampled for the frame it is keyed by."""
+    sets = []
+    for fr in frames:
+        try:
+            bs = blocks[fr.name]
+        except KeyError:
+            raise ValueError(f"missing block set for frame {fr.name}") from None
+        if bs.grid != grid:
+            raise ValueError(f"block set {fr.name} lives on a different grid")
+        if bs.frame.name != fr.name:
+            raise ValueError(f"block set keyed {fr.name} was sampled for "
+                             f"frame {bs.frame.name}")
+        sets.append(bs)
+    return sets
+
+
 def _rel(diff_max: float, scale: float) -> float:
     return diff_max / max(scale, 1e-300)
 
@@ -312,37 +327,37 @@ def _rel(diff_max: float, scale: float) -> float:
 def verify_identities(blocks: BlockSet, time_indices=None, tol: float = 1e-7):
     """Check the seven block identities on grid slices with spectral
     spatial derivatives; the time derivative side enters in its exact
-    cancelled form. Returns {identity: relative residual} or raises
-    BlockIdentityError naming every identity over tolerance."""
+    cancelled form. Returns {identity: relative residual} with the
+    tolerances, or raises BlockIdentityError naming every identity over
+    tolerance (see cilab.checks)."""
     grid = blocks.grid
     if time_indices is None:
         step = max(1, grid.n_t // 4)
         time_indices = range(0, grid.n_t, step)
-    report = {name: 0.0 for name in IDENTITY_NAMES}
 
-    for j in time_indices:
+    def residuals(j):
         W = blocks.flow_slice("velocity", j)
         Wct = blocks.flow_slice("velocity_corrector", j)
         D = blocks.flow_slice("magnetic", j)
         Dct = blocks.flow_slice("magnetic_corrector", j)
+        updates = []
 
         lhs = W + Wct
         rhs = spectral.curl_curl(blocks.flow_slice("velocity_potential", j))
         scale = max(np.abs(lhs).max(), np.abs(rhs).max())
-        report["velocity_potential_curl"] = max(
-            report["velocity_potential_curl"], _rel(np.abs(lhs - rhs).max(), scale))
+        updates.append(("velocity_potential_curl",
+                        _rel(np.abs(lhs - rhs).max(), scale)))
 
         # the largest single term scales identities whose truth value is 0
         terms = spectral.div_terms(lhs)
         div, scale = terms.sum(axis=-1), float(np.abs(terms).max())
-        report["velocity_solenoidal"] = max(
-            report["velocity_solenoidal"], _rel(np.abs(div).max(), scale))
+        updates.append(("velocity_solenoidal", _rel(np.abs(div).max(), scale)))
 
         lhs = D + Dct
         rhs = spectral.curl_curl(blocks.flow_slice("magnetic_potential", j))
         scale = max(np.abs(lhs).max(), np.abs(rhs).max())
-        report["magnetic_potential_curl"] = max(
-            report["magnetic_potential_curl"], _rel(np.abs(lhs - rhs).max(), scale))
+        updates.append(("magnetic_potential_curl",
+                        _rel(np.abs(lhs - rhs).max(), scale)))
 
         for name, left, right, source_dir in (
                 ("velocity_transport", W, W, blocks.frame.k1),
@@ -352,17 +367,17 @@ def verify_identities(blocks: BlockSet, time_indices=None, tol: float = 1e-7):
             # div contracts the second factor: d_j (left_i right_j)
             terms = spectral.div_terms(left[..., :, None] * right[..., None, :])
             div, scale = terms.sum(axis=-1), float(np.abs(terms).max())
-            if source_dir is None:
-                report[name] = max(report[name], _rel(np.abs(div).max(), scale))
-            else:
+            if source_dir is not None:
                 rhs = blocks.transport_slice(j, source_dir)
                 scale = max(scale, float(np.abs(rhs).max()))
-                report[name] = max(report[name], _rel(np.abs(div - rhs).max(), scale))
+                div = div - rhs
+            updates.append((name, _rel(np.abs(div).max(), scale)))
+        return updates
 
-    failures = [(n, r) for n, r in report.items() if r > tol]
-    if failures:
-        raise BlockIdentityError(failures)
-    return report
+    report = fold_maxima(dict.fromkeys(IDENTITY_NAMES, 0.0),
+                         map(residuals, time_indices))
+    return gate(report, [(name, name, tol) for name in IDENTITY_NAMES],
+                BlockIdentityError)
 
 
 # -- scaling laws on the true profiles ------------------------------------------

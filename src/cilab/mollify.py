@@ -24,6 +24,7 @@ up to rounding for band-limited inputs.
 
 import numpy as np
 
+from .checks import gate
 from .field import (
     SKEW_PAIRS, SYM_PAIRS, Field, _outer, _skew, _sym, _traceless, dot,
     expand, to_physical, to_spectral,
@@ -132,11 +133,9 @@ def mollify(f: Field, ell: float) -> Field:
 def _check_mollified(name: str, given: Field, source: Field, mol: Mollifier):
     want = mol.apply(source)
     scale = max(want.max_abs(), 1e-300)
-    defect = (given - want).max_abs()
-    if defect > 1e-8 * scale:
-        raise ValueError(
-            f"{name} does not equal the scale-{mol.ell:g} mollification of "
-            f"its source (relative defect {defect / scale:.2e})")
+    gate({name: (given - want).max_abs() / scale},
+         [(name, f"{name} does not equal the scale-{mol.ell:g} mollification "
+           "of its source: relative defect", 1e-8)], ValueError)
 
 
 def _sym_quad(u, b):
@@ -176,8 +175,9 @@ def _commutator(mol, quad, pairs, sign, project, label, state_q, state_l,
         return float(np.abs(flux - out[j]).max())
 
     defect = float(np.max(map_slices(subtract, range(grid.n_t))))
-    if defect > tol * scale:
-        raise ValueError(f"commutator stress is not {label}: defect {defect / scale:.2e}")
+    gate({"defect": defect / scale},
+         [("defect", f"commutator stress is not {label}: relative defect",
+           tol)], ValueError)
     return Field(out, grid, _take=True)
 
 

@@ -19,16 +19,16 @@ family drives no magnetic part, so its magnetic tables are zero.
 Every balance these parts rely on can be evaluated literally on the
 grid, one term group at a time. The verifiers here do exactly that and
 compare against tolerances that grow with the measured spectral tail of
-the amplitudes, reporting raw residual, tail, and effective tolerance
-side by side; concentrated inputs near the grid limit degrade the
-tolerance instead of silently failing. Only the sums that a time
-derivative needs are held as whole fields; every other term group and
-the residual are formed one slice at a time with running maxima, in the
-same order of operations as the whole-field expressions, and each time
-derivative a residual slice reads is one row of the time differentiation
-matrix, D[j] @ X (field.ddt_slice). Every slice loop
-runs on the slice pool of cilab.threads: a slice writes only its own
-output slice, and maxima are folded in slice order afterwards. Block second
+the amplitudes; each report holds the residuals, the tail and each
+residual's tail-scaled tolerance (cilab.checks), so concentrated inputs
+near the grid limit degrade the tolerance instead of silently failing.
+Only the sums that a time derivative needs are held as whole fields;
+every other term group and the residual are formed one slice at a time
+with running maxima, in the same order of operations as the whole-field
+expressions, and each time derivative a residual slice reads is one row
+of the time differentiation matrix, D[j] @ X (field.ddt_slice). Every
+slice loop runs on the slice pool of cilab.threads: a slice writes only
+its own output slice, and maxima are folded in slice order afterwards. Block second
 moments enter the low-frequency correctors as measured grid averages
 rather than their continuum values, so the balances close at grid level. Those mean
 matrices M_(k) are constant, so the low-frequency terms need only
@@ -45,10 +45,11 @@ import numpy as np
 
 from . import spectral
 from .amplitudes import AmplitudeSet
-from .blocks import envelope_stack, flow_terms
+from .blocks import envelope_stack, family_sets, flow_terms
+from .checks import fold_maxima, gate
 from .field import Field, MixedNormSpec, ddt, ddt_slice, norm
 from .spectral_ops import _div_rel_defect, _mean_free3, leray, p_neq0
-from .threads import fold_maxima, map_slices
+from .threads import map_slices
 
 _TAIL_FACTOR = 10.0
 
@@ -70,23 +71,6 @@ def _as_samples(profile, grid, what):
     return vals
 
 
-def _family_sets(amps, blocks, family):
-    """The block sets of one family in frame order, validated."""
-    sets = []
-    for fr in amps.frames(family):
-        try:
-            bs = blocks[fr.name]
-        except KeyError:
-            raise ValueError(f"missing block set for frame {fr.name}") from None
-        if bs.grid != amps.grid:
-            raise ValueError(f"block set {fr.name} lives on a different grid")
-        if bs.frame.name != fr.name:
-            raise ValueError(f"block set keyed {fr.name} was sampled for "
-                             f"frame {bs.frame.name}")
-        sets.append(bs)
-    return sets
-
-
 def _cutoff(amps, family):
     return amps.f_b if family == "magnetic" else amps.f_u
 
@@ -105,7 +89,7 @@ def _families(amps, blocks, kind_w, kind_d):
     velocity family drives no magnetic part."""
     out = []
     for family in _FAMILIES:
-        sets = _family_sets(amps, blocks, family)
+        sets = family_sets(amps.frames(family), blocks, amps.grid)
         kinds = (kind_w, kind_d) if family == "magnetic" else (kind_w,)
         table = np.zeros((len(sets), 6))
         pairs = set()
@@ -146,18 +130,14 @@ def _abs_maxima(*arrays):
     return np.array([np.abs(a).max() for a in arrays])
 
 
-def _gate(report, names, tol, tail, key="effective_tolerance"):
-    """Raise naming the first residual in names not within max(tol,
-    _TAIL_FACTOR tail); that effective tolerance is recorded under key. A
-    NaN residual or tail is never within it."""
+def _gate(report, names, tol):
+    """Gate each (key, label) of names at max(tol, _TAIL_FACTOR times the
+    report's amplitude tail); with np.maximum a NaN tail keeps that
+    tolerance NaN, which nothing is within."""
+    tail = report["amplitude_tail"]
     effective = float(np.maximum(tol, _TAIL_FACTOR * tail))
-    report[key] = effective
-    for name, label in names:
-        if not report[name] <= effective:
-            raise CorrectorIdentityError(
-                f"{label} residual {report[name]:g} exceeds {effective:g} "
-                f"(raw tolerance {tol:g}, amplitude tail {tail:g})")
-    return report
+    return gate(report, [(key, label, effective) for key, label in names],
+                CorrectorIdentityError)
 
 
 # -- measured block moments -----------------------------------------------------
@@ -190,7 +170,7 @@ def _moment_tables(amps, blocks):
     equations as one (6, 18) table, row k holding M_vel(k), M_mag(k)."""
     tables = []
     for family in ("velocity", "magnetic"):
-        _family_sets(amps, blocks, family)
+        family_sets(amps.frames(family), blocks, amps.grid)
         rows = []
         for q in measured_second_moments(blocks, amps.frames(family)).values():
             m_vel, m_mag = q["velocity", "velocity"], np.zeros((3, 3))
@@ -513,15 +493,14 @@ def verify_divfree_representation(amps, blocks, g, w_p, w_c, d_p, d_c,
     report = fold_maxima(
         dict.fromkeys(sum(keys, ()) + ("amplitude_tail",), 0.0),
         map_slices(residuals, time_indices))
-    tail = report["amplitude_tail"]
-    report["tolerance"] = tol
     _gate(report, (("velocity_representation",
-                    "velocity double-curl representation"),
+                    "velocity double-curl representation residual"),
                    ("magnetic_representation",
-                    "magnetic double-curl representation")), tol, tail)
-    return _gate(report, (("velocity_divergence", "velocity incompressibility"),
-                          ("magnetic_divergence", "magnetic incompressibility")),
-                 div_tol, tail, "divergence_tolerance")
+                    "magnetic double-curl representation residual")), tol)
+    return _gate(report, (("velocity_divergence",
+                           "velocity incompressibility residual"),
+                          ("magnetic_divergence",
+                           "magnetic incompressibility residual")), div_tol)
 
 
 def verify_temporal_balance(amps, blocks, g, mu: float, w_t, d_t,
@@ -578,8 +557,6 @@ def verify_temporal_balance(amps, blocks, g, mu: float, w_t, d_t,
 
     report = fold_maxima({"amplitude_tail": 0.0},
                           map_slices(sweep, range(grid.n_t)))
-    tail = report["amplitude_tail"]
-    report["tolerance"] = tol
     # profile drift, time-derivative half: - mu^{-1} envelope^2 k d_t(a^2 g^2)
     g2_all = g ** 2
     for family, sets, pair, dirs, _, ks, _ in families:
@@ -616,9 +593,9 @@ def verify_temporal_balance(amps, blocks, g, mu: float, w_t, d_t,
             peaks[0] / max(*peaks[1:], amps.delta_next))
     return _gate(report,
                  (("velocity_temporal_balance",
-                   "velocity temporal corrector balance"),
+                   "velocity temporal corrector balance residual"),
                   ("magnetic_temporal_balance",
-                   "magnetic temporal corrector balance")), tol, tail)
+                   "magnetic temporal corrector balance residual")), tol)
 
 
 def verify_low_frequency_balance(amps, blocks, h, sigma: float, g, w_o, d_o,
@@ -648,8 +625,6 @@ def verify_low_frequency_balance(amps, blocks, h, sigma: float, g, w_o, d_o,
 
     report = fold_maxima({"amplitude_tail": 0.0},
                           map_slices(sweep, range(grid.n_t)))
-    tail = report["amplitude_tail"]
-    report["tolerance"] = tol
     g2m1 = g ** 2 - 1.0
     for s, (side, part) in enumerate((("velocity", w_o), ("magnetic", d_o))):
         def residual(j):
@@ -668,9 +643,10 @@ def verify_low_frequency_balance(amps, blocks, h, sigma: float, g, w_o, d_o,
             peaks[0] / max(*peaks[1:], amps.delta_next))
     return _gate(report,
                  (("velocity_low_frequency_balance",
-                   "velocity low-frequency corrector balance"),
+                   "velocity low-frequency corrector balance residual"),
                   ("magnetic_low_frequency_balance",
-                   "magnetic low-frequency corrector balance")), tol, tail)
+                   "magnetic low-frequency corrector balance residual")),
+                 tol)
 
 
 # -- assembly ---------------------------------------------------------------------
@@ -698,14 +674,11 @@ def assemble_iterate(u_l: Field, B_l: Field, pert: Perturbation,
                        / max(peak, 1e-300))
         report[f"{name}_divergence_defect"] = div_defect
         report[f"{name}_mean_defect"] = mean_defect
-        if not div_defect <= tol:
-            raise CorrectorIdentityError(
-                f"{name} perturbation is not solenoidal: relative defect "
-                f"{div_defect:g} exceeds {tol:g}")
-        if not mean_defect <= tol:
-            raise CorrectorIdentityError(
-                f"{name} perturbation is not spatially mean-free: relative "
-                f"defect {mean_defect:g} exceeds {tol:g}")
+        gate(report, [
+            (f"{name}_divergence_defect",
+             f"{name} perturbation is not solenoidal: relative defect", tol),
+            (f"{name}_mean_defect", f"{name} perturbation is not spatially "
+             "mean-free: relative defect", tol)], CorrectorIdentityError)
     w, d = totals
     mask = amps.stress_support()
     for name, inc in (("velocity", w), ("magnetic", d)):
@@ -721,10 +694,9 @@ def assemble_iterate(u_l: Field, B_l: Field, pert: Perturbation,
                 if peak > 0.0:
                     leak = float(norms[~allowed].max()) / peak
         report[f"{name}_support_leak"] = leak
-        if not leak <= 1e-10:
-            raise CorrectorIdentityError(
-                f"{name} perturbation leaks outside the dilated stress "
-                f"support: relative slice norm {leak:g}")
+        gate(report, [(f"{name}_support_leak", f"{name} perturbation leaks "
+                       "outside the dilated stress support: relative slice "
+                       "norm", 1e-10)], CorrectorIdentityError)
     sup_l2 = MixedNormSpec.lebesgue(np.inf, 2.0)
     report["velocity_increment"] = norm(w, sup_l2)
     report["magnetic_increment"] = norm(d, sup_l2)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import spectral
+from .checks import gate
 from .field import Field, to_spectral
 from .threads import map_slices
 
@@ -162,10 +163,9 @@ def inv_div_skew(f: Field, tol: float = 1e-8) -> Field:
     """
     if not f.is_mean_free(tol):
         raise ValueError("inv_div_skew needs a mean-free input field")
-    defect = _div_rel_defect(f)
-    if not defect <= tol:
-        raise ValueError(
-            f"inv_div_skew needs a divergence-free input, relative defect {defect:.3e}")
+    gate({"divergence": _div_rel_defect(f)},
+         [("divergence", "inv_div_skew needs a divergence-free input: "
+           "relative defect", tol)], ValueError)
     c = spectral.curl(f.data, 1, inverse_laplacian=True)
     out = np.zeros(c.shape + (3,))
     # R_ij = eps_ijk c_k

@@ -154,13 +154,3 @@ def map_slices(fn, slices) -> list:
         _busy.release()
     return [f.result() for f in futures]
 
-
-def fold_maxima(report: dict, per_slice) -> dict:
-    """Fold each slice's list of (key, value) pairs into report's running
-    maxima, in slice order, exactly as a serial loop would. A NaN value
-    sticks, so a gate testing `value <= tol` rejects it."""
-    for updates in per_slice:
-        for key, value in updates:
-            if value > report[key] or value != value:
-                report[key] = value
-    return report

@@ -596,19 +596,19 @@ class TestVerifyCancellation:
     def test_identities_hold(self, cancel_setup):
         _, amps, blocks = cancel_setup
         rep = verify_cancellation(amps, blocks)
-        assert rep.passed
-        assert rep.magnetic <= 1e-10
-        assert rep.velocity <= 1e-10
-        assert rep.moment_defect <= 1e-10
-        assert rep.time_indices == tuple(range(8))
+        assert rep["magnetic"] <= 1e-10
+        assert rep["velocity"] <= 1e-10
+        assert rep["moment_defect"] <= 1e-10
+        for key in ("moment_defect", "magnetic", "velocity"):
+            assert rep[f"{key}_tolerance"] == 1e-7
 
     def test_identities_hold_with_oscillation_profile(self, cancel_setup):
         grid, amps, blocks = cancel_setup
         temporal = make_temporal(BumpTrain(m0=2), tau=1.0, sigma=1.0, band=2)
         rep = verify_cancellation(amps, blocks, temporal=temporal,
                                   time_indices=(0, 3, 5))
-        assert rep.magnetic <= 1e-9
-        assert rep.velocity <= 1e-9
+        assert rep["magnetic"] <= 1e-9
+        assert rep["velocity"] <= 1e-9
 
     def test_missing_frame_rejected(self, cancel_setup):
         _, amps, blocks = cancel_setup
@@ -616,6 +616,15 @@ class TestVerifyCancellation:
         del partial["u2"]
         with pytest.raises(ValueError, match="u2"):
             verify_cancellation(amps, partial)
+
+    def test_swapped_block_set_rejected(self, cancel_setup):
+        # a set sampled for another frame is a bad input, not a failed
+        # identity
+        _, amps, blocks = cancel_setup
+        swapped = dict(blocks, u2=blocks["u3"])
+        with pytest.raises(ValueError, match="keyed u2 was sampled for "
+                                             "frame u3"):
+            verify_cancellation(amps, swapped)
 
     def test_broken_magnetic_cutoff_names_magnetic_group(self, cancel_setup):
         _, amps, blocks = cancel_setup

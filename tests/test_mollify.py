@@ -182,6 +182,19 @@ class TestCommutatorStresses:
         with pytest.raises(ValueError, match="B_l"):
             commutator_stresses(u, b, u_l, mollify(b, 1.2), 0.9)
 
+    def test_nan_state_rejected(self, grid):
+        # a NaN in u_q spreads over its mollification, so the defect of u_l
+        # is NaN, which no tolerance admits
+        rng = np.random.default_rng(11)
+        u = random_divfree(grid, rng)
+        b = random_divfree(grid, rng)
+        u_l, b_l = mollify(u, 0.9), mollify(b, 0.9)
+        data = u.data.copy()
+        data[3, 1, 2, 3, 0] = np.nan
+        with pytest.raises(ValueError, match="^u_l .* relative defect nan"):
+            commutator_stresses(Field(data, grid, _take=True), b, u_l, b_l,
+                                0.9)
+
     def test_symmetry_classes_exact(self, closure_grid):
         rng = np.random.default_rng(23)
         u = random_divfree(closure_grid, rng)

@@ -127,10 +127,15 @@ def ref_mean_matrices(amps, blocks):
     return m_vel, m_mag
 
 
-def ref_gate(report, tol, tail):
+def ref_gate(report, tol, tail, keys=None):
+    """The tail and, for each key (by default every residual), its
+    tail-scaled tolerance."""
+    if keys is None:
+        keys = [k for k in report if k != "amplitude_tail"
+                and not k.endswith("_tolerance")]
     report["amplitude_tail"] = tail
-    report["tolerance"] = tol
-    report["effective_tolerance"] = max(tol, pt._TAIL_FACTOR * tail)
+    for key in keys:
+        report[f"{key}_tolerance"] = max(tol, pt._TAIL_FACTOR * tail)
     return report
 
 
@@ -254,9 +259,10 @@ def ref_divfree(amps, blocks, g, w_p, w_c, d_p, d_c, tol=1e-7, div_tol=1e-8):
                         amps.delta_next)
             report[key] = max(report[key],
                               float(np.abs(lhs - rhs).max()) / scale)
-    ref_gate(report, tol, tail)
-    report["divergence_tolerance"] = max(div_tol, pt._TAIL_FACTOR * tail)
-    return report
+    ref_gate(report, tol, tail, ("velocity_representation",
+                                 "magnetic_representation"))
+    return ref_gate(report, div_tol, tail, ("velocity_divergence",
+                                            "magnetic_divergence"))
 
 
 def ref_temporal_balance(amps, blocks, g, mu, w_t, d_t, tol=1e-6):
@@ -516,9 +522,10 @@ class TestVerifiers:
                                  "magnetic_representation"))
         div_tol = passing_tol(want, ("velocity_divergence",
                                      "magnetic_divergence"))
-        ref_gate(want, tol, want["amplitude_tail"])
-        want["divergence_tolerance"] = max(
-            div_tol, pt._TAIL_FACTOR * want["amplitude_tail"])
+        ref_gate(want, tol, want["amplitude_tail"],
+                 ("velocity_representation", "magnetic_representation"))
+        ref_gate(want, div_tol, want["amplitude_tail"],
+                 ("velocity_divergence", "magnetic_divergence"))
         got = pt.verify_divfree_representation(
             amps, blocks, g, *(parts[k] for k in names), tol=tol,
             div_tol=div_tol)
@@ -758,10 +765,7 @@ def _whole_step(geom, temporal):
     reports, outcomes = {}, {}
     for name, (fn, *args) in checks.items():
         gates = ("tol", "div_tol") if name == "divfree" else ("tol",)
-        report = fn(*args, **dict.fromkeys(gates, float("inf")))
-        reports[name] = (report if isinstance(report, dict)
-                         else {k: getattr(report, k) for k in
-                               ("magnetic", "velocity", "moment_defect")})
+        reports[name] = fn(*args, **dict.fromkeys(gates, float("inf")))
         outcome = _checked(fn, *args)
         outcomes[name] = outcome if isinstance(outcome, str) else "passed"
     return parts, reports, outcomes
