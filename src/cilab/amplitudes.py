@@ -15,24 +15,25 @@ whose imbalance tensors cancel at the base point, so G_B is exactly affine
 in the magnetic stress with no dependence on rho_B; the velocity family
 then absorbs R_u + G_B in one decomposition.
 
-The set keeps its data at its true size: the two rescaling fields and the
-independent components of the two stresses, 6 of the symmetric traceless
-R_l^u and 3 of the skew R_l^B (field.SYM_PAIRS, field.SKEW_PAIRS), 11
-scalar fields in all, with the affine tables L_u and L_b folded onto those
-components. G_B is never stored: on each slice it is the magnetic squares
-times the imbalance table, the definition that `build_amplitudes` (for
-rho_u and f_u) and `verify_cancellation` use. The velocity squares need only
-G_B through the velocity table, so that product is folded once into a
-vector w and a (3, 6) table W: their G_B share is f_b^2 (rho_B w - stress_b
-W), formed without the magnetic squares.
-Full 3x3 slices of G_B and of the stresses are expanded only where a
-caller asks for one (`g_b_slice`, `stress_slice`).
+The set keeps its data at its true size, 11 scalar fields in one zeroed,
+component-major array of shape (11, n_t, n, n, n): rho_B, the 3 independent
+components of the skew R_l^B (field.SKEW_PAIRS), rho_u and the 6 of the
+symmetric traceless R_l^u (field.SYM_PAIRS). The stress blocks of a slice
+that carries no stress stay unwritten, their pages unmapped. The squares
+are affine in these rows, so each family's squares on a slice are one BLAS
+product: the slice's rows as an (n^3, 4, 7 or 11) transposed view times a
+(rows, 6) table with c and L folded onto the rows (`_fold`). G_B is never
+stored: on each slice it is the magnetic squares times the imbalance
+table, one product over the magnetic rows that `build_amplitudes` (for
+rho_u and f_u) and `verify_cancellation` use. The velocity squares take
+its share through the magnetic rows too, without forming the magnetic
+squares. Full 3x3 slices of G_B and of the stresses are expanded only
+where a caller asks for one (`g_b_slice`, `stress_slice`).
 
 Per-frame amplitude fields are not materialized at construction: a
 desk-scale grid makes twelve scalar fields more expensive than the
 stresses themselves, and every consumer walks time slices anyway. The
-slice accessors recompute the affine coefficients on demand, all six
-frames of a family in one (n^3, 6) @ (6, 6) or (n^3, 3) @ (3, 6) product.
+slice accessors recompute the squares on demand, each call one product.
 """
 
 import math
@@ -140,38 +141,53 @@ def _frobenius(compact, pairs):
 
 _STRESSES = {"velocity": (SYM_PAIRS, 1.0), "magnetic": (SKEW_PAIRS, -1.0)}
 
+# rows of AmplitudeSet.data: rho_B, the skew components, rho_u, the
+# symmetric components; each family's squares are affine in its rows
+_ROWS = {"magnetic": slice(0, 4), "velocity": slice(4, 11)}
+_BLOCKS = {"rho_b": 0, "stress_b": slice(1, 4), "rho_u": 4,
+           "stress_u": slice(5, 11)}
+
+
+def _block(data, name):
+    """The named block of a storage array as the set exposes it: a scalar
+    field, or the stress components along the last axis."""
+    rows = _BLOCKS[name]
+    return data[rows] if isinstance(rows, int) else np.moveaxis(
+        data[rows], 0, -1)
+
 
 class AmplitudeSet:
     """Amplitude data for one iteration step, at its true size.
 
-    Holds the two rescaling fields rho_b and rho_u, the temporal cutoffs
-    f_b and f_u, the independent components of the mollified stresses the
-    amplitudes are affine in (`stress_u`, (n_t, n, n, n, 6) at
-    field.SYM_PAIRS, and `stress_b`, (n_t, n, n, n, 3) at field.SKEW_PAIRS)
-    and the per-slice peak Frobenius norms of the two stresses (`peak_u`,
-    `peak_b`). Per-frame amplitudes, G_B and full 3x3 stress slices come
-    from the accessors. Construct with keywords; `replace` swaps entries.
+    `data` holds the 11 scalar fields (module docstring); `rho_b` and
+    `rho_u` are Fields over its rescaling blocks, and `stress_u` ((n_t, n,
+    n, n, 6) at field.SYM_PAIRS) and `stress_b` ((n_t, n, n, n, 3) at
+    field.SKEW_PAIRS) are read-only views of its stress blocks. Besides
+    `data` the set holds the temporal cutoffs f_b and f_u and the per-slice
+    peak Frobenius norms of the two stresses (`peak_u`, `peak_b`).
+    Per-frame amplitudes, G_B and full 3x3 stress slices come from the
+    accessors. Construct with keywords; `replace` swaps entries, and
+    replacing a block copies `data`, so the original set is unchanged.
     """
 
-    _FIELDS = ("geom", "grid", "delta_next", "ell", "rho_b", "rho_u", "f_b",
-               "f_u", "stress_u", "stress_b", "peak_u", "peak_b")
-    __slots__ = _FIELDS + ("eps_u", "eps_b", "_index", "_tables",
-                           "_imbalance", "_via_g_b")
+    _FIELDS = ("geom", "grid", "delta_next", "ell", "data", "f_b", "f_u",
+               "peak_u", "peak_b")
+    __slots__ = _FIELDS + ("rho_b", "rho_u", "eps_u", "eps_b", "_index",
+                           "_tables", "_g_b_table", "_g_b_share")
 
-    def __init__(self, *, geom, grid, delta_next, ell, rho_b, rho_u, f_b,
-                 f_u, stress_u, stress_b, peak_u, peak_b):
+    def __init__(self, *, geom, grid, delta_next, ell, data, f_b, f_u,
+                 peak_u, peak_b):
         self.geom = geom
         self.grid = grid
         self.delta_next = float(delta_next)
         self.ell = float(ell)
-        self.rho_b = rho_b
-        self.rho_u = rho_u
+        self.data = data
         self.f_b = f_b
         self.f_u = f_u
-        self.stress_u = stress_u
-        self.stress_b = stress_b
         self.peak_u = peak_u
         self.peak_b = peak_b
+        self.rho_b = Field(data[_BLOCKS["rho_b"]], grid, _take=True)
+        self.rho_u = Field(data[_BLOCKS["rho_u"]], grid, _take=True)
         self.eps_u = geom.eps_u
         self.eps_b = geom.eps_b
         self._index = {}
@@ -179,26 +195,48 @@ class AmplitudeSet:
             self._index[fr.name] = ("magnetic", i)
         for i, fr in enumerate(geom.lambda_u):
             self._index[fr.name] = ("velocity", i)
+        # unscaled squares = rows @ table: rho c - L : stress, with L folded
+        # onto the independent components
+        l_u = _fold(geom.L_u, *_STRESSES["velocity"])
         self._tables = {
-            "magnetic": (geom.c_b, _fold(geom.L_b, *_STRESSES["magnetic"])),
-            "velocity": (geom.c_u, _fold(geom.L_u, *_STRESSES["velocity"])),
+            "magnetic": np.vstack([geom.c_b,
+                                   -_fold(geom.L_b, *_STRESSES["magnetic"]).T]),
+            "velocity": np.vstack([geom.c_u, -l_u.T]),
         }
-        # mean velocity-magnetic imbalance k1 (x) k1 - k2 (x) k2 of each
+        # G_B / f_b^2 on the magnetic rows: the squares times the mean
+        # velocity-magnetic imbalance k1 (x) k1 - k2 (x) k2 of each
         # magnetic frame, on the independent symmetric components
         rows, cols = SYM_PAIRS
-        self._imbalance = np.stack([
+        imbalance = np.stack([
             (np.outer(fr.k1, fr.k1) - np.outer(fr.k2, fr.k2))[rows, cols]
             for fr in geom.lambda_b])
-        # G_B carried through the velocity table: its share of the velocity
-        # squares is f_b^2 (rho_B w - stress_b W)
-        c_b, l_b = self._tables["magnetic"]
-        via_u = self._imbalance @ self._tables["velocity"][1].T
-        self._via_g_b = (c_b @ via_u, l_b.T @ via_u)
+        self._g_b_table = self._tables["magnetic"] @ imbalance
+        # and its share of the velocity squares, which take R_u + G_B
+        self._g_b_share = -self._g_b_table @ l_u.T
+
+    @property
+    def stress_u(self) -> np.ndarray:
+        return _block(self.data, "stress_u")
+
+    @property
+    def stress_b(self) -> np.ndarray:
+        return _block(self.data, "stress_b")
 
     def replace(self, **changes) -> "AmplitudeSet":
-        """A new set with the named entries replaced; the rest are shared."""
+        """A new set with the named entries replaced; the rest are shared.
+        The blocks rho_b, rho_u, stress_u and stress_b are written into a
+        copy of data."""
         entries = {name: getattr(self, name) for name in self._FIELDS}
+        blocks = {name: changes.pop(name) for name in _BLOCKS
+                  if name in changes}
         entries.update(changes)
+        if blocks:
+            data = self.data.copy()
+            for name, value in blocks.items():
+                _block(data, name)[...] = (value.data if isinstance(value, Field)
+                                           else value)
+            data.setflags(write=False)
+            entries["data"] = data
         return AmplitudeSet(**entries)
 
     def frames(self, family: str):
@@ -208,42 +246,42 @@ class AmplitudeSet:
             return self.geom.lambda_u
         raise ValueError(f"unknown amplitude family {family!r}")
 
+    def _rows(self, rows, j: int, table) -> np.ndarray:
+        """Rows of data on slice j, as an (n^3, len) transposed view, times
+        table."""
+        block = self.data[rows, j]
+        return block.reshape(len(block), -1).T @ table
+
     def _squares(self, family: str, j: int, frame=None) -> np.ndarray:
         """rho (c + L : arg) with arg = -stress / rho on slice j, times the
-        squared cutoff: all frames as (n^3, 6), or one frame as (n^3, 1).
-        The velocity stress is R_u + G_B; G_B enters through the folded
-        tables w and W as f_b^2 (rho_B w - stress_b W), without forming the
-        magnetic squares, and vanishes on slices where f_b does. rho > 0
-        keeps the sign, so a nonpositive value is an error."""
-        if family == "magnetic":
-            rho, stress, cutoff = self.rho_b.data[j], self.stress_b[j], self.f_b
-        elif family == "velocity":
-            rho, stress, cutoff = self.rho_u.data[j], self.stress_u[j], self.f_u
-        else:
+        squared cutoff: all frames as (n^3, 6), or one frame as (n^3,). One
+        product over the family's rows; the velocity stress is R_u + G_B,
+        and where f_b is nonzero G_B's share enters through the magnetic
+        rows. rho > 0 keeps the sign, so a value that is not positive, NaN
+        included, is an error."""
+        if family not in _ROWS:
             raise ValueError(f"unknown amplitude family {family!r}")
-        cols = slice(None) if frame is None else [frame]
-        c, table = self._tables[family]
-        stress = stress.reshape(-1, table.shape[1])
-        vals = stress @ table[cols].T
+        rows, table = _ROWS[family], self._tables[family]
         if family == "velocity" and self.f_b[j] != 0.0:
-            w, big_w = self._via_g_b
-            g_b = self.rho_b.data[j].reshape(-1, 1) * w[cols]
-            g_b -= self.stress_b[j].reshape(-1, big_w.shape[0]) @ big_w[:, cols]
-            g_b *= self.f_b[j] ** 2
-            vals += g_b
-        np.subtract(rho.reshape(-1, 1) * c[cols], vals, out=vals)
-        if vals.min() <= 0.0:
-            raise ConstructionError(
-                f"{family} amplitude square lost positivity on slice {j}")
-        vals *= cutoff[j] ** 2
+            rows = slice(0, rows.stop)
+            table = np.vstack([self.f_b[j] ** 2 * self._g_b_share, table])
+        vals = self._rows(rows, j, table[:, slice(None) if frame is None
+                                         else frame])
+        if not vals.min() > 0.0:
+            raise ConstructionError(f"{family} amplitude square on slice {j} "
+                                    "is not finite or not positive")
+        cutoff = (self.f_b if family == "magnetic" else self.f_u)[j]
+        if cutoff != 1.0:
+            vals *= cutoff ** 2
         return vals
 
     def _g_b(self, j: int) -> np.ndarray:
         """G_B on slice j, on its independent components: the magnetic
-        squares times the imbalance table."""
+        squares times the imbalance table, as one product."""
         n = self.grid.n_x
-        return (self._squares("magnetic", j) @ self._imbalance).reshape(
-            n, n, n, -1)
+        return self._rows(_ROWS["magnetic"], j,
+                          self.f_b[j] ** 2 * self._g_b_table).reshape(
+                              n, n, n, -1)
 
     def squared_slice(self, family: str, j: int) -> np.ndarray:
         """All squared amplitudes of one family on time slice j, shape
@@ -328,11 +366,11 @@ def build_amplitudes(R_l_u: Field, R_l_B: Field, delta_next: float,
         raise ValueError("amplitude scale delta_next must be positive")
     if not ell > 0.0:
         raise ValueError("support scale ell must be positive")
-    # zeroed, not empty: slices without stress are never written, and glibc
-    # leaves the pages of such large arrays unmapped until they are
-    stress_u = np.zeros(grid.shape + (len(SYM_PAIRS[0]),))
-    stress_b = np.zeros(grid.shape + (len(SKEW_PAIRS[0]),))
-    rho_b = np.empty(grid.shape)
+    # zeroed, not empty: the stress blocks of slices without stress are
+    # never written, and glibc leaves the pages of such large arrays
+    # unmapped until they are
+    data = np.zeros((11,) + grid.shape)
+    rho_b, stress_b, rho_u, stress_u = (_block(data, name) for name in _BLOCKS)
     peak_u = np.zeros(grid.n_t)
     peak_b = np.zeros(grid.n_t)
     idle = np.zeros(grid.n_t, dtype=bool)
@@ -376,11 +414,10 @@ def build_amplitudes(R_l_u: Field, R_l_B: Field, delta_next: float,
     gate(defects, [("ball", "magnetic stress left the geometry ball: ratio",
                     geom.eps_b * (1.0 + 1e-12))], ConstructionError)
     f_b = temporal_cutoff(slice_support(peak_b), grid, ell)
-    magnetic = AmplitudeSet(
-        geom=geom, grid=grid, delta_next=delta_next, ell=ell,
-        rho_b=Field(rho_b, grid, _take=True), rho_u=None, f_b=f_b, f_u=None,
-        stress_u=stress_u, stress_b=stress_b, peak_u=peak_u, peak_b=peak_b)
-    rho_u = np.empty(grid.shape)
+    # rho_u and f_u are filled in below; G_B reads only the magnetic rows
+    amps = AmplitudeSet(geom=geom, grid=grid, delta_next=delta_next, ell=ell,
+                        data=data, f_b=f_b, f_u=None, peak_u=peak_u,
+                        peak_b=peak_b)
     peak_gb = np.zeros(grid.n_t)
     base_u = 2.0 / geom.eps_u * delta_next
 
@@ -389,7 +426,7 @@ def build_amplitudes(R_l_u: Field, R_l_B: Field, delta_next: float,
             # G_B carries the factor f_b^2, so R_u + G_B is zero here
             rho_u[j] = base_u
             return []
-        g_b = magnetic._g_b(j)
+        g_b = amps._g_b(j)
         frob_u = _frobenius(stress_u[j] + g_b, SYM_PAIRS)
         rho_u[j] = base_u * chi(frob_u / delta_next)
         peak_gb[j] = _frobenius(g_b, SYM_PAIRS).max()
@@ -398,11 +435,11 @@ def build_amplitudes(R_l_u: Field, R_l_B: Field, delta_next: float,
     gate(fold_maxima({"ball": 0.0}, map_slices(fill, range(grid.n_t))),
          [("ball", "velocity stress left the geometry ball: ratio",
            geom.eps_u * (1.0 + 1e-12))], ConstructionError)
-    for arr in (stress_u, stress_b, peak_u, peak_b):
+    for arr in (data, peak_u, peak_b):
         arr.setflags(write=False)
-    f_u = temporal_cutoff(slice_support(peak_u) | slice_support(peak_gb),
-                          grid, ell)
-    return magnetic.replace(rho_u=Field(rho_u, grid, _take=True), f_u=f_u)
+    amps.f_u = temporal_cutoff(slice_support(peak_u) | slice_support(peak_gb),
+                               grid, ell)
+    return amps
 
 
 # -- cancellation identities --------------------------------------------------

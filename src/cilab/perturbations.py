@@ -34,6 +34,20 @@ rather than their continuum values, so the balances close at grid level. Those m
 matrices M_(k) are constant, so the low-frequency terms need only
 V = sum_k M_(k) grad a_(k)^2: the corrector drives h V, the balance's
 residue is (g^2 - 1) V and its wander term is h d_t V.
+
+V, like the oscillation transport of the temporal balance, is the
+divergence of squares times a constant table, so its spectrum is formed
+straight from the squares' spectra (spectral.div_spectrum): one forward
+transform per square and a small product per family, never a transform
+of the (n^3, 18) tensor. The low-frequency corrector then stays in the
+spectrum for the whole slice: it projects the k3 = 0 and k3 = n/2 planes
+onto spectra of real fields, applies P_H and -h / sigma, and makes one
+inverse transform. The plane projection is there because the odd
+derivative multipliers i k_a are not zeroed at k_a = -n/2, so on those
+planes V's spectrum is not that of a real field; the inverse and forward
+transforms between V and leray that this pass replaces dropped exactly
+that part, and without it w_o moves by 7% of its peak. It becomes a no-op
+once those multipliers are zeroed.
 """
 
 from __future__ import annotations
@@ -142,6 +156,7 @@ def _gate(report, names, tol):
 
 # -- measured block moments -----------------------------------------------------
 
+_KINDS = ("velocity", "magnetic")
 _MOMENT_PAIRS = (("velocity", "velocity"), ("magnetic", "magnetic"),
                  ("magnetic", "velocity"), ("velocity", "magnetic"))
 
@@ -152,49 +167,55 @@ def measured_second_moments(blocks, frames):
     means are time-independent and slice zero decides. Downstream
     correctors must consume these measured matrices, not the continuum
     moments they approximate, or the balances stop closing at grid level.
+    Per frame the two flows stack into one (n^3, 6) array whose Gram matrix
+    holds all four pairs; the frames are spread over the slice pool.
     """
-    out = {}
-    for fr in frames:
-        bs = blocks[fr.name]
-        flows = {kind: bs.flow_slice(kind, 0).reshape(-1, 3)
-                 for kind in ("velocity", "magnetic")}
-        npts = flows["velocity"].shape[0]
-        out[fr.name] = {
-            (a, b): flows[a].T @ flows[b] / npts
-            for a, b in _MOMENT_PAIRS}
-    return out
+    def gram(i):
+        bs = blocks[frames[i].name]
+        flows = np.hstack([bs.flow_slice(kind, 0).reshape(-1, 3)
+                           for kind in _KINDS])
+        return flows.T @ flows / len(flows)
+
+    cols = {kind: slice(3 * k, 3 * k + 3) for k, kind in enumerate(_KINDS)}
+    return {fr.name: {(a, b): mat[cols[a], cols[b]] for a, b in _MOMENT_PAIRS}
+            for fr, mat in zip(frames, map_slices(gram, range(len(frames))))}
 
 
 def _moment_tables(amps, blocks):
     """Per family, the measured mean matrices of the velocity and magnetic
-    equations as one (6, 18) table, row k holding M_vel(k), M_mag(k)."""
-    tables = []
-    for family in ("velocity", "magnetic"):
+    equations as one (6, 6, 3) table, row k holding M_vel(k), M_mag(k)."""
+    families = ("velocity", "magnetic")
+    for family in families:
         family_sets(amps.frames(family), blocks, amps.grid)
+    moments = measured_second_moments(
+        blocks, [fr for family in families for fr in amps.frames(family)])
+    tables = []
+    for family in families:
         rows = []
-        for q in measured_second_moments(blocks, amps.frames(family)).values():
+        for fr in amps.frames(family):
+            q = moments[fr.name]
             m_vel, m_mag = q["velocity", "velocity"], np.zeros((3, 3))
             if family == "magnetic":
                 m_vel = m_vel - q["magnetic", "magnetic"]
                 m_mag = q["magnetic", "velocity"] - q["velocity", "magnetic"]
-            rows.append(np.concatenate([m_vel.ravel(), m_mag.ravel()]))
+            rows.append(np.concatenate([m_vel, m_mag]))
         tables.append((family, np.array(rows)))
     return tables
 
 
-def _slice_drift(amps, tables, j):
-    """V = sum_k M_(k) grad a_(k)^2 = div sum_k M_(k) a_(k)^2 on slice j for
-    both equations, (2, n, n, n, 3) or None, and the squares it read."""
-    tens = None
-    squares = []
+def _drift_spectrum(amps, tables, j, tails=None):
+    """Half spectrum of V = sum_k M_(k) grad a_(k)^2 = div sum_k M_(k)
+    a_(k)^2 on slice j for both equations, (n, n, n//2 + 1, 2, 3) or None,
+    straight from the spectra of the squares; the squares' tails are
+    appended to tails when given."""
+    spec = None
     for _, table, a2 in _active(amps, tables, j):
-        squares.append(a2)
-        term = a2.reshape(-1, table.shape[0]) @ table
-        tens = term if tens is None else tens + term
-    if tens is None:
-        return None, squares
-    n = amps.grid.n_x
-    return np.moveaxis(spectral.div(tens.reshape(n, n, n, 2, 3, 3)), 3, 0), squares
+        if tails is not None:
+            tails.append(("amplitude_tail", spectral.tail(a2.sum(axis=-1))))
+        spec = spectral.div_spectrum(a2, table, spec)
+    if spec is None:
+        return None
+    return spec.reshape(spec.shape[:3] + (2, 3))
 
 
 # -- the perturbation container --------------------------------------------------
@@ -372,25 +393,33 @@ def temporal_correctors_o(amps: AmplitudeSet, blocks: dict, h, sigma: float,
     These absorb the low-frequency residue of the squared oscillation
     profile, traded for a time derivative through h with h' = sigma
     (g^2 - 1); the mean matrices are the measured grid moments. Checking
-    the balance needs the oscillation profile g itself."""
+    the balance needs the oscillation profile g itself.
+
+    Each active slice is one spectral pass (module docstring): V's
+    spectrum, its k3 = 0 and n/2 planes projected onto spectra of real
+    fields, P_H and -h / sigma, then one inverse transform. V has no zero
+    mode, so this is leray(p_neq0(.)) of -h V / sigma."""
     grid = amps.grid
+    n = grid.n_x
     h = _as_samples(h, grid, "antiderivative profile h")
     if not sigma > 0.0:
         raise ValueError("low-frequency correctors need a positive "
                          "oscillation rate sigma")
     tables = _moment_tables(amps, blocks)
-    acc = _side_fields(grid)
+    out = np.zeros((2,) + grid.shape + (3,))
 
     def fill(j):
         if h[j] == 0.0:
             return
-        drift, _ = _slice_drift(amps, tables, j)
-        if drift is not None:
-            for side, v in zip(acc, drift):
-                side[j] = h[j] * v * (-1.0 / sigma)
+        spec = _drift_spectrum(amps, tables, j)
+        if spec is not None:
+            spectral.leray_spectrum(spectral.real_planes(spec))
+            spec *= h[j] * (-1.0 / sigma)
+            out[:, j] = np.moveaxis(spectral.irfft(spec, n), 3, 0)
 
     map_slices(fill, range(grid.n_t))
-    w_o, d_o = _solenoidal(acc, grid)
+    w_o, d_o = (Field(out[0], grid, _take=True),
+                Field(out[1], grid, _take=True))
     if check:
         if g is None:
             raise ValueError("checking the low-frequency balance needs the "
@@ -525,7 +554,7 @@ def verify_temporal_balance(amps, blocks, g, mu: float, w_t, d_t,
         k1, k2 = dirs[:, :3], dirs[:, 3:]
         p_v = k1[:, :, None] * k1[:, None] - k2[:, :, None] * k2[:, None]
         p_m = k2[:, :, None] * k1[:, None] - k1[:, :, None] * k2[:, None]
-        products = np.hstack([p_v.reshape(-1, 9), p_m.reshape(-1, 9)])
+        products = np.hstack([p_v, p_m])
         # rows: per frame, derivative along k1 then k2 (none for velocity)
         ks = (k1, k2) if family == "magnetic" else (k1,)
         transfer = np.stack([dirs, -np.hstack([k2, k1])], axis=1)[
@@ -538,7 +567,7 @@ def verify_temporal_balance(amps, blocks, g, mu: float, w_t, d_t,
             return []
         tails = []
         g2 = g[j] ** 2
-        tens = np.zeros((n ** 3, 18))
+        spec = None
         for (_, sets, pair, dirs, products, ks, transfer,
              a2) in _active(amps, families, j):
             tails.append(("amplitude_tail", spectral.tail(a2.sum(axis=-1))))
@@ -549,10 +578,12 @@ def verify_temporal_balance(amps, blocks, g, mu: float, w_t, d_t,
             _add_sides(drift, j, _sides(g2 * ((env2[:, :, None] * derivs)
                                               .reshape(len(env2), -1)
                                               @ transfer), n))
-            tens += weight @ products
-        for side, term in zip(osc, np.moveaxis(
-                spectral.div(tens.reshape(n, n, n, 2, 3, 3)), 3, 0)):
-            side[j] = g2 * term
+            spec = spectral.div_spectrum(weight.reshape(n, n, n, -1),
+                                         products, spec)
+        if spec is not None:
+            for side, term in zip(osc, np.moveaxis(spectral.irfft(
+                    spec.reshape(spec.shape[:3] + (2, 3)), n), 3, 0)):
+                side[j] = g2 * term
         return tails
 
     report = fold_maxima({"amplitude_tail": 0.0},
@@ -616,12 +647,13 @@ def verify_low_frequency_balance(amps, blocks, h, sigma: float, g, w_o, d_o,
     drift = _side_fields(grid)
 
     def sweep(j):
-        v, squares = _slice_drift(amps, tables, j)
-        if v is not None:
-            for side, term in zip(drift, v):
+        tails = []
+        spec = _drift_spectrum(amps, tables, j, tails)
+        if spec is not None:
+            for side, term in zip(drift, np.moveaxis(spectral.irfft(
+                    spec, grid.n_x), 3, 0)):
                 side[j] = term
-        return [("amplitude_tail", spectral.tail(a2.sum(axis=-1)))
-                for a2 in squares]
+        return tails
 
     report = fold_maxima({"amplitude_tail": 0.0},
                           map_slices(sweep, range(grid.n_t)))

@@ -6,8 +6,12 @@ follow `lead` leading axes: lead=0 for one time slice, lead=1 for a whole
 (n_t, n, n, n) field. Component axes trail. Each call makes one forward and
 one inverse real 3D transform over the spatial axes, however many leading
 or component axes the array carries, so a whole field equals its slices
-transformed one by one. Wavenumber tables are float, built once per
-(n, lead, trailing) and shared read-only.
+transformed one by one. Three helpers act on half spectra instead, so a
+caller can chain multipliers between one forward and one inverse
+transform: `leray_spectrum`, `real_planes` and `div_spectrum`, which
+forms the spectrum of a tensor divergence from the spectra of its weights.
+Wavenumber tables are float, built once per (n, lead, trailing) and
+shared read-only.
 
 The transforms are looked up on scipy.fft at call time, so wrappers
 installed there see every call.
@@ -121,16 +125,55 @@ def curl_curl(vec, lead: int = 0):
     return irfft(out, vec.shape[lead], lead)
 
 
-def leray(vec, lead: int = 0):
-    """Helmholtz projection of a vector array onto divergence-free fields,
-    the identity on spatial means."""
-    *ks, ksq = _tables(vec, lead, 1)
+def leray_spectrum(spec, lead: int = 0):
+    """The Helmholtz projection P_H on the half spectrum of a vector array
+    (component axis last), in place; the identity on spatial means."""
+    *ks, ksq = _tables(spec, lead, 1)
     inv = safe_inv(ksq)
-    spec = rfft(vec, lead)
     kdotu = sum(ks[a] * spec[..., a] for a in range(3))
     for a in range(3):
         spec[..., a] -= (ks[a] * inv) * kdotu
-    return irfft(spec, vec.shape[lead], lead)
+    return spec
+
+
+def leray(vec, lead: int = 0):
+    """Helmholtz projection of a vector array onto divergence-free fields,
+    the identity on spatial means."""
+    return irfft(leray_spectrum(rfft(vec, lead), lead), vec.shape[lead], lead)
+
+
+def real_planes(spec):
+    """Project the k3 = 0 and k3 = n/2 planes of the half spectrum of one
+    slice (n even) onto the spectra of real arrays, in place. On those
+    planes the spectrum of a real array is Hermitian in (k1, k2),
+    X(-k1, -k2) = conj X(k1, k2), and irfft reads only that part,
+    (X + conj X(-k1, -k2)) / 2; so rfft(irfft(X)) is X with these planes
+    projected."""
+    for k3 in (0, spec.shape[0] // 2):
+        plane = spec[:, :, k3]
+        plane += np.roll(np.flip(plane, (0, 1)), 1, (0, 1)).conj()
+        plane *= 0.5
+    return spec
+
+
+def div_spectrum(weights, table, out=None):
+    """Half spectrum of the divergence d_b T[..., c, b] of the tensor slice
+    T = weights @ table, for weights (n, n, n, k) and a table (k, c, 3)
+    whose last axis the divergence contracts; added onto out, (n, n,
+    n//2 + 1, c), when given. T is never formed: one forward transform per
+    weight component, then per direction b one (modes, k) @ (k, c) product
+    of the weights' spectrum with i table[..., b], times k_b."""
+    n, k = weights.shape[0], weights.shape[-1]
+    coef = rfft(weights)
+    shape = coef.shape[:3] + (table.shape[1],)
+    if out is None:
+        out = np.zeros(shape, dtype=coef.dtype)
+    coef = coef.reshape(-1, k)
+    for b, kb in enumerate(wavenumbers(n, 0, 1)[:3]):
+        term = (coef @ (1j * table[..., b])).reshape(shape)
+        term *= kb
+        out += term
+    return out
 
 
 def tail(scalar):

@@ -19,7 +19,9 @@ from cilab.amplitudes import (
 )
 from cilab.blocks import BlockParams, sample_blocks
 from cilab.field import SKEW_PAIRS, SYM_PAIRS, Field, skew, sym, traceless
-from cilab.geometry import build_geometry, skew_generator, sym_generator
+from cilab.geometry import (
+    ConstructionError, build_geometry, skew_generator, sym_generator,
+)
 from cilab.grid import TWO_PI, Grid4
 from cilab.profiles import BumpTrain, make_spatial_profiles, make_temporal
 
@@ -217,19 +219,22 @@ class TestBuildAmplitudes:
                              0.3, geom, grid)
 
     def test_set_holds_at_most_eleven_scalar_fields(self, built):
-        # rho_b, rho_u and the 6 + 3 independent stress components; G_B and
-        # the mirrored stress entries are formed per slice
+        # one array of rho_b, rho_u and the 6 + 3 independent stress
+        # components, which the rescaling Fields and the stress views share;
+        # G_B and the mirrored stress entries are formed per slice
         _, _, amps = built
         grid = amps.grid
-        whole = small = 0
-        for name in AmplitudeSet.__slots__:
+        owners = {}
+        for name in AmplitudeSet.__slots__ + ("stress_u", "stress_b"):
             value = getattr(amps, name)
             value = value.data if isinstance(value, Field) else value
             if isinstance(value, np.ndarray):
-                if value.shape[:4] == grid.shape:
-                    whole += value.size
-                else:
-                    small += value.size
+                while isinstance(value.base, np.ndarray):
+                    value = value.base
+                owners[id(value)] = value
+        sizes = [arr.size for arr in owners.values()]
+        whole = sum(size for size in sizes if size >= np.prod(grid.shape))
+        small = sum(size for size in sizes if size < np.prod(grid.shape))
         assert whole <= 11 * np.prod(grid.shape)
         assert small <= grid.n_x ** 3
 
@@ -368,6 +373,19 @@ class TestBuildAmplitudes:
                                        geom.L_b, r_b.data[j]))
         np.testing.assert_allclose(a2, direct, rtol=0, atol=1e-13 * rho.max())
 
+    def test_nan_square_rejected_where_it_arises(self, built):
+        _, _, amps = built
+        rho = amps.rho_b.data.copy()
+        rho[1, 2, 3, 4] = np.nan
+        bad = amps.replace(rho_b=rho)
+        assert bad.f_b[1] != 0.0
+        for family in ("magnetic", "velocity"):
+            with pytest.raises(ConstructionError,
+                               match=f"^{family} amplitude square on slice 1 "
+                                     "is not finite or not positive$"):
+                bad.squared_slice(family, 1)
+            bad.squared_slice(family, 2)
+
     def test_amplitude_field_matches_slices(self, built):
         _, _, amps = built
         f = amps.amplitude("B3")
@@ -449,32 +467,110 @@ class TestBuildAmplitudes:
             assert np.all(amps.amplitude_slice("u4", int(j)) == 0.0)
 
 
+class TestStorage:
+    """The 11 scalar fields live in one component-major array, and each
+    square is one product over a family's rows of it."""
+
+    @pytest.fixture(scope="class")
+    def partial(self, geom, grid):
+        # magnetic stress on slices 2 and 3 only, so f_b vanishes elsewhere
+        # while the velocity family carries every slice
+        r_u, r_b = stress_pair(grid, np.random.default_rng(13))
+        window = np.zeros(grid.n_t)
+        window[2:4] = 1.0
+        r_b = Field(r_b.data * window[:, None, None, None, None, None], grid)
+        return build_amplitudes(r_u, r_b, 0.3, geom, grid, ell=0.5)
+
+    def test_layout(self, built):
+        r_u, r_b, amps = built
+        grid = amps.grid
+        assert amps.data.shape == (11,) + grid.shape
+        assert amps.data.flags.c_contiguous
+        assert not amps.data.flags.writeable
+        rows, cols = SKEW_PAIRS
+        for c in range(3):
+            assert np.array_equal(amps.data[1 + c], r_b.data[..., rows[c],
+                                                             cols[c]])
+        rows, cols = SYM_PAIRS
+        for c in range(6):
+            assert np.array_equal(amps.data[5 + c], r_u.data[..., rows[c],
+                                                             cols[c]])
+        for block, row in ((amps.rho_b.data, 0), (amps.rho_u.data, 4)):
+            assert block.flags.c_contiguous
+            assert np.shares_memory(block, amps.data[row])
+
+    @pytest.mark.parametrize("family", ["magnetic", "velocity"])
+    def test_component_matches_full_slice(self, partial, family):
+        amps = partial
+        slices = {"idle": 6, "carrying": 2}
+        assert amps.f_b[slices["idle"]] == 0.0
+        assert amps.f_b[slices["carrying"]] != 0.0
+        assert amps.f_u[slices["idle"]] != 0.0
+        for where, j in slices.items():
+            full = amps.squared_slice(family, j)
+            scale = np.abs(full).max()
+            if family == "velocity" or where == "carrying":
+                assert scale > 0.0
+            for i in range(full.shape[-1]):
+                got = amps.squared_component_slice(family, i, j)
+                assert np.abs(got - full[..., i]).max() <= 1e-14 * scale, \
+                    (where, i)
+
+    # factors that keep the squares positive
+    @pytest.mark.parametrize("name,factor", [("rho_b", 1.5),
+                                             ("stress_b", 0.5)])
+    def test_replace_copies_the_storage(self, built, name, factor):
+        _, _, amps = built
+        before = {f: amps.squared_slice(f, 1) for f in ("magnetic",
+                                                        "velocity")}
+        value = getattr(amps, name)
+        value = (value.data if isinstance(value, Field) else value).copy()
+        value[1] *= factor
+        changed = amps.replace(**{name: value})
+        assert not np.shares_memory(changed.data, amps.data)
+        assert not changed.data.flags.writeable
+        assert not np.array_equal(changed.squared_slice("magnetic", 1),
+                                  before["magnetic"])
+        for family, want in before.items():
+            assert np.array_equal(amps.squared_slice(family, 1), want)
+
+    def test_replacing_a_cutoff_shares_the_storage(self, built):
+        _, _, amps = built
+        assert amps.replace(f_u=0.5 * amps.f_u).data is amps.data
+
+
 def dense_reference(r_u, r_b, amps, geom):
     """Every array of the set by its per-slice formula, applied to every
-    slice, all-zero ones included."""
+    slice, all-zero ones included; the 11 scalar fields stacked in the
+    set's row order."""
     grid, delta = amps.grid, amps.delta_next
-    ref = {"stress_u": r_u.data[..., SYM_PAIRS[0], SYM_PAIRS[1]],
-           "stress_b": r_b.data[..., SKEW_PAIRS[0], SKEW_PAIRS[1]]}
+    stress_u = r_u.data[..., SYM_PAIRS[0], SYM_PAIRS[1]]
+    stress_b = r_b.data[..., SKEW_PAIRS[0], SKEW_PAIRS[1]]
     frob_b = np.sqrt((r_b.data ** 2).sum(axis=(-2, -1)))
-    ref["rho_b"] = 2.0 / geom.eps_b * delta * chi(frob_b / delta)
-    ref["peak_u"] = np.sqrt((r_u.data ** 2).sum(axis=(-2, -1))).max(
-        axis=(1, 2, 3))
+    ref = {"peak_u": np.sqrt((r_u.data ** 2).sum(axis=(-2, -1))).max(
+        axis=(1, 2, 3))}
     ref["peak_b"] = frob_b.max(axis=(1, 2, 3))
     ref["f_b"] = temporal_cutoff(slice_support(ref["peak_b"]), grid, amps.ell)
     g_b = g_b_field(amps)[..., SYM_PAIRS[0], SYM_PAIRS[1]]
-    frob_u = _frobenius(ref["stress_u"] + g_b, SYM_PAIRS)
-    ref["rho_u"] = 2.0 / geom.eps_u * delta * chi(frob_u / delta)
+    frob_u = _frobenius(stress_u + g_b, SYM_PAIRS)
     peak_gb = _frobenius(g_b, SYM_PAIRS).max(axis=(1, 2, 3))
     ref["f_u"] = temporal_cutoff(
         slice_support(ref["peak_u"]) | slice_support(peak_gb), grid, amps.ell)
+    ref["data"] = np.concatenate([
+        (2.0 / geom.eps_b * delta * chi(frob_b / delta))[None],
+        np.moveaxis(stress_b, -1, 0),
+        (2.0 / geom.eps_u * delta * chi(frob_u / delta))[None],
+        np.moveaxis(stress_u, -1, 0)])
     return ref
 
 
 # Run in a fresh process: builds a set on stresses carrying 4 of 16 slices
-# at 16 x 48^3 and a one-slice vector field, then reports, per output array,
-# the share of its carrying slices' pages that are resident and the number
-# of resident pages elsewhere. Allowed elsewhere: the 2 MiB around each edge
-# of the carrying slices (numpy advises huge pages) and the buffer's first
+# at 16 x 48^3 and a one-slice vector field, then reports, per row of each
+# output array (the set's 11 scalar fields, one row for each vector
+# field), the share of its carrying slices' pages that are resident and the
+# number of its resident pages elsewhere. The rescaling rows carry every
+# slice. Allowed elsewhere: the 2 MiB around each edge of any carrying
+# stretch of the array (numpy advises huge pages) and the buffer's first
 # 2 MiB, where glibc writes the chunk header of the mapping.
 _RESIDENCY_SCRIPT = textwrap.dedent("""
     import ctypes, json, mmap
@@ -491,6 +587,7 @@ _RESIDENCY_SCRIPT = textwrap.dedent("""
                              ctypes.POINTER(ctypes.c_ubyte)]
 
     def residency(arr, carrying):
+        # arr is (rows, n_t, ...); carrying holds one slice range per row
         addr = arr.ctypes.data
         start = addr - addr % PAGE
         pages = -(-(addr + arr.nbytes - start) // PAGE)
@@ -500,12 +597,19 @@ _RESIDENCY_SCRIPT = textwrap.dedent("""
         resident = (np.frombuffer(vec, np.uint8) & 1).astype(bool)
         lo = start + PAGE * np.arange(pages) - addr  # page offsets
         hi = lo + PAGE
-        size = arr[0].nbytes
-        first, last = carrying.start * size, carrying.stop * size
-        inside = (lo >= first) & (hi <= last)
-        allowed = ((hi > first - HUGE) & (lo < last + HUGE)) | (lo < HUGE)
-        return [float(resident[inside].mean()),
-                int(resident[~allowed].sum())]
+        row, size = arr[0].nbytes, arr[0, 0].nbytes
+        stretches = [(r * row + s.start * size, r * row + s.stop * size)
+                     for r, s in enumerate(carrying)]
+        allowed = lo < HUGE
+        for first, last in stretches:
+            allowed |= (hi > first - HUGE) & (lo < last + HUGE)
+        out = []
+        for r, (first, last) in enumerate(stretches):
+            inside = (lo >= first) & (hi <= last)
+            mine = (lo >= r * row) & (hi <= (r + 1) * row)
+            out.append([float(resident[inside].mean()),
+                        int(resident[mine & ~allowed].sum())])
+        return out
 
     grid = Grid4(16, 48)
     window = slice(9, 13)
@@ -522,10 +626,13 @@ _RESIDENCY_SCRIPT = textwrap.dedent("""
     vec = np.zeros(grid.shape + (3,))
     vec[3] = rng.standard_normal((48, 48, 48, 3))
     one = Field(vec, grid, _take=True)
-    out = {"stress_u": residency(amps.stress_u, window),
-           "stress_b": residency(amps.stress_b, window),
-           "leray": residency(leray(one).data, slice(3, 4)),
-           "p_neq0": residency(p_neq0(one).data, slice(3, 4))}
+    every = slice(0, grid.n_t)
+    names = (["rho_b"] + [f"stress_b{c}" for c in range(3)] + ["rho_u"]
+             + [f"stress_u{c}" for c in range(6)])
+    rows = [every] + 3 * [window] + [every] + 6 * [window]
+    out = dict(zip(names, residency(amps.data, rows)))
+    out["leray"], = residency(leray(one).data[None], [slice(3, 4)])
+    out["p_neq0"], = residency(p_neq0(one).data[None], [slice(3, 4)])
     print(json.dumps(out))
 """)
 
@@ -550,10 +657,8 @@ class TestIdleSlices:
         # the cutoffs vanish on idle slices, so every shortcut is taken
         assert np.all(amps.f_b[idle] == 0.0) and np.all(amps.f_u[idle] == 0.0)
         for name, want in dense_reference(r_u, r_b, amps, geom).items():
-            got = getattr(amps, name)
-            got = got.data if isinstance(got, Field) else got
             # values, so the -0.0 of a zero-weighted input equals +0.0
-            assert np.array_equal(got, want), name
+            assert np.array_equal(getattr(amps, name), want), name
 
     def test_idle_slices_sit_at_the_plateau(self, geom, windowed):
         _, _, amps, idle = windowed
@@ -644,10 +749,12 @@ class TestVerifyCancellation:
     @pytest.mark.parametrize("family,attr", [("magnetic", "stress_b"),
                                              ("velocity", "stress_u")])
     def test_nan_stress_names_its_group(self, cancel_setup, family, attr):
+        # the family's squares reject the NaN before any residual is formed
         _, amps, blocks = cancel_setup
         stress = getattr(amps, attr).copy()
         stress[2, 1, 2, 3, 0] = np.nan
         bad = amps.replace(**{attr: stress})
-        with pytest.raises(CancellationError,
-                           match=f"^{family} cancellation residual nan"):
+        with pytest.raises(ConstructionError,
+                           match=f"^{family} amplitude square on slice 2 is "
+                                 "not finite or not positive$"):
             verify_cancellation(bad, blocks, time_indices=(1, 2))

@@ -501,8 +501,9 @@ class TestBuilders:
                                              check=False))
         for build in builders:
             with pytest.raises(ConstructionError,
-                               match="magnetic amplitude square lost "
-                                     "positivity"):
+                               match=f"^magnetic amplitude square on "
+                                     f"slice {bad} is not finite or not "
+                                     "positive$"):
                 build()
 
 
@@ -804,7 +805,8 @@ class TestSlicePool:
             with pytest.raises(ConstructionError) as err:
                 pt.principal_parts(broken, blocks, g)
             assert str(err.value) == (
-                f"velocity amplitude square lost positivity on slice {bad[0]}")
+                f"velocity amplitude square on slice {bad[0]} is not finite "
+                "or not positive")
 
 
 # -- operators ---------------------------------------------------------------------

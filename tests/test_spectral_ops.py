@@ -7,8 +7,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.fft as sfft
 
-from cilab import threads
+from cilab import spectral, threads
 from cilab.field import Field, MixedNormSpec, div_tensor, grad, norm, skew, sym, trace
 from cilab.spectral_ops import (
     _mean_free3, biot_savart, curl, frac_laplacian, inv_div_skew, inv_div_sym,
@@ -157,6 +158,50 @@ class TestStreamedProjections:
         # flight: 2.9 slices on one thread, 5.7 on two
         monkeypatch.setenv("CILAB_THREADS", "2")
         assert self._leray_slices(small_grid) <= 8
+
+
+def hermitian_planes(spec):
+    """The k3 = 0 and n/2 planes of a half spectrum replaced by their
+    Hermitian parts (X(k1, k2) + conj X(-k1, -k2)) / 2, index by index."""
+    n = spec.shape[0]
+    out = spec.copy()
+    for k3 in (0, n // 2):
+        for i in range(n):
+            for j in range(n):
+                out[i, j, k3] = 0.5 * (spec[i, j, k3]
+                                       + spec[-i % n, -j % n, k3].conj())
+    return out
+
+
+class TestHalfSpectra:
+    """Multipliers on half spectra, chained between one forward and one
+    inverse transform."""
+
+    @pytest.mark.parametrize("n", [8, 38, 48])
+    def test_round_trip_projects_the_real_planes(self, n):
+        rng = np.random.default_rng(n)
+        shape = (n, n, n // 2 + 1, 2)
+        spec = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        trip = sfft.rfftn(sfft.irfftn(spec, s=(n, n, n), axes=(0, 1, 2)),
+                          axes=(0, 1, 2))
+        want = hermitian_planes(spec)
+        assert rel_max(trip, want) <= 1e-15
+        got = spectral.real_planes(spec.copy())
+        assert rel_max(got, want) <= 1e-15
+        # off the planes nothing moves
+        assert np.array_equal(got[:, :, 1:n // 2], spec[:, :, 1:n // 2])
+
+    @pytest.mark.parametrize("n", [8, 38])
+    def test_div_spectrum_is_the_tensor_divergence(self, n):
+        rng = np.random.default_rng(n + 1)
+        weights = rng.standard_normal((n, n, n, 6))
+        tables = rng.standard_normal((2, 6, 6, 3))
+        spec = None
+        for table in tables:
+            spec = spectral.div_spectrum(weights, table, spec)
+        tens = weights.reshape(-1, 6) @ tables.sum(axis=0).reshape(6, 18)
+        want = spectral.div(tens.reshape(n, n, n, 6, 3))
+        assert rel_max(spectral.irfft(spec, n), want) <= 1e-13
 
 
 class TestFractionalLaplacian:
