@@ -310,10 +310,6 @@ class AmplitudeSet:
         """Time slices where either stress is nonzero, by relative norm."""
         return slice_support(self.peak_u) | slice_support(self.peak_b)
 
-    def amplitude_slice(self, name: str, j: int) -> np.ndarray:
-        family, i = self._index[name]
-        return np.sqrt(self.squared_slice(family, j)[..., i])
-
     def amplitude(self, name: str) -> Field:
         """Full amplitude field of one frame; intended for small grids."""
         family, i = self._index[name]
@@ -471,9 +467,9 @@ def verify_cancellation(amps: AmplitudeSet, blocks: dict, temporal=None,
                         ("velocity", sym_generator)):
         frames = amps.frames(family)
         sets = family_sets(frames, blocks, grid)
-        [(pair, vel)] = flow_terms(sets, "velocity")
+        pair, vel = flow_terms(sets, "velocity")
         if family == "magnetic":
-            [(_, mag)] = flow_terms(sets, "magnetic")
+            _, mag = flow_terms(sets, "magnetic")
             prods = (np.einsum("fa,fb->fab", mag, vel)
                      - np.einsum("fa,fb->fab", vel, mag))
         else:

@@ -36,13 +36,6 @@ from .grid import Grid4, GridResolutionError
 from .profiles import (BandProfile, SpatialProfiles, band_project, fit_loglog,
                        make_spatial_profiles, rescaled)
 
-PROFILE_KINDS = ("shear", "shear_rate", "shear_curvature",
-                 "concentration", "potential", "potential_rate")
-
-FLOW_KINDS = ("velocity", "magnetic", "velocity_potential",
-              "velocity_corrector", "magnetic_potential",
-              "magnetic_corrector")
-
 IDENTITY_NAMES = ("velocity_potential_curl", "velocity_solenoidal",
                   "magnetic_potential_curl", "velocity_transport",
                   "magnetic_transport_null", "cross_transport",
@@ -273,10 +266,6 @@ class BlockSet:
                 * self.profile_slice("concentration", j) ** 2)
         return scal[..., None] * np.asarray(direction)
 
-    def time_mode_bound(self, degree: int = 2) -> int:
-        """Largest time mode of a degree-d product of this block's fields."""
-        return degree * self.params.n_shear_harmonics * self.rate
-
 
 # -- stacked envelopes ------------------------------------------------------------
 
@@ -293,13 +282,13 @@ def envelope_stack(sets, pair, j: int) -> np.ndarray:
 
 
 def flow_terms(sets, kind: str):
-    """One flow kind as rank-one terms [(pair, rows)]: flow_slice(kind, j)
-    of sets[i] is column i of envelope_stack(sets, pair, j) times row i of
-    the (len(sets), 3) table. The velocity and magnetic flows share the
-    pair (shear, concentration)."""
+    """One flow kind as rank-one terms (pair, rows): flow_slice(kind, j) of
+    sets[i] is column i of envelope_stack(sets, pair, j) times row i of the
+    (len(sets), 3) table. The velocity and magnetic flows share the pair
+    (shear, concentration)."""
     parts = [bs._flow_parts(kind) for bs in sets]
-    return [(parts[0][:2], np.array([coef * direction
-                                     for _, _, coef, direction in parts]))]
+    return parts[0][:2], np.array([coef * direction
+                                   for _, _, coef, direction in parts])
 
 
 def family_sets(frames, blocks, grid) -> list:

@@ -1,9 +1,10 @@
 """Space-time fields on the periodic box, with spectral calculus and norms.
 
-A Field owns a real array sampled on a Grid4. Physical samples are the
-primary representation; the Fourier side is a lazy cache. Published fields
-are immutable (the data buffer is marked read-only), so the cache can be
-shared safely: every algebraic operation returns a new Field.
+A Field is a read-only array of real samples on a Grid4 and nothing else:
+it caches no spectrum and has no file format. Every algebraic operation
+returns a new Field. The Fourier side is made on demand by `to_spectral`
+and `to_physical`, the whole-field space-time transform pair, whose
+wavenumber tables come from cilab.spectral.
 
 Component layout is trailing: scalars are (n_t, n_x, n_x, n_x), vectors
 append one length-3 axis, rank-2 tensors append two. Tensor contractions
@@ -14,7 +15,6 @@ of a tensor contracts the second index, (div A)_i = d_j A_ij.
 from __future__ import annotations
 
 import functools
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,17 +24,11 @@ from . import spectral
 from .grid import Grid4
 from .threads import fft_workers
 
-MAGIC = b"CILAB1\x00"
-
 _RANK_SHAPES = {0: (), 1: (3,), 2: (3, 3)}
 
 
-class FieldFormatError(ValueError):
-    """Raised when a serialized field fails validation."""
-
-
 class Field:
-    __slots__ = ("data", "grid", "_spec")
+    __slots__ = ("data", "grid")
 
     def __init__(self, data, grid: Grid4, mean_free: bool = False, _take=False):
         data = np.asarray(data, dtype=np.float64)
@@ -51,7 +45,6 @@ class Field:
         data.setflags(write=False)
         self.data = data
         self.grid = grid
-        self._spec = None
         if mean_free:
             self.require_mean_free()
 
@@ -61,22 +54,11 @@ class Field:
     def zeros(cls, grid: Grid4, rank: int = 0) -> "Field":
         return cls(np.zeros(grid.shape + _RANK_SHAPES[rank]), grid, _take=True)
 
-    @classmethod
-    def from_spectral(cls, coeffs, grid: Grid4) -> "Field":
-        return cls(to_physical(coeffs, grid), grid, _take=True)
-
     # -- basic properties --------------------------------------------------
 
     @property
     def rank(self) -> int:
         return self.data.ndim - 4
-
-    @property
-    def spectral(self) -> np.ndarray:
-        """Normalized Fourier coefficients; the zero mode is the mean."""
-        if self._spec is None:
-            self._spec = to_spectral(self.data, self.grid)
-        return self._spec
 
     def spatial_means(self) -> np.ndarray:
         """Mean over the spatial torus, one value per time sample."""
@@ -158,18 +140,17 @@ def spectral_derivative(f: Field, m: int = 0, zeta=(0, 0, 0)) -> Field:
     """d_t^m d_x^zeta f computed by Fourier multipliers. For odd m the
     time-Nyquist multiplier (k_t = -n_t/2 in storage order) is zero, as in
     `ddt`: cos(n_t t / 2) is its own alias and has no resolved slope."""
-    kt, k1, k2, k3 = f.grid.k_broadcast()
+    kt = spectral.time_wavenumbers(f.grid.n_t, f.rank)
+    k1, k2, k3, _ = spectral.wavenumbers(f.grid.n_x, 1, f.rank)
     if m % 2:
-        kt = np.where(kt == -(f.grid.n_t // 2), 0, kt)
+        kt = np.where(kt == -(f.grid.n_t // 2), 0.0, kt)
     factors = ((kt, m), (k1, zeta[0]), (k2, zeta[1]), (k3, zeta[2]))
     mult = np.complex128(1.0)
     for k, power in factors:
         if power:
             mult = mult * (1j * k) ** power
-    spec = f.spectral
-    if isinstance(mult, np.ndarray) and f.rank > 0:
-        mult = mult.reshape(mult.shape + (1,) * f.rank)
-    return Field.from_spectral(spec * mult, f.grid)
+    spec = to_spectral(f.data, f.grid) * mult
+    return Field(to_physical(spec, f.grid), f.grid, _take=True)
 
 
 @functools.lru_cache(maxsize=None)
@@ -394,44 +375,12 @@ def norm(f: Field, spec: MixedNormSpec) -> float:
             total += _lebesgue_norm(g, spec.p, spec.p)
         return total
     if spec.kind == "hbeta":
-        kt = f.grid.k_broadcast()[0]
-        ksq = spectral.wavenumbers(f.grid.n_x, lead=1)[3]
-        weight = (1.0 + kt.astype(float) ** 2 + ksq) ** spec.beta
-        weight = weight * f.grid.rfft_weight()
-        spec_arr = f.spectral
-        if f.rank > 0:
-            weight = weight.reshape(weight.shape + (1,) * f.rank)
+        kt = spectral.time_wavenumbers(f.grid.n_t, f.rank)
+        _, _, k3, ksq = spectral.wavenumbers(f.grid.n_x, 1, f.rank)
+        weight = (1.0 + kt ** 2 + ksq) ** spec.beta
+        # modes with 0 < k3 < n/2 stand for a conjugate pair of the rfft
+        weight = weight * np.where((k3 > 0) & (k3 < f.grid.n_x // 2), 2.0, 1.0)
+        spec_arr = to_spectral(f.data, f.grid)
         total = float((weight * (spec_arr.real ** 2 + spec_arr.imag ** 2)).sum())
         return float(np.sqrt(total * (2.0 * np.pi) ** 4))
     raise ValueError(f"unknown norm kind {spec.kind!r}")
-
-
-# -- serialization -------------------------------------------------------------
-
-def write_field(f: Field, path: str):
-    """Binary dump: magic, u32 n_t, u32 n_x, u8 rank, then little-endian
-    float64 samples in row-major (t, x1, x2, x3, component) order."""
-    header = MAGIC + struct.pack("<IIB", f.grid.n_t, f.grid.n_x, f.rank)
-    payload = np.ascontiguousarray(f.data, dtype="<f8")
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload.tobytes())
-
-
-def read_field(path: str) -> Field:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    head = len(MAGIC) + 9
-    if len(blob) < head or blob[:len(MAGIC)] != MAGIC:
-        raise FieldFormatError(f"{path}: bad magic, not a field dump")
-    n_t, n_x, rank = struct.unpack("<IIB", blob[len(MAGIC):head])
-    if rank not in _RANK_SHAPES:
-        raise FieldFormatError(f"{path}: unsupported rank {rank}")
-    grid = Grid4(n_t, n_x)
-    shape = grid.shape + _RANK_SHAPES[rank]
-    expected = int(np.prod(shape)) * 8
-    if len(blob) - head != expected:
-        raise FieldFormatError(
-            f"{path}: payload is {len(blob) - head} bytes, expected {expected}")
-    data = np.frombuffer(blob, dtype="<f8", offset=head).reshape(shape)
-    return Field(data.astype(np.float64), grid, _take=True)

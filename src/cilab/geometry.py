@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import product
 
 import numpy as np
-from scipy.optimize import linprog, nnls
+from scipy.optimize import linprog
 
 
 class ConstructionError(RuntimeError):
@@ -151,31 +151,6 @@ def _sym_coords_exact(frame: Frame):
     return [k1[a] * k1[b] for a, b in _SYM_BASIS]
 
 
-def _solve_sym_coefficients(frames):
-    """Base coefficients with sum c k1 (x) k1 = Id, nonnegative least squares
-    first, then exact rational verification."""
-    cols = [_sym_coords_exact(f) for f in frames]
-    a = np.array([[float(cols[j][i]) for j in range(len(frames))] for i in range(6)])
-    target = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
-    c, resid = nnls(a, target)
-    if resid > 1e-12:
-        raise ConstructionError(
-            "symmetric base program infeasible: nonnegative least squares for "
-            f"sum c k1 k1^T = Id left residual {resid:.3e}")
-    # snap to rationals and verify exactly
-    c_exact = [Fraction(x).limit_denominator(10 ** 6) for x in c]
-    for i in range(6):
-        total = sum(c_exact[j] * cols[j][i] for j in range(len(frames)))
-        want = Fraction(1) if i < 3 else Fraction(0)
-        if total != want:
-            raise ConstructionError(
-                "symmetric base coefficients failed exact verification")
-    if min(c_exact) <= 0:
-        raise ConstructionError(
-            "symmetric base program produced a nonpositive coefficient")
-    return c_exact
-
-
 def _solve_skew_coefficients(frames):
     """Positive c with sum c k = 0, normalized to sum c = 3, tie-broken by
     maximizing the smallest coefficient (linear program)."""
@@ -229,15 +204,23 @@ def _skew_correction_maps(frames):
             c[pos] = float(row[b]) / 2.0
             c[neg] = -float(row[b]) / 2.0
         maps.append(c)
-    return np.array(maps), gram_inv
+    return np.array(maps)
 
 
-def _sym_correction_maps(frames):
-    """L_k via exact inversion of the span map on the symmetric space."""
+def _sym_decomposition(frames):
+    """Base coefficients c with sum c k1 (x) k1 = Id and the correction
+    maps L_k, both from one exact inversion of the span map M on the
+    symmetric space: c = M^-1 Id, and row k of M^-1 is L_k."""
     cols = [_sym_coords_exact(f) for f in frames]
     mat = [[cols[j][i] for j in range(len(frames))] for i in range(6)]
     ident = [[Fraction(int(i == j)) for j in range(6)] for i in range(6)]
     inv = _rational_solve(mat, ident)
+    # Id has coordinates (1, 1, 1, 0, 0, 0) in the symmetric basis
+    c_exact = [row[0] + row[1] + row[2] for row in inv]
+    if min(c_exact) <= 0:
+        raise ConstructionError(
+            "symmetric base program infeasible: the unique solution of "
+            "sum c k1 k1^T = Id has a nonpositive coefficient")
     maps = []
     for j in range(len(frames)):
         c = np.zeros((3, 3))
@@ -249,7 +232,7 @@ def _sym_correction_maps(frames):
                 c[a, b] = v / 2.0
                 c[b, a] = v / 2.0
         maps.append(c)
-    return np.array(maps)
+    return c_exact, np.array(maps)
 
 
 def _functional_norm_sym(cmat: np.ndarray) -> float:
@@ -292,9 +275,8 @@ def build_geometry() -> GeometrySet:
         raise ConstructionError("candidate second tangents are not pairwise distinct")
 
     c_b = _solve_skew_coefficients(frames_b)
-    c_u = _solve_sym_coefficients(frames_u)
-    L_b, _ = _skew_correction_maps(frames_b)
-    L_u = _sym_correction_maps(frames_u)
+    c_u, L_u = _sym_decomposition(frames_u)
+    L_b = _skew_correction_maps(frames_b)
 
     margin = 0.9
     op_b = max(_functional_norm_skew(m) for m in L_b)

@@ -1,14 +1,14 @@
 """Uniform space-time grid on the periodic box [-pi, pi)^4.
 
-The time circle is the first axis; the three spatial axes follow. The
-space-time transforms run through the integer wavenumber tables defined
-here (the spatial operators take float tables from cilab.spectral), so a
-single Grid4 instance is shared by every field that must interoperate.
+The time circle is the first axis; the three spatial axes follow. A Grid4
+holds sizes, spacings and sample coordinates only; every wavenumber table,
+spatial or temporal, comes from cilab.spectral. Fields interoperate when
+their grids compare equal.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,6 @@ class Grid4:
 
     n_t: int
     n_x: int
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if self.n_t < 8 or (self.n_t & (self.n_t - 1)) != 0:
@@ -66,38 +65,3 @@ class Grid4:
         t = self.t()[:, None, None, None]
         x = self.x()
         return t, x[None, :, None, None], x[None, None, :, None], x[None, None, None, :]
-
-    # Integer wavenumbers in FFT storage order. The last spatial axis is
-    # half-length because all physical data is real (rfft convention).
-
-    def k_t(self) -> np.ndarray:
-        return np.fft.fftfreq(self.n_t, 1.0 / self.n_t).astype(np.int64)
-
-    def k_full(self) -> np.ndarray:
-        return np.fft.fftfreq(self.n_x, 1.0 / self.n_x).astype(np.int64)
-
-    def k_half(self) -> np.ndarray:
-        return np.arange(self.n_x // 2 + 1, dtype=np.int64)
-
-    def k_broadcast(self):
-        """Wavenumbers shaped to broadcast over spectral arrays."""
-        kt = self.k_t()[:, None, None, None]
-        k1 = self.k_full()[None, :, None, None]
-        k2 = self.k_full()[None, None, :, None]
-        k3 = self.k_half()[None, None, None, :]
-        return kt, k1, k2, k3
-
-    def rfft_weight(self) -> np.ndarray:
-        """Multiplicity of each stored mode under the rfft convention.
-
-        Modes with 0 < k3 < n_x/2 represent a conjugate pair (weight 2);
-        the k3 = 0 and k3 = n_x/2 planes are self-conjugate (weight 1).
-        """
-        key = "rfft_w"
-        if key not in self._cache:
-            w = np.full(self.n_x // 2 + 1, 2.0)
-            w[0] = 1.0
-            w[-1] = 1.0
-            w.setflags(write=False)
-            self._cache[key] = w[None, None, None, :]
-        return self._cache[key]

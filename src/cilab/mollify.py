@@ -24,6 +24,7 @@ up to rounding for band-limited inputs.
 
 import numpy as np
 
+from . import spectral
 from .checks import gate
 from .field import (
     SKEW_PAIRS, SYM_PAIRS, Field, _outer, _skew, _sym, _traceless, dot,
@@ -112,16 +113,17 @@ class Mollifier:
     def _smooth(self, data, g: Grid4):
         """The mollified samples of a (n_t, n, n, n, ...) array."""
         self.validate(g)
-        pad = (1,) * (data.ndim - 4)
-        # fresh coefficients, multiplied in place: applying to a temporary
-        # field never caches a spectral copy on it
+        trailing = data.ndim - 4
+        kt = spectral.time_wavenumbers(g.n_t, trailing)
+        k1, k2, k3, _ = spectral.wavenumbers(g.n_x, 1, trailing)
+        # each symbol is evaluated on a flat table and then reshaped: the
+        # quadrature matmul of a broadcast table sums in another order
         coef = to_spectral(data, g)
-        coef *= self.temporal_symbol(g.k_t()).reshape((g.n_t, 1, 1, 1) + pad)
-        mx = self.spatial_symbol(g.k_full())
-        coef *= mx.reshape((1, g.n_x, 1, 1) + pad)
-        coef *= mx.reshape((1, 1, g.n_x, 1) + pad)
-        mh = self.spatial_symbol(g.k_half())
-        coef *= mh.reshape((1, 1, 1, len(mh)) + pad)
+        coef *= self.temporal_symbol(kt.ravel()).reshape(kt.shape)
+        mx = self.spatial_symbol(k1.ravel())
+        coef *= mx.reshape(k1.shape)
+        coef *= mx.reshape(k2.shape)
+        coef *= self.spatial_symbol(k3.ravel()).reshape(k3.shape)
         return to_physical(coef, g)
 
 

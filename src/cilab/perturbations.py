@@ -108,7 +108,7 @@ def _families(amps, blocks, kind_w, kind_d):
         table = np.zeros((len(sets), 6))
         pairs = set()
         for side, kind in enumerate(kinds):
-            [(pair, rows)] = flow_terms(sets, kind)
+            pair, rows = flow_terms(sets, kind)
             pairs.add(pair)
             table[:, 3 * side:3 * side + 3] = rows
         [pair] = pairs
@@ -427,36 +427,6 @@ def temporal_correctors_o(amps: AmplitudeSet, blocks: dict, h, sigma: float,
         verify_low_frequency_balance(amps, blocks, h, sigma, g, w_o, d_o,
                                      tol=tol)
     return w_o, d_o
-
-
-def build_perturbation(amps: AmplitudeSet, blocks: dict, temporal, mu: float,
-                       check: bool = True, representation_tol: float = 1e-7,
-                       balance_tol: float = 1e-6) -> Perturbation:
-    """Assemble all eight parts from one temporal profile pair. With
-    check=True every balance verifier runs once over the finished parts;
-    the builders themselves run unchecked so nothing is built twice."""
-    if not getattr(temporal, "banded", True):
-        raise ValueError(
-            "the corrector balances need a band-limited temporal pair; "
-            "build one with make_temporal(..., n_t=..., band=...)")
-    t = amps.grid.t()
-    g = temporal.g(t)
-    h = temporal.h(t)
-    sigma = float(temporal.sigma)
-    w_p, d_p = principal_parts(amps, blocks, g)
-    w_c, d_c = incompressibility_correctors(amps, blocks, g, check=False)
-    w_t, d_t = temporal_correctors_t(amps, blocks, g, mu, check=False)
-    w_o, d_o = temporal_correctors_o(amps, blocks, h, sigma, check=False)
-    pert = Perturbation(w_p=w_p, w_c=w_c, w_t=w_t, w_o=w_o,
-                        d_p=d_p, d_c=d_c, d_t=d_t, d_o=d_o)
-    if check:
-        verify_divfree_representation(amps, blocks, g, w_p, w_c, d_p, d_c,
-                                      tol=representation_tol)
-        verify_temporal_balance(amps, blocks, g, mu, w_t, d_t,
-                                tol=balance_tol)
-        verify_low_frequency_balance(amps, blocks, h, sigma, g, w_o, d_o,
-                                     tol=balance_tol)
-    return pert
 
 
 # -- balance verifiers -----------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Spatial Fourier multipliers on plain arrays: the package's one spectral
-layer for space.
+"""Fourier multipliers on plain arrays and every wavenumber table: the
+package's one spectral layer.
 
 Every operator here acts on an array whose three spatial axes (n, n, n)
 follow `lead` leading axes: lead=0 for one time slice, lead=1 for a whole
@@ -11,7 +11,9 @@ caller can chain multipliers between one forward and one inverse
 transform: `leray_spectrum`, `real_planes` and `div_spectrum`, which
 forms the spectrum of a tensor divergence from the spectra of its weights.
 Wavenumber tables are float, built once per (n, lead, trailing) and
-shared read-only.
+shared read-only; `time_wavenumbers` gives the time axis of a whole-field
+(n_t, n, n, n) space-time spectrum. No other module builds a wavenumber
+table.
 
 The transforms are looked up on scipy.fft at call time, so wrappers
 installed there see every call.
@@ -44,6 +46,17 @@ def wavenumbers(n: int, lead: int = 0, trailing: int = 0):
     for table in tables:
         table.setflags(write=False)
     return tables
+
+
+@functools.lru_cache(maxsize=None)
+def time_wavenumbers(n_t: int, trailing: int = 0):
+    """Integer time wavenumbers k_t as floats in storage order, shaped
+    (n_t, 1, 1, 1) to broadcast over the spectrum of a whole field with
+    `trailing` component axes. Read-only."""
+    kt = np.rint(np.fft.fftfreq(n_t, 1.0 / n_t))
+    kt = kt.reshape((n_t, 1, 1, 1) + (1,) * trailing)
+    kt.setflags(write=False)
+    return kt
 
 
 def _tables(arr, lead, contracted=0):

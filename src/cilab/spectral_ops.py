@@ -22,7 +22,7 @@ from .threads import map_slices
 def _div_rel_defect(f: Field) -> float:
     """Relative size of div f measured against the gradient scale of f.
     Each component's 4D spectrum is scaled in place and summed into one
-    accumulator, so two spectra are live at most, and none is cached on f."""
+    accumulator, so two spectra are live at most."""
     if f.rank != 1:
         raise ValueError("expected a vector field")
     *ks, ksq = spectral.wavenumbers(f.grid.n_x, lead=1)

@@ -1,15 +1,14 @@
-"""Field layer: transforms, norms, tensor algebra, calculus, serialization."""
+"""Field layer: transforms, norms, tensor algebra, calculus."""
 
 import numpy as np
 import pytest
 
 from cilab import spectral
 from cilab.field import (
-    SKEW_PAIRS, SYM_PAIRS, Field, FieldFormatError, MixedNormSpec, ddt,
-    ddt_slice, div_tensor, div_vec, dot, expand, grad, norm, outer,
-    read_field, skew, spectral_derivative, sym, tensor_apply,
-    time_derivative_matrix, to_physical, to_spectral, trace, traceless,
-    write_field,
+    SKEW_PAIRS, SYM_PAIRS, Field, MixedNormSpec, ddt, ddt_slice,
+    div_tensor, div_vec, dot, expand, grad, norm, outer, skew,
+    spectral_derivative, sym, tensor_apply, time_derivative_matrix,
+    to_physical, to_spectral, trace, traceless,
 )
 from cilab.grid import Grid4, GridResolutionError
 
@@ -55,10 +54,6 @@ class TestTransforms:
         l2 = norm(f, MixedNormSpec.lebesgue(2, 2))
         h0 = norm(f, MixedNormSpec.hbeta(0.0))
         assert h0 == pytest.approx(l2, rel=1e-10)
-
-    def test_spectral_cache_reused(self, small_grid):
-        f = Field(np.zeros(small_grid.shape), small_grid)
-        assert f.spectral is f.spectral
 
     def test_immutable(self, small_grid):
         f = Field(np.ones(small_grid.shape), small_grid)
@@ -302,40 +297,3 @@ class TestTensorAlgebra:
             compact = full[..., pairs[0], pairs[1]]
             assert compact.shape == (4, len(pairs[0]))
             assert np.array_equal(expand(compact, pairs, sign), full)
-
-
-class TestSerialization:
-    def test_round_trip(self, small_grid, tmp_path):
-        rng = np.random.default_rng(18)
-        f = random_field(small_grid, rng, rank=1)
-        path = tmp_path / "field.bin"
-        write_field(f, str(path))
-        g = read_field(str(path))
-        assert g.grid == Grid4(16, 16)
-        assert np.array_equal(g.data, f.data)
-
-    def test_header_layout(self, small_grid, tmp_path):
-        f = Field.zeros(small_grid, rank=2)
-        path = tmp_path / "field.bin"
-        write_field(f, str(path))
-        blob = path.read_bytes()
-        assert blob[:7] == b"CILAB1\x00"
-        assert int.from_bytes(blob[7:11], "little") == 16
-        assert int.from_bytes(blob[11:15], "little") == 16
-        assert blob[15] == 2
-        assert len(blob) == 16 + 16 ** 4 * 9 * 8
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"NOTCILAB" + b"\x00" * 64)
-        with pytest.raises(FieldFormatError):
-            read_field(str(path))
-
-    def test_truncated_payload_rejected(self, small_grid, tmp_path):
-        f = Field.zeros(small_grid, rank=0)
-        path = tmp_path / "field.bin"
-        write_field(f, str(path))
-        blob = path.read_bytes()
-        path.write_bytes(blob[:-8])
-        with pytest.raises(FieldFormatError):
-            read_field(str(path))

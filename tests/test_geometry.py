@@ -83,6 +83,15 @@ class TestBaseCoefficients:
                     for c, f in zip(geom.c_u, geom.lambda_u))
         assert np.abs(total - np.eye(3)).max() <= 1e-15
 
+    def test_sym_center_identity_is_exact(self, geom):
+        # the coefficients come from an exact inverse of the span map, so
+        # sum c k1 (x) k1 = Id holds over the rationals
+        k1s = [[Fraction(c, f.denom) for c in f.k1_num] for f in geom.lambda_u]
+        total = [[sum(c * k1[a] * k1[b] for c, k1 in zip(geom.c_u_exact, k1s))
+                  for b in range(3)] for a in range(3)]
+        assert total == [[int(a == b) for b in range(3)] for a in range(3)]
+        assert all(type(c) is Fraction for c in geom.c_u_exact)
+
     def test_infeasible_candidates_error(self):
         bad = [f for f in build_geometry().lambda_b if f.k_num[0] >= 0
                and f.k_num[1] >= 0 and f.k_num[2] >= 0]

@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cilab.field import Field, ddt, div_tensor, div_vec, dot, grad, outer
+from cilab.field import (
+    Field, ddt, div_tensor, div_vec, dot, grad, outer, to_physical,
+    to_spectral,
+)
 from cilab.grid import Grid4, GridResolutionError
 from cilab.mollify import (
     Mollifier, commutator_stresses, mollified_pressure, mollify,
@@ -150,6 +153,26 @@ class TestMollify:
         rhs = grad(mollify(f, 0.9))
         scale = max(rhs.max_abs(), 1e-300)
         assert (lhs - rhs).max_abs() < 1e-12 * scale
+
+    @pytest.mark.parametrize("comp", [(), (3,), (3, 3)])
+    def test_is_the_explicit_4d_multiplier(self, grid, comp):
+        # the product of the four symbols on wavenumber tables of the
+        # test's own, applied to samples with every mode occupied
+        ell = 0.9
+        mol = Mollifier(ell)
+        rng = np.random.default_rng(11)
+        f = Field(rng.normal(size=grid.shape + comp), grid, _take=True)
+        kt = np.fft.fftfreq(grid.n_t, 1.0 / grid.n_t)
+        kx = np.fft.fftfreq(grid.n_x, 1.0 / grid.n_x)
+        kh = np.fft.rfftfreq(grid.n_x, 1.0 / grid.n_x)
+        mult = (mol.temporal_symbol(kt)[:, None, None, None]
+                * mol.spatial_symbol(kx)[None, :, None, None]
+                * mol.spatial_symbol(kx)[None, None, :, None]
+                * mol.spatial_symbol(kh)[None, None, None, :])
+        mult = mult.reshape(mult.shape + (1,) * len(comp))
+        want = to_physical(to_spectral(f.data, grid) * mult, grid)
+        got = mollify(f, ell).data
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_unresolvable_scale_rejected(self, grid):
         f = Field(np.zeros(grid.shape), grid)

@@ -18,7 +18,9 @@ from cilab.amplitudes import (
     CancellationError, build_amplitudes, verify_cancellation,
 )
 from cilab.blocks import BlockParams, sample_blocks
-from cilab.field import Field, ddt, div_tensor, div_vec, grad
+from cilab.field import (
+    Field, ddt, div_tensor, div_vec, grad, to_physical, to_spectral,
+)
 from cilab.geometry import ConstructionError, build_geometry
 from cilab.grid import Grid4
 from cilab.profiles import BumpTrain, make_spatial_profiles, make_temporal
@@ -96,9 +98,9 @@ def ref_curl_curl3(vec):
 
 
 def ref_p_neq0(f):
-    spec = f.spectral.copy()
+    spec = to_spectral(f.data, f.grid)
     spec[:, 0, 0, 0, ...] = 0.0
-    return Field.from_spectral(spec, f.grid)
+    return Field(to_physical(spec, f.grid), f.grid, _take=True)
 
 
 def ref_profile_square(bs, j):
@@ -719,22 +721,6 @@ class TestVerifierMemory:
         serial = _verifier_peak(built, name)
         monkeypatch.setenv("CILAB_THREADS", "2")
         assert _verifier_peak(built, name) - serial <= 2.0
-
-    def test_checks_cache_no_spectrum_on_the_parts(self, built):
-        # a spectrum cached on a part stays resident as long as the part
-        amps, blocks, g, h, sigma, parts = built
-        inf = float("inf")
-        pt.verify_divfree_representation(
-            amps, blocks, g, parts["w_p"], parts["w_c"], parts["d_p"],
-            parts["d_c"], tol=inf, div_tol=inf)
-        pt.verify_temporal_balance(amps, blocks, g, MU, parts["w_t"],
-                                   parts["d_t"], tol=inf)
-        pt.verify_low_frequency_balance(amps, blocks, h, sigma, g,
-                                        parts["w_o"], parts["d_o"], tol=inf)
-        state = Field.zeros(amps.grid, rank=1)
-        pt.assemble_iterate(state, state, pt.Perturbation(**parts), amps,
-                            tol=inf)
-        assert [k for k, p in parts.items() if p._spec is not None] == []
 
 
 # -- the slice pool ------------------------------------------------------------------

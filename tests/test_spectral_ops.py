@@ -10,7 +10,10 @@ import pytest
 import scipy.fft as sfft
 
 from cilab import spectral, threads
-from cilab.field import Field, MixedNormSpec, div_tensor, grad, norm, skew, sym, trace
+from cilab.field import (
+    Field, MixedNormSpec, div_tensor, grad, norm, skew, sym, to_physical,
+    to_spectral, trace,
+)
 from cilab.spectral_ops import (
     _mean_free3, biot_savart, curl, frac_laplacian, inv_div_skew, inv_div_sym,
     inv_laplacian, leray, p_neq0,
@@ -56,23 +59,26 @@ class TestProjectors:
 
 
 def leray_multiplier(f):
-    """The Leray projection as one multiplier on the whole 4D spectrum."""
-    spec = f.spectral
-    _, k1, k2, k3 = f.grid.k_broadcast()
-    ks = [k.astype(float) for k in (k1, k2, k3)]
+    """The Leray projection as one multiplier on the whole 4D spectrum,
+    on wavenumber tables of its own."""
+    n = f.grid.n_x
+    kf = np.fft.fftfreq(n, 1.0 / n)
+    ks = (kf[None, :, None, None], kf[None, None, :, None],
+          np.fft.rfftfreq(n, 1.0 / n)[None, None, None, :])
     ksq = sum(k * k for k in ks)
     inv = np.where(ksq > 0, 1.0 / np.where(ksq > 0, ksq, 1.0), 0.0)
+    spec = to_spectral(f.data, f.grid)
     kdotu = sum(ks[a] * spec[..., a] for a in range(3))
     out = np.stack([spec[..., a] - ks[a] * inv * kdotu for a in range(3)],
                    axis=-1)
-    return Field.from_spectral(out, f.grid).data
+    return to_physical(out, f.grid)
 
 
 def p_neq0_multiplier(f):
     """Zeroing the spatial zero modes of the whole 4D spectrum."""
-    spec = f.spectral.copy()
+    spec = to_spectral(f.data, f.grid)
     spec[:, 0, 0, 0] = 0.0
-    return Field.from_spectral(spec, f.grid).data
+    return to_physical(spec, f.grid)
 
 
 def traced_peak(fn, *args, **kwargs):
@@ -300,11 +306,42 @@ class TestBiotSavart:
         assert g.max_abs() <= 1e-11 * max(1, phi.max_abs())
 
 
+@pytest.mark.parametrize("n_t,trailing", [(8, 0), (16, 1), (32, 2)])
+def test_time_wavenumbers_are_fftfreq_and_read_only(n_t, trailing):
+    kt = spectral.time_wavenumbers(n_t, trailing)
+    assert kt.shape == (n_t, 1, 1, 1) + (1,) * trailing
+    np.testing.assert_array_equal(kt.ravel(), np.fft.fftfreq(n_t, 1.0 / n_t))
+    assert kt is spectral.time_wavenumbers(n_t, trailing)
+    with pytest.raises(ValueError):
+        kt[0] = 1.0
+
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "cilab"
+
+
+def test_only_the_spectral_layer_builds_wavenumber_tables():
+    # the Fourier convention is written once: no other module calls
+    # fftfreq or rfftfreq, from numpy or from scipy
+    offenders = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.ImportFrom):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            if {"fftfreq", "rfftfreq"} & set(names):
+                offenders.add(path.name)
+    assert offenders <= {"spectral.py"}, offenders
+
+
 def test_only_the_spectral_layer_imports_scipy_fft():
     # spatial multipliers live in cilab.spectral; field keeps the 4D pair
-    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "cilab"
     offenders = []
-    for path in sorted(src.glob("*.py")):
+    for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
                 names = [a.name for a in node.names]
