@@ -10,10 +10,11 @@ reproduces minus the stress pointwise; that is the content of the two
 cancellation identities this module verifies.
 
 The auxiliary matrix G_B collects the mean velocity-magnetic imbalance of
-the magnetic blocks. The frame family is built from antipodal swap pairs
-whose imbalance tensors cancel at the base point, so G_B is exactly affine
-in the magnetic stress with no dependence on rho_B; the velocity family
-then absorbs R_u + G_B in one decomposition.
+the magnetic blocks: their squares times the velocity products P_v =
+k1 (x) k1 - k2 (x) k2 of blocks.flow_products. The frame family is built
+from antipodal swap pairs whose imbalance tensors cancel at the base
+point, so G_B is exactly affine in the magnetic stress with no dependence
+on rho_B; the velocity family then absorbs R_u + G_B in one decomposition.
 
 The set keeps its data at its true size, 11 scalar fields in one zeroed,
 component-major array of shape (11, n_t, n, n, n): rho_B, the 3 independent
@@ -40,12 +41,10 @@ import math
 
 import numpy as np
 
-from .blocks import envelope_stack, family_sets, flow_terms
+from .blocks import envelope_stack, family_terms, flow_products
 from .checks import fold_maxima, gate
 from .field import SKEW_PAIRS, SYM_PAIRS, Field, expand
-from .geometry import (
-    ConstructionError, GeometrySet, skew_generator, sym_generator,
-)
+from .geometry import ConstructionError, GeometrySet
 from .grid import Grid4, TWO_PI
 from .profiles import _bump
 from .threads import map_slices
@@ -203,13 +202,12 @@ class AmplitudeSet:
                                    -_fold(geom.L_b, *_STRESSES["magnetic"]).T]),
             "velocity": np.vstack([geom.c_u, -l_u.T]),
         }
-        # G_B / f_b^2 on the magnetic rows: the squares times the mean
-        # velocity-magnetic imbalance k1 (x) k1 - k2 (x) k2 of each
-        # magnetic frame, on the independent symmetric components
-        rows, cols = SYM_PAIRS
-        imbalance = np.stack([
-            (np.outer(fr.k1, fr.k1) - np.outer(fr.k2, fr.k2))[rows, cols]
-            for fr in geom.lambda_b])
+        # G_B / f_b^2 on the magnetic rows: the squares times each magnetic
+        # frame's mean velocity-magnetic imbalance, the velocity product P_v
+        # of its flows, on the independent symmetric components
+        imbalance = flow_products(np.array(
+            [np.concatenate([fr.k1, fr.k2]) for fr in geom.lambda_b]))[
+                :, :3][:, SYM_PAIRS[0], SYM_PAIRS[1]]
         self._g_b_table = self._tables["magnetic"] @ imbalance
         # and its share of the velocity squares, which take R_u + G_B
         self._g_b_share = -self._g_b_table @ l_u.T
@@ -452,8 +450,11 @@ def verify_cancellation(amps: AmplitudeSet, blocks: dict, temporal=None,
     deviation of the grid block moments from the frame generators
     ("moment_defect"), each gated at tol through cilab.checks, in
     diagnostic order: block moments, then magnetic cancellation, then
-    velocity cancellation. A family's six flow products (squared envelopes
-    times direction tensors) sum as one (n^3, 6) @ (6, 9) product.
+    velocity cancellation. A family's products P in its own equation (P_m
+    magnetic, P_v velocity, blocks.flow_products) are exactly its
+    decomposition's generators, so the moment defect compares the envelope
+    means times P with P. A family's six flow products (squared envelopes
+    times P) sum as one (n^3, 6) @ (6, 9) product.
     """
     grid = amps.grid
     if time_indices is None:
@@ -463,19 +464,12 @@ def verify_cancellation(amps: AmplitudeSet, blocks: dict, temporal=None,
         g_sq = temporal.g(grid.t()) ** 2
 
     families = {}
-    for family, gen in (("magnetic", skew_generator),
-                        ("velocity", sym_generator)):
-        frames = amps.frames(family)
-        sets = family_sets(frames, blocks, grid)
-        pair, vel = flow_terms(sets, "velocity")
-        if family == "magnetic":
-            _, mag = flow_terms(sets, "magnetic")
-            prods = (np.einsum("fa,fb->fab", mag, vel)
-                     - np.einsum("fa,fb->fab", vel, mag))
-        else:
-            prods = np.einsum("fa,fb->fab", vel, vel)
-        gens = np.stack([gen(fr) for fr in frames])
-        families[family] = (sets, pair, prods.reshape(len(frames), 9), gens)
+    for family, side in (("magnetic", slice(3, 6)),
+                         ("velocity", slice(0, 3))):
+        sets, (pair, flows), _ = family_terms(family, amps.frames(family),
+                                              blocks, grid)
+        prods = flow_products(flows)[:, side]
+        families[family] = (sets, pair, prods, prods.reshape(len(sets), 9))
 
     def residuals(j):
         updates = []
@@ -486,15 +480,15 @@ def verify_cancellation(amps: AmplitudeSet, blocks: dict, temporal=None,
                         - amps.stress_slice("velocity", j) - amps.g_b_slice(j),
         }
         g2 = g_sq[j]
-        for family, (sets, pair, prods, gens) in families.items():
+        for family, (sets, pair, prods, flat) in families.items():
             a2 = amps.squared_slice(family, j).reshape(-1, len(sets))
             env2 = envelope_stack(sets, pair, j) ** 2
             mean = env2.mean(axis=0)
             updates.append(("moment_defect", float(np.abs(
-                mean[:, None, None] * prods.reshape(gens.shape) - gens).max())))
-            lhs = (a2 * (g2 * env2)) @ prods
+                mean[:, None, None] * prods - prods).max())))
+            lhs = (a2 * (g2 * env2)) @ flat
             rhs = (targets[family].reshape(-1, 9)
-                   + (a2 * (g2 * (env2 - mean) + (g2 - 1.0) * mean)) @ prods)
+                   + (a2 * (g2 * (env2 - mean) + (g2 - 1.0) * mean)) @ flat)
             scale = max(np.abs(lhs).max(), np.abs(rhs).max(),
                         amps.delta_next)
             updates.append((family, float(np.abs(lhs - rhs).max()) / scale))

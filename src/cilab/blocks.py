@@ -309,6 +309,46 @@ def family_sets(frames, blocks, grid) -> list:
     return sets
 
 
+def carried_kinds(family: str, kinds) -> tuple:
+    """What a family's frames carry of a (velocity, magnetic) pair of flow
+    kinds or directions: magnetic frames both, velocity frames the first."""
+    return tuple(kinds) if family == "magnetic" else tuple(kinds[:1])
+
+
+def family_terms(family: str, frames, blocks, grid):
+    """(sets, flows, potentials) of one frame family: the family_sets and,
+    as flow_terms (pair, (k, 6) [velocity | magnetic] rows), the flows on
+    (shear, concentration) and the double-curl potentials on (shear,
+    potential). Velocity frames get zero magnetic rows."""
+    sets = family_sets(frames, blocks, grid)
+    terms = []
+    for kinds in (("velocity", "magnetic"),
+                  ("velocity_potential", "magnetic_potential")):
+        rows = np.zeros((len(sets), 6))
+        pairs = set()
+        for side, kind in enumerate(carried_kinds(family, kinds)):
+            pair, rows[:, 3 * side:3 * side + 3] = flow_terms(sets, kind)
+            pairs.add(pair)
+        [pair] = pairs  # both kinds ride one envelope pair
+        terms.append((pair, rows))
+    return (sets, *terms)
+
+
+def moment_products(moments) -> np.ndarray:
+    """[P_v | P_m] of (..., 6, 6) second moments of [velocity v | magnetic
+    m] flows, as (..., 6, 3): P_v = v (x) v - m (x) m feeds the velocity
+    equation and P_m = m (x) v - v (x) m the magnetic one."""
+    v, m = slice(0, 3), slice(3, 6)
+    return np.concatenate([moments[..., v, v] - moments[..., m, m],
+                           moments[..., m, v] - moments[..., v, m]], axis=-2)
+
+
+def flow_products(flows) -> np.ndarray:
+    """moment_products of each (k, 6) [velocity | magnetic] row with
+    itself: the (k, 6, 3) products per unit squared envelope."""
+    return moment_products(flows[:, :, None] * flows[:, None])
+
+
 def _rel(diff_max: float, scale: float) -> float:
     return diff_max / max(scale, 1e-300)
 

@@ -30,7 +30,7 @@ _RANK_SHAPES = {0: (), 1: (3,), 2: (3, 3)}
 class Field:
     __slots__ = ("data", "grid")
 
-    def __init__(self, data, grid: Grid4, mean_free: bool = False, _take=False):
+    def __init__(self, data, grid: Grid4, _take=False):
         data = np.asarray(data, dtype=np.float64)
         comp = data.shape[4:]
         if data.shape[:4] != grid.shape or comp not in _RANK_SHAPES.values():
@@ -45,8 +45,6 @@ class Field:
         data.setflags(write=False)
         self.data = data
         self.grid = grid
-        if mean_free:
-            self.require_mean_free()
 
     # -- construction -----------------------------------------------------
 

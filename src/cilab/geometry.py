@@ -259,7 +259,6 @@ class GeometrySet:
     eps_u: float
     eps_b: float
     positivity_margin: float
-    m_star: float
 
 
 def build_geometry() -> GeometrySet:
@@ -284,7 +283,7 @@ def build_geometry() -> GeometrySet:
     eps_b = margin * float(min(c_b)) / op_b
     eps_u = margin * float(min(c_u)) / op_u
 
-    geom = GeometrySet(
+    return GeometrySet(
         lambda_u=frames_u, lambda_b=frames_b,
         c_u=np.array([float(c) for c in c_u]),
         c_b=np.array([float(c) for c in c_b]),
@@ -292,14 +291,10 @@ def build_geometry() -> GeometrySet:
         L_u=L_u, L_b=L_b,
         eps_u=eps_u, eps_b=eps_b,
         positivity_margin=(1.0 - margin) * float(min(min(c_b), min(c_u))),
-        m_star=0.0,
     )
-    m_star = _measure_m_star(geom)
-    object.__setattr__(geom, "m_star", m_star)
-    return geom
 
 
-def _measure_m_star(geom: GeometrySet, samples: int = 200, seed: int = 1) -> float:
+def measure_m_star(geom: GeometrySet, samples: int = 200, seed: int = 1) -> float:
     """Sampled Lipschitz constant of gamma = sqrt(gamma^2) over both balls."""
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -380,22 +375,6 @@ def reconstruct_skew(geom: GeometrySet, coeffs) -> np.ndarray:
 def reconstruct_sym(geom: GeometrySet, coeffs) -> np.ndarray:
     gens = np.stack([sym_generator(f) for f in geom.lambda_u])
     return np.einsum("...f,fij->...ij", np.asarray(coeffs), gens)
-
-
-def frame_table(geom: GeometrySet) -> str:
-    """Plain-text export: set id, scaled integer vectors, base coefficient."""
-    lines = ["# set  N*k  N*k1  N*k2  c"]
-    for f, c in zip(geom.lambda_b, geom.c_b_exact):
-        lines.append(_table_line("B", f, c))
-    for f, c in zip(geom.lambda_u, geom.c_u_exact):
-        lines.append(_table_line("u", f, c))
-    return "\n".join(lines) + "\n"
-
-
-def _table_line(set_id, f, c):
-    def fmt(v):
-        return ",".join(str(x) for x in v)
-    return f"{set_id} {fmt(f.k_num)} {fmt(f.k1_num)} {fmt(f.k2_num)} {c}"
 
 
 def pair_resonances(f1: Frame, f2: Frame, n_max: int = 8):

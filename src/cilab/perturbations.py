@@ -12,9 +12,9 @@ mean drift of the squared oscillation profile through its antiderivative.
 Every block field is rank one, a scalar envelope times a constant frame
 vector, so nothing here loops over frames: per time slice and family the
 six envelopes stack into one (n^3, 6) array that meets constant tables
-(frame directions, direction tensors) in one product, and every gradient,
-divergence or double curl is one transform pair per slice. The velocity
-family drives no magnetic part, so its magnetic tables are zero.
+(blocks.family_terms rows, their flow_products) in one product, and every
+gradient, divergence or double curl is one transform pair per slice. The
+velocity family drives no magnetic part, so its magnetic tables are zero.
 
 Every balance these parts rely on can be evaluated literally on the
 grid, one term group at a time. The verifiers here do exactly that and
@@ -28,10 +28,10 @@ with running maxima, in the same order of operations as the whole-field
 expressions, and each time derivative a residual slice reads is one row
 of the time differentiation matrix, D[j] @ X (field.ddt_slice). Every
 slice loop runs on the slice pool of cilab.threads: a slice writes only
-its own output slice, and maxima are folded in slice order afterwards. Block second
-moments enter the low-frequency correctors as measured grid averages
-rather than their continuum values, so the balances close at grid level. Those mean
-matrices M_(k) are constant, so the low-frequency terms need only
+its own output slice, and maxima are folded in slice order afterwards.
+Block second moments enter the low-frequency correctors as measured grid
+means of the flow products (blocks.moment_products), not as continuum
+values, so the balances close at grid level. Those mean matrices M_(k) are constant, so the low-frequency terms need only
 V = sum_k M_(k) grad a_(k)^2: the corrector drives h V, the balance's
 residue is (g^2 - 1) V and its wander term is h d_t V.
 
@@ -59,7 +59,8 @@ import numpy as np
 
 from . import spectral
 from .amplitudes import AmplitudeSet
-from .blocks import envelope_stack, family_sets, flow_terms
+from .blocks import (carried_kinds, envelope_stack, family_sets,
+                     family_terms, flow_products, moment_products)
 from .checks import fold_maxima, gate
 from .field import Field, MixedNormSpec, ddt, ddt_slice, norm
 from .spectral_ops import _div_rel_defect, _mean_free3, leray, p_neq0
@@ -97,23 +98,12 @@ def _active(amps, families, j):
             yield entry + (amps.squared_slice(entry[0], j),)
 
 
-def _families(amps, blocks, kind_w, kind_d):
-    """(family, sets, pair, table) per family for two kinds on one envelope
-    pair: rank-one terms with (k, 6) [velocity | magnetic] directions; the
-    velocity family drives no magnetic part."""
-    out = []
-    for family in _FAMILIES:
-        sets = family_sets(amps.frames(family), blocks, amps.grid)
-        kinds = (kind_w, kind_d) if family == "magnetic" else (kind_w,)
-        table = np.zeros((len(sets), 6))
-        pairs = set()
-        for side, kind in enumerate(kinds):
-            pair, rows = flow_terms(sets, kind)
-            pairs.add(pair)
-            table[:, 3 * side:3 * side + 3] = rows
-        [pair] = pairs
-        out.append((family, sets, pair, table))
-    return out
+def _families(amps, blocks):
+    """(family, sets, flows, potentials) per family in summation order, as
+    blocks.family_terms gives them."""
+    return [(family, *family_terms(family, amps.frames(family), blocks,
+                                   amps.grid))
+            for family in _FAMILIES]
 
 
 def _sides(arr, n):
@@ -156,51 +146,31 @@ def _gate(report, names, tol):
 
 # -- measured block moments -----------------------------------------------------
 
-_KINDS = ("velocity", "magnetic")
-_MOMENT_PAIRS = (("velocity", "velocity"), ("magnetic", "magnetic"),
-                 ("magnetic", "velocity"), ("velocity", "magnetic"))
-
-
-def measured_second_moments(blocks, frames):
-    """Grid means of the quadratic flow products, one matrix per ordered
-    kind pair per frame. The blocks advance by a lattice shift, so grid
-    means are time-independent and slice zero decides. Downstream
-    correctors must consume these measured matrices, not the continuum
-    moments they approximate, or the balances stop closing at grid level.
-    Per frame the two flows stack into one (n^3, 6) array whose Gram matrix
-    holds all four pairs; the frames are spread over the slice pool.
-    """
-    def gram(i):
-        bs = blocks[frames[i].name]
-        flows = np.hstack([bs.flow_slice(kind, 0).reshape(-1, 3)
-                           for kind in _KINDS])
-        return flows.T @ flows / len(flows)
-
-    cols = {kind: slice(3 * k, 3 * k + 3) for k, kind in enumerate(_KINDS)}
-    return {fr.name: {(a, b): mat[cols[a], cols[b]] for a, b in _MOMENT_PAIRS}
-            for fr, mat in zip(frames, map_slices(gram, range(len(frames))))}
-
-
 def _moment_tables(amps, blocks):
     """Per family, the measured mean matrices of the velocity and magnetic
-    equations as one (6, 6, 3) table, row k holding M_vel(k), M_mag(k)."""
-    families = ("velocity", "magnetic")
-    for family in families:
-        family_sets(amps.frames(family), blocks, amps.grid)
-    moments = measured_second_moments(
-        blocks, [fr for family in families for fr in amps.frames(family)])
-    tables = []
-    for family in families:
-        rows = []
-        for fr in amps.frames(family):
-            q = moments[fr.name]
-            m_vel, m_mag = q["velocity", "velocity"], np.zeros((3, 3))
-            if family == "magnetic":
-                m_vel = m_vel - q["magnetic", "magnetic"]
-                m_mag = q["magnetic", "velocity"] - q["velocity", "magnetic"]
-            rows.append(np.concatenate([m_vel, m_mag]))
-        tables.append((family, np.array(rows)))
-    return tables
+    equations as one (k, 6, 3) table, row k holding M_vel(k), M_mag(k): the
+    grid means of the flow products of each frame's sampled flows, which
+    the correctors must consume, not the continuum moments, for the
+    balances to close. The blocks advance by a lattice shift, so slice zero
+    decides. Per frame the carried flows stack into one (n^3, 6) array,
+    magnetic columns zero on velocity frames, whose Gram matrix holds every
+    mean product; the frames are spread over the slice pool."""
+    frames = [(family, bs) for family in ("velocity", "magnetic")
+              for bs in family_sets(amps.frames(family), blocks, amps.grid)]
+
+    def means(i):
+        family, bs = frames[i]
+        kinds = carried_kinds(family, ("velocity", "magnetic"))
+        flows = np.zeros((amps.grid.n_x ** 3, 2, 3))
+        for side, kind in enumerate(kinds):
+            flows[:, side] = bs.flow_slice(kind, 0).reshape(-1, 3)
+        flows = flows.reshape(-1, 6)
+        return moment_products(flows.T @ flows / len(flows))
+
+    tables = map_slices(means, range(len(frames)))
+    n_u = len(amps.frames("velocity"))
+    return [("velocity", np.array(tables[:n_u])),
+            ("magnetic", np.array(tables[n_u:]))]
 
 
 def _drift_spectrum(amps, tables, j, tails=None):
@@ -284,13 +254,13 @@ def principal_parts(amps: AmplitudeSet, blocks: dict, g):
     grid = amps.grid
     n = grid.n_x
     g = _as_samples(g, grid, "oscillation profile g")
-    families = _families(amps, blocks, "velocity", "magnetic")
+    families = _families(amps, blocks)
     out = np.zeros((2,) + grid.shape + (3,))
 
     def fill(j):
         if g[j] == 0.0:
             return
-        for _, sets, pair, table, a2 in _active(amps, families, j):
+        for _, sets, (pair, table), _, a2 in _active(amps, families, j):
             amp = np.sqrt(a2).reshape(-1, len(sets))
             out[:, j] += _sides(_weighted_sum(g[j] * amp, sets, pair, table,
                                               j), n)
@@ -300,7 +270,7 @@ def principal_parts(amps: AmplitudeSet, blocks: dict, g):
 
 
 def incompressibility_correctors(amps: AmplitudeSet, blocks: dict, g,
-                                 check: bool = True, tol: float = 1e-7):
+                                 check: bool = True):
     """The incompressibility parts as defined: per slice, the double curl
     of the summed potentials, curl curl (g sum_k a_k potential_k), minus
     the principal slice, formed as principal_parts forms it. Principal plus
@@ -316,9 +286,7 @@ def incompressibility_correctors(amps: AmplitudeSet, blocks: dict, g,
     grid = amps.grid
     n = grid.n_x
     g = _as_samples(g, grid, "oscillation profile g")
-    families = [flows + pots[2:] for flows, pots in zip(
-        _families(amps, blocks, "velocity", "magnetic"),
-        _families(amps, blocks, "velocity_potential", "magnetic_potential"))]
+    families = _families(amps, blocks)
     out = np.zeros((2,) + grid.shape + (3,))
 
     def fill(j):
@@ -326,7 +294,7 @@ def incompressibility_correctors(amps: AmplitudeSet, blocks: dict, g,
         if not active:
             return
         pot = 0.0
-        for _, sets, pair, table, pot_pair, pot_table, a2 in active:
+        for _, sets, (pair, table), (pot_pair, pot_table), a2 in active:
             amp = np.sqrt(a2).reshape(-1, len(sets))
             out[:, j] += _sides(_weighted_sum(g[j] * amp, sets, pair, table,
                                               j), n)
@@ -339,13 +307,12 @@ def incompressibility_correctors(amps: AmplitudeSet, blocks: dict, g,
                 Field(out[1], grid, _take=True))
     if check:
         w_p, d_p = principal_parts(amps, blocks, g)
-        verify_divfree_representation(amps, blocks, g, w_p, w_c, d_p, d_c,
-                                      tol=tol)
+        verify_divfree_representation(amps, blocks, g, w_p, w_c, d_p, d_c)
     return w_c, d_c
 
 
 def temporal_correctors_t(amps: AmplitudeSet, blocks: dict, g, mu: float,
-                          check: bool = True, tol: float = 1e-6):
+                          check: bool = True):
     """Minus the solenoidal low-pass of the transport charges: squared
     amplitude times squared oscillation times the squared flow envelope,
     directed along each quadratic product's driving direction. The time
@@ -356,7 +323,7 @@ def temporal_correctors_t(amps: AmplitudeSet, blocks: dict, g, mu: float,
     g = _as_samples(g, grid, "oscillation profile g")
     if not mu > 0.0:
         raise ValueError("temporal correctors need a positive transport rate")
-    families = _families(amps, blocks, "velocity", "magnetic")
+    families = _families(amps, blocks)
     for _, sets, _, _ in families:
         for bs in sets:
             if bs.params.mu != mu:
@@ -370,7 +337,7 @@ def temporal_correctors_t(amps: AmplitudeSet, blocks: dict, g, mu: float,
             return
         g2 = g[j] ** 2
         active = False
-        for _, sets, pair, dirs, a2 in _active(amps, families, j):
+        for _, sets, (pair, dirs), _, a2 in _active(amps, families, j):
             a2 = a2.reshape(-1, len(sets))
             _add_sides(acc, j, _sides(
                 (g2 * a2 * envelope_stack(sets, pair, j) ** 2) @ dirs, n))
@@ -382,12 +349,12 @@ def temporal_correctors_t(amps: AmplitudeSet, blocks: dict, g, mu: float,
     map_slices(fill, range(grid.n_t))
     w_t, d_t = _solenoidal(acc, grid)
     if check:
-        verify_temporal_balance(amps, blocks, g, mu, w_t, d_t, tol=tol)
+        verify_temporal_balance(amps, blocks, g, mu, w_t, d_t)
     return w_t, d_t
 
 
 def temporal_correctors_o(amps: AmplitudeSet, blocks: dict, h, sigma: float,
-                          g=None, check: bool = True, tol: float = 1e-6):
+                          g=None, check: bool = True):
     """Minus sigma^{-1} times the solenoidal low-pass of h V, with V the
     mean-matrix-weighted amplitude gradients sum_k M_(k) grad a_(k)^2.
     These absorb the low-frequency residue of the squared oscillation
@@ -424,8 +391,7 @@ def temporal_correctors_o(amps: AmplitudeSet, blocks: dict, h, sigma: float,
         if g is None:
             raise ValueError("checking the low-frequency balance needs the "
                              "oscillation profile g")
-        verify_low_frequency_balance(amps, blocks, h, sigma, g, w_o, d_o,
-                                     tol=tol)
+        verify_low_frequency_balance(amps, blocks, h, sigma, g, w_o, d_o)
     return w_o, d_o
 
 
@@ -440,8 +406,7 @@ def _require_vector_on(grid, what, *fields):
 
 
 def verify_divfree_representation(amps, blocks, g, w_p, w_c, d_p, d_c,
-                                  time_indices=None, tol: float = 1e-7,
-                                  div_tol: float = 1e-8):
+                                  tol: float = 1e-7, div_tol: float = 1e-8):
     """Check, slice by slice, that principal plus incompressibility parts
     equal the double curl of the summed potentials, and that their
     divergence vanishes against the gradient scale. Returns the residual
@@ -456,10 +421,7 @@ def verify_divfree_representation(amps, blocks, g, w_p, w_c, d_p, d_c,
     n = grid.n_x
     g = _as_samples(g, grid, "oscillation profile g")
     _require_vector_on(grid, "perturbation part", w_p, w_c, d_p, d_c)
-    families = _families(amps, blocks, "velocity_potential",
-                         "magnetic_potential")
-    if time_indices is None:
-        time_indices = range(grid.n_t)
+    families = _families(amps, blocks)
     keys = (("velocity_representation", "velocity_divergence"),
             ("magnetic_representation", "magnetic_divergence"))
 
@@ -477,7 +439,7 @@ def verify_divfree_representation(amps, blocks, g, w_p, w_c, d_p, d_c,
         if g[j] == 0.0:
             return updates
         pot = np.zeros((n ** 3, 6))
-        for _, sets, pair, table, a2 in _active(amps, families, j):
+        for _, sets, _, (pair, table), a2 in _active(amps, families, j):
             updates.append(("amplitude_tail", spectral.tail(a2.sum(axis=-1))))
             amp = np.sqrt(a2).reshape(-1, len(sets))
             pot += _weighted_sum(amp, sets, pair, table, j)
@@ -491,7 +453,7 @@ def verify_divfree_representation(amps, blocks, g, w_p, w_c, d_p, d_c,
 
     report = fold_maxima(
         dict.fromkeys(sum(keys, ()) + ("amplitude_tail",), 0.0),
-        map_slices(residuals, time_indices))
+        map_slices(residuals, range(grid.n_t)))
     _gate(report, (("velocity_representation",
                     "velocity double-curl representation residual"),
                    ("magnetic_representation",
@@ -509,9 +471,10 @@ def verify_temporal_balance(amps, blocks, g, mu: float, w_t, d_t,
     gradient plus the gradient-transfer and profile-drift remainders.
     Every group is assembled from samples; the time derivative forces a
     full sweep, so there is no slice subsetting here. The flow products
-    are squared envelopes times P_v = k1 (x) k1 - k2 (x) k2 and P_m =
-    k2 (x) k1 - k1 (x) k2, so the gradient transfer P grad a^2 needs only
-    the derivatives of a^2 along k1 and k2."""
+    are squared envelopes times blocks.flow_products of the frame
+    directions, P_v = k1 (x) k1 - k2 (x) k2 and P_m = k2 (x) k1 - k1 (x)
+    k2, so the gradient transfer P grad a^2 needs only the derivatives of
+    a^2 along k1 and k2."""
     grid = amps.grid
     n = grid.n_x
     g = _as_samples(g, grid, "oscillation profile g")
@@ -519,17 +482,14 @@ def verify_temporal_balance(amps, blocks, g, mu: float, w_t, d_t,
         raise ValueError("the temporal balance needs a positive transport rate")
     _require_vector_on(grid, "temporal corrector", w_t, d_t)
     families = []
-    for family, sets, pair, dirs in _families(amps, blocks, "velocity",
-                                              "magnetic"):
+    for family, sets, (pair, dirs), _ in _families(amps, blocks):
         k1, k2 = dirs[:, :3], dirs[:, 3:]
-        p_v = k1[:, :, None] * k1[:, None] - k2[:, :, None] * k2[:, None]
-        p_m = k2[:, :, None] * k1[:, None] - k1[:, :, None] * k2[:, None]
-        products = np.hstack([p_v, p_m])
         # rows: per frame, derivative along k1 then k2 (none for velocity)
-        ks = (k1, k2) if family == "magnetic" else (k1,)
+        ks = carried_kinds(family, (k1, k2))
         transfer = np.stack([dirs, -np.hstack([k2, k1])], axis=1)[
             :, :len(ks)].reshape(-1, 6)
-        families.append((family, sets, pair, dirs, products, ks, transfer))
+        families.append((family, sets, pair, dirs, flow_products(dirs), ks,
+                         transfer))
     acc, osc, drift = _side_fields(grid), _side_fields(grid), _side_fields(grid)
 
     def sweep(j):

@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 
 from cilab.blocks import (
     BlockIdentityError, BlockParams, BlockSet, IDENTITY_NAMES,
-    block_norm, measure_intermittency, measure_product_intermittency,
+    block_norm, family_terms, flow_products, flow_terms,
+    measure_intermittency, measure_product_intermittency,
     pair_support_fraction, predicted_block_norm, predicted_product_norm,
     product_norm, sample_blocks, support_fraction, verify_identities,
 )
 from cilab.field import MixedNormSpec, dot, grad, norm, outer
-from cilab.geometry import build_geometry
+from cilab.geometry import build_geometry, skew_generator, sym_generator
 from cilab.grid import Grid4, GridResolutionError
 from cilab.profiles import BandProfile, fit_loglog, make_spatial_profiles
 
@@ -163,6 +164,60 @@ class TestSampling:
             banded_blocks.profile_slice("vorticity", 0)
         with pytest.raises(ValueError):
             banded_blocks.flow_slice("pressure", 0)
+
+
+class TestFlowAlgebra:
+    """family_terms and flow_products state the two flow rules once:
+    velocity frames carry W = psi phi k1 only, magnetic frames also
+    D = psi phi k2, and the products are W (x) W - D (x) D in the velocity
+    equation and D (x) W - W (x) D in the magnetic one."""
+
+    @pytest.fixture(scope="class")
+    def families(self, geom, base, dense_grid):
+        params = BlockParams(lam=1, mu=1.0, n_conc_harmonics=1)
+        blocks = {fr.name: sample_blocks(fr, params, dense_grid, base)
+                  for fr in geom.lambda_b + geom.lambda_u}
+        return {family: (frames, family_terms(family, frames, blocks,
+                                              dense_grid))
+                for family, frames in (("magnetic", geom.lambda_b),
+                                       ("velocity", geom.lambda_u))}
+
+    @pytest.mark.parametrize("family", ["magnetic", "velocity"])
+    def test_family_terms_rows_are_flow_terms(self, families, family):
+        frames, (sets, flows, potentials) = families[family]
+        assert [bs.frame.name for bs in sets] == [fr.name for fr in frames]
+        for (pair, rows), kinds, want_pair in (
+                (flows, ("velocity", "magnetic"), ("shear", "concentration")),
+                (potentials, ("velocity_potential", "magnetic_potential"),
+                 ("shear", "potential"))):
+            assert pair == want_pair
+            assert rows.shape == (len(sets), 6)
+            assert np.array_equal(rows[:, :3], flow_terms(sets, kinds[0])[1])
+            if family == "magnetic":
+                want = flow_terms(sets, kinds[1])[1]
+                assert np.array_equal(rows[:, 3:], want)
+            else:
+                assert not rows[:, 3:].any()
+
+    def test_magnetic_products_are_the_skew_generators(self, families):
+        frames, (_, (_, flows), _) = families["magnetic"]
+        want = np.stack([skew_generator(fr) for fr in frames])
+        assert np.array_equal(flow_products(flows)[:, 3:], want)
+
+    def test_velocity_products_are_the_sym_generators(self, families):
+        frames, (_, (_, flows), _) = families["velocity"]
+        want = np.stack([sym_generator(fr) for fr in frames])
+        assert np.array_equal(flow_products(flows)[:, :3], want)
+
+    def test_magnetic_velocity_product_is_the_imbalance(self, families):
+        frames, (_, (_, flows), _) = families["magnetic"]
+        want = np.stack([np.outer(fr.k1, fr.k1) - np.outer(fr.k2, fr.k2)
+                         for fr in frames])
+        assert np.array_equal(flow_products(flows)[:, :3], want)
+
+    def test_velocity_frames_drive_no_magnetic_product(self, families):
+        _, (_, (_, flows), _) = families["velocity"]
+        assert not flow_products(flows)[:, 3:].any()
 
 
 def worst(report):

@@ -76,7 +76,7 @@ class TestTransforms:
 
     def test_mean_free_validation(self, small_grid):
         with pytest.raises(ValueError):
-            Field(np.ones(small_grid.shape), small_grid, mean_free=True)
+            Field(np.ones(small_grid.shape), small_grid).require_mean_free()
 
 
 class TestNorms:

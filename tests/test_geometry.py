@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cilab.geometry import (
-    ConstructionError, Frame, OutOfBallError, build_geometry, frame_table,
-    gamma_skew, gamma_sym, pair_resonances, reconstruct_skew, reconstruct_sym,
-    skew_generator, sym_generator, _solve_skew_coefficients,
+    ConstructionError, Frame, OutOfBallError, build_geometry, gamma_skew,
+    gamma_sym, measure_m_star, pair_resonances, reconstruct_skew,
+    reconstruct_sym, skew_generator, sym_generator, _solve_skew_coefficients,
 )
 
 
@@ -199,19 +199,7 @@ class TestDerivedQuantities:
         assert geom.positivity_margin > 0
 
     def test_m_star_measured(self, geom):
-        assert 0 < geom.m_star < 10.0
-
-    def test_table_round_trip(self, geom):
-        table = frame_table(geom)
-        lines = table.strip().split("\n")
-        assert lines[0].startswith("#")
-        assert len(lines) == 13
-        body = [ln.split() for ln in lines[1:]]
-        assert sum(1 for row in body if row[0] == "B") == 6
-        assert sum(1 for row in body if row[0] == "u") == 6
-        for row, frame in zip(body, geom.lambda_b + geom.lambda_u):
-            assert tuple(int(v) for v in row[1].split(",")) == frame.k_num
-            assert Fraction(row[4]) == Fraction(1, 2)
+        assert 0 < measure_m_star(geom) < 10.0
 
 
 class TestResonances:

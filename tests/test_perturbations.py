@@ -115,17 +115,13 @@ def ref_families(amps, blocks):
 
 
 def ref_mean_matrices(amps, blocks):
-    moments = pt.measured_second_moments(
-        blocks, amps.geom.lambda_u + amps.geom.lambda_b)
+    """The module's measured moment tables by frame name: the balances
+    close only with the matrices the correctors consume (TestMoments checks
+    the tables against explicit means)."""
     m_vel, m_mag = {}, {}
-    for fr in amps.geom.lambda_u:
-        m_vel[fr.name] = moments[fr.name][("velocity", "velocity")]
-    for fr in amps.geom.lambda_b:
-        quart = moments[fr.name]
-        m_vel[fr.name] = (quart[("velocity", "velocity")]
-                          - quart[("magnetic", "magnetic")])
-        m_mag[fr.name] = (quart[("magnetic", "velocity")]
-                          - quart[("velocity", "magnetic")])
+    for family, table in pt._moment_tables(amps, blocks):
+        for fr, rows in zip(amps.frames(family), table):
+            m_vel[fr.name], m_mag[fr.name] = rows[:3], rows[3:]
     return m_vel, m_mag
 
 
@@ -510,6 +506,29 @@ class TestBuilders:
 
 
 # -- verifiers ---------------------------------------------------------------------
+
+class TestMoments:
+    def test_tables_are_the_mean_flow_products(self, built):
+        """Each frame's row of the moment tables is the grid mean of its
+        sampled flow products at slice 0, W (x) W - D (x) D and
+        D (x) W - W (x) D, with D = 0 on velocity frames."""
+        amps, blocks = built[:2]
+        tables = dict(pt._moment_tables(amps, blocks))
+        assert list(tables) == ["velocity", "magnetic"]
+        for family, table in tables.items():
+            assert table.shape == (6, 6, 3)
+            for fr, rows in zip(amps.frames(family), table):
+                w = blocks[fr.name].flow_slice("velocity", 0)
+                d = (blocks[fr.name].flow_slice("magnetic", 0)
+                     if family == "magnetic" else np.zeros_like(w))
+
+                def mean(a, b):
+                    return np.einsum("xyza,xyzb->ab", a, b) / w[..., 0].size
+
+                want = np.concatenate([mean(w, w) - mean(d, d),
+                                       mean(d, w) - mean(w, d)])
+                assert rel_max(rows, want) < 1e-12, fr.name
+
 
 def passing_tol(report, keys):
     return 2.0 * max(report[k] for k in keys)
