@@ -23,13 +23,15 @@ symmetric traceless R_l^u (field.SYM_PAIRS). The stress blocks of a slice
 that carries no stress stay unwritten, their pages unmapped. The squares
 are affine in these rows, so each family's squares on a slice are one BLAS
 product: the slice's rows as an (n^3, 4, 7 or 11) transposed view times a
-(rows, 6) table with c and L folded onto the rows (`_fold`). G_B is never
-stored: on each slice it is the magnetic squares times the imbalance
-table, one product over the magnetic rows that `build_amplitudes` (for
-rho_u and f_u) and `verify_cancellation` use. The velocity squares take
-its share through the magnetic rows too, without forming the magnetic
-squares. Full 3x3 slices of G_B and of the stresses are expanded only
-where a caller asks for one (`g_b_slice`, `stress_slice`).
+(rows, 6) table, c stacked on minus the transposed geometry table L,
+which acts on these same compact components. G_B is never stored: on each
+slice it is the magnetic squares times the imbalance table, one product
+over the magnetic rows that `build_amplitudes` (for rho_u and f_u) and
+`verify_cancellation` use. The velocity squares take its share through
+the magnetic rows too, without forming the magnetic squares. The
+cancellation check compares compact components as well; full 3x3 slices
+of G_B and of the stresses are expanded only where a caller asks for one
+(`g_b_slice`, `stress_slice`).
 
 Per-frame amplitude fields are not materialized at construction: a
 desk-scale grid makes twelve scalar fields more expensive than the
@@ -43,7 +45,7 @@ import numpy as np
 
 from .blocks import envelope_stack, family_terms, flow_products
 from .checks import fold_maxima, gate
-from .field import SKEW_PAIRS, SYM_PAIRS, Field, expand
+from .field import SKEW_PAIRS, SYM_PAIRS, Field, expand, frobenius_weights
 from .geometry import ConstructionError, GeometrySet
 from .grid import Grid4, TWO_PI
 from .profiles import _bump
@@ -122,20 +124,11 @@ def temporal_cutoff(support_mask, grid: Grid4, ell: float) -> np.ndarray:
 
 # -- amplitude construction ---------------------------------------------------
 
-def _fold(table, pairs, sign):
-    """(k, 3, 3) coefficient tables as (k, len(pairs)) tables on compact
-    components: table : S = compact(S) @ folded.T for every S of the class
-    (sign 1 symmetric, -1 skew)."""
-    rows, cols = pairs
-    off = np.not_equal(rows, cols)
-    return table[:, rows, cols] + (sign * off) * table[:, cols, rows]
-
-
 def _frobenius(compact, pairs):
     """Pointwise Frobenius norm of the tensors with these compact
-    components: a mirrored component counts twice."""
-    weights = np.where(np.equal(*pairs), 1.0, 2.0)
-    return np.sqrt((compact * compact * weights).sum(axis=-1))
+    components."""
+    return np.sqrt((compact * compact * frobenius_weights(pairs)).sum(
+        axis=-1))
 
 
 _STRESSES = {"velocity": (SYM_PAIRS, 1.0), "magnetic": (SKEW_PAIRS, -1.0)}
@@ -171,8 +164,8 @@ class AmplitudeSet:
 
     _FIELDS = ("geom", "grid", "delta_next", "ell", "data", "f_b", "f_u",
                "peak_u", "peak_b")
-    __slots__ = _FIELDS + ("rho_b", "rho_u", "eps_u", "eps_b", "_index",
-                           "_tables", "_g_b_table", "_g_b_share")
+    __slots__ = _FIELDS + ("rho_b", "rho_u", "_index", "_tables",
+                           "_g_b_table", "_g_b_share")
 
     def __init__(self, *, geom, grid, delta_next, ell, data, f_b, f_u,
                  peak_u, peak_b):
@@ -187,21 +180,14 @@ class AmplitudeSet:
         self.peak_b = peak_b
         self.rho_b = Field(data[_BLOCKS["rho_b"]], grid, _take=True)
         self.rho_u = Field(data[_BLOCKS["rho_u"]], grid, _take=True)
-        self.eps_u = geom.eps_u
-        self.eps_b = geom.eps_b
         self._index = {}
         for i, fr in enumerate(geom.lambda_b):
             self._index[fr.name] = ("magnetic", i)
         for i, fr in enumerate(geom.lambda_u):
             self._index[fr.name] = ("velocity", i)
-        # unscaled squares = rows @ table: rho c - L : stress, with L folded
-        # onto the independent components
-        l_u = _fold(geom.L_u, *_STRESSES["velocity"])
-        self._tables = {
-            "magnetic": np.vstack([geom.c_b,
-                                   -_fold(geom.L_b, *_STRESSES["magnetic"]).T]),
-            "velocity": np.vstack([geom.c_u, -l_u.T]),
-        }
+        # unscaled squares = rows @ table: rho c - compact(stress) @ L^T
+        self._tables = {"magnetic": np.vstack([geom.c_b, -geom.L_b.T]),
+                        "velocity": np.vstack([geom.c_u, -geom.L_u.T])}
         # G_B / f_b^2 on the magnetic rows: the squares times each magnetic
         # frame's mean velocity-magnetic imbalance, the velocity product P_v
         # of its flows, on the independent symmetric components
@@ -210,7 +196,7 @@ class AmplitudeSet:
                 :, :3][:, SYM_PAIRS[0], SYM_PAIRS[1]]
         self._g_b_table = self._tables["magnetic"] @ imbalance
         # and its share of the velocity squares, which take R_u + G_B
-        self._g_b_share = -self._g_b_table @ l_u.T
+        self._g_b_share = -self._g_b_table @ geom.L_u.T
 
     @property
     def stress_u(self) -> np.ndarray:
@@ -453,8 +439,11 @@ def verify_cancellation(amps: AmplitudeSet, blocks: dict, temporal=None,
     velocity cancellation. A family's products P in its own equation (P_m
     magnetic, P_v velocity, blocks.flow_products) are exactly its
     decomposition's generators, so the moment defect compares the envelope
-    means times P with P. A family's six flow products (squared envelopes
-    times P) sum as one (n^3, 6) @ (6, 9) product.
+    means times P with P. Both sides of an identity are exactly skew or
+    exactly symmetric, so they are compared on their compact components
+    (field.SKEW_PAIRS, SYM_PAIRS), where the worst entry is the worst of
+    all nine: a family's six flow products (squared envelopes times P) sum
+    as one (n^3, 6) @ (6, 3 or 6) product.
     """
     grid = amps.grid
     if time_indices is None:
@@ -468,27 +457,28 @@ def verify_cancellation(amps: AmplitudeSet, blocks: dict, temporal=None,
                          ("velocity", slice(0, 3))):
         sets, (pair, flows), _ = family_terms(family, amps.frames(family),
                                               blocks, grid)
-        prods = flow_products(flows)[:, side]
-        families[family] = (sets, pair, prods, prods.reshape(len(sets), 9))
+        rows, cols = _STRESSES[family][0]
+        families[family] = (sets, pair,
+                            flow_products(flows)[:, side][:, rows, cols])
+    identity = np.equal(*SYM_PAIRS).astype(float)  # compact(Id)
 
     def residuals(j):
         updates = []
         targets = {
-            "magnetic": -amps.stress_slice("magnetic", j),
-            "velocity": (amps.rho_u.data[j][..., None, None]
-                         * amps.f_u[j] ** 2) * np.eye(3)
-                        - amps.stress_slice("velocity", j) - amps.g_b_slice(j),
+            "magnetic": -amps.stress_b[j],
+            "velocity": (amps.rho_u.data[j][..., None] * amps.f_u[j] ** 2)
+                        * identity - amps.stress_u[j] - amps._g_b(j),
         }
         g2 = g_sq[j]
-        for family, (sets, pair, prods, flat) in families.items():
+        for family, (sets, pair, prods) in families.items():
             a2 = amps.squared_slice(family, j).reshape(-1, len(sets))
             env2 = envelope_stack(sets, pair, j) ** 2
             mean = env2.mean(axis=0)
             updates.append(("moment_defect", float(np.abs(
-                mean[:, None, None] * prods - prods).max())))
-            lhs = (a2 * (g2 * env2)) @ flat
-            rhs = (targets[family].reshape(-1, 9)
-                   + (a2 * (g2 * (env2 - mean) + (g2 - 1.0) * mean)) @ flat)
+                mean[:, None] * prods - prods).max())))
+            lhs = (a2 * (g2 * env2)) @ prods
+            rhs = (targets[family].reshape(len(lhs), -1)
+                   + (a2 * (g2 * (env2 - mean) + (g2 - 1.0) * mean)) @ prods)
             scale = max(np.abs(lhs).max(), np.abs(rhs).max(),
                         amps.delta_next)
             updates.append((family, float(np.abs(lhs - rhs).max()) / scale))

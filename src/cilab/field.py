@@ -240,6 +240,13 @@ SYM_PAIRS = ((0, 0, 0, 1, 1, 2), (0, 1, 2, 1, 2, 2))
 SKEW_PAIRS = ((0, 0, 1), (1, 2, 2))
 
 
+def frobenius_weights(pairs) -> np.ndarray:
+    """How often each compact component occurs in the full tensor: 1 on
+    the diagonal, 2 off it. The Frobenius pairing of two tensors of one
+    class is the weighted sum of their compact products."""
+    return np.where(np.equal(*pairs), 1.0, 2.0)
+
+
 def expand(compact, pairs, sign):
     """The 3x3 tensors whose independent components, at (rows, columns)
     `pairs`, are the last axis of compact; the mirrored entries are sign

@@ -15,18 +15,24 @@ least 3 harmonics in one shear profile and at least 3 in one concentration
 profile simultaneously; shipped grid configurations use a single shear
 harmonic and stay clear.
 
-All base coefficients and correction maps are computed in exact rational
-arithmetic and verified there; floating point enters only at evaluation.
+Both decompositions are exact throughout: the skew base is the uniform
+c = 3/n, valid because the candidate axes sum to zero over the integers,
+and the symmetric base and both correction tables come from exact
+rational inverses. The tables act on compact components in the layout of
+cilab.field (SYM_PAIRS, SKEW_PAIRS), the layout the amplitudes store, so
+gamma^2 = c + compact(A) @ L^T. Floating point enters only at evaluation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
-from scipy.optimize import linprog
+
+from .field import SKEW_PAIRS, SYM_PAIRS, frobenius_weights
 
 
 class ConstructionError(RuntimeError):
@@ -138,112 +144,63 @@ def _rational_solve(a, b):
     return [row[n:w] for row in m]
 
 
-_SYM_BASIS = [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]
-
-
-def _sym_coords_exact(frame: Frame):
-    """Coordinates of k1 (x) k1 in the symmetric basis, exact rationals.
-
-    Off-diagonal slots carry weight 2 so that the coordinate pairing equals
-    the Frobenius inner product of symmetric matrices.
-    """
-    k1 = [Fraction(c, frame.denom) for c in frame.k1_num]
-    return [k1[a] * k1[b] for a, b in _SYM_BASIS]
-
-
 def _solve_skew_coefficients(frames):
-    """Positive c with sum c k = 0, normalized to sum c = 3, tie-broken by
-    maximizing the smallest coefficient (linear program)."""
-    n = len(frames)
-    # variables: c_1..c_n, t; maximize t subject to c_i - t >= 0
-    a_eq = []
-    for axis in range(3):
-        a_eq.append([Fraction(f.k_num[axis], f.denom) for f in frames] + [Fraction(0)])
-    a_eq.append([Fraction(1)] * n + [Fraction(0)])
-    b_eq = [0.0, 0.0, 0.0, 3.0]
-    a_ub = [[0.0] * n + [0.0] for _ in range(n)]
-    for i in range(n):
-        a_ub[i][i] = -1.0
-        a_ub[i][n] = 1.0
-    res = linprog(
-        c=[0.0] * n + [-1.0],
-        A_ub=np.array(a_ub), b_ub=np.zeros(n),
-        A_eq=np.array([[float(v) for v in row] for row in a_eq]), b_eq=np.array(b_eq),
-        bounds=[(0, None)] * n + [(None, None)], method="highs")
-    if not res.success or res.x[n] <= 1e-9:
+    """Base coefficients c with sum c k = 0, normalized to sum c = 3: the
+    max-min optimum c = 3/n on every frame, a solution exactly when the
+    axes k sum to zero, which is checked over the integers."""
+    scale = math.lcm(*(f.denom for f in frames))
+    if any(sum(f.k_num[axis] * (scale // f.denom) for f in frames)
+           for axis in range(3)):
         raise ConstructionError(
-            "skew base program infeasible: linear program for sum c k = 0 with "
-            "positive c found no solution")
-    c_exact = [Fraction(x).limit_denominator(10 ** 6) for x in res.x[:n]]
-    for axis in range(3):
-        if sum(ce * Fraction(f.k_num[axis], f.denom)
-               for ce, f in zip(c_exact, frames)) != 0:
-            raise ConstructionError("skew base coefficients failed exact verification")
-    return c_exact
+            "skew base infeasible: the candidate axes k do not sum to zero, "
+            "so the uniform c = 3/n does not solve sum c k = 0")
+    return [Fraction(3, len(frames))] * len(frames)
+
+
+# (axis, sign) of the axial vector omega(A) = (A21, A02, A10) on each slot
+# of SKEW_PAIRS: (A01, A02, A12) = (-omega_2, omega_1, -omega_0)
+_AXIAL_SLOTS = ((2, -1), (1, 1), (0, -1))
 
 
 def _skew_correction_maps(frames):
-    """L_k as 3x3 coefficient matrices via the exact pseudoinverse of the
-    span map, using axial coordinates of the skew space."""
-    # span map in axial coordinates: columns are the frame axes k
+    """L as an (n, 3) table on SKEW_PAIRS: row k is k_k^T (M M^T)^-1, the
+    exact pseudoinverse of the span map M in axial coordinates, read
+    through the axial slots."""
     cols = [[Fraction(f.k_num[a], f.denom) for f in frames] for a in range(3)]
     gram = [[sum(cols[a][j] * cols[b][j] for j in range(len(frames)))
              for b in range(3)] for a in range(3)]
     rhs = [[Fraction(int(a == b)) for b in range(3)] for a in range(3)]
     gram_inv = _rational_solve(gram, rhs)
-    maps = []
-    for j, f in enumerate(frames):
-        # row j of pseudoinverse: k_j^T (M M^T)^{-1}, acting on omega(A)
-        row = [sum(Fraction(f.k_num[a], f.denom) * gram_inv[a][b] for a in range(3))
-               for b in range(3)]
-        # omega(A) = (A[2,1], A[0,2], A[1,0]); spread onto a matrix functional
-        # using both skew slots so the map is defined on raw matrices
-        c = np.zeros((3, 3))
-        pairs = [((2, 1), (1, 2)), ((0, 2), (2, 0)), ((1, 0), (0, 1))]
-        for b, (pos, neg) in enumerate(pairs):
-            c[pos] = float(row[b]) / 2.0
-            c[neg] = -float(row[b]) / 2.0
-        maps.append(c)
-    return np.array(maps)
+    rows = [[sum(cols[a][j] * gram_inv[a][b] for a in range(3))
+             for b in range(3)] for j in range(len(frames))]
+    return np.array([[float(sign * row[axis]) for axis, sign in _AXIAL_SLOTS]
+                     for row in rows])
 
 
 def _sym_decomposition(frames):
-    """Base coefficients c with sum c k1 (x) k1 = Id and the correction
-    maps L_k, both from one exact inversion of the span map M on the
-    symmetric space: c = M^-1 Id, and row k of M^-1 is L_k."""
-    cols = [_sym_coords_exact(f) for f in frames]
-    mat = [[cols[j][i] for j in range(len(frames))] for i in range(6)]
+    """Base coefficients c with sum c k1 (x) k1 = Id and the (n, 6) table
+    L on SYM_PAIRS, both from one exact inversion of the span map M from
+    coefficients to compact components: c = M^-1 compact(Id), and row k
+    of M^-1 is L_k."""
+    k1s = [[Fraction(c, f.denom) for c in f.k1_num] for f in frames]
+    mat = [[k1[a] * k1[b] for k1 in k1s] for a, b in zip(*SYM_PAIRS)]
     ident = [[Fraction(int(i == j)) for j in range(6)] for i in range(6)]
     inv = _rational_solve(mat, ident)
-    # Id has coordinates (1, 1, 1, 0, 0, 0) in the symmetric basis
-    c_exact = [row[0] + row[1] + row[2] for row in inv]
+    diagonal = np.equal(*SYM_PAIRS)
+    c_exact = [sum(v for v, on in zip(row, diagonal) if on) for row in inv]
     if min(c_exact) <= 0:
         raise ConstructionError(
             "symmetric base program infeasible: the unique solution of "
             "sum c k1 k1^T = Id has a nonpositive coefficient")
-    maps = []
-    for j in range(len(frames)):
-        c = np.zeros((3, 3))
-        for i, (a, b) in enumerate(_SYM_BASIS):
-            v = float(inv[j][i])
-            if a == b:
-                c[a, b] = v
-            else:
-                c[a, b] = v / 2.0
-                c[b, a] = v / 2.0
-        maps.append(c)
-    return c_exact, np.array(maps)
+    return c_exact, np.array([[float(v) for v in row] for row in inv])
 
 
-def _functional_norm_sym(cmat: np.ndarray) -> float:
-    """Norm of A -> sum C_ij A_ij over symmetric A with unit Frobenius norm."""
-    s = 0.5 * (cmat + cmat.T)
-    return float(np.sqrt((s * s).sum()))
-
-
-def _functional_norm_skew(cmat: np.ndarray) -> float:
-    s = 0.5 * (cmat - cmat.T)
-    return float(np.sqrt((s * s).sum()))
+def _dual_norm(table, pairs) -> float:
+    """Largest norm of the functionals A -> compact(A) @ t over tensors of
+    the class with unit Frobenius norm: sqrt(sum t^2 / w), with w the
+    Frobenius weights of the compact components."""
+    return float(np.sqrt((table * table / frobenius_weights(pairs)).sum(
+        axis=-1)).max())
 
 
 @dataclass(frozen=True)
@@ -254,11 +211,10 @@ class GeometrySet:
     c_b: np.ndarray
     c_u_exact: tuple
     c_b_exact: tuple
-    L_u: np.ndarray  # per-frame coefficient matrices on the symmetric space
-    L_b: np.ndarray  # per-frame coefficient matrices on the skew space
+    L_u: np.ndarray  # (6, 6): one row per frame, on SYM_PAIRS
+    L_b: np.ndarray  # (6, 3): one row per frame, on SKEW_PAIRS
     eps_u: float
     eps_b: float
-    positivity_margin: float
 
 
 def build_geometry() -> GeometrySet:
@@ -278,10 +234,8 @@ def build_geometry() -> GeometrySet:
     L_b = _skew_correction_maps(frames_b)
 
     margin = 0.9
-    op_b = max(_functional_norm_skew(m) for m in L_b)
-    op_u = max(_functional_norm_sym(m) for m in L_u)
-    eps_b = margin * float(min(c_b)) / op_b
-    eps_u = margin * float(min(c_u)) / op_u
+    eps_b = margin * float(min(c_b)) / _dual_norm(L_b, SKEW_PAIRS)
+    eps_u = margin * float(min(c_u)) / _dual_norm(L_u, SYM_PAIRS)
 
     return GeometrySet(
         lambda_u=frames_u, lambda_b=frames_b,
@@ -290,7 +244,6 @@ def build_geometry() -> GeometrySet:
         c_u_exact=tuple(c_u), c_b_exact=tuple(c_b),
         L_u=L_u, L_b=L_b,
         eps_u=eps_u, eps_b=eps_b,
-        positivity_margin=(1.0 - margin) * float(min(min(c_b), min(c_u))),
     )
 
 
@@ -346,7 +299,7 @@ def gamma_skew(geom: GeometrySet, a) -> np.ndarray:
     if skew_defect > 1e-10 * max(1.0, np.abs(a).max()):
         raise ValueError("gamma_skew needs a skew-symmetric input")
     _check_ball(a, geom.eps_b, "gamma_skew")
-    vals = geom.c_b + np.einsum("fij,...ij->...f", geom.L_b, a)
+    vals = geom.c_b + a[..., SKEW_PAIRS[0], SKEW_PAIRS[1]] @ geom.L_b.T
     if vals.min() <= 0:
         raise ConstructionError("gamma_skew produced a nonpositive coefficient")
     return vals
@@ -361,7 +314,7 @@ def gamma_sym(geom: GeometrySet, s) -> np.ndarray:
         raise ValueError("gamma_sym needs a symmetric input")
     dev = s - np.eye(3)
     _check_ball(dev, geom.eps_u, "gamma_sym")
-    vals = geom.c_u + np.einsum("fij,...ij->...f", geom.L_u, dev)
+    vals = geom.c_u + dev[..., SYM_PAIRS[0], SYM_PAIRS[1]] @ geom.L_u.T
     if vals.min() <= 0:
         raise ConstructionError("gamma_sym produced a nonpositive coefficient")
     return vals

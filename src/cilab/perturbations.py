@@ -366,6 +366,9 @@ def temporal_correctors_o(amps: AmplitudeSet, blocks: dict, h, sigma: float,
     spectrum, its k3 = 0 and n/2 planes projected onto spectra of real
     fields, P_H and -h / sigma, then one inverse transform. V has no zero
     mode, so this is leray(p_neq0(.)) of -h V / sigma."""
+    if check and g is None:
+        raise ValueError("checking the low-frequency balance needs the "
+                         "oscillation profile g")
     grid = amps.grid
     n = grid.n_x
     h = _as_samples(h, grid, "antiderivative profile h")
@@ -388,9 +391,6 @@ def temporal_correctors_o(amps: AmplitudeSet, blocks: dict, h, sigma: float,
     w_o, d_o = (Field(out[0], grid, _take=True),
                 Field(out[1], grid, _take=True))
     if check:
-        if g is None:
-            raise ValueError("checking the low-frequency balance needs the "
-                             "oscillation profile g")
         verify_low_frequency_balance(amps, blocks, h, sigma, g, w_o, d_o)
     return w_o, d_o
 

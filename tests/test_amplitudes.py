@@ -18,7 +18,9 @@ from cilab.amplitudes import (
     slice_support, temporal_cutoff, verify_cancellation,
 )
 from cilab.blocks import BlockParams, sample_blocks
-from cilab.field import SKEW_PAIRS, SYM_PAIRS, Field, skew, sym, traceless
+from cilab.field import (
+    SKEW_PAIRS, SYM_PAIRS, Field, frobenius_weights, skew, sym, traceless,
+)
 from cilab.geometry import (
     ConstructionError, build_geometry, skew_generator, sym_generator,
 )
@@ -340,8 +342,8 @@ class TestBuildAmplitudes:
         _, r_b, amps = built
         imb = np.stack([np.outer(fr.k1, fr.k1) - np.outer(fr.k2, fr.k2)
                         for fr in geom.lambda_b])
-        pred = -np.einsum("fab,txyzab,fcd->txyzcd",
-                          geom.L_b, r_b.data, imb)
+        compact = r_b.data[..., SKEW_PAIRS[0], SKEW_PAIRS[1]]
+        pred = -np.einsum("fs,txyzs,fcd->txyzcd", geom.L_b, compact, imb)
         pred *= (amps.f_b ** 2)[:, None, None, None, None, None]
         g_b = g_b_field(amps)
         scale = max(np.abs(g_b).max(), 1e-30)
@@ -368,9 +370,8 @@ class TestBuildAmplitudes:
         j = 3
         a2 = amps.squared_slice("magnetic", j)
         rho = amps.rho_b.data[j][..., None]
-        direct = amps.f_b[j] ** 2 * (
-            rho * geom.c_b - np.einsum("fab,...ab->...f",
-                                       geom.L_b, r_b.data[j]))
+        compact = r_b.data[j][..., SKEW_PAIRS[0], SKEW_PAIRS[1]]
+        direct = amps.f_b[j] ** 2 * (rho * geom.c_b - compact @ geom.L_b.T)
         np.testing.assert_allclose(a2, direct, rtol=0, atol=1e-13 * rho.max())
 
     def test_nan_square_rejected_where_it_arises(self, built):
@@ -419,10 +420,12 @@ class TestBuildAmplitudes:
         _, _, amps = built
         mean_rho = {"magnetic": amps.rho_b.data.mean(),
                     "velocity": amps.rho_u.data.mean()}
+        # c plus the radius times each row's norm as a functional on
+        # Frobenius-normed tensors
         caps = {"magnetic": geom.c_b + geom.eps_b * np.sqrt(
-                    (geom.L_b ** 2).sum(axis=(1, 2))),
+                    (geom.L_b ** 2 / frobenius_weights(SKEW_PAIRS)).sum(1)),
                 "velocity": geom.c_u + geom.eps_u * np.sqrt(
-                    (geom.L_u ** 2).sum(axis=(1, 2)))}
+                    (geom.L_u ** 2 / frobenius_weights(SYM_PAIRS)).sum(1))}
         for family in ("magnetic", "velocity"):
             acc = np.zeros(len(amps.frames(family)))
             for j in range(amps.grid.n_t):
@@ -746,6 +749,29 @@ class TestVerifyCancellation:
         bad = amps.replace(f_u=0.7 * np.ones_like(amps.f_u))
         with pytest.raises(CancellationError, match="velocity cancellation"):
             verify_cancellation(bad, blocks, time_indices=(0,))
+
+    @pytest.fixture(scope="class")
+    def peak_setup(self, geom):
+        grid = Grid4(8, 40)
+        r_u, r_b = stress_pair(grid, np.random.default_rng(7))
+        amps = build_amplitudes(r_u, r_b, 0.25, geom, grid, ell=0.7)
+        params = BlockParams(lam=1, n_conc_harmonics=1)
+        base = make_spatial_profiles()
+        blocks = {fr.name: sample_blocks(fr, params, grid, base)
+                  for fr in geom.lambda_b + geom.lambda_u}
+        return amps, blocks
+
+    # traced peak of a warm call (the block sets cache their index arrays
+    # on the first) in scalar slices, 20% over the measured 45 (one thread)
+    # and 81-90 (two); comparing all nine components of expanded 3x3 slices
+    # took 66 and 129
+    @pytest.mark.parametrize("threads,budget", [("1", 54.0), ("2", 108.0)])
+    def test_peak(self, peak_setup, threads, budget, monkeypatch):
+        monkeypatch.setenv("CILAB_THREADS", threads)
+        amps, blocks = peak_setup
+        verify_cancellation(amps, blocks)
+        peak, _ = traced_peak(verify_cancellation, amps, blocks)
+        assert peak / amps.rho_b.data[0].nbytes <= budget
 
     @pytest.mark.parametrize("family,attr", [("magnetic", "stress_b"),
                                              ("velocity", "stress_u")])

@@ -479,6 +479,18 @@ class TestBuilders:
         with pytest.raises(ValueError, match="sampled for frame"):
             pt.incompressibility_correctors(amps, swapped, g, check=False)
 
+    def test_missing_profile_raises_before_any_work(self, built,
+                                                    monkeypatch):
+        # checking needs g; the builder says so before it measures moments
+        amps, blocks, _, h, sigma, _ = built
+
+        def fail(*args):
+            raise AssertionError("moment tables built before the check")
+
+        monkeypatch.setattr(pt, "_moment_tables", fail)
+        with pytest.raises(ValueError, match="needs the oscillation profile g"):
+            pt.temporal_correctors_o(amps, blocks, h, sigma)
+
     def test_broken_magnetic_positivity_raises_from_the_builders(self,
                                                                  built):
         # the velocity squares carry G_B without forming the magnetic
