@@ -90,6 +90,15 @@ def slice_support(slice_norms, rtol=_SUPPORT_RTOL):
         return np.zeros(norms.shape, dtype=bool)
     return norms > rtol * peak
 
+
+def dilate_support(mask, reach):
+    """A periodic time mask grown by reach slices to either side."""
+    grown = mask.copy()
+    for shift in range(1, min(reach, len(mask)) + 1):
+        grown |= np.roll(mask, shift) | np.roll(mask, -shift)
+    return grown
+
+
 def temporal_cutoff(support_mask, grid: Grid4, ell: float) -> np.ndarray:
     """Mollified indicator of the ell/2-neighborhood of a time support.
 
@@ -106,10 +115,7 @@ def temporal_cutoff(support_mask, grid: Grid4, ell: float) -> np.ndarray:
         return np.zeros(grid.n_t)
     if mask.all():
         return np.ones(grid.n_t)
-    dilate = int(math.floor(0.5 * ell / grid.dt))
-    grown = mask.copy()
-    for shift in range(1, dilate + 1):
-        grown |= np.roll(mask, shift) | np.roll(mask, -shift)
+    grown = dilate_support(mask, int(math.floor(0.5 * ell / grid.dt)))
     taps = int(math.floor(0.25 * ell / grid.dt))
     if taps == 0:
         return grown.astype(float)

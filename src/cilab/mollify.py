@@ -2,10 +2,12 @@
 
 Kernels are compactly supported C-infinity bumps applied as exact spectral
 multipliers: the multiplier at an integer mode is the continuous Fourier
-transform of the kernel at that mode, computed by dense quadrature, so
-mollification of a grid field is the exact convolution of its band-limited
-interpolant. The zero-mode multiplier is one by construction, so means,
-constants, and divergence-freeness are preserved exactly.
+transform of the kernel at that mode, so mollification of a grid field is
+the exact convolution of its band-limited interpolant. The kernel masses
+and the transforms are integrals of the bump by the one Gauss-Legendre
+rule of cilab.profiles (bump_integral); the zero-mode multiplier is the
+rule's mass over itself, so it is exactly one and means, constants, and
+divergence-freeness are preserved exactly.
 
 The temporal kernel is one-sided (support strictly inside (0, ell)), so a
 mollified iterate depends only on the recent past of the input. A support
@@ -31,34 +33,23 @@ from .field import (
     expand, to_physical, to_spectral,
 )
 from .grid import Grid4, GridResolutionError, TWO_PI
-from .profiles import _bump
+from .profiles import _bump, bump_integral
 from .threads import map_slices
 
-_QUAD_N = 1 << 12
 # half-width and center of the one-sided temporal kernel, in units of ell;
 # equal values put the support at (0, 2 * 0.45 * ell), inside (-ell, ell)
 _T_SHAPE = 0.45
 
-_NODE_CACHE = None
 
-
-def _bump_quadrature():
-    """Midpoint nodes of the unit bump and its mass under the same rule;
-    normalizing by this mass makes the zero-frequency symbol exactly one."""
-    global _NODE_CACHE
-    if _NODE_CACHE is None:
-        s = -1.0 + (np.arange(_QUAD_N) + 0.5) * (2.0 / _QUAD_N)
-        vals = _bump(s, 1)
-        _NODE_CACHE = (s, vals, float(vals.sum()) * (2.0 / _QUAD_N))
-    return _NODE_CACHE
+def _unit_mass():
+    return bump_integral(lambda s: _bump(s, 1))
 
 
 def _unit_bump_symbol(omega):
     """Fourier transform of the mass-one bump at the given frequencies."""
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    s, vals, mass = _bump_quadrature()
-    out = np.cos(np.multiply.outer(omega, s)) @ vals
-    return out * (2.0 / _QUAD_N) / mass
+    return bump_integral(lambda s: np.cos(np.multiply.outer(omega, s))
+                         * _bump(s, 1)) / _unit_mass()
 
 
 class Mollifier:
@@ -79,15 +70,13 @@ class Mollifier:
         spatial torus is the product of this over the three coordinates."""
         x = np.asarray(x, dtype=float)
         s = np.mod(x + np.pi, TWO_PI) - np.pi
-        mass = _bump_quadrature()[2]
-        return _bump(s / self.ell, 1) / (self.ell * mass)
+        return _bump(s / self.ell, 1) / (self.ell * _unit_mass())
 
     def temporal_kernel(self, t):
         t = np.asarray(t, dtype=float)
         h = _T_SHAPE * self.ell
         s = np.mod(t + np.pi, TWO_PI) - np.pi
-        mass = _bump_quadrature()[2]
-        return _bump((s - h) / h, 1) / (h * mass)
+        return _bump((s - h) / h, 1) / (h * _unit_mass())
 
     def spatial_symbol(self, k):
         return _unit_bump_symbol(np.asarray(k, dtype=float) * self.ell)
@@ -117,7 +106,7 @@ class Mollifier:
         kt = spectral.time_wavenumbers(g.n_t, trailing)
         k1, k2, k3, _ = spectral.wavenumbers(g.n_x, 1, trailing)
         # each symbol is evaluated on a flat table and then reshaped: the
-        # quadrature matmul of a broadcast table sums in another order
+        # quadrature of a broadcast table may sum in another order
         coef = to_spectral(data, g)
         coef *= self.temporal_symbol(kt.ravel()).reshape(kt.shape)
         mx = self.spatial_symbol(k1.ravel())

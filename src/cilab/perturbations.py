@@ -58,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .amplitudes import AmplitudeSet
+from .amplitudes import AmplitudeSet, dilate_support
 from .blocks import (carried_kinds, envelope_stack, family_sets,
                      family_terms, flow_products, moment_products)
 from .checks import fold_maxima, gate
@@ -104,6 +104,21 @@ def _families(amps, blocks):
     return [(family, *family_terms(family, amps.frames(family), blocks,
                                    amps.grid))
             for family in _FAMILIES]
+
+
+def _families_at(amps, blocks, mu):
+    """_families, once every block set is known to be sampled at the
+    positive transport rate mu."""
+    if not mu > 0.0:
+        raise ValueError("the temporal parts need a positive transport rate")
+    families = _families(amps, blocks)
+    for _, sets, _, _ in families:
+        for bs in sets:
+            if bs.params.mu != mu:
+                raise ValueError(
+                    f"block set {bs.frame.name} was sampled at transport rate "
+                    f"{bs.params.mu:g}, not {mu:g}")
+    return families
 
 
 def _sides(arr, n):
@@ -321,15 +336,7 @@ def temporal_correctors_t(amps: AmplitudeSet, blocks: dict, g, mu: float,
     grid = amps.grid
     n = grid.n_x
     g = _as_samples(g, grid, "oscillation profile g")
-    if not mu > 0.0:
-        raise ValueError("temporal correctors need a positive transport rate")
-    families = _families(amps, blocks)
-    for _, sets, _, _ in families:
-        for bs in sets:
-            if bs.params.mu != mu:
-                raise ValueError(
-                    f"block set {bs.frame.name} was sampled at transport rate "
-                    f"{bs.params.mu:g}, not {mu:g}")
+    families = _families_at(amps, blocks, mu)
     acc = _side_fields(grid)
 
     def fill(j):
@@ -478,11 +485,9 @@ def verify_temporal_balance(amps, blocks, g, mu: float, w_t, d_t,
     grid = amps.grid
     n = grid.n_x
     g = _as_samples(g, grid, "oscillation profile g")
-    if not mu > 0.0:
-        raise ValueError("the temporal balance needs a positive transport rate")
     _require_vector_on(grid, "temporal corrector", w_t, d_t)
     families = []
-    for family, sets, (pair, dirs), _ in _families(amps, blocks):
+    for family, sets, (pair, dirs), _ in _families_at(amps, blocks, mu):
         k1, k2 = dirs[:, :3], dirs[:, 3:]
         # rows: per frame, derivative along k1 then k2 (none for velocity)
         ks = carried_kinds(family, (k1, k2))
@@ -646,10 +651,8 @@ def assemble_iterate(u_l: Field, B_l: Field, pert: Perturbation,
     for name, inc in (("velocity", w), ("magnetic", d)):
         leak = 0.0
         if mask.any() and not mask.all():
-            reach = int(math.ceil(3.0 * amps.ell / grid.dt))
-            allowed = mask.copy()
-            for shift in range(1, min(reach, grid.n_t) + 1):
-                allowed |= np.roll(mask, shift) | np.roll(mask, -shift)
+            allowed = dilate_support(
+                mask, int(math.ceil(3.0 * amps.ell / grid.dt)))
             if not allowed.all():
                 norms = np.abs(inc.data).max(axis=(1, 2, 3, 4))
                 peak = norms.max()

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import cilab
 from cilab.amplitudes import (
     AmplitudeSet, CancellationError, _frobenius, build_amplitudes, chi,
-    slice_support, temporal_cutoff, verify_cancellation,
+    dilate_support, slice_support, temporal_cutoff, verify_cancellation,
 )
 from cilab.blocks import BlockParams, sample_blocks
 from cilab.field import (
@@ -113,6 +113,19 @@ class TestTemporalCutoff:
 
     def test_support_mask_all_zero(self):
         assert not slice_support(np.zeros(8)).any()
+
+    @pytest.mark.parametrize("reach", [0, 1, 3, 15, 16, 40])
+    def test_dilation_is_the_rolled_union(self, reach):
+        # the uncapped loop both call sites wrote; shifts past the period
+        # repeat earlier rolls, so capping them leaves the mask bitwise equal
+        mask = np.zeros(16, bool)
+        mask[[0, 6, 7]] = True
+        want = mask.copy()
+        for shift in range(1, reach + 1):
+            want |= np.roll(mask, shift) | np.roll(mask, -shift)
+        got = dilate_support(mask, reach)
+        assert got.dtype == bool and np.array_equal(got, want)
+        assert not mask[1:6].any()  # the input is left as it was
 
     def test_empty_support_gives_zero_cutoff(self):
         g = Grid4(32, 8)

@@ -491,6 +491,23 @@ class TestBuilders:
         with pytest.raises(ValueError, match="needs the oscillation profile g"):
             pt.temporal_correctors_o(amps, blocks, h, sigma)
 
+    @pytest.mark.parametrize("name", ["temporal_correctors_t",
+                                      "verify_temporal_balance"])
+    def test_wrong_transport_rate_raises_before_any_work(self, built, name,
+                                                         monkeypatch):
+        # the blocks were sampled at MU; a corrector or balance at another
+        # rate is refused by name, not left to show up as a residual
+        amps, blocks, g, _, _, parts = built
+
+        def fail(*args):
+            raise AssertionError("slice work started before the rate check")
+
+        monkeypatch.setattr(pt, "map_slices", fail)
+        args = {"temporal_correctors_t": (),
+                "verify_temporal_balance": (parts["w_t"], parts["d_t"])}[name]
+        with pytest.raises(ValueError, match="sampled at transport rate"):
+            getattr(pt, name)(amps, blocks, g, 2 * MU, *args)
+
     def test_broken_magnetic_positivity_raises_from_the_builders(self,
                                                                  built):
         # the velocity squares carry G_B without forming the magnetic

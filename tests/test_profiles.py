@@ -1,12 +1,19 @@
 """Spatial and temporal concentration profiles and the band machinery."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cilab
+from cilab import profiles
 from cilab.grid import GridResolutionError
+from cilab.mollify import Mollifier
 from cilab.profiles import (
     BandProfile, BumpTrain, band_project, fit_loglog, make_spatial_profiles,
     make_temporal, rescaled,
@@ -193,6 +200,75 @@ class TestTemporalProfiles:
                 make_temporal(None, tau, sigma)
         with pytest.raises(ValueError):
             BumpTrain(m0=1)
+
+
+class TestBumpRule:
+    """The one Gauss-Legendre rule behind every integral of the bump."""
+
+    def test_mass_runs_monotonically_from_zero_to_one(self):
+        bt = BumpTrain()
+        assert bt.mass(-1.0) == 0.0 and bt.mass(1.0) == 1.0
+        x = np.linspace(-1.5, 1.5, 3001)
+        m = bt.mass(x)
+        assert np.all(m[x <= -1.0] == 0.0) and np.all(m[x >= 1.0] == 1.0)
+        # monotone up to the rounding of sums near one: beyond |x| = 0.97
+        # the squared bump is below one ulp of its integral
+        assert np.all(np.diff(m) >= -1e-15)
+        assert np.all(np.diff(m)[np.abs(x[1:]) < 0.9] > 0.0)
+        assert abs(bt.mass(0.0) - 0.5) <= 1e-15
+
+    @pytest.mark.parametrize("tau", [1, 3, 8])
+    def test_each_bump_carries_its_share_of_h(self, tau):
+        # across one bump h gains the bump's mass 2 pi / m0 and loses the
+        # width of its support
+        bt = BumpTrain()
+        w = bt.width(tau)
+        for a in bt.anchors:
+            rise = bt.h_tau(a + w, tau) - bt.h_tau(a - w, tau)
+            assert abs(rise - (2.0 * np.pi / bt.m0 - 2.0 * w)) <= 1e-14
+
+    @staticmethod
+    def integrals():
+        """Every integral the rule serves, for the bump orders in use: the
+        squared train bump, c_phi and c_psi, the mollifier symbol at
+        omega = 64 (k ell on the benchmark grids) and the train's mass."""
+        out = []
+        for order in (1, 2):
+            sp = make_spatial_profiles(order)
+            out += [profiles.bump_integral(BumpTrain(order=order)._square),
+                    sp.c_phi, sp.c_psi]
+        return (np.array(out), Mollifier(1.0).spatial_symbol(64.0)[0],
+                BumpTrain().mass(np.linspace(-0.999, 0.999, 999)))
+
+    def test_rule_agrees_with_twice_the_nodes(self, monkeypatch):
+        values, symbol, mass = self.integrals()
+        finer = profiles._gauss_rule(2 * profiles._GAUSS_N)
+        monkeypatch.setattr(profiles, "_gauss_rule", lambda: finer)
+        fine_values, fine_symbol, fine_mass = self.integrals()
+        assert np.abs(values / fine_values - 1.0).max() <= 1e-15
+        # the symbol and the mass are measured against their peak, one
+        assert abs(symbol - fine_symbol) <= 1e-15
+        assert np.abs(mass - fine_mass).max() <= 1e-15
+
+    def test_setup_imports_no_scipy_quadrature(self):
+        # the step and the benchmark set-up need numpy and scipy.fft only
+        script = (
+            "import sys\n"
+            "import cilab\n"
+            "from cilab import (amplitudes, blocks, geometry, mollify,\n"
+            "                   perturbations, profiles)\n"
+            "geometry.build_geometry()\n"
+            "profiles.make_spatial_profiles()\n"
+            "profiles.make_temporal(profiles.BumpTrain(m0=2), tau=1, sigma=1,\n"
+            "                       n_t=16)\n"
+            "print(' '.join(m for m in ('scipy.integrate', 'scipy.interpolate',\n"
+            "                           'scipy.optimize') if m in sys.modules))\n")
+        src = os.path.dirname(os.path.dirname(cilab.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == ""
 
 
 class TestBandedTemporalPair:
