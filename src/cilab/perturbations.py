@@ -481,7 +481,13 @@ def verify_temporal_balance(amps, blocks, g, mu: float, w_t, d_t,
     are squared envelopes times blocks.flow_products of the frame
     directions, P_v = k1 (x) k1 - k2 (x) k2 and P_m = k2 (x) k1 - k1 (x)
     k2, so the gradient transfer P grad a^2 needs only the derivatives of
-    a^2 along k1 and k2."""
+    a^2 along k1 and k2.
+
+    Per side it holds two whole vector fields, the ones a time derivative
+    reads: acc, the transport charge, and drift, the gradient transfer with
+    the profile drift. The oscillation transport g^2 div sum_k a_k^2 P_k
+    goes through no time derivative, so the residual pass forms it slice
+    by slice, for both sides at once, and never stores it."""
     grid = amps.grid
     n = grid.n_x
     g = _as_samples(g, grid, "oscillation profile g")
@@ -495,15 +501,14 @@ def verify_temporal_balance(amps, blocks, g, mu: float, w_t, d_t,
             :, :len(ks)].reshape(-1, 6)
         families.append((family, sets, pair, dirs, flow_products(dirs), ks,
                          transfer))
-    acc, osc, drift = _side_fields(grid), _side_fields(grid), _side_fields(grid)
+    acc, drift = _side_fields(grid), _side_fields(grid)
 
     def sweep(j):
         if g[j] == 0.0:
             return []
         tails = []
         g2 = g[j] ** 2
-        spec = None
-        for (_, sets, pair, dirs, products, ks, transfer,
+        for (_, sets, pair, dirs, _, ks, transfer,
              a2) in _active(amps, families, j):
             tails.append(("amplitude_tail", spectral.tail(a2.sum(axis=-1))))
             env2 = envelope_stack(sets, pair, j) ** 2
@@ -513,12 +518,6 @@ def verify_temporal_balance(amps, blocks, g, mu: float, w_t, d_t,
             _add_sides(drift, j, _sides(g2 * ((env2[:, :, None] * derivs)
                                               .reshape(len(env2), -1)
                                               @ transfer), n))
-            spec = spectral.div_spectrum(weight.reshape(n, n, n, -1),
-                                         products, spec)
-        if spec is not None:
-            for side, term in zip(osc, np.moveaxis(spectral.irfft(
-                    spec.reshape(spec.shape[:3] + (2, 3)), n), 3, 0)):
-                side[j] = g2 * term
         return tails
 
     report = fold_maxima({"amplitude_tail": 0.0},
@@ -542,21 +541,45 @@ def verify_temporal_balance(amps, blocks, g, mu: float, w_t, d_t,
                     drift[s][j] -= (pulled * k[i]).reshape(n, n, n, 3)
 
             map_slices(pull, range(grid.n_t))
-    for s, (side, part) in enumerate((("velocity", w_t), ("magnetic", d_t))):
-        def residual(j):
+
+    def oscillation(j):
+        """The oscillation transport on slice j, (2, n, n, n, 3), or None
+        where g or every cutoff vanishes."""
+        spec = None
+        if g[j] != 0.0:
+            for (_, sets, pair, _, products, _, _,
+                 a2) in _active(amps, families, j):
+                weight = (a2.reshape(-1, len(sets))
+                          * envelope_stack(sets, pair, j) ** 2)
+                spec = spectral.div_spectrum(weight.reshape(n, n, n, -1),
+                                             products, spec)
+        if spec is None:
+            return None
+        out = spectral.irfft(spec.reshape(spec.shape[:3] + (2, 3)), n)
+        out *= g[j] ** 2
+        return np.moveaxis(out, 3, 0)
+
+    def residual(j):
+        osc = oscillation(j)
+        peaks = []
+        for s, part in enumerate((w_t, d_t)):
             evolution = ddt_slice(part.data, j)
             charge = _mean_free3(ddt_slice(acc[s], j))
             pressure = (charge - spectral.leray(charge)) * (1.0 / mu)
-            transport = _mean_free3(osc[s][j])
+            transport = (np.zeros(evolution.shape) if osc is None
+                         else _mean_free3(osc[s]))
             transfer = _mean_free3(drift[s][j])
-            return _abs_maxima(evolution + transport - pressure - transfer,
-                               evolution, transport, pressure, transfer)
+            peaks.append(_abs_maxima(evolution + transport - pressure
+                                     - transfer, evolution, transport,
+                                     pressure, transfer))
+        return peaks
 
-        peaks = np.max(map_slices(residual, range(grid.n_t)), axis=0,
-                       initial=0.0)
-        acc[s] = osc[s] = drift[s] = None
+    peaks = np.max(map_slices(residual, range(grid.n_t)), axis=0,
+                   initial=0.0)
+    acc = drift = None
+    for side, side_peaks in zip(("velocity", "magnetic"), peaks):
         report[f"{side}_temporal_balance"] = float(
-            peaks[0] / max(*peaks[1:], amps.delta_next))
+            side_peaks[0] / max(*side_peaks[1:], amps.delta_next))
     return _gate(report,
                  (("velocity_temporal_balance",
                    "velocity temporal corrector balance residual"),

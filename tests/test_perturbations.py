@@ -385,6 +385,11 @@ def ref_low_frequency_balance(amps, blocks, h, sigma, g, w_o, d_o, tol=1e-6):
 PART_NAMES = ("w_p", "d_p", "w_c", "d_c", "w_t", "d_t", "w_o", "d_o")
 
 
+# a smooth window over slices 5-8, so the other slices carry no stress
+WINDOW = np.zeros(16)
+WINDOW[5:9] = np.sin(np.pi * np.arange(1, 5) / 5) ** 2
+
+
 @pytest.fixture(scope="module")
 def geom():
     return build_geometry()
@@ -428,6 +433,11 @@ def built(geom, temporal):
 
 
 @pytest.fixture(scope="module")
+def windowed(geom, temporal):
+    return _build(geom, temporal, WINDOW)
+
+
+@pytest.fixture(scope="module")
 def reference_parts(built):
     amps, blocks, g, h, sigma, _ = built
     out = dict(zip(("w_p", "d_p"), ref_principal(amps, blocks, g)))
@@ -458,10 +468,8 @@ class TestBuilders:
         assert np.abs(want).max() > 0.0
         assert rel_max(got, want) <= 1e-12
 
-    def test_parts_vanish_where_both_cutoffs_vanish(self, geom, temporal):
-        window = np.zeros(16)
-        window[5:9] = np.sin(np.pi * np.arange(1, 5) / 5) ** 2
-        amps, _, _, _, _, parts = _build(geom, temporal, window)
+    def test_parts_vanish_where_both_cutoffs_vanish(self, windowed):
+        amps, _, _, _, _, parts = windowed
         idle = (amps.f_u == 0.0) & (amps.f_b == 0.0)
         assert idle.sum() >= 4
         for name, part in parts.items():
@@ -663,6 +671,47 @@ class TestVerifiers:
         assert_reports_match(got, ref_gate(want, tol, want["amplitude_tail"]))
 
 
+class TestWindowedVerifiers:
+    """The balance verifiers on stresses confined to WINDOW: on the slices
+    outside it g is nonzero but no family is active, so the oscillation
+    transport and every other term group of the slice are zero. Each report
+    matches the per-frame reference and is the same, bit for bit, on one
+    pool thread and on two."""
+
+    def _reports(self, verify, monkeypatch):
+        reports = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("CILAB_THREADS", threads)
+            reports.append(verify())
+        serial, pooled = reports
+        assert pooled == serial
+        return serial
+
+    def test_temporal_balance_report(self, windowed, monkeypatch):
+        amps, blocks, g, _, _, parts = windowed
+        idle = (amps.f_u == 0.0) & (amps.f_b == 0.0)
+        assert idle.sum() >= 4 and np.all(g[idle] != 0.0)
+        w_t, d_t = ref_temporal_t(amps, blocks, g, MU)
+        want = ref_temporal_balance(amps, blocks, g, MU, w_t, d_t)
+        tol = passing_tol(want, ("velocity_temporal_balance",
+                                 "magnetic_temporal_balance"))
+        got = self._reports(lambda: pt.verify_temporal_balance(
+            amps, blocks, g, MU, parts["w_t"], parts["d_t"], tol=tol),
+            monkeypatch)
+        assert_reports_match(got, ref_gate(want, tol, want["amplitude_tail"]))
+
+    def test_low_frequency_balance_report(self, windowed, monkeypatch):
+        amps, blocks, g, h, sigma, parts = windowed
+        w_o, d_o = ref_temporal_o(amps, blocks, h, sigma)
+        want = ref_low_frequency_balance(amps, blocks, h, sigma, g, w_o, d_o)
+        tol = passing_tol(want, ("velocity_low_frequency_balance",
+                                 "magnetic_low_frequency_balance"))
+        got = self._reports(lambda: pt.verify_low_frequency_balance(
+            amps, blocks, h, sigma, g, parts["w_o"], parts["d_o"], tol=tol),
+            monkeypatch)
+        assert_reports_match(got, ref_gate(want, tol, want["amplitude_tail"]))
+
+
 def _with_nan(part, j):
     """A copy of part with one NaN entry on slice j."""
     data = part.data.copy()
@@ -740,35 +789,36 @@ def _verifier_peak(built, name):
 class TestVerifierMemory:
     """The balance verifiers stream their term groups slice by slice."""
 
-    # peaks in vector-field copies, 20% over the measured 7.55 and 3.66:
-    # the time derivatives are rows of D taken inside the slice residual;
-    # whole-field derivatives took 9.0 and 5.4, whole-field term groups
-    # 18.1 and 14.9
-    @pytest.mark.parametrize("name,budget", [("temporal", 9.1),
-                                             ("low_frequency", 4.4)])
+    # peaks in vector-field copies, 20% over the measured 5.46 and 2.65:
+    # the time derivatives are rows of D taken inside the slice residual,
+    # and the temporal balance forms its oscillation transport there too;
+    # a stored transport took 7.24, whole-field derivatives 9.0 and 5.4,
+    # whole-field term groups 18.1 and 14.9
+    @pytest.mark.parametrize("name,budget", [("temporal", 6.6),
+                                             ("low_frequency", 3.2)])
     def test_balance_verifier_peak(self, built, name, budget, monkeypatch):
         monkeypatch.setenv("CILAB_THREADS", "1")
         assert _verifier_peak(built, name) <= budget
 
-    # two pool threads keep a second slice of temporaries in flight, which
-    # stays under the budgets of whole-field derivatives (9.1 and 5.3
-    # copies measured on two threads)
-    @pytest.mark.parametrize("name,budget", [("temporal", 12.1),
-                                             ("low_frequency", 6.9)])
+    # two pool threads keep a second slice of temporaries in flight: 20%
+    # over the 6.22 and 3.31 copies measured on two threads (a stored
+    # transport took 8.30 for the temporal balance)
+    @pytest.mark.parametrize("name,budget", [("temporal", 7.5),
+                                             ("low_frequency", 4.0)])
     def test_balance_verifier_peak_on_two_threads(self, built, name, budget,
                                                   monkeypatch):
         monkeypatch.setenv("CILAB_THREADS", "2")
         assert _verifier_peak(built, name) <= budget
 
-    # the second thread adds one slice of temporaries: 1.53 and 1.67
-    # copies measured, the bound 20% over the larger
+    # the second thread adds at most one slice of temporaries: 0.77 and
+    # 0.65 copies measured, the bound 20% over the larger
     @pytest.mark.parametrize("name", ["temporal", "low_frequency"])
     def test_second_thread_adds_one_slice_of_temporaries(self, built, name,
                                                          monkeypatch):
         monkeypatch.setenv("CILAB_THREADS", "1")
         serial = _verifier_peak(built, name)
         monkeypatch.setenv("CILAB_THREADS", "2")
-        assert _verifier_peak(built, name) - serial <= 2.0
+        assert _verifier_peak(built, name) - serial <= 0.92
 
 
 # -- the slice pool ------------------------------------------------------------------
