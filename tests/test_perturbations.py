@@ -786,6 +786,20 @@ def _verifier_peak(built, name):
     return peak / parts["w_t"].data.nbytes
 
 
+@pytest.fixture(scope="module")
+def verifier_peak(built):
+    """_verifier_peak at a pool width, traced once per verifier and width."""
+    peaks = {}
+
+    def peak(name, threads):
+        if (name, threads) not in peaks:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setenv("CILAB_THREADS", threads)
+                peaks[name, threads] = _verifier_peak(built, name)
+        return peaks[name, threads]
+    return peak
+
+
 class TestVerifierMemory:
     """The balance verifiers stream their term groups slice by slice."""
 
@@ -793,32 +807,33 @@ class TestVerifierMemory:
     # the time derivatives are rows of D taken inside the slice residual,
     # and the temporal balance forms its oscillation transport there too;
     # a stored transport took 7.24, whole-field derivatives 9.0 and 5.4,
-    # whole-field term groups 18.1 and 14.9
+    # whole-field term groups 18.1 and 14.9. The budgets of the stored
+    # transport, 9.1 and 4.4, stay listed as the ceilings it met.
     @pytest.mark.parametrize("name,budget", [("temporal", 6.6),
-                                             ("low_frequency", 3.2)])
-    def test_balance_verifier_peak(self, built, name, budget, monkeypatch):
-        monkeypatch.setenv("CILAB_THREADS", "1")
-        assert _verifier_peak(built, name) <= budget
+                                             ("low_frequency", 3.2),
+                                             ("temporal", 9.1),
+                                             ("low_frequency", 4.4)])
+    def test_balance_verifier_peak(self, verifier_peak, name, budget):
+        assert verifier_peak(name, "1") <= budget
 
     # two pool threads keep a second slice of temporaries in flight: 20%
     # over the 6.22 and 3.31 copies measured on two threads (a stored
-    # transport took 8.30 for the temporal balance)
+    # transport took 8.30 for the temporal balance, under its budgets of
+    # 12.1 and 6.9, which stay listed as ceilings)
     @pytest.mark.parametrize("name,budget", [("temporal", 7.5),
-                                             ("low_frequency", 4.0)])
-    def test_balance_verifier_peak_on_two_threads(self, built, name, budget,
-                                                  monkeypatch):
-        monkeypatch.setenv("CILAB_THREADS", "2")
-        assert _verifier_peak(built, name) <= budget
+                                             ("low_frequency", 4.0),
+                                             ("temporal", 12.1),
+                                             ("low_frequency", 6.9)])
+    def test_balance_verifier_peak_on_two_threads(self, verifier_peak, name,
+                                                  budget):
+        assert verifier_peak(name, "2") <= budget
 
     # the second thread adds at most one slice of temporaries: 0.77 and
     # 0.65 copies measured, the bound 20% over the larger
     @pytest.mark.parametrize("name", ["temporal", "low_frequency"])
-    def test_second_thread_adds_one_slice_of_temporaries(self, built, name,
-                                                         monkeypatch):
-        monkeypatch.setenv("CILAB_THREADS", "1")
-        serial = _verifier_peak(built, name)
-        monkeypatch.setenv("CILAB_THREADS", "2")
-        assert _verifier_peak(built, name) - serial <= 0.92
+    def test_second_thread_adds_one_slice_of_temporaries(self, verifier_peak,
+                                                         name):
+        assert verifier_peak(name, "2") - verifier_peak(name, "1") <= 0.92
 
 
 # -- the slice pool ------------------------------------------------------------------
