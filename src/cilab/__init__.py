@@ -5,14 +5,13 @@ __version__ = "0.1.0"
 
 from .grid import Grid4, GridResolutionError
 from .threads import fft_workers
-from .field import Field, MixedNormSpec, norm
+from .field import Field, lebesgue_norm
 
 __all__ = [
     "Grid4",
     "GridResolutionError",
     "Field",
-    "MixedNormSpec",
-    "norm",
+    "lebesgue_norm",
     "fft_workers",
     "__version__",
 ]

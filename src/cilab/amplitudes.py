@@ -29,9 +29,8 @@ slice it is the magnetic squares times the imbalance table, one product
 over the magnetic rows that `build_amplitudes` (for rho_u and f_u) and
 `verify_cancellation` use. The velocity squares take its share through
 the magnetic rows too, without forming the magnetic squares. The
-cancellation check compares compact components as well; full 3x3 slices
-of G_B and of the stresses are expanded only where a caller asks for one
-(`g_b_slice`, `stress_slice`).
+cancellation check compares compact components as well, so no full 3x3
+slice of G_B or of a stress is ever expanded.
 
 Per-frame amplitude fields are not materialized at construction: a
 desk-scale grid makes twelve scalar fields more expensive than the
@@ -45,9 +44,9 @@ import numpy as np
 
 from .blocks import envelope_stack, family_terms, flow_products
 from .checks import fold_maxima, gate
-from .field import SKEW_PAIRS, SYM_PAIRS, Field, expand, frobenius_weights
+from .field import SKEW_PAIRS, SYM_PAIRS, Field, frobenius_weights
 from .geometry import ConstructionError, GeometrySet
-from .grid import Grid4, TWO_PI
+from .grid import Grid4
 from .profiles import _bump
 from .threads import map_slices
 
@@ -137,7 +136,7 @@ def _frobenius(compact, pairs):
         axis=-1))
 
 
-_STRESSES = {"velocity": (SYM_PAIRS, 1.0), "magnetic": (SKEW_PAIRS, -1.0)}
+_STRESSES = {"velocity": SYM_PAIRS, "magnetic": SKEW_PAIRS}
 
 # rows of AmplitudeSet.data: rho_B, the skew components, rho_u, the
 # symmetric components; each family's squares are affine in its rows
@@ -163,15 +162,13 @@ class AmplitudeSet:
     field.SKEW_PAIRS) are read-only views of its stress blocks. Besides
     `data` the set holds the temporal cutoffs f_b and f_u and the per-slice
     peak Frobenius norms of the two stresses (`peak_u`, `peak_b`).
-    Per-frame amplitudes, G_B and full 3x3 stress slices come from the
-    accessors. Construct with keywords; `replace` swaps entries, and
-    replacing a block copies `data`, so the original set is unchanged.
+    The squared amplitudes come from the slice accessors. Construct with
+    keywords.
     """
 
-    _FIELDS = ("geom", "grid", "delta_next", "ell", "data", "f_b", "f_u",
-               "peak_u", "peak_b")
-    __slots__ = _FIELDS + ("rho_b", "rho_u", "_index", "_tables",
-                           "_g_b_table", "_g_b_share")
+    __slots__ = ("geom", "grid", "delta_next", "ell", "data", "f_b", "f_u",
+                 "peak_u", "peak_b", "rho_b", "rho_u", "_tables",
+                 "_g_b_table", "_g_b_share")
 
     def __init__(self, *, geom, grid, delta_next, ell, data, f_b, f_u,
                  peak_u, peak_b):
@@ -186,11 +183,6 @@ class AmplitudeSet:
         self.peak_b = peak_b
         self.rho_b = Field(data[_BLOCKS["rho_b"]], grid, _take=True)
         self.rho_u = Field(data[_BLOCKS["rho_u"]], grid, _take=True)
-        self._index = {}
-        for i, fr in enumerate(geom.lambda_b):
-            self._index[fr.name] = ("magnetic", i)
-        for i, fr in enumerate(geom.lambda_u):
-            self._index[fr.name] = ("velocity", i)
         # unscaled squares = rows @ table: rho c - compact(stress) @ L^T
         self._tables = {"magnetic": np.vstack([geom.c_b, -geom.L_b.T]),
                         "velocity": np.vstack([geom.c_u, -geom.L_u.T])}
@@ -211,23 +203,6 @@ class AmplitudeSet:
     @property
     def stress_b(self) -> np.ndarray:
         return _block(self.data, "stress_b")
-
-    def replace(self, **changes) -> "AmplitudeSet":
-        """A new set with the named entries replaced; the rest are shared.
-        The blocks rho_b, rho_u, stress_u and stress_b are written into a
-        copy of data."""
-        entries = {name: getattr(self, name) for name in self._FIELDS}
-        blocks = {name: changes.pop(name) for name in _BLOCKS
-                  if name in changes}
-        entries.update(changes)
-        if blocks:
-            data = self.data.copy()
-            for name, value in blocks.items():
-                _block(data, name)[...] = (value.data if isinstance(value, Field)
-                                           else value)
-            data.setflags(write=False)
-            entries["data"] = data
-        return AmplitudeSet(**entries)
 
     def frames(self, family: str):
         if family == "magnetic":
@@ -286,42 +261,9 @@ class AmplitudeSet:
         n = self.grid.n_x
         return self._squares(family, j, i).reshape(n, n, n)
 
-    def g_b_slice(self, j: int) -> np.ndarray:
-        """The auxiliary matrix G_B on slice j, (n_x, n_x, n_x, 3, 3)."""
-        return expand(self._g_b(j), SYM_PAIRS, 1.0)
-
-    def stress_slice(self, family: str, j: int) -> np.ndarray:
-        """The family's mollified stress on slice j, (n_x, n_x, n_x, 3, 3):
-        R_l^u for velocity, R_l^B for magnetic."""
-        stress = self.stress_u if family == "velocity" else self.stress_b
-        return expand(stress[j], *_STRESSES[family])
-
     def stress_support(self) -> np.ndarray:
         """Time slices where either stress is nonzero, by relative norm."""
         return slice_support(self.peak_u) | slice_support(self.peak_b)
-
-    def amplitude(self, name: str) -> Field:
-        """Full amplitude field of one frame; intended for small grids."""
-        family, i = self._index[name]
-        data = np.empty(self.grid.shape)
-        for j in range(self.grid.n_t):
-            data[j] = np.sqrt(self.squared_slice(family, j)[..., i])
-        return Field(data, self.grid, _take=True)
-
-    def l2_report(self) -> dict:
-        """Measured ||a_(k)||_{L^2_{t,x}} / delta_next^{1/2} per frame;
-        monitored constants, not certified bounds."""
-        vol = TWO_PI ** 4
-        out = {}
-        for family in ("magnetic", "velocity"):
-            acc = np.zeros(len(self.frames(family)))
-            for j in range(self.grid.n_t):
-                acc += self.squared_slice(family, j).mean(axis=(0, 1, 2))
-            acc /= self.grid.n_t
-            for fr, m in zip(self.frames(family), acc):
-                out[fr.name] = float(np.sqrt(m * vol / self.delta_next))
-        return out
-
 
 def build_amplitudes(R_l_u: Field, R_l_B: Field, delta_next: float,
                      geom: GeometrySet, grid: Grid4,
@@ -463,7 +405,7 @@ def verify_cancellation(amps: AmplitudeSet, blocks: dict, temporal=None,
                          ("velocity", slice(0, 3))):
         sets, (pair, flows), _ = family_terms(family, amps.frames(family),
                                               blocks, grid)
-        rows, cols = _STRESSES[family][0]
+        rows, cols = _STRESSES[family]
         families[family] = (sets, pair,
                             flow_products(flows)[:, side][:, rows, cols])
     identity = np.equal(*SYM_PAIRS).astype(float)  # compact(Id)

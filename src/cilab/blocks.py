@@ -29,23 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import spectral
-from .checks import fold_maxima, gate
-from .field import Field
 from .grid import Grid4, GridResolutionError
 from .profiles import (BandProfile, SpatialProfiles, band_project, fit_loglog,
                        make_spatial_profiles, rescaled)
-
-IDENTITY_NAMES = ("velocity_potential_curl", "velocity_solenoidal",
-                  "magnetic_potential_curl", "velocity_transport",
-                  "magnetic_transport_null", "cross_transport",
-                  "cross_transport_null")
-
-
-class BlockIdentityError(RuntimeError):
-    """One or more block identities exceeded tolerance on the grid; the
-    failing (identity, residual) pairs are in .failures."""
-
 
 @dataclass(frozen=True)
 class BlockParams:
@@ -244,18 +230,6 @@ class BlockSet:
         scal = self.profile_slice(s_kind, j) * self.profile_slice(c_kind, j)
         return (coef * scal)[..., None] * direction
 
-    def flow_field(self, kind: str) -> Field:
-        out = np.empty(self.grid.shape + (3,))
-        for j in range(self.grid.n_t):
-            out[j] = self.flow_slice(kind, j)
-        return Field(out, self.grid, _take=True)
-
-    def profile_field(self, kind: str) -> Field:
-        out = np.empty(self.grid.shape)
-        for j in range(self.grid.n_t):
-            out[j] = self.profile_slice(kind, j)
-        return Field(out, self.grid, _take=True)
-
     def transport_slice(self, j: int, direction) -> np.ndarray:
         """The time-cancelled transport source mu^-1 d_t(psi^2 phi^2 dir)
         = 2 lam r_perp N psi psi' phi^2 dir, exact for every mu including
@@ -347,66 +321,6 @@ def flow_products(flows) -> np.ndarray:
     """moment_products of each (k, 6) [velocity | magnetic] row with
     itself: the (k, 6, 3) products per unit squared envelope."""
     return moment_products(flows[:, :, None] * flows[:, None])
-
-
-def _rel(diff_max: float, scale: float) -> float:
-    return diff_max / max(scale, 1e-300)
-
-
-def verify_identities(blocks: BlockSet, time_indices=None, tol: float = 1e-7):
-    """Check the seven block identities on grid slices with spectral
-    spatial derivatives; the time derivative side enters in its exact
-    cancelled form. Returns {identity: relative residual} with the
-    tolerances, or raises BlockIdentityError naming every identity over
-    tolerance (see cilab.checks)."""
-    grid = blocks.grid
-    if time_indices is None:
-        step = max(1, grid.n_t // 4)
-        time_indices = range(0, grid.n_t, step)
-
-    def residuals(j):
-        W = blocks.flow_slice("velocity", j)
-        Wct = blocks.flow_slice("velocity_corrector", j)
-        D = blocks.flow_slice("magnetic", j)
-        Dct = blocks.flow_slice("magnetic_corrector", j)
-        updates = []
-
-        lhs = W + Wct
-        rhs = spectral.curl_curl(blocks.flow_slice("velocity_potential", j))
-        scale = max(np.abs(lhs).max(), np.abs(rhs).max())
-        updates.append(("velocity_potential_curl",
-                        _rel(np.abs(lhs - rhs).max(), scale)))
-
-        # the largest single term scales identities whose truth value is 0
-        terms = spectral.div_terms(lhs)
-        div, scale = terms.sum(axis=-1), float(np.abs(terms).max())
-        updates.append(("velocity_solenoidal", _rel(np.abs(div).max(), scale)))
-
-        lhs = D + Dct
-        rhs = spectral.curl_curl(blocks.flow_slice("magnetic_potential", j))
-        scale = max(np.abs(lhs).max(), np.abs(rhs).max())
-        updates.append(("magnetic_potential_curl",
-                        _rel(np.abs(lhs - rhs).max(), scale)))
-
-        for name, left, right, source_dir in (
-                ("velocity_transport", W, W, blocks.frame.k1),
-                ("magnetic_transport_null", D, D, None),
-                ("cross_transport", D, W, blocks.frame.k2),
-                ("cross_transport_null", W, D, None)):
-            # div contracts the second factor: d_j (left_i right_j)
-            terms = spectral.div_terms(left[..., :, None] * right[..., None, :])
-            div, scale = terms.sum(axis=-1), float(np.abs(terms).max())
-            if source_dir is not None:
-                rhs = blocks.transport_slice(j, source_dir)
-                scale = max(scale, float(np.abs(rhs).max()))
-                div = div - rhs
-            updates.append((name, _rel(np.abs(div).max(), scale)))
-        return updates
-
-    report = fold_maxima(dict.fromkeys(IDENTITY_NAMES, 0.0),
-                         map(residuals, time_indices))
-    return gate(report, [(name, name, tol) for name in IDENTITY_NAMES],
-                BlockIdentityError)
 
 
 # -- scaling laws on the true profiles ------------------------------------------
@@ -571,70 +485,3 @@ def measure_product_intermittency(base: SpatialProfiles, sweep, frame, other,
     measured = tuple(product_norm(base, q, frame, other, p) for q in sweep)
     predicted = tuple(predicted_product_norm(q, p) for q in sweep)
     return IntermittencyFit(measured, predicted, _safe_slope(predicted, measured))
-
-
-# -- support geometry on the grid -----------------------------------------------
-
-def _subgroup_step(values, modulus: int) -> int:
-    g = modulus
-    for v in values:
-        g = math.gcd(g, v % modulus)
-    return g if g else modulus
-
-
-def support_fraction(base: SpatialProfiles, params: BlockParams, frame,
-                     grid: Grid4, which: str = "shear") -> float:
-    """Exact fraction of grid points where the true (compactly supported)
-    profile is nonzero. The phase index is uniform on a subgroup of the
-    phase lattice, so counting the subgroup suffices."""
-    if which == "concentration":
-        m = tuple(params.lam_r_perp * c for c in frame.k_num)
-        n = grid.n_x
-        d = _subgroup_step(m, n)
-        theta = -np.pi * sum(m) + 2.0 * np.pi * np.arange(0, n, d) / n
-        vals = rescaled(base.phi, params.r_perp)(theta)
-        return float(np.count_nonzero(vals)) / len(theta)
-    if which != "shear":
-        raise ValueError(f"unknown support kind {which!r}")
-    a = tuple(params.lam_r_perp * c for c in frame.k1_num)
-    rate = _phase_rate(frame, params)
-    n_x, n_t = grid.n_x, grid.n_t
-    L = n_x * n_t
-    step = math.gcd(_subgroup_step(a, n_x) * n_t, math.gcd(rate, n_t) * n_x)
-    theta = (-np.pi * (sum(a) + rate)
-             + 2.0 * np.pi * np.arange(0, L, step) / L)
-    vals = rescaled(base.psi, params.r_par)(theta)
-    return float(np.count_nonzero(vals)) / len(theta)
-
-
-def pair_support_fraction(base: SpatialProfiles, params: BlockParams,
-                          frame_a, frame_b, grid: Grid4) -> float:
-    """Largest over time samples of the grid fraction where both frames'
-    scalar parts are simultaneously nonzero, with the true profiles."""
-    n_x, n_t = grid.n_x, grid.n_t
-    L = n_x * n_t
-    worst = 0.0
-    masks = []
-    for frame in (frame_a, frame_b):
-        a = tuple(params.lam_r_perp * c for c in frame.k1_num)
-        m = tuple(params.lam_r_perp * c for c in frame.k_num)
-        rate = _phase_rate(frame, params)
-        th_s = -np.pi * (sum(a) + rate) + 2.0 * np.pi * np.arange(L) / L
-        shear_ok = rescaled(base.psi, params.r_par)(th_s) != 0.0
-        shear_ok = np.concatenate([shear_ok, shear_ok])
-        th_c = -np.pi * sum(m) + 2.0 * np.pi * np.arange(n_x) / n_x
-        conc_ok = rescaled(base.phi, params.r_perp)(th_c) != 0.0
-        i = np.arange(n_x, dtype=np.int64)
-        ix_s = ((i[:, None, None] * (a[0] % n_x) + i[None, :, None] * (a[1] % n_x)
-                 + i[None, None, :] * (a[2] % n_x)) % n_x) * n_t
-        ix_c = (i[:, None, None] * (m[0] % n_x) + i[None, :, None] * (m[1] % n_x)
-                + i[None, None, :] * (m[2] % n_x)) % n_x
-        masks.append((shear_ok, ix_s, conc_ok[ix_c], rate))
-    for j in range(n_t):
-        joint = None
-        for shear_ok, ix_s, conc_mask, rate in masks:
-            off = ((rate * j) % n_t) * n_x
-            m = shear_ok[ix_s + off] & conc_mask
-            joint = m if joint is None else joint & m
-        worst = max(worst, float(joint.mean()))
-    return worst

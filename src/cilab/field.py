@@ -7,15 +7,13 @@ and `to_physical`, the whole-field space-time transform pair, whose
 wavenumber tables come from cilab.spectral.
 
 Component layout is trailing: scalars are (n_t, n_x, n_x, n_x), vectors
-append one length-3 axis, rank-2 tensors append two. Tensor contractions
-follow the right-product convention (A v)_i = A_ij v_j, and the divergence
-of a tensor contracts the second index, (div A)_i = d_j A_ij.
+append one length-3 axis, rank-2 tensors append two. The divergence of a
+tensor contracts the second index, (div A)_i = d_j A_ij.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft as sfft
@@ -66,11 +64,6 @@ class Field:
         scale = max(np.abs(self.data).max(), 1e-300)
         return bool(np.abs(self.spatial_means()).max() <= tol * scale)
 
-    def require_mean_free(self, tol: float = 1e-12):
-        if not self.is_mean_free(tol):
-            worst = np.abs(self.spatial_means()).max()
-            raise ValueError(f"field is not mean-free: worst slice mean {worst:g}")
-
     # -- arithmetic ---------------------------------------------------------
 
     def _wrap(self, data) -> "Field":
@@ -101,9 +94,6 @@ class Field:
     def __truediv__(self, other) -> "Field":
         return self._wrap(self.data / float(other))
 
-    def component(self, *idx) -> "Field":
-        return self._wrap(np.ascontiguousarray(self.data[(Ellipsis,) + idx]))
-
     def magnitude(self) -> np.ndarray:
         """Pointwise absolute value (scalar) or Frobenius norm (tensor)."""
         if self.rank == 0:
@@ -132,23 +122,6 @@ def to_physical(coeffs, grid: Grid4) -> np.ndarray:
     sizes = (grid.n_t, grid.n_x, grid.n_x, grid.n_x)
     return sfft.irfftn(coeffs, s=sizes, axes=(0, 1, 2, 3), norm="forward",
                        workers=fft_workers())
-
-
-def spectral_derivative(f: Field, m: int = 0, zeta=(0, 0, 0)) -> Field:
-    """d_t^m d_x^zeta f computed by Fourier multipliers. For odd m the
-    time-Nyquist multiplier (k_t = -n_t/2 in storage order) is zero, as in
-    `ddt`: cos(n_t t / 2) is its own alias and has no resolved slope."""
-    kt = spectral.time_wavenumbers(f.grid.n_t, f.rank)
-    k1, k2, k3, _ = spectral.wavenumbers(f.grid.n_x, 1, f.rank)
-    if m % 2:
-        kt = np.where(kt == -(f.grid.n_t // 2), 0.0, kt)
-    factors = ((kt, m), (k1, zeta[0]), (k2, zeta[1]), (k3, zeta[2]))
-    mult = np.complex128(1.0)
-    for k, power in factors:
-        if power:
-            mult = mult * (1j * k) ** power
-    spec = to_spectral(f.data, f.grid) * mult
-    return Field(to_physical(spec, f.grid), f.grid, _take=True)
 
 
 @functools.lru_cache(maxsize=None)
@@ -194,12 +167,6 @@ def grad(f: Field) -> Field:
     data = f.data if f.rank else f.data[..., None]
     out = spectral.directional(data, np.eye(3)[:, None], lead=1)
     return Field(out.reshape(f.data.shape + (3,)), f.grid, _take=True)
-
-
-def div_vec(f: Field) -> Field:
-    if f.rank != 1:
-        raise ValueError("div_vec needs a vector field")
-    return Field(spectral.div(f.data, lead=1), f.grid, _take=True)
 
 
 def div_tensor(f: Field) -> Field:
@@ -265,27 +232,8 @@ def outer(u: Field, v: Field) -> Field:
     return Field(_outer(u.data, v.data), u.grid, _take=True)
 
 
-def sym(t: Field) -> Field:
-    return Field(_sym(t.data), t.grid, _take=True)
-
-
-def skew(t: Field) -> Field:
-    return Field(_skew(t.data), t.grid, _take=True)
-
-
 def trace(t: Field) -> Field:
     return Field(np.trace(t.data, axis1=-2, axis2=-1), t.grid, _take=True)
-
-
-def traceless(t: Field) -> Field:
-    return Field(_traceless(t.data), t.grid, _take=True)
-
-
-def tensor_apply(t: Field, v: Field) -> Field:
-    """Right product (A v)_i = A_ij v_j."""
-    if t.rank != 2 or v.rank != 1:
-        raise ValueError("tensor_apply needs a tensor and a vector")
-    return Field(np.einsum("...ij,...j->...i", t.data, v.data), t.grid, _take=True)
 
 
 def dot(u: Field, v: Field) -> Field:
@@ -296,63 +244,9 @@ def dot(u: Field, v: Field) -> Field:
 
 # -- norms -------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MixedNormSpec:
-    """Selects exactly one norm family.
-
-    lebesgue: L^gamma in time of L^p in space, Lebesgue volume measure.
-    sobolev:  sum of space-time L^p norms of derivatives up to the order.
-    cn:       sum of grid maxima of derivatives up to the order.
-    hbeta:    space-time Sobolev norm with weight (1 + |k|^2 + k0^2)^beta.
-    """
-
-    kind: str
-    gamma: float = 2.0
-    p: float = 2.0
-    order: int = 0
-    beta: float = 0.0
-
-    @classmethod
-    def lebesgue(cls, gamma: float, p: float) -> "MixedNormSpec":
-        return cls(kind="lebesgue", gamma=float(gamma), p=float(p))
-
-    @classmethod
-    def sobolev(cls, order: int, p: float) -> "MixedNormSpec":
-        return cls(kind="sobolev", order=int(order), p=float(p))
-
-    @classmethod
-    def cn(cls, order: int) -> "MixedNormSpec":
-        return cls(kind="cn", order=int(order))
-
-    @classmethod
-    def hbeta(cls, beta: float) -> "MixedNormSpec":
-        return cls(kind="hbeta", beta=float(beta))
-
-    @property
-    def label(self) -> str:
-        def num(x):
-            if x == np.inf:
-                return "inf"
-            return f"{x:g}"
-        if self.kind == "lebesgue":
-            return f"L{num(self.gamma)}t_L{num(self.p)}x"
-        if self.kind == "sobolev":
-            return f"W{self.order}_{num(self.p)}"
-        if self.kind == "cn":
-            return f"C{self.order}"
-        return f"H{num(self.beta)}"
-
-
-def _derivative_indices(order: int):
-    for total in range(order + 1):
-        for m in range(total + 1):
-            s = total - m
-            for z1 in range(s + 1):
-                for z2 in range(s - z1 + 1):
-                    yield m, (z1, z2, s - z1 - z2)
-
-
-def _lebesgue_norm(f: Field, gamma: float, p: float) -> float:
+def lebesgue_norm(f: Field, gamma: float, p: float) -> float:
+    """L^gamma in time of L^p in space, Lebesgue volume measure, of the
+    pointwise magnitude of f."""
     mag = f.magnitude()
     vol_x = (2.0 * np.pi) ** 3
     if np.isinf(p):
@@ -362,30 +256,3 @@ def _lebesgue_norm(f: Field, gamma: float, p: float) -> float:
     if np.isinf(gamma):
         return float(slices.max())
     return float((np.mean(slices ** gamma) * 2.0 * np.pi) ** (1.0 / gamma))
-
-
-def norm(f: Field, spec: MixedNormSpec) -> float:
-    if spec.kind == "lebesgue":
-        return _lebesgue_norm(f, spec.gamma, spec.p)
-    if spec.kind == "cn":
-        total = 0.0
-        for m, zeta in _derivative_indices(spec.order):
-            g = f if (m == 0 and zeta == (0, 0, 0)) else spectral_derivative(f, m, zeta)
-            total += float(g.magnitude().max())
-        return total
-    if spec.kind == "sobolev":
-        total = 0.0
-        for m, zeta in _derivative_indices(spec.order):
-            g = f if (m == 0 and zeta == (0, 0, 0)) else spectral_derivative(f, m, zeta)
-            total += _lebesgue_norm(g, spec.p, spec.p)
-        return total
-    if spec.kind == "hbeta":
-        kt = spectral.time_wavenumbers(f.grid.n_t, f.rank)
-        _, _, k3, ksq = spectral.wavenumbers(f.grid.n_x, 1, f.rank)
-        weight = (1.0 + kt ** 2 + ksq) ** spec.beta
-        # modes with 0 < k3 < n/2 stand for a conjugate pair of the rfft
-        weight = weight * np.where((k3 > 0) & (k3 < f.grid.n_x // 2), 2.0, 1.0)
-        spec_arr = to_spectral(f.data, f.grid)
-        total = float((weight * (spec_arr.real ** 2 + spec_arr.imag ** 2)).sum())
-        return float(np.sqrt(total * (2.0 * np.pi) ** 4))
-    raise ValueError(f"unknown norm kind {spec.kind!r}")

@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 
@@ -37,10 +36,6 @@ from .field import SKEW_PAIRS, SYM_PAIRS, frobenius_weights
 
 class ConstructionError(RuntimeError):
     """Raised when no valid coefficient vector exists for a candidate set."""
-
-
-class OutOfBallError(ValueError):
-    """Raised when a matrix lies outside a decomposition's validity ball."""
 
 
 @dataclass(frozen=True)
@@ -113,16 +108,6 @@ SYM_FRAME_CANDIDATES = (
     Frame("u5", (0, 5, 0), (4, 0, -3), (-3, 0, -4), 5),
     Frame("u6", (0, -5, 0), (3, 0, 4), (-4, 0, 3), 5),
 )
-
-
-def skew_generator(frame: Frame) -> np.ndarray:
-    """k2 (x) k1 - k1 (x) k2, equal to the cross-product matrix of k."""
-    k1, k2 = frame.k1, frame.k2
-    return np.outer(k2, k1) - np.outer(k1, k2)
-
-
-def sym_generator(frame: Frame) -> np.ndarray:
-    return np.outer(frame.k1, frame.k1)
 
 
 def _rational_solve(a, b):
@@ -245,114 +230,3 @@ def build_geometry() -> GeometrySet:
         L_u=L_u, L_b=L_b,
         eps_u=eps_u, eps_b=eps_b,
     )
-
-
-def measure_m_star(geom: GeometrySet, samples: int = 200, seed: int = 1) -> float:
-    """Sampled Lipschitz constant of gamma = sqrt(gamma^2) over both balls."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        w1, w2 = rng.normal(size=3), rng.normal(size=3)
-        a1 = _skew_from_axial(w1 / np.linalg.norm(w1) * rng.uniform(0, geom.eps_b) / np.sqrt(2))
-        a2 = _skew_from_axial(w2 / np.linalg.norm(w2) * rng.uniform(0, geom.eps_b) / np.sqrt(2))
-        g1 = np.sqrt(gamma_skew(geom, a1))
-        g2 = np.sqrt(gamma_skew(geom, a2))
-        d = np.sqrt(((a1 - a2) ** 2).sum())
-        if d > 1e-12:
-            worst = max(worst, float(np.abs(g1 - g2).max()) / d)
-        s1 = _random_sym(rng, geom.eps_u)
-        s2 = _random_sym(rng, geom.eps_u)
-        g1 = np.sqrt(gamma_sym(geom, np.eye(3) + s1))
-        g2 = np.sqrt(gamma_sym(geom, np.eye(3) + s2))
-        d = np.sqrt(((s1 - s2) ** 2).sum())
-        if d > 1e-12:
-            worst = max(worst, float(np.abs(g1 - g2).max()) / d)
-    return worst
-
-
-def _skew_from_axial(w):
-    return np.array([[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]])
-
-
-def _random_sym(rng, radius):
-    m = rng.normal(size=(3, 3))
-    s = 0.5 * (m + m.T)
-    s *= rng.uniform(0, radius) / np.sqrt((s * s).sum())
-    return s
-
-
-def _check_ball(dev: np.ndarray, eps: float, what: str):
-    nrm = np.sqrt((dev ** 2).sum(axis=(-2, -1)))
-    worst = float(nrm.max())
-    if worst > eps * (1 + 1e-12):
-        raise OutOfBallError(f"{what}: norm {worst:.6g} exceeds ball radius {eps:.6g}")
-
-
-def gamma_skew(geom: GeometrySet, a) -> np.ndarray:
-    """Squared coefficients gamma^2 for the skew decomposition of a.
-
-    Accepts a single 3x3 matrix or an array of matrices in the trailing two
-    axes; returns coefficients with one leading axis per frame appended last.
-    """
-    a = np.asarray(a, dtype=float)
-    skew_defect = np.abs(a + np.swapaxes(a, -1, -2)).max()
-    if skew_defect > 1e-10 * max(1.0, np.abs(a).max()):
-        raise ValueError("gamma_skew needs a skew-symmetric input")
-    _check_ball(a, geom.eps_b, "gamma_skew")
-    vals = geom.c_b + a[..., SKEW_PAIRS[0], SKEW_PAIRS[1]] @ geom.L_b.T
-    if vals.min() <= 0:
-        raise ConstructionError("gamma_skew produced a nonpositive coefficient")
-    return vals
-
-
-def gamma_sym(geom: GeometrySet, s) -> np.ndarray:
-    """Squared coefficients gamma^2 for the symmetric decomposition of s,
-    affine around the identity."""
-    s = np.asarray(s, dtype=float)
-    sym_defect = np.abs(s - np.swapaxes(s, -1, -2)).max()
-    if sym_defect > 1e-10 * max(1.0, np.abs(s).max()):
-        raise ValueError("gamma_sym needs a symmetric input")
-    dev = s - np.eye(3)
-    _check_ball(dev, geom.eps_u, "gamma_sym")
-    vals = geom.c_u + dev[..., SYM_PAIRS[0], SYM_PAIRS[1]] @ geom.L_u.T
-    if vals.min() <= 0:
-        raise ConstructionError("gamma_sym produced a nonpositive coefficient")
-    return vals
-
-
-def reconstruct_skew(geom: GeometrySet, coeffs) -> np.ndarray:
-    gens = np.stack([skew_generator(f) for f in geom.lambda_b])
-    return np.einsum("...f,fij->...ij", np.asarray(coeffs), gens)
-
-
-def reconstruct_sym(geom: GeometrySet, coeffs) -> np.ndarray:
-    gens = np.stack([sym_generator(f) for f in geom.lambda_u])
-    return np.einsum("...f,fij->...ij", np.asarray(coeffs), gens)
-
-
-def pair_resonances(f1: Frame, f2: Frame, n_max: int = 8):
-    """Integer resonances among the four phase forms of two frames.
-
-    The phase lattice of a frame's wave pair is spanned by (k1_num, N mu)
-    for the shear factor and (k_num, 0) for the concentration factor, in
-    units of the common integer phase scale. A resonance is a nontrivial
-    integer combination summing to zero in space and time; returned tuples
-    are (n1, n2, n3, n4) with n1, n3 the shear slots of the two frames.
-    Combinations where some slot vanishes are harmless (every profile is
-    mean-zero) and are not reported.
-    """
-    out = []
-    n1n3 = []
-    for n1 in range(-n_max, n_max + 1):
-        for n3 in range(-n_max, n_max + 1):
-            if n1 * f1.denom + n3 * f2.denom == 0:
-                n1n3.append((n1, n3))
-    for (n1, n3), n2, n4 in product(
-            n1n3, range(-n_max, n_max + 1), range(-n_max, n_max + 1)):
-        if 0 in (n1, n2, n3, n4):
-            continue
-        vec = [n1 * f1.k1_num[a] + n2 * f1.k_num[a]
-               + n3 * f2.k1_num[a] + n4 * f2.k_num[a] for a in range(3)]
-        if vec == [0, 0, 0]:
-            out.append((n1, n2, n3, n4))
-    return out

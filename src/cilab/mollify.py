@@ -65,19 +65,6 @@ class Mollifier:
             raise ValueError(f"mollification scale must lie in (0, pi), got {ell}")
         self.ell = ell
 
-    def spatial_kernel(self, x):
-        """One tensor factor of the spatial kernel; the kernel on the
-        spatial torus is the product of this over the three coordinates."""
-        x = np.asarray(x, dtype=float)
-        s = np.mod(x + np.pi, TWO_PI) - np.pi
-        return _bump(s / self.ell, 1) / (self.ell * _unit_mass())
-
-    def temporal_kernel(self, t):
-        t = np.asarray(t, dtype=float)
-        h = _T_SHAPE * self.ell
-        s = np.mod(t + np.pi, TWO_PI) - np.pi
-        return _bump((s - h) / h, 1) / (h * _unit_mass())
-
     def spatial_symbol(self, k):
         return _unit_bump_symbol(np.asarray(k, dtype=float) * self.ell)
 

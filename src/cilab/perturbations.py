@@ -31,7 +31,8 @@ slice loop runs on the slice pool of cilab.threads: a slice writes only
 its own output slice, and maxima are folded in slice order afterwards.
 Block second moments enter the low-frequency correctors as measured grid
 means of the flow products (blocks.moment_products), not as continuum
-values, so the balances close at grid level. Those mean matrices M_(k) are constant, so the low-frequency terms need only
+values, so the balances close at grid level. Those mean matrices M_(k)
+are constant, so the low-frequency terms need only
 V = sum_k M_(k) grad a_(k)^2: the corrector drives h V, the balance's
 residue is (g^2 - 1) V and its wander term is h d_t V.
 
@@ -62,7 +63,7 @@ from .amplitudes import AmplitudeSet, dilate_support
 from .blocks import (carried_kinds, envelope_stack, family_sets,
                      family_terms, flow_products, moment_products)
 from .checks import fold_maxima, gate
-from .field import Field, MixedNormSpec, ddt, ddt_slice, norm
+from .field import Field, ddt, ddt_slice, lebesgue_norm
 from .spectral_ops import _div_rel_defect, _mean_free3, leray, p_neq0
 from .threads import map_slices
 
@@ -685,9 +686,8 @@ def assemble_iterate(u_l: Field, B_l: Field, pert: Perturbation,
         gate(report, [(f"{name}_support_leak", f"{name} perturbation leaks "
                        "outside the dilated stress support: relative slice "
                        "norm", 1e-10)], CorrectorIdentityError)
-    sup_l2 = MixedNormSpec.lebesgue(np.inf, 2.0)
-    report["velocity_increment"] = norm(w, sup_l2)
-    report["magnetic_increment"] = norm(d, sup_l2)
+    report["velocity_increment"] = lebesgue_norm(w, np.inf, 2.0)
+    report["magnetic_increment"] = lebesgue_norm(d, np.inf, 2.0)
     report["increment_over_sqrt_delta"] = (
         report["velocity_increment"] / math.sqrt(amps.delta_next))
     return u_l + w, B_l + d, report

@@ -120,9 +120,6 @@ class SpatialProfiles:
     def Phi(self, x, deriv=0):
         return self.c_phi * _bump(x, self.order, deriv)
 
-    def phi(self, x):
-        return -self.c_phi * _bump(x, self.order, 2)
-
     def psi(self, x, deriv=0):
         # psi = c x b(x); Leibniz gives (x b)^(m) = x b^(m) + m b^(m-1)
         x = np.asarray(x, dtype=float)
@@ -232,10 +229,6 @@ class TemporalProfiles:
         self.band_g = band_g
         self.band_h = band_h
 
-    @property
-    def banded(self) -> bool:
-        return self.band_g is not None
-
     def g(self, t, deriv=0):
         t = np.asarray(t, dtype=float)
         if self.band_g is not None:
@@ -252,13 +245,6 @@ class TemporalProfiles:
     def g_base(self, t, deriv=0):
         """The unoscillated raw g_tau, for the scaling-law measurements."""
         return self.shape.g_tau(t, self.tau, deriv)
-
-    def support_measure(self) -> float:
-        """Lebesgue measure of supp g_tau on the circle, exact for the raw
-        train; the banded stand-in is analytic, so for it this is the
-        nominal measure of the generating train, not of the polynomial."""
-        return 2.0 * np.pi / self.tau
-
 
 def make_temporal(g_shape, tau: int, sigma: int, n_t=None,
                   band=None) -> TemporalProfiles:
@@ -310,7 +296,8 @@ class BandProfile:
     __slots__ = ("coef",)
 
     def __init__(self, coef):
-        coef = np.asarray(coef, dtype=complex)
+        # a copy: the profile freezes its coefficients, not the caller's
+        coef = np.array(coef, dtype=complex)
         if coef.ndim != 1 or len(coef) == 0:
             raise ValueError("coefficients must be a nonempty 1D array")
         if abs(coef[0].imag) > 1e-14 * max(1.0, abs(coef[0])):
@@ -378,15 +365,6 @@ class BandProfile:
         if ms <= 0:
             raise ValueError("cannot renormalize an identically zero profile")
         return self.scaled(np.sqrt(target_mean_sq / ms))
-
-    def lattice_values(self, n_points: int) -> np.ndarray:
-        """Values on the uniform lattice -pi + 2 pi j / n_points. Requires
-        n_points > 2 K so the polynomial is alias-free on the lattice."""
-        if n_points <= 2 * self.n_harmonics:
-            raise GridResolutionError(
-                f"lattice of {n_points} points cannot carry {self.n_harmonics} harmonics")
-        return self(_circle_nodes(n_points))
-
 
 def band_project(fn, n_harmonics: int, n_quad: int = _QUAD_N) -> BandProfile:
     """Truncated Fourier series of a circle-periodic callable, by dense FFT

@@ -4,7 +4,7 @@ Every operator here is an exact multiplier in the discrete Fourier algebra,
 so compositions satisfy their operator identities (idempotence, right
 inverses, semigroup laws) to rounding error by construction. Spatial zero
 modes are handled explicitly: the Leray projector is the identity on means,
-the inverse Laplacian and the inverse divergences annihilate them, and
+the Biot-Savart law and the inverse divergences annihilate them, and
 callers that need mean-free inputs are validated rather than silently
 projected.
 """
@@ -107,25 +107,16 @@ def _multiply(f: Field, mult) -> Field:
 def frac_laplacian(f: Field, alpha: float) -> Field:
     """(-Laplace)^alpha for alpha >= 0; the zero mode is annihilated."""
     if alpha < 0:
-        raise ValueError("alpha must be nonnegative; use inv_laplacian")
+        raise ValueError("alpha must be nonnegative")
     if alpha == 0:
         return f
     return _multiply(f, lambda ksq: ksq ** alpha)
-
-
-def inv_laplacian(f: Field) -> Field:
-    """Inverse Laplacian with zero mode mapped to zero."""
-    return _multiply(f, lambda ksq: -spectral.safe_inv(ksq))
 
 
 def _vec_data(f: Field):
     if f.rank != 1:
         raise ValueError("expected a vector field")
     return f.data
-
-
-def curl(f: Field) -> Field:
-    return Field(spectral.curl(_vec_data(f), 1), f.grid, _take=True)
 
 
 def inv_div_sym(f: Field, tol: float = 1e-10) -> Field:

@@ -41,7 +41,9 @@ def random_field(grid, rng, rank=0, k_max=4, mean_free=False):
 
 def random_divfree(grid, rng, k_max=4):
     """Random band-limited divergence-free mean-free vector field."""
+    from cilab import spectral
     from cilab.field import Field
-    from cilab.spectral_ops import curl, p_neq0
+    from cilab.spectral_ops import p_neq0
 
-    return curl(p_neq0(random_field(grid, rng, rank=1, k_max=k_max)))
+    f = p_neq0(random_field(grid, rng, rank=1, k_max=k_max))
+    return Field(spectral.curl(f.data, 1), grid, _take=True)

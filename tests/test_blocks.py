@@ -7,16 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cilab.blocks import (
-    BlockIdentityError, BlockParams, BlockSet, IDENTITY_NAMES,
-    block_norm, family_terms, flow_products, flow_terms,
-    measure_intermittency, measure_product_intermittency,
-    pair_support_fraction, predicted_block_norm, predicted_product_norm,
-    product_norm, sample_blocks, support_fraction, verify_identities,
+    BlockParams, BlockSet, block_norm, family_terms, flow_products,
+    flow_terms, measure_intermittency, measure_product_intermittency,
+    predicted_block_norm, predicted_product_norm, product_norm,
+    sample_blocks,
 )
-from cilab.field import MixedNormSpec, dot, grad, norm, outer
-from cilab.geometry import build_geometry, skew_generator, sym_generator
+from cilab.field import grad, lebesgue_norm, outer
+from cilab.geometry import build_geometry
 from cilab.grid import Grid4, GridResolutionError
 from cilab.profiles import BandProfile, fit_loglog, make_spatial_profiles
+
+from oracles import (
+    IDENTITY_NAMES, BlockIdentityError, flow_field, pair_support_fraction,
+    profile_field, skew_generator, support_fraction, sym_generator,
+    verify_identities,
+)
 
 
 @pytest.fixture(scope="module")
@@ -98,30 +103,30 @@ class TestSampling:
             sample_blocks(geom.lambda_b[0], params, Grid4(n_t=8, n_x=48))
 
     def test_concentration_power_is_one(self, banded_blocks):
-        phi = banded_blocks.profile_field("concentration")
+        phi = profile_field(banded_blocks, "concentration")
         assert abs((phi.data ** 2).mean() - 1.0) < 1e-8
 
     def test_flows_mean_free(self, banded_blocks):
         for kind in ("velocity", "magnetic", "velocity_potential",
                      "velocity_corrector", "magnetic_potential",
                      "magnetic_corrector"):
-            means = banded_blocks.flow_field(kind).spatial_means()
+            means = flow_field(banded_blocks, kind).spatial_means()
             assert np.abs(means).max() < 1e-12, kind
 
     def test_phase_orthogonality(self, banded_blocks):
         # concentration rides k, shear rides k1; gradients are orthogonal
         # to the complementary frame legs
         f = banded_blocks.frame
-        g_conc = grad(banded_blocks.profile_field("concentration"))
-        g_shear = grad(banded_blocks.profile_field("shear"))
+        g_conc = grad(profile_field(banded_blocks, "concentration"))
+        g_shear = grad(profile_field(banded_blocks, "shear"))
         assert np.abs(g_conc.data @ np.asarray(f.k1)).max() < 1e-10
         assert np.abs(g_conc.data @ np.asarray(f.k2)).max() < 1e-10
         assert np.abs(g_shear.data @ np.asarray(f.k)).max() < 1e-10
 
     def test_second_moments(self, banded_blocks):
         f = banded_blocks.frame
-        W = banded_blocks.flow_field("velocity")
-        D = banded_blocks.flow_field("magnetic")
+        W = flow_field(banded_blocks, "velocity")
+        D = flow_field(banded_blocks, "magnetic")
         assert np.abs(outer(W, W).spatial_means() - np.outer(f.k1, f.k1)).max() < 1e-8
         assert np.abs(outer(D, D).spatial_means() - np.outer(f.k2, f.k2)).max() < 1e-8
         assert np.abs(outer(W, D).spatial_means() - np.outer(f.k1, f.k2)).max() < 1e-8
@@ -132,8 +137,8 @@ class TestSampling:
         params = BlockParams(lam=2, r_perp=0.5, r_par=0.5, mu=1.0,
                              n_shear_harmonics=1, n_conc_harmonics=1)
         blocks = sample_blocks(frame, params, dense_grid, base)
-        W = blocks.flow_field("velocity")
-        D = blocks.flow_field("magnetic")
+        W = flow_field(blocks, "velocity")
+        D = flow_field(blocks, "magnetic")
         assert np.abs(outer(W, W).spatial_means() - np.outer(frame.k1, frame.k1)).max() < 1e-8
         assert np.abs(outer(W, D).spatial_means() - np.outer(frame.k1, frame.k2)).max() < 1e-8
 
@@ -141,11 +146,11 @@ class TestSampling:
         params = BlockParams(lam=1, r_perp=1.0, r_par=1.0, mu=0.0,
                              n_conc_harmonics=1)
         blocks = sample_blocks(geom.lambda_b[0], params, dense_grid, base)
-        W = blocks.flow_field("velocity").data
+        W = flow_field(blocks, "velocity").data
         assert np.abs(W - W[0]).max() == 0.0
 
     def test_slice_matches_field(self, banded_blocks):
-        field = banded_blocks.flow_field("magnetic_corrector")
+        field = flow_field(banded_blocks, "magnetic_corrector")
         assert np.array_equal(field.data[3], banded_blocks.flow_slice("magnetic_corrector", 3))
 
     def test_slice_matches_direct_phase_evaluation(self, banded_blocks):
@@ -393,15 +398,16 @@ class TestCorrectorSizes:
         params = BlockParams(lam=lam, r_perp=r_perp, r_par=1.0, mu=0.0,
                              n_conc_harmonics=n_conc)
         blocks = sample_blocks(geom.lambda_b[0], params, Grid4(n_t=8, n_x=64), base)
-        spec = MixedNormSpec.lebesgue(np.inf, 2.0)
-        lead = norm(blocks.flow_field("velocity"), spec)
-        pot = norm(blocks.flow_field("velocity_potential"), spec)
+        lead = lebesgue_norm(flow_field(blocks, "velocity"), np.inf, 2.0)
+        pot = lebesgue_norm(flow_field(blocks, "velocity_potential"), np.inf,
+                            2.0)
         ratio = (lam * geom.lambda_b[0].denom) ** 2 * pot / lead
         assert 0.1 < ratio < 10.0
 
     def test_corrector_smaller_than_flow(self, banded_blocks):
         # at unit concentration the corrector is bounded by the flow scale
-        spec = MixedNormSpec.lebesgue(np.inf, 2.0)
-        lead = norm(banded_blocks.flow_field("velocity"), spec)
-        corr = norm(banded_blocks.flow_field("velocity_corrector"), spec)
+        lead = lebesgue_norm(flow_field(banded_blocks, "velocity"), np.inf,
+                             2.0)
+        corr = lebesgue_norm(flow_field(banded_blocks, "velocity_corrector"),
+                             np.inf, 2.0)
         assert corr < 10.0 * lead

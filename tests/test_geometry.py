@@ -9,30 +9,19 @@ from hypothesis import strategies as st
 
 from cilab.field import SKEW_PAIRS, SYM_PAIRS, expand
 from cilab.geometry import (
-    ConstructionError, Frame, OutOfBallError, build_geometry, gamma_skew,
-    gamma_sym, measure_m_star, pair_resonances, reconstruct_skew,
-    reconstruct_sym, skew_generator, sym_generator, _solve_skew_coefficients,
+    ConstructionError, Frame, build_geometry, _solve_skew_coefficients,
+)
+
+from oracles import (
+    OutOfBallError, gamma_skew, gamma_sym, measure_m_star, pair_resonances,
+    random_skew, random_sym, reconstruct_skew, reconstruct_sym,
+    skew_generator, sym_generator,
 )
 
 
 @pytest.fixture(scope="module")
 def geom():
     return build_geometry()
-
-
-def random_skew(rng, radius):
-    w = rng.normal(size=3)
-    w *= rng.uniform(0, radius) / (np.sqrt(2.0) * np.linalg.norm(w))
-    return np.array([
-        [0.0, -w[2], w[1]],
-        [w[2], 0.0, -w[0]],
-        [-w[1], w[0], 0.0]])
-
-
-def random_sym_dev(rng, radius):
-    m = rng.normal(size=(3, 3))
-    s = 0.5 * (m + m.T)
-    return s * rng.uniform(0, radius) / np.sqrt((s * s).sum())
 
 
 class TestFrames:
@@ -195,13 +184,13 @@ class TestSymDecomposition:
     def test_reconstruction_on_ball(self, geom):
         rng = np.random.default_rng(45)
         for _ in range(100):
-            s = np.eye(3) + random_sym_dev(rng, geom.eps_u)
+            s = np.eye(3) + random_sym(rng, geom.eps_u)
             coeffs = gamma_sym(geom, s)
             assert coeffs.min() > 0
             assert np.abs(reconstruct_sym(geom, coeffs) - s).max() <= 1e-12
 
     def test_out_of_ball_rejected(self, geom):
-        s = np.eye(3) + random_sym_dev(np.random.default_rng(46), 3 * geom.eps_u)
+        s = np.eye(3) + random_sym(np.random.default_rng(46), 3 * geom.eps_u)
         dev = s - np.eye(3)
         dev *= 2 * geom.eps_u / np.sqrt((dev * dev).sum())
         with pytest.raises(OutOfBallError):

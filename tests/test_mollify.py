@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cilab import spectral
 from cilab.field import (
-    Field, ddt, div_tensor, div_vec, dot, grad, outer, to_physical,
-    to_spectral,
+    Field, ddt, div_tensor, dot, grad, outer, to_physical, to_spectral,
 )
 from cilab.grid import Grid4, GridResolutionError
 from cilab.mollify import (
@@ -19,6 +19,7 @@ from cilab.profiles import fit_loglog
 from cilab.spectral_ops import frac_laplacian
 
 from conftest import random_divfree, random_field
+from oracles import spatial_kernel, temporal_kernel
 
 E2 = np.array([0.0, 1.0, 0.0])
 
@@ -59,11 +60,11 @@ class TestMollifierKernels:
     def test_unit_mass_and_sign(self, ell):
         mol = Mollifier(ell)
         s = np.linspace(-ell, ell, 20001)
-        spatial = mol.spatial_kernel(s)
+        spatial = spatial_kernel(mol, s)
         assert spatial.min() >= 0.0
         assert abs(np.trapezoid(spatial, s) - 1.0) < 1e-10
         ts = np.linspace(0.0, 0.9 * ell, 20001)
-        temporal = mol.temporal_kernel(ts)
+        temporal = temporal_kernel(mol, ts)
         assert temporal.min() >= 0.0
         assert abs(np.trapezoid(temporal, ts) - 1.0) < 1e-10
 
@@ -71,9 +72,9 @@ class TestMollifierKernels:
         ell = 1.1
         mol = Mollifier(ell)
         outside = np.array([-ell, -0.5 * ell, -1e-6, 0.9 * ell + 1e-6, ell])
-        assert np.all(mol.temporal_kernel(outside) == 0.0)
+        assert np.all(temporal_kernel(mol, outside) == 0.0)
         inside = np.array([0.2 * ell, 0.45 * ell, 0.7 * ell])
-        assert np.all(mol.temporal_kernel(inside) > 0.0)
+        assert np.all(temporal_kernel(mol, inside) > 0.0)
 
     def test_symbols_normalized_and_contractive(self):
         mol = Mollifier(0.7)
@@ -94,14 +95,14 @@ class TestMollifierKernels:
         # independent oracle: trapezoid rule on the sampled kernel
         mol = Mollifier(ell)
         s = np.linspace(-ell, ell, 20001)
-        oracle = np.trapezoid(mol.spatial_kernel(s) * np.cos(k * s), s)
+        oracle = np.trapezoid(spatial_kernel(mol, s) * np.cos(k * s), s)
         assert abs(float(mol.spatial_symbol(k)[0]) - oracle) < 1e-10
 
     def test_temporal_symbol_matches_kernel_quadrature(self):
         ell, k = 0.8, 2
         mol = Mollifier(ell)
         s = np.linspace(0.0, 0.9 * ell, 20001)
-        kern = mol.temporal_kernel(s)
+        kern = temporal_kernel(mol, s)
         oracle = (np.trapezoid(kern * np.cos(k * s), s)
                   - 1j * np.trapezoid(kern * np.sin(k * s), s))
         assert abs(mol.temporal_symbol(k)[0] - oracle) < 1e-10
@@ -143,7 +144,7 @@ class TestMollify:
 
     def test_divergence_free_preserved(self, grid):
         u = random_divfree(grid, np.random.default_rng(5))
-        assert div_vec(mollify(u, 0.9)).max_abs() < 1e-10
+        assert np.abs(spectral.div(mollify(u, 0.9).data, lead=1)).max() < 1e-10
 
     @settings(max_examples=8, deadline=None)
     @given(seed=st.integers(0, 2 ** 31 - 1))
