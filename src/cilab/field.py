@@ -4,7 +4,9 @@ A Field is a read-only array of real samples on a Grid4 and nothing else:
 it caches no spectrum and has no file format. Every algebraic operation
 returns a new Field. The Fourier side is made on demand by `to_spectral`
 and `to_physical`, the whole-field space-time transform pair, whose
-wavenumber tables come from cilab.spectral.
+wavenumber tables come from cilab.spectral. The spatial calculus (`grad`,
+`div_tensor`) and the whole-field forms of `spectral_ops` run a slice
+kernel of cilab.spectral on each time slice through `_slicewise`.
 
 Component layout is trailing: scalars are (n_t, n_x, n_x, n_x), vectors
 append one length-3 axis, rank-2 tensors append two. The divergence of a
@@ -20,7 +22,7 @@ import scipy.fft as sfft
 
 from . import spectral
 from .grid import Grid4
-from .threads import fft_workers
+from .threads import fft_workers, map_slices
 
 _RANK_SHAPES = {0: (), 1: (3,), 2: (3, 3)}
 
@@ -43,12 +45,6 @@ class Field:
         data.setflags(write=False)
         self.data = data
         self.grid = grid
-
-    # -- construction -----------------------------------------------------
-
-    @classmethod
-    def zeros(cls, grid: Grid4, rank: int = 0) -> "Field":
-        return cls(np.zeros(grid.shape + _RANK_SHAPES[rank]), grid, _take=True)
 
     # -- basic properties --------------------------------------------------
 
@@ -159,21 +155,42 @@ def ddt(f: Field) -> Field:
     return Field(out.reshape(f.data.shape), f.grid, _take=True)
 
 
+def _slicewise(f: Field, kernel, comp=None) -> Field:
+    """The Field whose time slice j is kernel(f.data[j]), with component
+    shape comp (by default f's). Slices run on the slice pool into a zeroed
+    output, and an all-zero slice is skipped: it stays exactly zero, so
+    every kernel passed here must map zero to zero."""
+    # np.zeros, not zeros_like: the pages of slices never written stay
+    # unmapped (zeros_like writes every page)
+    out = np.zeros(f.data.shape if comp is None else f.grid.shape + comp)
+
+    def fill(j):
+        if f.data[j].any():
+            out[j] = kernel(f.data[j])
+
+    map_slices(fill, range(f.grid.n_t))
+    return Field(out, f.grid, _take=True)
+
+
 def grad(f: Field) -> Field:
     """Gradient of a scalar (vector) or of a vector (tensor, (grad u)_ij = d_j u_i),
-    from one forward and one inverse spatial transform."""
+    from one forward and one inverse spatial transform per nonzero slice."""
     if f.rank > 1:
         raise ValueError("grad is defined for scalar and vector fields")
-    data = f.data if f.rank else f.data[..., None]
-    out = spectral.directional(data, np.eye(3)[:, None], lead=1)
-    return Field(out.reshape(f.data.shape + (3,)), f.grid, _take=True)
+
+    def kernel(s):
+        d = spectral.directional(s if f.rank else s[..., None],
+                                 np.eye(3)[:, None])
+        return d.reshape(s.shape + (3,))
+
+    return _slicewise(f, kernel, f.data.shape[4:] + (3,))
 
 
 def div_tensor(f: Field) -> Field:
     """(div A)_i = d_j A_ij, contracting the column index."""
     if f.rank != 2:
         raise ValueError("div_tensor needs a rank-2 field")
-    return Field(spectral.div(f.data, lead=1), f.grid, _take=True)
+    return _slicewise(f, spectral.div, (3,))
 
 
 # -- pointwise tensor algebra -------------------------------------------------
@@ -223,17 +240,6 @@ def expand(compact, pairs, sign):
     full[..., rows, cols] = compact
     full[..., cols, rows] = sign * compact
     return full
-
-
-def outer(u: Field, v: Field) -> Field:
-    """u (x) v with components u_i v_j."""
-    if u.rank != 1 or v.rank != 1:
-        raise ValueError("outer needs two vector fields")
-    return Field(_outer(u.data, v.data), u.grid, _take=True)
-
-
-def trace(t: Field) -> Field:
-    return Field(np.trace(t.data, axis1=-2, axis2=-1), t.grid, _take=True)
 
 
 def dot(u: Field, v: Field) -> Field:

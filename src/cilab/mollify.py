@@ -91,7 +91,7 @@ class Mollifier:
         self.validate(g)
         trailing = data.ndim - 4
         kt = spectral.time_wavenumbers(g.n_t, trailing)
-        k1, k2, k3, _ = spectral.wavenumbers(g.n_x, 1, trailing)
+        k1, k2, k3, _ = spectral.wavenumbers(g.n_x, trailing)
         # each symbol is evaluated on a flat table and then reshaped: the
         # quadrature of a broadcast table may sum in another order
         coef = to_spectral(data, g)

@@ -1,19 +1,20 @@
 """Fourier multipliers on plain arrays and every wavenumber table: the
 package's one spectral layer.
 
-Every operator here acts on an array whose three spatial axes (n, n, n)
-follow `lead` leading axes: lead=0 for one time slice, lead=1 for a whole
-(n_t, n, n, n) field. Component axes trail. Each call makes one forward and
-one inverse real 3D transform over the spatial axes, however many leading
-or component axes the array carries, so a whole field equals its slices
-transformed one by one. Three helpers act on half spectra instead, so a
-caller can chain multipliers between one forward and one inverse
-transform: `leray_spectrum`, `real_planes` and `div_spectrum`, which
-forms the spectrum of a tensor divergence from the spectra of its weights.
-Wavenumber tables are float, built once per (n, lead, trailing) and
-shared read-only; `time_wavenumbers` gives the time axis of a whole-field
-(n_t, n, n, n) space-time spectrum. No other module builds a wavenumber
-table.
+Every operator here acts on one time slice: an array whose first three
+axes are the spatial axes (n, n, n), with component axes trailing. Each
+call makes one forward and one inverse real 3D transform, however many
+component axes the slice carries. Whole (n_t, n, n, n, ...) fields go
+through `field._slicewise`, which runs a kernel from here on each time
+slice. Three helpers act on half spectra instead, so a caller can chain
+multipliers between one forward and one inverse transform:
+`leray_spectrum`, `real_planes` and `div_spectrum`, which forms the
+spectrum of a tensor divergence from the spectra of its weights.
+Wavenumber tables are float, built once per (n, trailing) and shared
+read-only; they broadcast over any leading axes as well, so the 4D
+space-time spectra of `mollify` read them as they are, and
+`time_wavenumbers` gives their time axis. No other module builds a
+wavenumber table.
 
 The transforms are looked up on scipy.fft at call time, so wrappers
 installed there see every call.
@@ -31,16 +32,15 @@ from .threads import fft_workers
 
 
 @functools.lru_cache(maxsize=None)
-def wavenumbers(n: int, lead: int = 0, trailing: int = 0):
+def wavenumbers(n: int, trailing: int = 0):
     """Integer wavenumbers (k1, k2, k3) as floats, and |k|^2, shaped to
-    broadcast over the spectrum of an array with `lead` leading and
-    `trailing` component axes. k3 runs over the half axis of the rfft."""
+    broadcast over the spectrum of a slice with `trailing` component axes.
+    k3 runs over the half axis of the rfft."""
     kf = np.rint(np.fft.fftfreq(n, 1.0 / n))
     kh = np.arange(n // 2 + 1, dtype=np.float64)
-    pre, pad = (1,) * lead, (1,) * trailing
-    tables = (kf.reshape(pre + (n, 1, 1) + pad),
-              kf.reshape(pre + (1, n, 1) + pad),
-              kh.reshape(pre + (1, 1, -1) + pad))
+    pad = (1,) * trailing
+    tables = (kf.reshape((n, 1, 1) + pad), kf.reshape((1, n, 1) + pad),
+              kh.reshape((1, 1, -1) + pad))
     k1, k2, k3 = tables
     tables += (k1 * k1 + k2 * k2 + k3 * k3,)
     for table in tables:
@@ -59,9 +59,9 @@ def time_wavenumbers(n_t: int, trailing: int = 0):
     return kt
 
 
-def _tables(arr, lead, contracted=0):
+def _tables(arr, contracted=0):
     """Tables for arr, whose last `contracted` axes the operator consumes."""
-    return wavenumbers(arr.shape[lead], lead, arr.ndim - lead - 3 - contracted)
+    return wavenumbers(arr.shape[0], arr.ndim - 3 - contracted)
 
 
 def safe_inv(ksq):
@@ -71,52 +71,51 @@ def safe_inv(ksq):
     return np.where(ksq > 0, inv, 0.0)
 
 
-def rfft(arr, lead: int = 0):
-    return sfft.rfftn(arr, axes=(lead, lead + 1, lead + 2),
-                      workers=fft_workers())
+def rfft(arr):
+    return sfft.rfftn(arr, axes=(0, 1, 2), workers=fft_workers())
 
 
-def irfft(spec, n: int, lead: int = 0):
-    return sfft.irfftn(spec, s=(n, n, n), axes=(lead, lead + 1, lead + 2),
+def irfft(spec, n: int):
+    return sfft.irfftn(spec, s=(n, n, n), axes=(0, 1, 2),
                        workers=fft_workers())
 
 
-def directional(arr, dirs, lead: int = 0):
+def directional(arr, dirs):
     """Derivatives of each component i of arr (..., k) along row i (or the
     only row) of each table in dirs, stacked last; np.eye(3)[:, None]
     gives the gradient, (grad u)_ij = d_j u_i."""
-    k1, k2, k3, _ = _tables(arr, lead)
-    spec = rfft(arr, lead)
+    k1, k2, k3, _ = _tables(arr)
+    spec = rfft(arr)
     out = np.empty(spec.shape + (len(dirs),), dtype=spec.dtype)
     for d, rows in enumerate(dirs):
         np.multiply(spec, 1j * (k1 * rows[:, 0] + k2 * rows[:, 1]
                                 + k3 * rows[:, 2]), out=out[..., d])
-    return irfft(out, arr.shape[lead], lead)
+    return irfft(out, arr.shape[0])
 
 
-def div_terms(arr, lead: int = 0):
+def div_terms(arr):
     """The three terms d_a arr[..., a] of the divergence that contracts the
     last axis, stacked on that axis."""
-    spec = rfft(arr, lead)
+    spec = rfft(arr)
     out = np.empty_like(spec)
-    for a, k in enumerate(_tables(arr, lead, 1)[:3]):
+    for a, k in enumerate(_tables(arr, 1)[:3]):
         np.multiply(spec[..., a], 1j * k, out=out[..., a])
-    return irfft(out, arr.shape[lead], lead)
+    return irfft(out, arr.shape[0])
 
 
-def div(arr, lead: int = 0):
+def div(arr):
     """Divergence contracting the last axis, d_a arr[..., a]."""
-    k1, k2, k3, _ = _tables(arr, lead, 1)
-    spec = rfft(arr, lead)
+    k1, k2, k3, _ = _tables(arr, 1)
+    spec = rfft(arr)
     return irfft(1j * (k1 * spec[..., 0] + k2 * spec[..., 1]
-                       + k3 * spec[..., 2]), arr.shape[lead], lead)
+                       + k3 * spec[..., 2]), arr.shape[0])
 
 
-def curl(vec, lead: int = 0, inverse_laplacian: bool = False):
+def curl(vec, inverse_laplacian: bool = False):
     """Curl over the last axis; with inverse_laplacian, curl (-Laplace)^-1,
     which annihilates the zero mode."""
-    k1, k2, k3, ksq = _tables(vec, lead, 1)
-    spec = rfft(vec, lead)
+    k1, k2, k3, ksq = _tables(vec, 1)
+    spec = rfft(vec)
     out = np.empty_like(spec)
     out[..., 0] = k2 * spec[..., 2] - k3 * spec[..., 1]
     out[..., 1] = k3 * spec[..., 0] - k1 * spec[..., 2]
@@ -124,24 +123,24 @@ def curl(vec, lead: int = 0, inverse_laplacian: bool = False):
     if inverse_laplacian:
         out *= safe_inv(ksq)[..., None]
     out *= 1j
-    return irfft(out, vec.shape[lead], lead)
+    return irfft(out, vec.shape[0])
 
 
-def curl_curl(vec, lead: int = 0):
+def curl_curl(vec):
     """Spectral double curl, |k|^2 v - k (k.v), over the last axis."""
-    k1, k2, k3, ksq = _tables(vec, lead, 1)
-    spec = rfft(vec, lead)
+    k1, k2, k3, ksq = _tables(vec, 1)
+    spec = rfft(vec)
     kdotv = k1 * spec[..., 0] + k2 * spec[..., 1] + k3 * spec[..., 2]
     out = np.empty_like(spec)
     for axis, k in enumerate((k1, k2, k3)):
         out[..., axis] = ksq * spec[..., axis] - k * kdotv
-    return irfft(out, vec.shape[lead], lead)
+    return irfft(out, vec.shape[0])
 
 
-def leray_spectrum(spec, lead: int = 0):
+def leray_spectrum(spec):
     """The Helmholtz projection P_H on the half spectrum of a vector array
     (component axis last), in place; the identity on spatial means."""
-    *ks, ksq = _tables(spec, lead, 1)
+    *ks, ksq = _tables(spec, 1)
     inv = safe_inv(ksq)
     kdotu = sum(ks[a] * spec[..., a] for a in range(3))
     for a in range(3):
@@ -149,10 +148,38 @@ def leray_spectrum(spec, lead: int = 0):
     return spec
 
 
-def leray(vec, lead: int = 0):
-    """Helmholtz projection of a vector array onto divergence-free fields,
+def leray(vec):
+    """Helmholtz projection of a vector slice onto divergence-free fields,
     the identity on spatial means."""
-    return irfft(leray_spectrum(rfft(vec, lead), lead), vec.shape[lead], lead)
+    return irfft(leray_spectrum(rfft(vec)), vec.shape[0])
+
+
+def frac_laplacian(arr, alpha: float):
+    """(-Laplace)^alpha of every component, for alpha > 0; the zero mode
+    is annihilated."""
+    return irfft(rfft(arr) * _tables(arr)[3] ** alpha, arr.shape[0])
+
+
+def inv_div_sym(vec):
+    """The symmetric traceless right inverse of the tensor divergence,
+    mode by mode: div R = vec and R = R^T with tr R = 0 on mean-free
+    slices; the zero mode is annihilated."""
+    *ks, ksq = _tables(vec, 1)
+    spec = rfft(vec)
+    inv = safe_inv(ksq)
+    kdotw = sum(ks[a] * spec[..., a] for a in range(3))
+    out = np.empty(spec.shape[:-1] + (3, 3), dtype=np.complex128)
+    half = 0.5j * inv * kdotw
+    for a in range(3):
+        for b in range(a, 3):
+            term = -1j * inv * (ks[a] * spec[..., b] + ks[b] * spec[..., a])
+            term = term + half * (ks[a] * ks[b] * inv)
+            if a == b:
+                term = term + half
+            out[..., a, b] = term
+            if a != b:
+                out[..., b, a] = term
+    return irfft(out, vec.shape[0])
 
 
 def real_planes(spec):
@@ -182,7 +209,7 @@ def div_spectrum(weights, table, out=None):
     if out is None:
         out = np.zeros(shape, dtype=coef.dtype)
     coef = coef.reshape(-1, k)
-    for b, kb in enumerate(wavenumbers(n, 0, 1)[:3]):
+    for b, kb in enumerate(wavenumbers(n, 1)[:3]):
         term = (coef @ (1j * table[..., b])).reshape(shape)
         term *= kb
         out += term

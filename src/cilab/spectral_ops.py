@@ -1,31 +1,38 @@
-"""Fourier multipliers on the spatial modes of Fields, built on cilab.spectral.
+"""Whole-field forms of the spatial Fourier multipliers of cilab.spectral.
 
-Every operator here is an exact multiplier in the discrete Fourier algebra,
-so compositions satisfy their operator identities (idempotence, right
-inverses, semigroup laws) to rounding error by construction. Spatial zero
-modes are handled explicitly: the Leray projector is the identity on means,
-the Biot-Savart law and the inverse divergences annihilate them, and
-callers that need mean-free inputs are validated rather than silently
-projected.
+Each operator here validates its input and maps a slice kernel of
+cilab.spectral over the time slices; the one multiplier built here is the
+4D divergence of the divergence-free gate, `_div_rel_defect`. Every kernel
+is an exact multiplier in the discrete Fourier algebra, so compositions
+satisfy their operator identities (idempotence, right inverses, semigroup
+laws) to rounding error by construction. Spatial zero modes are handled
+explicitly: the Leray projector is the identity on means, the Biot-Savart
+law and the inverse divergences annihilate them, and callers that need
+mean-free inputs are validated rather than silently projected.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
 from . import spectral
 from .checks import gate
-from .field import Field, to_spectral
-from .threads import map_slices
+from .field import SKEW_PAIRS, Field, _slicewise, expand, to_spectral
+
+
+def _require_vector(f: Field):
+    if f.rank != 1:
+        raise ValueError("expected a vector field")
 
 
 def _div_rel_defect(f: Field) -> float:
     """Relative size of div f measured against the gradient scale of f.
     Each component's 4D spectrum is scaled in place and summed into one
     accumulator, so two spectra are live at most."""
-    if f.rank != 1:
-        raise ValueError("expected a vector field")
-    *ks, ksq = spectral.wavenumbers(f.grid.n_x, lead=1)
+    _require_vector(f)
+    *ks, ksq = spectral.wavenumbers(f.grid.n_x)
     kmag = np.sqrt(ksq)
     div = None
     den = 0.0
@@ -47,12 +54,10 @@ def _div_rel_defect(f: Field) -> float:
     return num / den
 
 
-# -- slice kernels ---------------------------------------------------------------
+# -- whole-field forms -----------------------------------------------------------
 #
-# The projections act on each time slice alone. Their whole-field forms
-# below run one kernel per slice into a zeroed output and skip zero slices,
-# so no whole-field spectrum is built and idle slices are never touched;
-# verifiers that need a projection of one slice call the kernel directly.
+# field._slicewise builds no whole-field spectrum and never touches an idle
+# slice; verifiers that need one slice's projection call the kernel directly.
 
 def _mean_free3(slab: np.ndarray) -> np.ndarray:
     """One slice minus its spatial mean. The sum runs over x1, then x2,
@@ -65,19 +70,6 @@ def _mean_free3(slab: np.ndarray) -> np.ndarray:
     return slab - (total / slab.shape[0] ** 3).reshape(slab.shape[3:])
 
 
-def _slicewise(f: Field, kernel) -> Field:
-    # np.zeros, not zeros_like: the pages of slices never written stay
-    # unmapped (zeros_like writes every page)
-    out = np.zeros(f.data.shape)
-
-    def fill(j):
-        if f.data[j].any():
-            out[j] = kernel(f.data[j])
-
-    map_slices(fill, range(f.grid.n_t))
-    return Field(out, f.grid, _take=True)
-
-
 def p_neq0(f: Field) -> Field:
     """Remove the spatial mean of every time slice: the multiplier zeroing
     the spatial zero modes, applied without a transform."""
@@ -87,21 +79,8 @@ def p_neq0(f: Field) -> Field:
 def leray(f: Field) -> Field:
     """Helmholtz projection onto divergence-free fields, identity on means,
     by one 3D transform pair per nonzero slice."""
-    if f.rank != 1:
-        raise ValueError("expected a vector field")
+    _require_vector(f)
     return _slicewise(f, spectral.leray)
-
-
-# -- whole-field multipliers -----------------------------------------------------
-#
-# One 3D transform pair over the spatial axes of the whole field.
-
-def _multiply(f: Field, mult) -> Field:
-    """The multiplier mult(|k|^2), applied to every component of f."""
-    n = f.grid.n_x
-    ksq = spectral.wavenumbers(n, 1, f.rank)[3]
-    spec = spectral.rfft(f.data, 1) * mult(ksq)
-    return Field(spectral.irfft(spec, n, 1), f.grid, _take=True)
 
 
 def frac_laplacian(f: Field, alpha: float) -> Field:
@@ -110,13 +89,7 @@ def frac_laplacian(f: Field, alpha: float) -> Field:
         raise ValueError("alpha must be nonnegative")
     if alpha == 0:
         return f
-    return _multiply(f, lambda ksq: ksq ** alpha)
-
-
-def _vec_data(f: Field):
-    if f.rank != 1:
-        raise ValueError("expected a vector field")
-    return f.data
+    return _slicewise(f, lambda s: spectral.frac_laplacian(s, alpha))
 
 
 def inv_div_sym(f: Field, tol: float = 1e-10) -> Field:
@@ -127,23 +100,16 @@ def inv_div_sym(f: Field, tol: float = 1e-10) -> Field:
     """
     if not f.is_mean_free(tol):
         raise ValueError("inv_div_sym needs a mean-free input field")
-    n = f.grid.n_x
-    spec = spectral.rfft(_vec_data(f), 1)
-    *ks, ksq = spectral.wavenumbers(n, 1)
-    inv = spectral.safe_inv(ksq)
-    kdotw = sum(ks[a] * spec[..., a] for a in range(3))
-    out = np.empty(spec.shape[:-1] + (3, 3), dtype=np.complex128)
-    half = 0.5j * inv * kdotw
-    for a in range(3):
-        for b in range(a, 3):
-            term = -1j * inv * (ks[a] * spec[..., b] + ks[b] * spec[..., a])
-            term = term + half * (ks[a] * ks[b] * inv)
-            if a == b:
-                term = term + half
-            out[..., a, b] = term
-            if a != b:
-                out[..., b, a] = term
-    return Field(spectral.irfft(out, n, 1), f.grid, _take=True)
+    _require_vector(f)
+    return _slicewise(f, spectral.inv_div_sym, (3, 3))
+
+
+def _skew_potential(s):
+    """R_ij = eps_ijk c_k for c = curl (-Laplace)^-1 of one vector slice:
+    the compact (R_01, R_02, R_12) is (c_2, -c_1, c_0)."""
+    c = spectral.curl(s, inverse_laplacian=True)
+    return expand(np.stack([c[..., 2], -c[..., 1], c[..., 0]], axis=-1),
+                  SKEW_PAIRS, -1)
 
 
 def inv_div_skew(f: Field, tol: float = 1e-8) -> Field:
@@ -157,16 +123,7 @@ def inv_div_skew(f: Field, tol: float = 1e-8) -> Field:
     gate({"divergence": _div_rel_defect(f)},
          [("divergence", "inv_div_skew needs a divergence-free input: "
            "relative defect", tol)], ValueError)
-    c = spectral.curl(f.data, 1, inverse_laplacian=True)
-    out = np.zeros(c.shape + (3,))
-    # R_ij = eps_ijk c_k
-    out[..., 0, 1] = c[..., 2]
-    out[..., 1, 0] = -c[..., 2]
-    out[..., 1, 2] = c[..., 0]
-    out[..., 2, 1] = -c[..., 0]
-    out[..., 2, 0] = c[..., 1]
-    out[..., 0, 2] = -c[..., 1]
-    return Field(out, f.grid, _take=True)
+    return _slicewise(f, _skew_potential, (3, 3))
 
 
 def biot_savart(b: Field, tol: float = 1e-10) -> Field:
@@ -178,5 +135,6 @@ def biot_savart(b: Field, tol: float = 1e-10) -> Field:
     """
     if not b.is_mean_free(tol):
         raise ValueError("biot_savart needs a mean-free input field")
-    return Field(spectral.curl(_vec_data(b), 1, inverse_laplacian=True),
-                 b.grid, _take=True)
+    _require_vector(b)
+    return _slicewise(b, functools.partial(spectral.curl,
+                                           inverse_laplacian=True))

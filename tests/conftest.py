@@ -44,6 +44,7 @@ def random_divfree(grid, rng, k_max=4):
     from cilab import spectral
     from cilab.field import Field
     from cilab.spectral_ops import p_neq0
+    from oracles import per_slice
 
     f = p_neq0(random_field(grid, rng, rank=1, k_max=k_max))
-    return Field(spectral.curl(f.data, 1), grid, _take=True)
+    return Field(per_slice(spectral.curl, f.data), grid, _take=True)

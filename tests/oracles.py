@@ -31,7 +31,7 @@ def spectral_derivative(f: Field, m: int = 0, zeta=(0, 0, 0)) -> Field:
     time-Nyquist multiplier (k_t = -n_t/2 in storage order) is zero, as in
     `ddt`: cos(n_t t / 2) is its own alias and has no resolved slope."""
     kt = spectral.time_wavenumbers(f.grid.n_t, f.rank)
-    k1, k2, k3, _ = spectral.wavenumbers(f.grid.n_x, 1, f.rank)
+    k1, k2, k3, _ = spectral.wavenumbers(f.grid.n_x, f.rank)
     if m % 2:
         kt = np.where(kt == -(f.grid.n_t // 2), 0.0, kt)
     factors = ((kt, m), (k1, zeta[0]), (k2, zeta[1]), (k3, zeta[2]))
@@ -41,6 +41,12 @@ def spectral_derivative(f: Field, m: int = 0, zeta=(0, 0, 0)) -> Field:
             mult = mult * (1j * k) ** power
     spec = to_spectral(f.data, f.grid) * mult
     return Field(to_physical(spec, f.grid), f.grid, _take=True)
+
+
+def per_slice(kernel, data, *args, **kwargs):
+    """A slice kernel of cilab.spectral run on each time slice of a
+    whole-field array and stacked."""
+    return np.stack([kernel(s, *args, **kwargs) for s in data])
 
 
 # -- blocks -------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from cilab import spectral
 from cilab.field import (
-    Field, ddt, div_tensor, dot, grad, outer, to_physical, to_spectral,
+    Field, _outer, ddt, div_tensor, dot, grad, to_physical, to_spectral,
 )
 from cilab.grid import Grid4, GridResolutionError
 from cilab.mollify import (
@@ -19,7 +19,7 @@ from cilab.profiles import fit_loglog
 from cilab.spectral_ops import frac_laplacian
 
 from conftest import random_divfree, random_field
-from oracles import spatial_kernel, temporal_kernel
+from oracles import per_slice, spatial_kernel, temporal_kernel
 
 E2 = np.array([0.0, 1.0, 0.0])
 
@@ -144,7 +144,7 @@ class TestMollify:
 
     def test_divergence_free_preserved(self, grid):
         u = random_divfree(grid, np.random.default_rng(5))
-        assert np.abs(spectral.div(mollify(u, 0.9).data, lead=1)).max() < 1e-10
+        assert np.abs(per_slice(spectral.div, mollify(u, 0.9).data)).max() < 1e-10
 
     @settings(max_examples=8, deadline=None)
     @given(seed=st.integers(0, 2 ** 31 - 1))
@@ -238,7 +238,7 @@ class TestCommutatorStresses:
         amp, ell = 1.3, 0.9
         x1 = grid.axes()[1][0, :, 0, 0]
         f = x_profile_field(grid, amp * np.sin(x1), E2)
-        zero = Field.zeros(grid, rank=1)
+        zero = Field(np.zeros(grid.shape + (3,)), grid)
         mol = Mollifier(ell)
         if magnetic:
             r_u, r_b = commutator_stresses(zero, f, zero, mol.apply(f), ell)
@@ -269,7 +269,7 @@ class TestCommutatorStresses:
         phases = np.pi * 0.5 * (np.sqrt(5.0) - 1.0) * n * n
         tau = (np.cos(np.multiply.outer(t, n) + phases) / n).sum(axis=1)
         u = t_profile_field(g, tau, E2)
-        zero = Field.zeros(g, rank=1)
+        zero = Field(np.zeros(g.shape + (3,)), g)
         sweep = np.geomspace(0.8, 1.5, 5)
         sup_sizes, l1_sizes, oracles = [], [], []
         for ell in sweep:
@@ -291,7 +291,7 @@ class TestCommutatorStresses:
 class TestMollifiedPressure:
     def test_zero_velocity_reduces_to_mollified_pressure(self, grid):
         p = random_field(grid, np.random.default_rng(2), 0, mean_free=True)
-        zero = Field.zeros(grid, rank=1)
+        zero = Field(np.zeros(grid.shape + (3,)), grid)
         got = mollified_pressure(p, zero, zero, zero, zero, 0.9)
         assert (got - mollify(p, 0.9)).max_abs() < 1e-13
 
@@ -299,7 +299,7 @@ class TestMollifiedPressure:
         p = random_field(grid, np.random.default_rng(4), 0, mean_free=True)
         u = Field(np.broadcast_to(np.array([1.0, 2.0, -0.5]),
                                   grid.shape + (3,)).copy(), grid)
-        zero = Field.zeros(grid, rank=1)
+        zero = Field(np.zeros(grid.shape + (3,)), grid)
         got = mollified_pressure(p, u, zero, mollify(u, 0.9), zero, 0.9)
         assert (got - mollify(p, 0.9)).max_abs() < 1e-13
 
@@ -331,11 +331,14 @@ class TestMollifiedSystemClosure:
 
     def momentum(self, u, b, p, alpha):
         return (ddt(u) + self.NU * frac_laplacian(u, alpha)
-                + div_tensor(outer(u, u) - outer(b, b)) + grad(p))
+                + div_tensor(Field(_outer(u.data, u.data)
+                                   - _outer(b.data, b.data), u.grid))
+                + grad(p))
 
     def induction(self, u, b, alpha):
         return (ddt(b) + self.ETA * frac_laplacian(b, alpha)
-                + div_tensor(outer(b, u) - outer(u, b)))
+                + div_tensor(Field(_outer(b.data, u.data)
+                                   - _outer(u.data, b.data), u.grid)))
 
     @pytest.mark.parametrize("alpha", [1.0, 0.8])
     def test_momentum_closure(self, closure_fields, alpha):

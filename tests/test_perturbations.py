@@ -24,10 +24,13 @@ from cilab.field import (
 from cilab.geometry import ConstructionError, build_geometry
 from cilab.grid import Grid4
 from cilab.profiles import BumpTrain, make_spatial_profiles, make_temporal
-from cilab.spectral_ops import leray
+from cilab.spectral_ops import (
+    _mean_free3, biot_savart, frac_laplacian, inv_div_skew, inv_div_sym,
+    leray, p_neq0,
+)
 
-from conftest import random_field
-from oracles import replaced, spectral_derivative
+from conftest import random_divfree, random_field
+from oracles import per_slice, replaced, spectral_derivative
 from test_amplitudes import stress_pair
 from test_spectral_ops import traced_peak
 
@@ -766,7 +769,7 @@ class TestNonFiniteParts:
         name = ("w_p", "d_o")[s]
         broken = dict(parts, **{name: _with_nan(parts[name],
                                                 self._slice(built))})
-        state = Field.zeros(amps.grid, rank=1)
+        state = Field(np.zeros(amps.grid.shape + (3,)), amps.grid)
         with pytest.raises(pt.CorrectorIdentityError,
                            match=f"^{side} perturbation .* defect nan"):
             pt.assemble_iterate(state, state, pt.Perturbation(**broken), amps,
@@ -851,7 +854,7 @@ def _whole_step(geom, temporal):
     """Parts, reports with every gate open, and the outcome of every check
     at its default tolerance, for the fixture's inputs."""
     amps, blocks, g, h, sigma, parts = _build(geom, temporal)
-    state = Field.zeros(amps.grid, rank=1)
+    state = Field(np.zeros(amps.grid.shape + (3,)), amps.grid)
     checks = {
         "cancellation": (verify_cancellation, amps, blocks, temporal),
         "divfree": (pt.verify_divfree_representation, amps, blocks, g,
@@ -912,51 +915,68 @@ class TestSlicePool:
 # -- operators ---------------------------------------------------------------------
 
 class TestOperators:
-    @pytest.mark.parametrize("lead", [0, 1])
-    def test_batched_slice_helpers_match_per_component(self, lead):
-        # a whole-field array (lead=1, three slices here) must equal the
-        # slice kernel stacked over its slices
+    def test_slice_kernels_match_per_component(self):
+        # each slice kernel of cilab.spectral on one slice against the
+        # per-component references
         rng = np.random.default_rng(5)
         n = 16
-        slices = 3 if lead else 1
 
-        def check(kernel, arr, want, *args, **kw):
-            got = kernel(arr, *args, lead=lead, **kw)
-            if lead:
-                stacked = np.stack([kernel(a, *args, **kw) for a in arr])
-                assert rel_max(got, stacked) <= 1e-14
-                got = stacked
-            if want is not None:
-                assert rel_max(got, want) <= 1e-13
+        def check(kernel, arr, want, *args):
+            assert rel_max(kernel(arr, *args), want) <= 1e-13
 
-        def per_slice(ref, arr):
-            if not lead:
-                return ref(arr)
-            return np.stack([ref(a) for a in arr])
+        def per_pair(ref, arr):
+            return np.stack([ref(arr[..., s, :]) for s in range(2)], axis=-2)
 
-        shape = (slices,) * lead + (n, n, n)
-        amp = rng.normal(size=shape + (6,))
-        grads = per_slice(ref_grad3, amp)
+        amp = rng.normal(size=(n, n, n, 6))
+        grads = ref_grad3(amp)
         check(spectral.directional, amp, grads, np.eye(3)[:, None])
         frames = rng.normal(size=(2, 6, 3))
         want = np.stack([(grads * rows).sum(axis=-1) for rows in frames],
                         axis=-1)
         check(spectral.directional, amp, want, frames)
-        tens = rng.normal(size=shape + (2, 3, 3))
-        want = per_slice(lambda t: np.stack(
-            [np.stack([ref_div3(t[..., s, i, :])[0] for i in range(3)],
-                      axis=-1) for s in range(2)], axis=-2), tens)
+        tens = rng.normal(size=(n, n, n, 2, 3, 3))
+        want = np.stack([np.stack([ref_div3(tens[..., s, i, :])[0]
+                                   for i in range(3)], axis=-1)
+                         for s in range(2)], axis=-2)
         check(spectral.div, tens, want)
-        check(lambda a, lead=0: spectral.div_terms(a, lead).sum(axis=-1),
-              tens, want)
+        check(lambda a: spectral.div_terms(a).sum(axis=-1), tens, want)
         vec = tens[..., 0]
-        want = per_slice(lambda v: np.stack(
-            [ref_curl3(v[..., s, :]) for s in range(2)], axis=-2), vec)
-        check(spectral.curl, vec, want)
-        check(spectral.curl, vec, None, inverse_laplacian=True)
-        check(spectral.curl_curl, vec, per_slice(lambda v: np.stack(
-            [ref_curl_curl3(v[..., s, :]) for s in range(2)], axis=-2), vec))
-        check(spectral.leray, vec[..., 0, :], None)
+        check(spectral.curl, vec, per_pair(ref_curl3, vec))
+        check(spectral.curl_curl, vec, per_pair(ref_curl_curl3, vec))
+
+    def test_whole_field_forms_stack_their_slice_kernels(self, small_grid):
+        # each whole-field form is its slice kernel run on every time slice
+        # and stacked, bitwise
+        rng = np.random.default_rng(5)
+        scalar = random_field(small_grid, rng)
+        vec = random_field(small_grid, rng, rank=1)
+        tens = random_field(small_grid, rng, rank=2)
+        mean_free = p_neq0(vec)
+        divfree = random_divfree(small_grid, rng)
+        eye = np.eye(3)[:, None]
+        potential = per_slice(spectral.curl, divfree.data,
+                              inverse_laplacian=True)
+        levi_civita = np.zeros((3, 3, 3))
+        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            levi_civita[i, j, k], levi_civita[j, i, k] = 1.0, -1.0
+        pairs = (
+            (grad(scalar), per_slice(spectral.directional,
+                                     scalar.data[..., None], eye)[..., 0, :]),
+            (grad(vec), per_slice(spectral.directional, vec.data, eye)),
+            (div_tensor(tens), per_slice(spectral.div, tens.data)),
+            (leray(vec), per_slice(spectral.leray, vec.data)),
+            (mean_free, per_slice(_mean_free3, vec.data)),
+            (frac_laplacian(vec, 0.6),
+             per_slice(spectral.frac_laplacian, vec.data, 0.6)),
+            (inv_div_sym(mean_free),
+             per_slice(spectral.inv_div_sym, mean_free.data)),
+            (inv_div_skew(divfree),
+             np.einsum("ijk,...k->...ij", levi_civita, potential)),
+            (biot_savart(mean_free), per_slice(
+                spectral.curl, mean_free.data, inverse_laplacian=True)),
+        )
+        for whole, stacked in pairs:
+            assert np.array_equal(whole.data, stacked)
 
     def test_field_calculus_matches_per_component(self, small_grid):
         rng = np.random.default_rng(9)
@@ -971,7 +991,7 @@ class TestOperators:
         want = np.stack([d(u.data, a) for a in range(3)], axis=-1)
         assert rel_max(grad(u).data, want) <= 1e-13
         want = sum(d(u.data[..., a], a) for a in range(3))
-        assert rel_max(spectral.div(u.data, lead=1), want) <= 1e-13
+        assert rel_max(per_slice(spectral.div, u.data), want) <= 1e-13
         want = np.stack([sum(d(r.data[..., i, a], a) for a in range(3))
                          for i in range(3)], axis=-1)
         assert rel_max(div_tensor(r).data, want) <= 1e-13
