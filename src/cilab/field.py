@@ -98,9 +98,13 @@ class Field:
         return np.sqrt((self.data ** 2).sum(axis=axes))
 
     def max_abs(self) -> float:
-        """max |data| without a full-size temporary; abs maps a -0.0
-        maximum to 0.0 and leaves NaN alone."""
-        return abs(float(np.maximum(self.data.max(), -self.data.min())))
+        return peak_abs(self.data)
+
+
+def peak_abs(data) -> float:
+    """max |data| without a full-size temporary; abs maps a -0.0 maximum
+    to 0.0 and leaves NaN alone."""
+    return abs(float(np.maximum(data.max(), -data.min())))
 
 
 # -- spectral transforms -----------------------------------------------------
@@ -193,30 +197,7 @@ def div_tensor(f: Field) -> Field:
     return _slicewise(f, spectral.div, (3,))
 
 
-# -- pointwise tensor algebra -------------------------------------------------
-
-# The array kernels act on the trailing axes of any array, so a time slice
-# and a whole field give the same values point by point.
-
-def _outer(u, v):
-    return u[..., :, None] * v[..., None, :]
-
-
-def _sym(t):
-    return 0.5 * (t + np.swapaxes(t, -1, -2))
-
-
-def _skew(t):
-    return 0.5 * (t - np.swapaxes(t, -1, -2))
-
-
-def _traceless(t):
-    tr = np.trace(t, axis1=-2, axis2=-1) / 3.0
-    out = t.copy()
-    for i in range(3):
-        out[..., i, i] -= tr
-    return out
-
+# -- compact tensors ---------------------------------------------------------
 
 # (rows, columns) of the independent components of a symmetric and of a
 # skew 3x3 tensor; a compact array holds them on its last axis
@@ -231,15 +212,19 @@ def frobenius_weights(pairs) -> np.ndarray:
     return np.where(np.equal(*pairs), 1.0, 2.0)
 
 
-def expand(compact, pairs, sign):
+def expand(compact, pairs, sign, out=None):
     """The 3x3 tensors whose independent components, at (rows, columns)
     `pairs`, are the last axis of compact; the mirrored entries are sign
-    (1 symmetric, -1 skew) times them, and the rest are zero."""
-    rows, cols = pairs
-    full = np.zeros(compact.shape[:-1] + (3, 3))
-    full[..., rows, cols] = compact
-    full[..., cols, rows] = sign * compact
-    return full
+    (1 symmetric, -1 skew) times them. Written pair by pair into out, or
+    into a new zeroed array; entries off the pairs and their mirrors keep
+    what out holds."""
+    if out is None:
+        out = np.zeros(compact.shape[:-1] + (3, 3))
+    for p, (r, c) in enumerate(zip(*pairs)):
+        out[..., r, c] = compact[..., p]
+        if r != c:
+            np.multiply(compact[..., p], sign, out=out[..., c, r])
+    return out
 
 
 def dot(u: Field, v: Field) -> Field:

@@ -29,8 +29,8 @@ import numpy as np
 from . import spectral
 from .checks import gate
 from .field import (
-    SKEW_PAIRS, SYM_PAIRS, Field, _outer, _skew, _sym, _traceless, dot,
-    expand, to_physical, to_spectral,
+    SKEW_PAIRS, SYM_PAIRS, Field, dot, expand, peak_abs, to_physical,
+    to_spectral,
 )
 from .grid import Grid4, GridResolutionError, TWO_PI
 from .profiles import _bump, bump_integral
@@ -109,48 +109,73 @@ def mollify(f: Field, ell: float) -> Field:
 
 
 def _check_mollified(name: str, given: Field, source: Field, mol: Mollifier):
-    want = mol.apply(source)
-    scale = max(want.max_abs(), 1e-300)
-    gate({name: (given - want).max_abs() / scale},
+    want = mol._smooth(source.data, source.grid)
+    scale = max(peak_abs(want), 1e-300)
+    defect = peak_abs(np.subtract(given.data, want, out=want))
+    gate({name: defect / scale},
          [(name, f"{name} does not equal the scale-{mol.ell:g} mollification "
            "of its source: relative defect", 1e-8)], ValueError)
 
 
-def _sym_quad(u, b):
-    return _traceless(_outer(u, u) - _outer(b, b))
+# positions of the diagonal entries among the SYM_PAIRS components
+_SYM_DIAG = tuple(p for p, (r, c) in enumerate(zip(*SYM_PAIRS)) if r == c)
 
 
-def _skew_quad(u, b):
-    return _outer(b, u) - _outer(u, b)
+def _drop_trace(t):
+    """The compact symmetric t less a third of its trace on the diagonal,
+    the trace summed in diagonal order."""
+    out = t.copy()
+    tr = (t[..., _SYM_DIAG[0]] + t[..., _SYM_DIAG[1]]
+          + t[..., _SYM_DIAG[2]]) / 3.0
+    for p in _SYM_DIAG:
+        out[..., p] -= tr
+    return out
 
 
-def _commutator(mol, quad, pairs, sign, project, label, state_q, state_l,
+def _sym_flux(u, b):
+    """The traceless part of u (x) u - b (x) b on its SYM_PAIRS components."""
+    rows, cols = SYM_PAIRS
+    return _drop_trace(u[..., rows] * u[..., cols]
+                       - b[..., rows] * b[..., cols])
+
+
+def _skew_flux(u, b):
+    """b (x) u - u (x) b on its SKEW_PAIRS components."""
+    rows, cols = SKEW_PAIRS
+    return b[..., rows] * u[..., cols] - u[..., rows] * b[..., cols]
+
+
+def _commutator(mol, flux, pairs, sign, project, label, state_q, state_l,
                 scale, tol=1e-12):
-    """project(quad(state_l) - mollified quad(state_q)), slice by slice.
+    """project(flux(state_l) - mollified flux(state_q)), slice by slice.
 
-    quad(state_q) is exactly symmetric (sign 1) or exactly skew (sign -1):
-    IEEE products commute and negation is exact. So only its independent
-    components, at (rows, columns) `pairs`, are mollified and the rest are
-    mirrored, which gives the values mollifying all nine would. The class
-    projection's defect is checked against tol times the quadratic input
-    size scale: a commutator that is pure rounding noise must still pass."""
+    The full quadratic flux is exactly symmetric (sign 1) or exactly skew
+    (sign -1): IEEE products commute and negation is exact. So flux gives
+    only its independent components, at (rows, columns) `pairs`, and the
+    lift, the mollification, the subtraction and the class projection all
+    act on those; the symmetric part of a symmetric tensor is itself, so
+    project only takes the trace off (sym) or is the identity (skew). This
+    gives the values the full 3x3 algebra would, and each output slice is
+    written once per pair by field.expand. The projection's defect is
+    checked against tol times the quadratic input size scale: a commutator
+    that is pure rounding noise must still pass."""
     grid = state_q[0].grid
-    rows, cols = pairs
-    lifted = np.empty(grid.shape + (len(rows),))
+    lifted = np.empty(grid.shape + (len(pairs[0]),))
 
     def lift(j):
-        lifted[j] = quad(*(f.data[j] for f in state_q))[..., rows, cols]
+        lifted[j] = flux(*(f.data[j] for f in state_q))
 
     map_slices(lift, range(grid.n_t))
     base = mol._smooth(lifted, grid)
     del lifted
-    out = np.empty(grid.shape + (3, 3))
+    out = np.zeros(grid.shape + (3, 3))
 
     def subtract(j):
-        flux = (quad(*(f.data[j] for f in state_l))
-                - expand(base[j], pairs, sign))
-        out[j] = project(flux)
-        return float(np.abs(flux - out[j]).max())
+        given = flux(*(f.data[j] for f in state_l))
+        given -= base[j]
+        projected = project(given)
+        expand(projected, pairs, sign, out=out[j])
+        return float(np.abs(given - projected).max())
 
     defect = float(np.max(map_slices(subtract, range(grid.n_t))))
     gate({"defect": defect / scale},
@@ -171,10 +196,9 @@ def commutator_stresses(u_q: Field, B_q: Field, u_l: Field, B_l: Field,
     _check_mollified("u_l", u_l, u_q, mol)
     _check_mollified("B_l", B_l, B_q, mol)
     qscale = max(u_q.max_abs(), B_q.max_abs(), 1e-150) ** 2
-    r_u = _commutator(mol, _sym_quad, SYM_PAIRS, 1.0,
-                      lambda t: _traceless(_sym(t)), "symmetric traceless",
-                      (u_q, B_q), (u_l, B_l), qscale)
-    r_b = _commutator(mol, _skew_quad, SKEW_PAIRS, -1.0, _skew, "skew",
+    r_u = _commutator(mol, _sym_flux, SYM_PAIRS, 1.0, _drop_trace,
+                      "symmetric traceless", (u_q, B_q), (u_l, B_l), qscale)
+    r_b = _commutator(mol, _skew_flux, SKEW_PAIRS, -1.0, lambda t: t, "skew",
                       (u_q, B_q), (u_l, B_l), qscale)
     return r_u, r_b
 

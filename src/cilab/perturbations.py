@@ -484,11 +484,15 @@ def verify_temporal_balance(amps, blocks, g, mu: float, w_t, d_t,
     k2, so the gradient transfer P grad a^2 needs only the derivatives of
     a^2 along k1 and k2.
 
-    Per side it holds two whole vector fields, the ones a time derivative
-    reads: acc, the transport charge, and drift, the gradient transfer with
-    the profile drift. The oscillation transport g^2 div sum_k a_k^2 P_k
-    goes through no time derivative, so the residual pass forms it slice
-    by slice, for both sides at once, and never stores it."""
+    The sides are checked one after the other, velocity first: sweep, pull
+    and residual pass of one side, then of the next. A side holds two whole
+    vector fields, the ones a time derivative reads: acc, the transport
+    charge, and drift, the gradient transfer with the profile drift. The
+    oscillation transport g^2 div sum_k a_k^2 P_k goes through no time
+    derivative, so the residual pass forms it slice by slice and never
+    stores it. The magnetic side skips the velocity family, whose magnetic
+    tables are zero, and re-transforms the magnetic family's squares; the
+    amplitude tail is taken on the velocity side's sweep."""
     grid = amps.grid
     n = grid.n_x
     g = _as_samples(g, grid, "oscillation profile g")
@@ -502,85 +506,103 @@ def verify_temporal_balance(amps, blocks, g, mu: float, w_t, d_t,
             :, :len(ks)].reshape(-1, 6)
         families.append((family, sets, pair, dirs, flow_products(dirs), ks,
                          transfer))
-    acc, drift = _side_fields(grid), _side_fields(grid)
-
-    def sweep(j):
-        if g[j] == 0.0:
-            return []
-        tails = []
-        g2 = g[j] ** 2
-        for (_, sets, pair, dirs, _, ks, transfer,
-             a2) in _active(amps, families, j):
-            tails.append(("amplitude_tail", spectral.tail(a2.sum(axis=-1))))
-            env2 = envelope_stack(sets, pair, j) ** 2
-            derivs = spectral.directional(a2, ks).reshape(len(env2), len(sets), -1)
-            weight = a2.reshape(-1, len(sets)) * env2
-            _add_sides(acc, j, _sides(g2 * (weight @ dirs), n))
-            _add_sides(drift, j, _sides(g2 * ((env2[:, :, None] * derivs)
-                                              .reshape(len(env2), -1)
-                                              @ transfer), n))
-        return tails
-
-    report = fold_maxima({"amplitude_tail": 0.0},
-                          map_slices(sweep, range(grid.n_t)))
-    # profile drift, time-derivative half: - mu^{-1} envelope^2 k d_t(a^2 g^2)
     g2_all = g ** 2
-    for family, sets, pair, dirs, _, ks, _ in families:
-        for i, bs in enumerate(sets):
-            q = np.empty(grid.shape)
+    report = {"amplitude_tail": 0.0}
+    for s, (side, part) in enumerate((("velocity", w_t), ("magnetic", d_t))):
+        # the families this side carries, with its columns of their tables
+        cols = slice(3 * s, 3 * s + 3)
+        carried = [(family, sets, pair, np.ascontiguousarray(dirs[:, cols]),
+                    np.ascontiguousarray(products[:, cols]), ks,
+                    np.ascontiguousarray(transfer[:, cols]))
+                   for family, sets, pair, dirs, products, ks, transfer
+                   in families if s < len(ks)]
+        acc, drift = np.zeros(grid.shape + (3,)), np.zeros(grid.shape + (3,))
 
-            def fill(j):
-                q[j] = g2_all[j] * amps.squared_component_slice(family, i, j)
+        def terms(j, g2, sets, pair, dirs, ks, transfer, a2):
+            """One family's transport charge and gradient transfer on slice
+            j, as (n, n, n, 3) each. The products are taken in place, and
+            the derivatives die on return, before the next family's."""
+            derivs = spectral.directional(a2, ks).reshape(n ** 3, len(sets),
+                                                          -1)
+            env2 = envelope_stack(sets, pair, j) ** 2
+            derivs *= env2[:, :, None]
+            gradient = g2 * (derivs.reshape(n ** 3, -1) @ transfer)
+            del derivs
+            env2 *= a2.reshape(-1, len(sets))
+            return ((g2 * (env2 @ dirs)).reshape(n, n, n, 3),
+                    gradient.reshape(n, n, n, 3))
 
-            map_slices(fill, range(grid.n_t))
-            dq = ddt(Field(q, grid, _take=True)).data
+        def sweep(j):
+            if g[j] == 0.0:
+                return []
+            tails = []
+            for (_, sets, pair, dirs, _, ks, transfer,
+                 a2) in _active(amps, carried, j):
+                if s == 0:
+                    tails.append(("amplitude_tail",
+                                  spectral.tail(a2.sum(axis=-1))))
+                charge, gradient = terms(j, g[j] ** 2, sets, pair, dirs, ks,
+                                         transfer, a2)
+                acc[j] += charge
+                drift[j] += gradient
+            return tails
 
-            def pull(j):
-                pulled = (envelope_stack([bs], pair, j) ** 2
-                          * dq[j].reshape(-1, 1) / mu)
-                for s, k in enumerate(ks):
-                    drift[s][j] -= (pulled * k[i]).reshape(n, n, n, 3)
+        fold_maxima(report, map_slices(sweep, range(grid.n_t)))
+        # profile drift, time-derivative half:
+        # - mu^{-1} envelope^2 k d_t(a^2 g^2)
+        for family, sets, pair, _, _, ks, _ in carried:
+            for i, bs in enumerate(sets):
+                q = np.empty(grid.shape)
 
-            map_slices(pull, range(grid.n_t))
+                def fill(j):
+                    q[j] = g2_all[j] * amps.squared_component_slice(family,
+                                                                    i, j)
 
-    def oscillation(j):
-        """The oscillation transport on slice j, (2, n, n, n, 3), or None
-        where g or every cutoff vanishes."""
-        spec = None
-        if g[j] != 0.0:
-            for (_, sets, pair, _, products, _, _,
-                 a2) in _active(amps, families, j):
-                weight = (a2.reshape(-1, len(sets))
-                          * envelope_stack(sets, pair, j) ** 2)
-                spec = spectral.div_spectrum(weight.reshape(n, n, n, -1),
-                                             products, spec)
-        if spec is None:
-            return None
-        out = spectral.irfft(spec.reshape(spec.shape[:3] + (2, 3)), n)
-        out *= g[j] ** 2
-        return np.moveaxis(out, 3, 0)
+                map_slices(fill, range(grid.n_t))
+                dq = ddt(Field(q, grid, _take=True)).data
+                q = None
 
-    def residual(j):
-        osc = oscillation(j)
-        peaks = []
-        for s, part in enumerate((w_t, d_t)):
+                def pull(j):
+                    pulled = (envelope_stack([bs], pair, j) ** 2
+                              * dq[j].reshape(-1, 1) / mu)
+                    drift[j] -= (pulled * ks[s][i]).reshape(n, n, n, 3)
+
+                map_slices(pull, range(grid.n_t))
+                dq = None
+
+        def oscillation(j):
+            """The side's oscillation transport on slice j, (n, n, n, 3),
+            or None where g or every cutoff vanishes."""
+            spec = None
+            if g[j] != 0.0:
+                for (_, sets, pair, _, products, _, _,
+                     a2) in _active(amps, carried, j):
+                    weight = (a2.reshape(-1, len(sets))
+                              * envelope_stack(sets, pair, j) ** 2)
+                    spec = spectral.div_spectrum(weight.reshape(n, n, n, -1),
+                                                 products, spec)
+            if spec is None:
+                return None
+            out = spectral.irfft(spec, n)
+            out *= g[j] ** 2
+            return out
+
+        def residual(j):
+            osc = oscillation(j)
             evolution = ddt_slice(part.data, j)
-            charge = _mean_free3(ddt_slice(acc[s], j))
+            charge = _mean_free3(ddt_slice(acc, j))
             pressure = (charge - spectral.leray(charge)) * (1.0 / mu)
             transport = (np.zeros(evolution.shape) if osc is None
-                         else _mean_free3(osc[s]))
-            transfer = _mean_free3(drift[s][j])
-            peaks.append(_abs_maxima(evolution + transport - pressure
-                                     - transfer, evolution, transport,
-                                     pressure, transfer))
-        return peaks
+                         else _mean_free3(osc))
+            transfer = _mean_free3(drift[j])
+            return _abs_maxima(evolution + transport - pressure - transfer,
+                               evolution, transport, pressure, transfer)
 
-    peaks = np.max(map_slices(residual, range(grid.n_t)), axis=0,
-                   initial=0.0)
-    acc = drift = None
-    for side, side_peaks in zip(("velocity", "magnetic"), peaks):
+        peaks = np.max(map_slices(residual, range(grid.n_t)), axis=0,
+                       initial=0.0)
+        acc = drift = None
         report[f"{side}_temporal_balance"] = float(
-            side_peaks[0] / max(*side_peaks[1:], amps.delta_next))
+            peaks[0] / max(*peaks[1:], amps.delta_next))
     return _gate(report,
                  (("velocity_temporal_balance",
                    "velocity temporal corrector balance residual"),

@@ -90,6 +90,7 @@ def directional(arr, dirs):
     for d, rows in enumerate(dirs):
         np.multiply(spec, 1j * (k1 * rows[:, 0] + k2 * rows[:, 1]
                                 + k3 * rows[:, 2]), out=out[..., d])
+    del spec
     return irfft(out, arr.shape[0])
 
 

@@ -20,7 +20,7 @@ from cilab.field import (
 )
 from cilab.geometry import ConstructionError
 from cilab.grid import TWO_PI, GridResolutionError
-from cilab.mollify import _T_SHAPE, _unit_mass
+from cilab.mollify import _T_SHAPE, Mollifier, _unit_mass
 from cilab.profiles import _bump, _circle_nodes, rescaled
 
 
@@ -41,6 +41,26 @@ def spectral_derivative(f: Field, m: int = 0, zeta=(0, 0, 0)) -> Field:
             mult = mult * (1j * k) ** power
     spec = to_spectral(f.data, f.grid) * mult
     return Field(to_physical(spec, f.grid), f.grid, _take=True)
+
+
+def _outer(u, v):
+    return u[..., :, None] * v[..., None, :]
+
+
+def _sym(t):
+    return 0.5 * (t + np.swapaxes(t, -1, -2))
+
+
+def _skew(t):
+    return 0.5 * (t - np.swapaxes(t, -1, -2))
+
+
+def _traceless(t):
+    tr = np.trace(t, axis1=-2, axis2=-1) / 3.0
+    out = t.copy()
+    for i in range(3):
+        out[..., i, i] -= tr
+    return out
 
 
 def per_slice(kernel, data, *args, **kwargs):
@@ -409,6 +429,31 @@ def temporal_kernel(mol, t):
     h = _T_SHAPE * mol.ell
     s = np.mod(t + np.pi, TWO_PI) - np.pi
     return _bump((s - h) / h, 1) / (h * _unit_mass())
+
+
+def _sym_quad(u, b):
+    return _traceless(_outer(u, u) - _outer(b, b))
+
+
+def _skew_quad(u, b):
+    return _outer(b, u) - _outer(u, b)
+
+
+def commutator_reference(u_q, B_q, u_l, B_l, ell):
+    """commutator_stresses in the full 3x3 algebra, on whole fields: all
+    nine components of each quadratic flux are mollified, and the class
+    projection acts on the full tensor. Returns the symmetric traceless
+    and the skew commutator arrays and the max |flux - projection| of each,
+    the defect the live code gates."""
+    mol = Mollifier(ell)
+    out = []
+    for quad, project in ((_sym_quad, lambda t: _traceless(_sym(t))),
+                          (_skew_quad, _skew)):
+        flux = (quad(u_l.data, B_l.data)
+                - mol._smooth(quad(u_q.data, B_q.data), u_q.grid))
+        projected = project(flux)
+        out += [projected, float(np.abs(flux - projected).max())]
+    return tuple(out)
 
 
 # -- profiles -----------------------------------------------------------------

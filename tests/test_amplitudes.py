@@ -18,17 +18,15 @@ from cilab.amplitudes import (
     dilate_support, slice_support, temporal_cutoff, verify_cancellation,
 )
 from cilab.blocks import BlockParams, sample_blocks
-from cilab.field import (
-    SKEW_PAIRS, SYM_PAIRS, Field, _skew, _sym, _traceless, frobenius_weights,
-)
+from cilab.field import SKEW_PAIRS, SYM_PAIRS, Field, frobenius_weights
 from cilab.geometry import ConstructionError, build_geometry
 from cilab.grid import TWO_PI, Grid4
 from cilab.profiles import BumpTrain, make_spatial_profiles, make_temporal
 
 from conftest import random_field
 from oracles import (
-    amplitude, g_b_slice, l2_report, replaced, skew_generator, stress_slice,
-    sym_generator,
+    _skew, _sym, _traceless, amplitude, g_b_slice, l2_report, replaced,
+    skew_generator, stress_slice, sym_generator,
 )
 from test_spectral_ops import traced_peak
 

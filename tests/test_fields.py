@@ -5,14 +5,15 @@ import pytest
 
 from cilab import spectral
 from cilab.field import (
-    SKEW_PAIRS, SYM_PAIRS, Field, _outer, _skew, _sym, _traceless, ddt,
-    ddt_slice, div_tensor, dot, expand, grad, lebesgue_norm,
-    time_derivative_matrix, to_physical, to_spectral,
+    SKEW_PAIRS, SYM_PAIRS, Field, ddt, ddt_slice, div_tensor, dot, expand,
+    grad, lebesgue_norm, time_derivative_matrix, to_physical, to_spectral,
 )
 from cilab.grid import Grid4, GridResolutionError
 
 from conftest import random_field
-from oracles import per_slice, spectral_derivative
+from oracles import (
+    _outer, _skew, _sym, _traceless, per_slice, spectral_derivative,
+)
 
 PI = np.pi
 
@@ -265,3 +266,9 @@ class TestTensorAlgebra:
             compact = full[..., pairs[0], pairs[1]]
             assert compact.shape == (4, len(pairs[0]))
             assert np.array_equal(expand(compact, pairs, sign), full)
+            # into a given array, only the pairs and their mirrors change
+            into = np.full(full.shape, 7.0)
+            assert expand(compact, pairs, sign, out=into) is into
+            kept = np.ones((3, 3), dtype=bool)
+            kept[pairs] = kept[pairs[::-1]] = False
+            assert np.array_equal(into, np.where(kept, 7.0, full))

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cilab.mollify as mollify_module
 from cilab import spectral
+from cilab.checks import gate
 from cilab.field import (
-    Field, _outer, ddt, div_tensor, dot, grad, to_physical, to_spectral,
+    Field, ddt, div_tensor, dot, grad, to_physical, to_spectral,
 )
 from cilab.grid import Grid4, GridResolutionError
 from cilab.mollify import (
@@ -19,7 +21,9 @@ from cilab.profiles import fit_loglog
 from cilab.spectral_ops import frac_laplacian
 
 from conftest import random_divfree, random_field
-from oracles import per_slice, spatial_kernel, temporal_kernel
+from oracles import (
+    _outer, commutator_reference, per_slice, spatial_kernel, temporal_kernel,
+)
 
 E2 = np.array([0.0, 1.0, 0.0])
 
@@ -218,6 +222,33 @@ class TestCommutatorStresses:
         with pytest.raises(ValueError, match="^u_l .* relative defect nan"):
             commutator_stresses(Field(data, grid, _take=True), b, u_l, b_l,
                                 0.9)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_compact_algebra_matches_full_reference(self, grid, threads,
+                                                    monkeypatch):
+        # the compact lift, subtraction and projection give the full 3x3
+        # algebra's stresses and projection defects bit for bit
+        rng = np.random.default_rng(29)
+        u = random_divfree(grid, rng)
+        b = random_divfree(grid, rng)
+        u_l, b_l = mollify(u, 0.9), mollify(b, 0.9)
+        defects = []
+
+        def recording_gate(report, gates, error):
+            if "defect" in report:
+                defects.append(report["defect"])
+            return gate(report, gates, error)
+
+        monkeypatch.setenv("CILAB_THREADS", threads)
+        monkeypatch.setattr(mollify_module, "gate", recording_gate)
+        r_u, r_b = commutator_stresses(u, b, u_l, b_l, 0.9)
+        want_u, defect_u, want_b, defect_b = commutator_reference(
+            u, b, u_l, b_l, 0.9)
+        qscale = max(u.max_abs(), b.max_abs()) ** 2
+        assert np.array_equal(r_u.data, want_u)
+        assert np.array_equal(r_b.data, want_b)
+        assert defects == [defect_u / qscale, defect_b / qscale]
+        assert defect_u > 0.0
 
     def test_symmetry_classes_exact(self, closure_grid):
         rng = np.random.default_rng(23)

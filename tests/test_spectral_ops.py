@@ -11,8 +11,7 @@ import scipy.fft as sfft
 
 from cilab import spectral, threads
 from cilab.field import (
-    Field, _skew, _sym, div_tensor, grad, lebesgue_norm, to_physical,
-    to_spectral,
+    Field, div_tensor, grad, lebesgue_norm, to_physical, to_spectral,
 )
 from cilab.spectral_ops import (
     _mean_free3, biot_savart, frac_laplacian, inv_div_skew, inv_div_sym,
@@ -20,7 +19,7 @@ from cilab.spectral_ops import (
 )
 
 from conftest import random_divfree, random_field
-from oracles import per_slice
+from oracles import _skew, _sym, per_slice
 
 
 def rel_max(a, b):
