@@ -206,7 +206,7 @@ class BlockSet:
         if kind.startswith("shear"):
             n_x, n_t = self.grid.n_x, self.grid.n_t
             off = ((self.rate * int(j)) % n_t) * n_x
-            return tab[self._shear_index() + off]
+            return tab[off:].take(self._shear_index())  # no index temporary
         return tab[self._space_index(self.m_int)]
 
     def _flow_parts(self, kind: str):

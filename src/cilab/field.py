@@ -2,11 +2,10 @@
 
 A Field is a read-only array of real samples on a Grid4 and nothing else:
 it caches no spectrum and has no file format. Every algebraic operation
-returns a new Field. The Fourier side is made on demand by `to_spectral`
-and `to_physical`, the whole-field space-time transform pair, whose
-wavenumber tables come from cilab.spectral. The spatial calculus (`grad`,
-`div_tensor`) and the whole-field forms of `spectral_ops` run a slice
-kernel of cilab.spectral on each time slice through `_slicewise`.
+returns a new Field. The spatial calculus (`grad`, `div_tensor`) and the
+whole-field forms of `spectral_ops` run a slice kernel of cilab.spectral
+on each time slice through `_slicewise`, and `ddt` applies the matrix D
+along time. `to_spectral` is left for the divergence gate.
 
 Component layout is trailing: scalars are (n_t, n_x, n_x, n_x), vectors
 append one length-3 axis, rank-2 tensors append two. The divergence of a
@@ -112,16 +111,8 @@ def peak_abs(data) -> float:
 def to_spectral(data, grid: Grid4) -> np.ndarray:
     """Forward transform, normalized so coefficient (0,0,0,0) is the mean;
     the transform applies the 1/n_modes factor itself."""
-    arr = data.data if isinstance(data, Field) else np.asarray(data)
-    return sfft.rfftn(arr, axes=(0, 1, 2, 3), norm="forward",
+    return sfft.rfftn(data, axes=(0, 1, 2, 3), norm="forward",
                       workers=fft_workers())
-
-
-def to_physical(coeffs, grid: Grid4) -> np.ndarray:
-    """Inverse of to_spectral, returning the real sample array."""
-    sizes = (grid.n_t, grid.n_x, grid.n_x, grid.n_x)
-    return sfft.irfftn(coeffs, s=sizes, axes=(0, 1, 2, 3), norm="forward",
-                       workers=fft_workers())
 
 
 @functools.lru_cache(maxsize=None)
@@ -137,10 +128,7 @@ def time_derivative_matrix(n_t: int) -> np.ndarray:
     m = np.arange(1, n_t // 2)
     row[m] = 0.5 * (-1.0) ** m / np.tan(0.5 * m * dt)
     row[n_t - m] = -row[m]
-    idx = np.arange(n_t)
-    d = row[(idx[:, None] - idx[None, :]) % n_t]
-    d.setflags(write=False)
-    return d
+    return spectral.circulant(row)
 
 
 def ddt_slice(data, j: int) -> np.ndarray:

@@ -1,13 +1,14 @@
 """Space-time mollification and the commutator bookkeeping it induces.
 
-Kernels are compactly supported C-infinity bumps applied as exact spectral
+Kernels are compactly supported C-infinity bumps applied as exact
 multipliers: the multiplier at an integer mode is the continuous Fourier
-transform of the kernel at that mode, so mollification of a grid field is
-the exact convolution of its band-limited interpolant. The kernel masses
-and the transforms are integrals of the bump by the one Gauss-Legendre
-rule of cilab.profiles (bump_integral); the zero-mode multiplier is the
-rule's mass over itself, so it is exactly one and means, constants, and
-divergence-freeness are preserved exactly.
+transform of the kernel there, so mollifying a grid field convolves its
+band-limited interpolant exactly. Masses and transforms are integrals of
+the bump by the one Gauss-Legendre rule of cilab.profiles (bump_integral);
+the zero-mode multiplier is the rule's mass over itself, exactly one, so
+means, constants and divergence-freeness are preserved. No space-time
+spectrum is formed: the spatial symbols act slice by slice, the temporal
+one as a real circulant matrix, with the Nyquist rule of the derivative D.
 
 The temporal kernel is one-sided (support strictly inside (0, ell)), so a
 mollified iterate depends only on the recent past of the input. A support
@@ -28,11 +29,8 @@ import numpy as np
 
 from . import spectral
 from .checks import gate
-from .field import (
-    SKEW_PAIRS, SYM_PAIRS, Field, dot, expand, peak_abs, to_physical,
-    to_spectral,
-)
-from .grid import Grid4, GridResolutionError, TWO_PI
+from .field import SKEW_PAIRS, SYM_PAIRS, Field, dot, expand, peak_abs
+from .grid import Grid4, GridResolutionError
 from .profiles import _bump, bump_integral
 from .threads import map_slices
 
@@ -75,8 +73,7 @@ class Mollifier:
 
     def validate(self, grid: Grid4):
         """Kernel supports must span at least four grid cells per axis."""
-        dx = TWO_PI / grid.n_x
-        dt = TWO_PI / grid.n_t
+        dx, dt = grid.dx, grid.dt
         if 2.0 * self.ell < 4.0 * dx or 2.0 * _T_SHAPE * self.ell < 4.0 * dt:
             raise GridResolutionError(
                 f"mollification scale {self.ell:g} is unresolvable: kernel "
@@ -84,23 +81,33 @@ class Mollifier:
                 f"(time) need four cells at dx={dx:g}, dt={dt:g}")
 
     def apply(self, f: Field) -> Field:
-        return Field(self._smooth(f.data, f.grid), f.grid, _take=True)
+        return Field(self._smooth(lambda j: f.data[j], f.grid,
+                                  f.data.shape[4:]), f.grid, _take=True)
 
-    def _smooth(self, data, g: Grid4):
-        """The mollified samples of a (n_t, n, n, n, ...) array."""
+    def _smooth(self, source, g: Grid4, comp):
+        """The mollified array (n_t, n, n, n) + comp with slices source(j):
+        a 3D transform pair per slice, then the time matrix per x1 plane."""
         self.validate(g)
-        trailing = data.ndim - 4
-        kt = spectral.time_wavenumbers(g.n_t, trailing)
-        k1, k2, k3, _ = spectral.wavenumbers(g.n_x, trailing)
-        # each symbol is evaluated on a flat table and then reshaped: the
-        # quadrature of a broadcast table may sum in another order
-        coef = to_spectral(data, g)
-        coef *= self.temporal_symbol(kt.ravel()).reshape(kt.shape)
+        k1, k2, k3, _ = spectral.wavenumbers(g.n_x, len(comp))
+        # symbols of flat tables: a broadcast table may sum in another order
         mx = self.spatial_symbol(k1.ravel())
-        coef *= mx.reshape(k1.shape)
-        coef *= mx.reshape(k2.shape)
-        coef *= self.spatial_symbol(k3.ravel()).reshape(k3.shape)
-        return to_physical(coef, g)
+        mult = (mx.reshape(k1.shape) * mx.reshape(k2.shape)
+                * self.spatial_symbol(k3.ravel()).reshape(k3.shape))
+        out = np.empty(g.shape + comp)
+
+        def space(j):
+            spec = spectral.rfft(source(j))
+            spec *= mult
+            out[j] = spectral.irfft(spec, g.n_x)
+
+        map_slices(space, range(g.n_t))
+        mat = spectral.time_multiplier_matrix(self.temporal_symbol, g.n_t)
+
+        def time(i):
+            out[:, i] = np.tensordot(mat, out[:, i], 1)
+
+        map_slices(time, range(g.n_x))
+        return out
 
 
 def mollify(f: Field, ell: float) -> Field:
@@ -109,7 +116,8 @@ def mollify(f: Field, ell: float) -> Field:
 
 
 def _check_mollified(name: str, given: Field, source: Field, mol: Mollifier):
-    want = mol._smooth(source.data, source.grid)
+    want = mol._smooth(lambda j: source.data[j], source.grid,
+                       source.data.shape[4:])
     scale = max(peak_abs(want), 1e-300)
     defect = peak_abs(np.subtract(given.data, want, out=want))
     gate({name: defect / scale},
@@ -160,14 +168,8 @@ def _commutator(mol, flux, pairs, sign, project, label, state_q, state_l,
     checked against tol times the quadratic input size scale: a commutator
     that is pure rounding noise must still pass."""
     grid = state_q[0].grid
-    lifted = np.empty(grid.shape + (len(pairs[0]),))
-
-    def lift(j):
-        lifted[j] = flux(*(f.data[j] for f in state_q))
-
-    map_slices(lift, range(grid.n_t))
-    base = mol._smooth(lifted, grid)
-    del lifted
+    base = mol._smooth(lambda j: flux(*(f.data[j] for f in state_q)), grid,
+                       (len(pairs[0]),))
     out = np.zeros(grid.shape + (3, 3))
 
     def subtract(j):

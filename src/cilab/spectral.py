@@ -11,12 +11,10 @@ multipliers between one forward and one inverse transform:
 `leray_spectrum`, `real_planes` and `div_spectrum`, which forms the
 spectrum of a tensor divergence from the spectra of its weights.
 Wavenumber tables are float, built once per (n, trailing) and shared
-read-only; they broadcast over any leading axes as well, so the 4D
-space-time spectra of `mollify` read them as they are, and
-`time_wavenumbers` gives their time axis. No other module builds a
-wavenumber table.
+read-only; no other module builds one. Time multipliers are real
+circulant matrices on the time samples (`circulant`).
 
-The transforms are looked up on scipy.fft at call time, so wrappers
+The field transforms are looked up on scipy.fft at call time, so wrappers
 installed there see every call.
 """
 
@@ -48,15 +46,26 @@ def wavenumbers(n: int, trailing: int = 0):
     return tables
 
 
+def circulant(col) -> np.ndarray:
+    """The read-only circulant matrix C_jl = col[(j - l) mod n]."""
+    idx = np.arange(len(col))
+    mat = col[(idx[:, None] - idx[None, :]) % len(col)]
+    mat.setflags(write=False)
+    return mat
+
+
+def time_multiplier_matrix(symbol, n_t: int) -> np.ndarray:
+    """The circulant matrix of the Hermitian time multiplier symbol(k_t) on
+    n_t samples, whose Nyquist mode n_t/2 takes the real part of its symbol
+    as in D; cached by the symbol's values."""
+    half = symbol(np.arange(n_t // 2 + 1, dtype=np.float64))
+    return _time_multiplier(tuple(half), n_t)
+
+
 @functools.lru_cache(maxsize=None)
-def time_wavenumbers(n_t: int, trailing: int = 0):
-    """Integer time wavenumbers k_t as floats in storage order, shaped
-    (n_t, 1, 1, 1) to broadcast over the spectrum of a whole field with
-    `trailing` component axes. Read-only."""
-    kt = np.rint(np.fft.fftfreq(n_t, 1.0 / n_t))
-    kt = kt.reshape((n_t, 1, 1, 1) + (1,) * trailing)
-    kt.setflags(write=False)
-    return kt
+def _time_multiplier(half, n_t: int) -> np.ndarray:
+    # numpy's irfft builds a table; it reads the real part at Nyquist
+    return circulant(np.fft.irfft(np.array(half), n_t))
 
 
 def _tables(arr, contracted=0):

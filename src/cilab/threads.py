@@ -2,10 +2,10 @@
 
 Every spatial operator of a step acts on each time slice alone, so the
 slice loops of the builders, the verifiers, the amplitudes, the slice-wise
-projections and the commutator algebra go through `map_slices`. The pool
-is `thread_count()` threads wide: `CILAB_THREADS`, by default the number
-of CPUs this process may run on, but at most `DEFAULT_WIDTH_CAP`. Each
-thread keeps one slice of temporaries in flight, so peak memory grows
+projections, the mollifier and the commutators go through `map_slices`.
+The pool is `thread_count()` threads wide: `CILAB_THREADS`, by default the
+number of CPUs this process may run on, but at most `DEFAULT_WIDTH_CAP`.
+Each thread keeps one slice of temporaries in flight, so peak memory grows
 with the width; a wider pool is asked for explicitly. At width 1
 `map_slices` is the plain serial loop: it starts no thread, leaves BLAS
 alone and trims nothing.

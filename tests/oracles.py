@@ -10,27 +10,43 @@ import math
 from itertools import product
 
 import numpy as np
+import scipy.fft as sfft
 
 from cilab import spectral
 from cilab.amplitudes import _BLOCKS, AmplitudeSet, _block
 from cilab.blocks import _phase_rate
 from cilab.checks import fold_maxima, gate
-from cilab.field import (
-    SKEW_PAIRS, SYM_PAIRS, Field, expand, to_physical, to_spectral,
-)
+from cilab.field import SKEW_PAIRS, SYM_PAIRS, Field, expand, to_spectral
 from cilab.geometry import ConstructionError
-from cilab.grid import TWO_PI, GridResolutionError
-from cilab.mollify import _T_SHAPE, Mollifier, _unit_mass
+from cilab.grid import TWO_PI, Grid4, GridResolutionError
+from cilab.mollify import _T_SHAPE, Mollifier, _unit_mass, mollify
 from cilab.profiles import _bump, _circle_nodes, rescaled
+from cilab.threads import fft_workers
 
 
 # -- field --------------------------------------------------------------------
+
+def to_physical(coeffs, grid: Grid4) -> np.ndarray:
+    """Inverse of field.to_spectral, the whole-field space-time transform;
+    returns the real sample array."""
+    sizes = (grid.n_t, grid.n_x, grid.n_x, grid.n_x)
+    return sfft.irfftn(coeffs, s=sizes, axes=(0, 1, 2, 3), norm="forward",
+                       workers=fft_workers())
+
+
+def time_wavenumbers(n_t: int, trailing: int = 0):
+    """Integer time wavenumbers k_t as floats in storage order, shaped
+    (n_t, 1, 1, 1) to broadcast over the spectrum of a whole field with
+    `trailing` component axes."""
+    kt = np.rint(np.fft.fftfreq(n_t, 1.0 / n_t))
+    return kt.reshape((n_t, 1, 1, 1) + (1,) * trailing)
+
 
 def spectral_derivative(f: Field, m: int = 0, zeta=(0, 0, 0)) -> Field:
     """d_t^m d_x^zeta f computed by Fourier multipliers. For odd m the
     time-Nyquist multiplier (k_t = -n_t/2 in storage order) is zero, as in
     `ddt`: cos(n_t t / 2) is its own alias and has no resolved slope."""
-    kt = spectral.time_wavenumbers(f.grid.n_t, f.rank)
+    kt = time_wavenumbers(f.grid.n_t, f.rank)
     k1, k2, k3, _ = spectral.wavenumbers(f.grid.n_x, f.rank)
     if m % 2:
         kt = np.where(kt == -(f.grid.n_t // 2), 0.0, kt)
@@ -431,6 +447,23 @@ def temporal_kernel(mol, t):
     return _bump((s - h) / h, 1) / (h * _unit_mass())
 
 
+def mollify_4d(data, grid, ell):
+    """The Mollifier's four symbols multiplied onto the whole space-time
+    spectrum of data, the time symbol complex at every mode, the
+    time-Nyquist mode k_t = -n_t/2 included."""
+    mol = Mollifier(ell)
+    trailing = data.ndim - 4
+    kt = time_wavenumbers(grid.n_t, trailing)
+    k1, k2, k3, _ = spectral.wavenumbers(grid.n_x, trailing)
+    coef = to_spectral(data, grid)
+    coef *= mol.temporal_symbol(kt.ravel()).reshape(kt.shape)
+    mx = mol.spatial_symbol(k1.ravel())
+    coef *= mx.reshape(k1.shape)
+    coef *= mx.reshape(k2.shape)
+    coef *= mol.spatial_symbol(k3.ravel()).reshape(k3.shape)
+    return to_physical(coef, grid)
+
+
 def _sym_quad(u, b):
     return _traceless(_outer(u, u) - _outer(b, b))
 
@@ -445,12 +478,12 @@ def commutator_reference(u_q, B_q, u_l, B_l, ell):
     projection acts on the full tensor. Returns the symmetric traceless
     and the skew commutator arrays and the max |flux - projection| of each,
     the defect the live code gates."""
-    mol = Mollifier(ell)
     out = []
     for quad, project in ((_sym_quad, lambda t: _traceless(_sym(t))),
                           (_skew_quad, _skew)):
         flux = (quad(u_l.data, B_l.data)
-                - mol._smooth(quad(u_q.data, B_q.data), u_q.grid))
+                - mollify(Field(quad(u_q.data, B_q.data), u_q.grid,
+                                _take=True), ell).data)
         projected = project(flux)
         out += [projected, float(np.abs(flux - projected).max())]
     return tuple(out)

@@ -6,13 +6,14 @@ import pytest
 from cilab import spectral
 from cilab.field import (
     SKEW_PAIRS, SYM_PAIRS, Field, ddt, ddt_slice, div_tensor, dot, expand,
-    grad, lebesgue_norm, time_derivative_matrix, to_physical, to_spectral,
+    grad, lebesgue_norm, time_derivative_matrix, to_spectral,
 )
 from cilab.grid import Grid4, GridResolutionError
 
 from conftest import random_field
 from oracles import (
     _outer, _skew, _sym, _traceless, per_slice, spectral_derivative,
+    to_physical,
 )
 
 PI = np.pi

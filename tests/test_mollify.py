@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 import cilab.mollify as mollify_module
 from cilab import spectral
 from cilab.checks import gate
-from cilab.field import (
-    Field, ddt, div_tensor, dot, grad, to_physical, to_spectral,
-)
+from cilab.field import Field, ddt, div_tensor, dot, grad, to_spectral
 from cilab.grid import Grid4, GridResolutionError
 from cilab.mollify import (
     Mollifier, commutator_stresses, mollified_pressure, mollify,
@@ -22,7 +20,8 @@ from cilab.spectral_ops import frac_laplacian
 
 from conftest import random_divfree, random_field
 from oracles import (
-    _outer, commutator_reference, per_slice, spatial_kernel, temporal_kernel,
+    _outer, commutator_reference, mollify_4d, per_slice, spatial_kernel,
+    temporal_kernel, to_physical,
 )
 
 E2 = np.array([0.0, 1.0, 0.0])
@@ -162,7 +161,8 @@ class TestMollify:
     @pytest.mark.parametrize("comp", [(), (3,), (3, 3)])
     def test_is_the_explicit_4d_multiplier(self, grid, comp):
         # the product of the four symbols on wavenumber tables of the
-        # test's own, applied to samples with every mode occupied
+        # test's own, applied to samples with every mode occupied; the
+        # time-Nyquist mode takes the real part of its symbol, as D does
         ell = 0.9
         mol = Mollifier(ell)
         rng = np.random.default_rng(11)
@@ -170,7 +170,9 @@ class TestMollify:
         kt = np.fft.fftfreq(grid.n_t, 1.0 / grid.n_t)
         kx = np.fft.fftfreq(grid.n_x, 1.0 / grid.n_x)
         kh = np.fft.rfftfreq(grid.n_x, 1.0 / grid.n_x)
-        mult = (mol.temporal_symbol(kt)[:, None, None, None]
+        time = mol.temporal_symbol(kt)
+        time[grid.n_t // 2] = time[grid.n_t // 2].real
+        mult = (time[:, None, None, None]
                 * mol.spatial_symbol(kx)[None, :, None, None]
                 * mol.spatial_symbol(kx)[None, None, :, None]
                 * mol.spatial_symbol(kh)[None, None, None, :])
@@ -178,6 +180,17 @@ class TestMollify:
         want = to_physical(to_spectral(f.data, grid) * mult, grid)
         got = mollify(f, ell).data
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("rank", [0, 1, 2])
+    def test_matches_the_space_time_multiplier_when_band_limited(
+            self, grid, rank):
+        # below the time-Nyquist mode the separable passes and the complex
+        # symbol on the whole space-time spectrum agree to the rounding of
+        # transforms of the input, whose peak is the scale
+        f = random_field(grid, np.random.default_rng(13), rank, k_max=6)
+        want = mollify_4d(f.data, grid, 0.9)
+        got = mollify(f, 0.9).data
+        assert np.abs(got - want).max() <= 1e-15 * f.max_abs()
 
     def test_unresolvable_scale_rejected(self, grid):
         f = Field(np.zeros(grid.shape), grid)
@@ -249,6 +262,24 @@ class TestCommutatorStresses:
         assert np.array_equal(r_b.data, want_b)
         assert defects == [defect_u / qscale, defect_b / qscale]
         assert defect_u > 0.0
+
+    def test_outputs_do_not_depend_on_the_pool_width(self, grid,
+                                                     monkeypatch):
+        # the time matrix runs on the pool with BLAS pinned to one thread,
+        # and its width-1 loop must give the same bits
+        rng = np.random.default_rng(31)
+        u = random_divfree(grid, rng)
+        b = random_divfree(grid, rng)
+        r = random_field(grid, rng, 2)
+        outputs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("CILAB_THREADS", threads)
+            u_l, b_l = mollify(u, 0.9), mollify(b, 0.9)
+            outputs.append((u_l.data, b_l.data, mollify(r, 0.9).data)
+                           + tuple(c.data for c in commutator_stresses(
+                               u, b, u_l, b_l, 0.9)))
+        for serial, pooled in zip(*outputs):
+            assert np.array_equal(serial, pooled)
 
     def test_symmetry_classes_exact(self, closure_grid):
         rng = np.random.default_rng(23)

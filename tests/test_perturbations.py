@@ -18,9 +18,7 @@ from cilab.amplitudes import (
     CancellationError, build_amplitudes, verify_cancellation,
 )
 from cilab.blocks import BlockParams, sample_blocks
-from cilab.field import (
-    Field, ddt, div_tensor, grad, to_physical, to_spectral,
-)
+from cilab.field import Field, ddt, div_tensor, grad, to_spectral
 from cilab.geometry import ConstructionError, build_geometry
 from cilab.grid import Grid4
 from cilab.profiles import BumpTrain, make_spatial_profiles, make_temporal
@@ -30,7 +28,7 @@ from cilab.spectral_ops import (
 )
 
 from conftest import random_divfree, random_field
-from oracles import per_slice, replaced, spectral_derivative
+from oracles import per_slice, replaced, spectral_derivative, to_physical
 from test_amplitudes import stress_pair
 from test_spectral_ops import traced_peak
 

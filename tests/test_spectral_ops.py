@@ -10,16 +10,15 @@ import pytest
 import scipy.fft as sfft
 
 from cilab import spectral, threads
-from cilab.field import (
-    Field, div_tensor, grad, lebesgue_norm, to_physical, to_spectral,
-)
+from cilab.field import Field, div_tensor, grad, lebesgue_norm, to_spectral
+from cilab.mollify import Mollifier
 from cilab.spectral_ops import (
     _mean_free3, biot_savart, frac_laplacian, inv_div_skew, inv_div_sym,
     leray, p_neq0,
 )
 
 from conftest import random_divfree, random_field
-from oracles import _skew, _sym, per_slice
+from oracles import _skew, _sym, per_slice, to_physical
 
 
 def rel_max(a, b):
@@ -325,14 +324,19 @@ class TestBiotSavart:
         assert np.abs(g).max() <= 1e-11 * max(1, phi.max_abs())
 
 
-@pytest.mark.parametrize("n_t,trailing", [(8, 0), (16, 1), (32, 2)])
-def test_time_wavenumbers_are_fftfreq_and_read_only(n_t, trailing):
-    kt = spectral.time_wavenumbers(n_t, trailing)
-    assert kt.shape == (n_t, 1, 1, 1) + (1,) * trailing
-    np.testing.assert_array_equal(kt.ravel(), np.fft.fftfreq(n_t, 1.0 / n_t))
-    assert kt is spectral.time_wavenumbers(n_t, trailing)
+@pytest.mark.parametrize("n_t,ell", [(8, 2.0), (16, 0.9), (32, 0.9)])
+def test_time_multiplier_matrix_is_a_shared_read_only_circulant(n_t, ell):
+    symbol = Mollifier(ell).temporal_symbol
+    mat = spectral.time_multiplier_matrix(symbol, n_t)
+    assert mat.shape == (n_t, n_t)
+    assert mat is spectral.time_multiplier_matrix(
+        Mollifier(ell).temporal_symbol, n_t)
     with pytest.raises(ValueError):
-        kt[0] = 1.0
+        mat[0, 0] = 1.0
+    for j in range(n_t):
+        assert np.array_equal(mat[j], np.roll(mat[0], j))
+    # the symbol is exactly one at k_t = 0, so every row has unit mass
+    np.testing.assert_allclose(mat.sum(axis=1), 1.0, rtol=0, atol=1e-15)
 
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "cilab"
@@ -358,7 +362,8 @@ def test_only_the_spectral_layer_builds_wavenumber_tables():
 
 
 def test_only_the_spectral_layer_imports_scipy_fft():
-    # spatial multipliers live in cilab.spectral; field keeps the 4D pair
+    # spatial multipliers live in cilab.spectral; field keeps the 4D
+    # forward transform of the divergence gate
     offenders = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
