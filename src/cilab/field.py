@@ -89,13 +89,6 @@ class Field:
     def __truediv__(self, other) -> "Field":
         return self._wrap(self.data / float(other))
 
-    def magnitude(self) -> np.ndarray:
-        """Pointwise absolute value (scalar) or Frobenius norm (tensor)."""
-        if self.rank == 0:
-            return np.abs(self.data)
-        axes = tuple(range(4, self.data.ndim))
-        return np.sqrt((self.data ** 2).sum(axis=axes))
-
     def max_abs(self) -> float:
         return peak_abs(self.data)
 
@@ -225,8 +218,8 @@ def dot(u: Field, v: Field) -> Field:
 
 def lebesgue_norm(f: Field, gamma: float, p: float) -> float:
     """L^gamma in time of L^p in space, Lebesgue volume measure, of the
-    pointwise magnitude of f."""
-    mag = f.magnitude()
+    pointwise magnitude of f: its absolute or Frobenius value."""
+    mag = np.sqrt((f.data ** 2).sum(axis=tuple(range(4, f.data.ndim))))
     vol_x = (2.0 * np.pi) ** 3
     if np.isinf(p):
         slices = mag.max(axis=(1, 2, 3))

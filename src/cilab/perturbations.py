@@ -41,14 +41,9 @@ divergence of squares times a constant table, so its spectrum is formed
 straight from the squares' spectra (spectral.div_spectrum): one forward
 transform per square and a small product per family, never a transform
 of the (n^3, 18) tensor. The low-frequency corrector then stays in the
-spectrum for the whole slice: it projects the k3 = 0 and k3 = n/2 planes
-onto spectra of real fields, applies P_H and -h / sigma, and makes one
-inverse transform. The plane projection is there because the odd
-derivative multipliers i k_a are not zeroed at k_a = -n/2, so on those
-planes V's spectrum is not that of a real field; the inverse and forward
-transforms between V and leray that this pass replaces dropped exactly
-that part, and without it w_o moves by 7% of its peak. It becomes a no-op
-once those multipliers are zeroed.
+spectrum for the whole slice: it applies P_H and -h / sigma to V's
+spectrum and makes one inverse transform. V's derivatives vanish at
+k_a = +-n/2 (spectral.derivatives), so that is a real field's spectrum.
 """
 
 from __future__ import annotations
@@ -63,7 +58,7 @@ from .amplitudes import AmplitudeSet, dilate_support
 from .blocks import (carried_kinds, envelope_stack, family_sets,
                      family_terms, flow_products, moment_products)
 from .checks import fold_maxima, gate
-from .field import Field, ddt, ddt_slice, lebesgue_norm
+from .field import Field, ddt, ddt_slice, peak_abs
 from .spectral_ops import _div_rel_defect, _mean_free3, leray, p_neq0
 from .threads import map_slices
 
@@ -211,9 +206,7 @@ class Perturbation:
     """Velocity and magnetic perturbations split by role.
 
     w_p/d_p principal, w_c/d_c incompressibility, w_t/d_t temporal,
-    w_o/d_o low-frequency. The totals are reassembled on demand in a
-    fixed association order, so repeated reads are bitwise identical;
-    stress assembly consumes the parts individually.
+    w_o/d_o low-frequency. Stress assembly consumes the parts individually.
     """
 
     w_p: Field
@@ -237,22 +230,6 @@ class Perturbation:
     @property
     def grid(self):
         return self.w_p.grid
-
-    @property
-    def w(self) -> Field:
-        return _total(self.w_p, self.w_c, self.w_t, self.w_o)
-
-    @property
-    def d(self) -> Field:
-        return _total(self.d_p, self.d_c, self.d_t, self.d_o)
-
-
-def _total(first, second, *rest):
-    """((first + second) + ...) summed in place into one new array."""
-    out = first.data + second.data
-    for part in rest:
-        out += part.data
-    return Field(out, first.grid, _take=True)
 
 
 # -- builders --------------------------------------------------------------------
@@ -291,7 +268,7 @@ def incompressibility_correctors(amps: AmplitudeSet, blocks: dict, g,
     of the summed potentials, curl curl (g sum_k a_k potential_k), minus
     the principal slice, formed as principal_parts forms it. Principal plus
     incompressibility parts are then that double curl to rounding, and
-    divergence-free up to the Nyquist planes of the transform. One double
+    divergence-free to rounding (spectral.derivatives). One double
     curl per slice serves both sides and both families; slices where g or
     both cutoffs vanish stay exactly zero.
 
@@ -371,9 +348,8 @@ def temporal_correctors_o(amps: AmplitudeSet, blocks: dict, h, sigma: float,
     the balance needs the oscillation profile g itself.
 
     Each active slice is one spectral pass (module docstring): V's
-    spectrum, its k3 = 0 and n/2 planes projected onto spectra of real
-    fields, P_H and -h / sigma, then one inverse transform. V has no zero
-    mode, so this is leray(p_neq0(.)) of -h V / sigma."""
+    spectrum, P_H and -h / sigma, then one inverse transform. V has no
+    zero mode, so this is leray(p_neq0(.)) of -h V / sigma."""
     if check and g is None:
         raise ValueError("checking the low-frequency balance needs the "
                          "oscillation profile g")
@@ -391,7 +367,7 @@ def temporal_correctors_o(amps: AmplitudeSet, blocks: dict, h, sigma: float,
             return
         spec = _drift_spectrum(amps, tables, j)
         if spec is not None:
-            spectral.leray_spectrum(spectral.real_planes(spec))
+            spectral.leray_spectrum(spec)
             spec *= h[j] * (-1.0 / sigma)
             out[:, j] = np.moveaxis(spectral.irfft(spec, n), 3, 0)
 
@@ -423,27 +399,37 @@ def verify_divfree_representation(amps, blocks, g, w_p, w_c, d_p, d_c,
     The builder forms w_c and d_c as that double curl minus its own
     principal sum, so on parts it built the representation residual is
     rounding; it measures whether the stored principal parts are the ones
-    the builder subtracted. The divergence residual is what the Nyquist
-    planes of the transform leave, where i k is not a derivative."""
+    the builder subtracted; the divergence is rounding too. What no
+    derivative reads is monitored, not gated: `*_nyquist_share` is the
+    largest peak of the alternating mean (1/n) sum_i (-1)^i along any axis
+    a, the content on the planes k_a = +-n/2, over the slice peak."""
     grid = amps.grid
     n = grid.n_x
     g = _as_samples(g, grid, "oscillation profile g")
     _require_vector_on(grid, "perturbation part", w_p, w_c, d_p, d_c)
     families = _families(amps, blocks)
-    keys = (("velocity_representation", "velocity_divergence"),
-            ("magnetic_representation", "magnetic_divergence"))
+    keys = [(f"{s}_representation", f"{s}_divergence", f"{s}_nyquist_share")
+            for s in ("velocity", "magnetic")]
 
     def residuals(j):
         updates = []
         lhs = np.stack([w_p.data[j] + w_c.data[j], d_p.data[j] + d_c.data[j]],
                        axis=-2)
         terms = spectral.div_terms(lhs)
-        for s, (_, key) in enumerate(keys):
+        nyquist = np.zeros(2)
+        for a in range(3) if n % 2 == 0 else ():  # odd n: no plane n/2
+            x = np.moveaxis(lhs, a, 0)
+            alt = np.abs(x[0::2].sum(axis=0) - x[1::2].sum(axis=0)) / n
+            nyquist = np.maximum(nyquist, alt.max(axis=(0, 1, 3)))
+        for s, (_, div_key, share_key) in enumerate(keys):
             side = terms[..., s, :]
             scale = float(np.abs(side).max())
             if scale != 0.0:  # a NaN slice counts
-                updates.append((key, float(
+                updates.append((div_key, float(
                     np.abs(side.sum(axis=-1)).max()) / scale))
+            peak = peak_abs(lhs[..., s, :])
+            if peak != 0.0:
+                updates.append((share_key, float(nyquist[s]) / peak))
         if g[j] == 0.0:
             return updates
         pot = np.zeros((n ** 3, 6))
@@ -452,7 +438,7 @@ def verify_divfree_representation(amps, blocks, g, w_p, w_c, d_p, d_c,
             amp = np.sqrt(a2).reshape(-1, len(sets))
             pot += _weighted_sum(amp, sets, pair, table, j)
         rhs = spectral.curl_curl(g[j] * pot.reshape(n, n, n, 2, 3))
-        for s, (key, _) in enumerate(keys):
+        for s, (key, _, _) in enumerate(keys):
             left, right = lhs[..., s, :], rhs[..., s, :]
             scale = max(float(np.abs(left).max()), float(np.abs(right).max()),
                         amps.delta_next)
@@ -671,45 +657,63 @@ def assemble_iterate(u_l: Field, B_l: Field, pert: Perturbation,
     tolerance, and must vanish outside the three-ell time neighborhood of
     the stress support. Returns the next state pair and the increment
     report. Means are validated, never subtracted: forcing them to zero
-    would feed an unaccounted time-dependent constant into the stress."""
+    would feed an unaccounted time-dependent constant into the stress.
+
+    One slice pass forms each total ((p + c) + t) + o and its slice means,
+    peak and squared norm, skipping a side's slice where all its parts are
+    zero. Once the gates pass, each total becomes the next state in place:
+    w + u_l is u_l + w bit for bit, and no third and fourth field is held
+    while the divergence gates transform the totals."""
     grid = amps.grid
     _require_vector_on(grid, "state field", u_l, B_l)
     if pert.grid != grid:
         raise ValueError("perturbation lives on a different grid")
+    sides = (("velocity", u_l, (pert.w_p, pert.w_c, pert.w_t, pert.w_o)),
+             ("magnetic", B_l, (pert.d_p, pert.d_c, pert.d_t, pert.d_o)))
+    # np.zeros: the pages of idle slices stay unmapped
+    totals = [np.zeros(grid.shape + (3,)) for _ in sides]
+
+    def fill(j):
+        stats = np.zeros((len(sides), 5))
+        for s, (_, _, parts) in enumerate(sides):
+            if any(part.data[j].any() for part in parts):
+                total = np.add(parts[0].data[j], parts[1].data[j],
+                               out=totals[s][j])
+                for part in parts[2:]:
+                    total += part.data[j]
+                stats[s] = (*total.mean(axis=(0, 1, 2)), peak_abs(total),
+                            np.square(total).sum())
+        return stats
+
+    stats = np.array(map_slices(fill, range(grid.n_t)))
+    peaks = stats[..., 3].max(axis=0)
     report = {}
-    totals = []  # the magnetic total is summed only once the velocity passes
-    for name, attr in (("velocity", "w"), ("magnetic", "d")):
-        inc = getattr(pert, attr)
-        totals.append(inc)
-        div_defect = _div_rel_defect(inc)
-        peak = inc.max_abs()
-        mean_defect = (float(np.abs(inc.spatial_means()).max())
-                       / max(peak, 1e-300))
-        report[f"{name}_divergence_defect"] = div_defect
-        report[f"{name}_mean_defect"] = mean_defect
+    for s, (name, _, _) in enumerate(sides):
+        # a view, so the Field freezes it and not the total
+        report[f"{name}_divergence_defect"] = _div_rel_defect(
+            Field(totals[s][...], grid, _take=True))
+        report[f"{name}_mean_defect"] = float(
+            np.abs(stats[:, s, :3]).max() / max(peaks[s], 1e-300))
         gate(report, [
             (f"{name}_divergence_defect",
              f"{name} perturbation is not solenoidal: relative defect", tol),
             (f"{name}_mean_defect", f"{name} perturbation is not spatially "
              "mean-free: relative defect", tol)], CorrectorIdentityError)
-    w, d = totals
     mask = amps.stress_support()
-    for name, inc in (("velocity", w), ("magnetic", d)):
-        leak = 0.0
-        if mask.any() and not mask.all():
-            allowed = dilate_support(
-                mask, int(math.ceil(3.0 * amps.ell / grid.dt)))
-            if not allowed.all():
-                norms = np.abs(inc.data).max(axis=(1, 2, 3, 4))
-                peak = norms.max()
-                if peak > 0.0:
-                    leak = float(norms[~allowed].max()) / peak
-        report[f"{name}_support_leak"] = leak
+    outside = mask.any() & ~dilate_support(
+        mask, int(math.ceil(3.0 * amps.ell / grid.dt)))
+    for s, (name, _, _) in enumerate(sides):
+        report[f"{name}_support_leak"] = (float(
+            stats[outside, s, 3].max(initial=0.0) / peaks[s])
+            if peaks[s] > 0.0 else 0.0)
         gate(report, [(f"{name}_support_leak", f"{name} perturbation leaks "
                        "outside the dilated stress support: relative slice "
                        "norm", 1e-10)], CorrectorIdentityError)
-    report["velocity_increment"] = lebesgue_norm(w, np.inf, 2.0)
-    report["magnetic_increment"] = lebesgue_norm(d, np.inf, 2.0)
+        # L^infinity in time of L^2 in space
+        report[f"{name}_increment"] = float(np.sqrt(
+            stats[:, s, 4].max() * (2.0 * np.pi / grid.n_x) ** 3))
     report["increment_over_sqrt_delta"] = (
         report["velocity_increment"] / math.sqrt(amps.delta_next))
-    return u_l + w, B_l + d, report
+    for total, (_, state, _) in zip(totals, sides):
+        total += state.data
+    return (*(Field(total, grid, _take=True) for total in totals), report)

@@ -6,13 +6,16 @@ axes are the spatial axes (n, n, n), with component axes trailing. Each
 call makes one forward and one inverse real 3D transform, however many
 component axes the slice carries. Whole (n_t, n, n, n, ...) fields go
 through `field._slicewise`, which runs a kernel from here on each time
-slice. Three helpers act on half spectra instead, so a caller can chain
+slice. Two helpers act on half spectra instead, so a caller can chain
 multipliers between one forward and one inverse transform:
-`leray_spectrum`, `real_planes` and `div_spectrum`, which forms the
-spectrum of a tensor divergence from the spectra of its weights.
+`leray_spectrum` and `div_spectrum`, which forms the spectrum of a tensor
+divergence from the spectra of its weights.
 Wavenumber tables are float, built once per (n, trailing) and shared
-read-only; no other module builds one. Time multipliers are real
-circulant matrices on the time samples (`circulant`).
+read-only; no other module builds one. The even symbols and `tail` read
+the raw integers (`wavenumbers`); every operator made of derivatives reads
+`derivatives`, zero at k_a = +-n/2, where cos(n x_a / 2) has zero slope on
+the grid (S. G. Johnson, Notes on FFT-based differentiation, MIT 2011).
+Time multipliers are real circulant matrices (`circulant`).
 
 The field transforms are looked up on scipy.fft at call time, so wrappers
 installed there see every call.
@@ -29,6 +32,13 @@ import scipy.fft as sfft
 from .threads import fft_workers
 
 
+def _read_only(k1, k2, k3):
+    tables = (k1, k2, k3, k1 * k1 + k2 * k2 + k3 * k3)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 @functools.lru_cache(maxsize=None)
 def wavenumbers(n: int, trailing: int = 0):
     """Integer wavenumbers (k1, k2, k3) as floats, and |k|^2, shaped to
@@ -37,13 +47,15 @@ def wavenumbers(n: int, trailing: int = 0):
     kf = np.rint(np.fft.fftfreq(n, 1.0 / n))
     kh = np.arange(n // 2 + 1, dtype=np.float64)
     pad = (1,) * trailing
-    tables = (kf.reshape((n, 1, 1) + pad), kf.reshape((1, n, 1) + pad),
-              kh.reshape((1, 1, -1) + pad))
-    k1, k2, k3 = tables
-    tables += (k1 * k1 + k2 * k2 + k3 * k3,)
-    for table in tables:
-        table.setflags(write=False)
-    return tables
+    return _read_only(kf.reshape((n, 1, 1) + pad), kf.reshape((1, n, 1) + pad),
+                      kh.reshape((1, 1, -1) + pad))
+
+
+@functools.lru_cache(maxsize=None)
+def derivatives(n: int, trailing: int = 0):
+    """d/dx_a = i k'_a, and |k'|^2: `wavenumbers` zeroed at k_a = +-n/2."""
+    return _read_only(*(np.where(np.abs(k) == n / 2, 0.0, k)
+                        for k in wavenumbers(n, trailing)[:3]))
 
 
 def circulant(col) -> np.ndarray:
@@ -69,8 +81,8 @@ def _time_multiplier(half, n_t: int) -> np.ndarray:
 
 
 def _tables(arr, contracted=0):
-    """Tables for arr, whose last `contracted` axes the operator consumes."""
-    return wavenumbers(arr.shape[0], arr.ndim - 3 - contracted)
+    """Derivative tables for arr, whose last `contracted` axes are consumed."""
+    return derivatives(arr.shape[0], arr.ndim - 3 - contracted)
 
 
 def safe_inv(ksq):
@@ -137,7 +149,7 @@ def curl(vec, inverse_laplacian: bool = False):
 
 
 def curl_curl(vec):
-    """Spectral double curl, |k|^2 v - k (k.v), over the last axis."""
+    """Spectral double curl, |k'|^2 v - k' (k'.v), over the last axis."""
     k1, k2, k3, ksq = _tables(vec, 1)
     spec = rfft(vec)
     kdotv = k1 * spec[..., 0] + k2 * spec[..., 1] + k3 * spec[..., 2]
@@ -167,7 +179,8 @@ def leray(vec):
 def frac_laplacian(arr, alpha: float):
     """(-Laplace)^alpha of every component, for alpha > 0; the zero mode
     is annihilated."""
-    return irfft(rfft(arr) * _tables(arr)[3] ** alpha, arr.shape[0])
+    ksq = wavenumbers(arr.shape[0], arr.ndim - 3)[3]
+    return irfft(rfft(arr) * ksq ** alpha, arr.shape[0])
 
 
 def inv_div_sym(vec):
@@ -192,20 +205,6 @@ def inv_div_sym(vec):
     return irfft(out, vec.shape[0])
 
 
-def real_planes(spec):
-    """Project the k3 = 0 and k3 = n/2 planes of the half spectrum of one
-    slice (n even) onto the spectra of real arrays, in place. On those
-    planes the spectrum of a real array is Hermitian in (k1, k2),
-    X(-k1, -k2) = conj X(k1, k2), and irfft reads only that part,
-    (X + conj X(-k1, -k2)) / 2; so rfft(irfft(X)) is X with these planes
-    projected."""
-    for k3 in (0, spec.shape[0] // 2):
-        plane = spec[:, :, k3]
-        plane += np.roll(np.flip(plane, (0, 1)), 1, (0, 1)).conj()
-        plane *= 0.5
-    return spec
-
-
 def div_spectrum(weights, table, out=None):
     """Half spectrum of the divergence d_b T[..., c, b] of the tensor slice
     T = weights @ table, for weights (n, n, n, k) and a table (k, c, 3)
@@ -219,7 +218,7 @@ def div_spectrum(weights, table, out=None):
     if out is None:
         out = np.zeros(shape, dtype=coef.dtype)
     coef = coef.reshape(-1, k)
-    for b, kb in enumerate(wavenumbers(n, 1)[:3]):
+    for b, kb in enumerate(derivatives(n, 1)[:3]):
         term = (coef @ (1j * table[..., b])).reshape(shape)
         term *= kb
         out += term

@@ -2,10 +2,11 @@
 
 Each operator here validates its input and maps a slice kernel of
 cilab.spectral over the time slices; the one multiplier built here is the
-4D divergence of the divergence-free gate, `_div_rel_defect`. Every kernel
-is an exact multiplier in the discrete Fourier algebra, so compositions
-satisfy their operator identities (idempotence, right inverses, semigroup
-laws) to rounding error by construction. Spatial zero modes are handled
+4D divergence of the divergence-free gate, `_div_rel_defect`, on the same
+derivative tables. Every kernel is an exact multiplier in the discrete
+Fourier algebra, so compositions satisfy their operator identities
+(idempotence, right inverses, semigroup laws, div leray = 0 on every
+plane) to rounding error by construction. Spatial zero modes are handled
 explicitly: the Leray projector is the identity on means, the Biot-Savart
 law and the inverse divergences annihilate them, and callers that need
 mean-free inputs are validated rather than silently projected.
@@ -28,12 +29,12 @@ def _require_vector(f: Field):
 
 
 def _div_rel_defect(f: Field) -> float:
-    """Relative size of div f measured against the gradient scale of f.
-    Each component's 4D spectrum is scaled in place and summed into one
-    accumulator, so two spectra are live at most."""
+    """Relative size of div f (multipliers k') against the gradient scale
+    of f (raw |k|). Each component's 4D spectrum is scaled in place and
+    summed into one accumulator, so two spectra are live at most."""
     _require_vector(f)
-    *ks, ksq = spectral.wavenumbers(f.grid.n_x)
-    kmag = np.sqrt(ksq)
+    ks = spectral.derivatives(f.grid.n_x)[:3]
+    kmag = np.sqrt(spectral.wavenumbers(f.grid.n_x)[3])
     div = None
     den = 0.0
     for a in range(3):

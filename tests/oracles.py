@@ -13,14 +13,17 @@ import numpy as np
 import scipy.fft as sfft
 
 from cilab import spectral
-from cilab.amplitudes import _BLOCKS, AmplitudeSet, _block
+from cilab.amplitudes import _BLOCKS, AmplitudeSet, _block, dilate_support
 from cilab.blocks import _phase_rate
 from cilab.checks import fold_maxima, gate
-from cilab.field import SKEW_PAIRS, SYM_PAIRS, Field, expand, to_spectral
+from cilab.field import (SKEW_PAIRS, SYM_PAIRS, Field, expand, lebesgue_norm,
+                         to_spectral)
 from cilab.geometry import ConstructionError
 from cilab.grid import TWO_PI, Grid4, GridResolutionError
 from cilab.mollify import _T_SHAPE, Mollifier, _unit_mass, mollify
+from cilab.perturbations import CorrectorIdentityError
 from cilab.profiles import _bump, _circle_nodes, rescaled
+from cilab.spectral_ops import _div_rel_defect
 from cilab.threads import fft_workers
 
 
@@ -487,6 +490,55 @@ def commutator_reference(u_q, B_q, u_l, B_l, ell):
         projected = project(flux)
         out += [projected, float(np.abs(flux - projected).max())]
     return tuple(out)
+
+
+# -- perturbations ------------------------------------------------------------
+
+def assemble_iterate_whole_field(u_l, B_l, pert, amps, tol: float = 1e-8):
+    """perturbations.assemble_iterate on whole fields: each total
+    ((p + c) + t) + o is one array, read by `spatial_means`, `max_abs`, the
+    slice maxima of its absolute value and `lebesgue_norm`; the magnetic
+    total is summed only once the velocity side passes."""
+    grid = amps.grid
+    report = {}
+    totals = []
+    for name, parts in (("velocity", (pert.w_p, pert.w_c, pert.w_t, pert.w_o)),
+                        ("magnetic", (pert.d_p, pert.d_c, pert.d_t, pert.d_o))):
+        data = parts[0].data + parts[1].data
+        for part in parts[2:]:
+            data += part.data
+        inc = Field(data, grid, _take=True)
+        totals.append(inc)
+        peak = inc.max_abs()
+        report[f"{name}_divergence_defect"] = _div_rel_defect(inc)
+        report[f"{name}_mean_defect"] = (
+            float(np.abs(inc.spatial_means()).max()) / max(peak, 1e-300))
+        gate(report, [
+            (f"{name}_divergence_defect",
+             f"{name} perturbation is not solenoidal: relative defect", tol),
+            (f"{name}_mean_defect", f"{name} perturbation is not spatially "
+             "mean-free: relative defect", tol)], CorrectorIdentityError)
+    w, d = totals
+    mask = amps.stress_support()
+    for name, inc in (("velocity", w), ("magnetic", d)):
+        leak = 0.0
+        if mask.any() and not mask.all():
+            allowed = dilate_support(
+                mask, int(math.ceil(3.0 * amps.ell / grid.dt)))
+            if not allowed.all():
+                norms = np.abs(inc.data).max(axis=(1, 2, 3, 4))
+                peak = norms.max()
+                if peak > 0.0:
+                    leak = float(norms[~allowed].max()) / peak
+        report[f"{name}_support_leak"] = leak
+        gate(report, [(f"{name}_support_leak", f"{name} perturbation leaks "
+                       "outside the dilated stress support: relative slice "
+                       "norm", 1e-10)], CorrectorIdentityError)
+    report["velocity_increment"] = lebesgue_norm(w, np.inf, 2.0)
+    report["magnetic_increment"] = lebesgue_norm(d, np.inf, 2.0)
+    report["increment_over_sqrt_delta"] = (
+        report["velocity_increment"] / math.sqrt(amps.delta_next))
+    return u_l + w, B_l + d, report
 
 
 # -- profiles -----------------------------------------------------------------

@@ -172,15 +172,13 @@ class TestCalculus:
                   grid)
         assert ddt(f).max_abs() <= 1e-12
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "on the k3 > 0 planes of the half spectrum the multiplier i k_a "
-        "gives the spatial-Nyquist mode -i n/2 instead of 0"))
     @pytest.mark.parametrize("path", ["directional", "grad"])
     @pytest.mark.parametrize("axis", [1, 2])
     def test_derivative_of_spatial_nyquist_mode_is_zero(self, axis, path):
         # cos(4 x_a) on 8 samples is its own alias at k_a = +-4, and so is
         # its product with cos(x3): its x_a derivative is zero, on the slice
-        # kernel and on the whole-field gradient alike
+        # kernel and on the whole-field gradient alike, on the k3 > 0
+        # planes of the half spectrum as on k3 = 0
         grid = Grid4(8, 8)
         x = grid.axes()
         f = np.broadcast_to(np.cos(4 * x[axis]) * np.cos(x[3]), grid.shape)

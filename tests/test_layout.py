@@ -27,7 +27,8 @@ WAITING = {
     5: ("spectral_ops.biot_savart",),
     8: ("spectral_ops.inv_div_sym", "spectral_ops.inv_div_skew",
         "spectral_ops.frac_laplacian", "mollify.mollified_pressure"),
-    10: ("blocks.block_norm", "blocks.predicted_block_norm",
+    10: ("field.lebesgue_norm", "blocks.block_norm",
+         "blocks.predicted_block_norm",
          "blocks.measure_intermittency", "blocks.product_norm",
          "blocks.predicted_product_norm",
          "blocks.measure_product_intermittency", "blocks.IntermittencyFit",

@@ -7,7 +7,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.fft as sfft
 
 from cilab import spectral, threads
 from cilab.field import Field, div_tensor, grad, lebesgue_norm, to_spectral
@@ -179,36 +178,9 @@ class TestStreamedProjections:
         assert self._peak_slices(small_grid, op, rank) <= budget
 
 
-def hermitian_planes(spec):
-    """The k3 = 0 and n/2 planes of a half spectrum replaced by their
-    Hermitian parts (X(k1, k2) + conj X(-k1, -k2)) / 2, index by index."""
-    n = spec.shape[0]
-    out = spec.copy()
-    for k3 in (0, n // 2):
-        for i in range(n):
-            for j in range(n):
-                out[i, j, k3] = 0.5 * (spec[i, j, k3]
-                                       + spec[-i % n, -j % n, k3].conj())
-    return out
-
-
 class TestHalfSpectra:
     """Multipliers on half spectra, chained between one forward and one
     inverse transform."""
-
-    @pytest.mark.parametrize("n", [8, 38, 48])
-    def test_round_trip_projects_the_real_planes(self, n):
-        rng = np.random.default_rng(n)
-        shape = (n, n, n // 2 + 1, 2)
-        spec = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        trip = sfft.rfftn(sfft.irfftn(spec, s=(n, n, n), axes=(0, 1, 2)),
-                          axes=(0, 1, 2))
-        want = hermitian_planes(spec)
-        assert rel_max(trip, want) <= 1e-15
-        got = spectral.real_planes(spec.copy())
-        assert rel_max(got, want) <= 1e-15
-        # off the planes nothing moves
-        assert np.array_equal(got[:, :, 1:n // 2], spec[:, :, 1:n // 2])
 
     @pytest.mark.parametrize("n", [8, 38])
     def test_div_spectrum_is_the_tensor_divergence(self, n):
@@ -221,6 +193,38 @@ class TestHalfSpectra:
         tens = weights.reshape(-1, 6) @ tables.sum(axis=0).reshape(6, 18)
         want = spectral.div(tens.reshape(n, n, n, 6, 3))
         assert rel_max(spectral.irfft(spec, n), want) <= 1e-13
+
+
+class TestDerivativeRule:
+    """One Nyquist rule for every derivative: the multipliers of
+    spectral.derivatives vanish at k_a = +-n/2."""
+
+    @pytest.mark.parametrize("n", [8, 9, 38])
+    def test_tables_zero_only_the_nyquist_entries(self, n):
+        raw = spectral.wavenumbers(n, 1)
+        tables = spectral.derivatives(n, 1)
+        assert tables is spectral.derivatives(n, 1)
+        for got, want in zip(tables[:3], raw[:3]):
+            assert got.shape == want.shape and not got.flags.writeable
+            nyquist = np.abs(want) == n / 2
+            assert nyquist.any() == (n % 2 == 0)
+            assert np.all(got[nyquist] == 0.0)
+            assert np.array_equal(got[~nyquist], want[~nyquist])
+        k1, k2, k3, ksq = tables
+        assert np.array_equal(ksq, k1 * k1 + k2 * k2 + k3 * k3)
+
+    @pytest.mark.parametrize("n", [8, 38])
+    def test_projections_and_double_curls_are_divergence_free(self, n):
+        # white noise fills every plane of the spectrum, the Nyquist ones
+        # included
+        rng = np.random.default_rng(n + 2)
+        vec = rng.standard_normal((n, n, n, 2, 3))
+        once = spectral.leray(vec)
+        for out in (once, spectral.curl_curl(vec)):
+            terms = spectral.div_terms(out)
+            assert (np.abs(terms.sum(axis=-1)).max()
+                    <= 1e-13 * np.abs(terms).max())
+        assert rel_max(spectral.leray(once), once) <= 1e-13
 
 
 class TestFractionalLaplacian:
