@@ -42,7 +42,7 @@ import math
 
 import numpy as np
 
-from .blocks import envelope_stack, family_terms, flow_products
+from .blocks import envelope_stack, family, flow_products
 from .checks import fold_maxima, gate
 from .field import SKEW_PAIRS, SYM_PAIRS, Field, frobenius_weights
 from .geometry import ConstructionError, GeometrySet
@@ -211,6 +211,15 @@ class AmplitudeSet:
             return self.geom.lambda_u
         raise ValueError(f"unknown amplitude family {family!r}")
 
+    def cutoff(self, family: str) -> np.ndarray:
+        """The temporal cutoff of one family's amplitudes: f_b for the
+        magnetic frames, f_u for the velocity frames."""
+        if family == "magnetic":
+            return self.f_b
+        if family == "velocity":
+            return self.f_u
+        raise ValueError(f"unknown amplitude family {family!r}")
+
     def _rows(self, rows, j: int, table) -> np.ndarray:
         """Rows of data on slice j, as an (n^3, len) transposed view, times
         table."""
@@ -235,7 +244,7 @@ class AmplitudeSet:
         if not vals.min() > 0.0:
             raise ConstructionError(f"{family} amplitude square on slice {j} "
                                     "is not finite or not positive")
-        cutoff = (self.f_b if family == "magnetic" else self.f_u)[j]
+        cutoff = self.cutoff(family)[j]
         if cutoff != 1.0:
             vals *= cutoff ** 2
         return vals
@@ -400,14 +409,13 @@ def verify_cancellation(amps: AmplitudeSet, blocks: dict, temporal=None,
     if temporal is not None:
         g_sq = temporal.g(grid.t()) ** 2
 
-    families = {}
-    for family, side in (("magnetic", slice(3, 6)),
-                         ("velocity", slice(0, 3))):
-        sets, (pair, flows), _ = family_terms(family, amps.frames(family),
-                                              blocks, grid)
-        rows, cols = _STRESSES[family]
-        families[family] = (sets, pair,
-                            flow_products(flows)[:, side][:, rows, cols])
+    # each family with its products in its own equation, on the compact
+    # components of its stress
+    families = []
+    for name, side in (("magnetic", slice(3, 6)), ("velocity", slice(0, 3))):
+        fam = family(name, amps.frames(name), blocks, grid)
+        rows, cols = _STRESSES[name]
+        families.append((fam, flow_products(fam.flows)[:, side][:, rows, cols]))
     identity = np.equal(*SYM_PAIRS).astype(float)  # compact(Id)
 
     def residuals(j):
@@ -418,18 +426,18 @@ def verify_cancellation(amps: AmplitudeSet, blocks: dict, temporal=None,
                         * identity - amps.stress_u[j] - amps._g_b(j),
         }
         g2 = g_sq[j]
-        for family, (sets, pair, prods) in families.items():
-            a2 = amps.squared_slice(family, j).reshape(-1, len(sets))
-            env2 = envelope_stack(sets, pair, j) ** 2
+        for fam, prods in families:
+            a2 = amps.squared_slice(fam.name, j).reshape(-1, len(fam.sets))
+            env2 = envelope_stack(fam.sets, j) ** 2
             mean = env2.mean(axis=0)
             updates.append(("moment_defect", float(np.abs(
                 mean[:, None] * prods - prods).max())))
             lhs = (a2 * (g2 * env2)) @ prods
-            rhs = (targets[family].reshape(len(lhs), -1)
+            rhs = (targets[fam.name].reshape(len(lhs), -1)
                    + (a2 * (g2 * (env2 - mean) + (g2 - 1.0) * mean)) @ prods)
             scale = max(np.abs(lhs).max(), np.abs(rhs).max(),
                         amps.delta_next)
-            updates.append((family, float(np.abs(lhs - rhs).max()) / scale))
+            updates.append((fam.name, float(np.abs(lhs - rhs).max()) / scale))
         return updates
 
     report = fold_maxima(

@@ -135,7 +135,8 @@ class BlockSet:
     """
 
     __slots__ = ("frame", "params", "grid", "shear_band", "conc_band",
-                 "potential_band", "a_int", "m_int", "rate", "_idx", "_tables")
+                 "potential_band", "a_int", "m_int", "rate", "_idx", "_tables",
+                 "_moments")
 
     def __init__(self, frame, params: BlockParams, grid: Grid4,
                  shear_band: BandProfile, conc_band: BandProfile,
@@ -152,6 +153,7 @@ class BlockSet:
         self.rate = _phase_rate(frame, params)
         self._idx = {}
         self._tables = {}
+        self._moments = {}
 
     # -- phase lattice -----------------------------------------------------
 
@@ -210,6 +212,8 @@ class BlockSet:
         return tab[self._space_index(self.m_int)]
 
     def _flow_parts(self, kind: str):
+        """(shear kind, second profile kind, row) of a flow kind: the flow
+        is the product of the two profiles times the constant row."""
         inv_pot = 1.0 / (self.params.lam * self.frame.denom) ** 2
         rp2 = self.params.r_perp ** 2
         table = {
@@ -222,13 +226,31 @@ class BlockSet:
         }
         if kind not in table:
             raise ValueError(f"unknown flow kind {kind!r}")
-        return table[kind]
+        s_kind, c_kind, coef, direction = table[kind]
+        return s_kind, c_kind, coef * direction
 
     def flow_slice(self, kind: str, j: int) -> np.ndarray:
         """One time sample of a flow, shape (n_x, n_x, n_x, 3)."""
-        s_kind, c_kind, coef, direction = self._flow_parts(kind)
+        s_kind, c_kind, row = self._flow_parts(kind)
         scal = self.profile_slice(s_kind, j) * self.profile_slice(c_kind, j)
-        return (coef * scal)[..., None] * direction
+        return scal[..., None] * row
+
+    def moments(self, sides) -> np.ndarray:
+        """moment_products of the grid means of the flows named by sides,
+        [M_vel; M_mag] as (6, 3), cached per sides. The flows of sides
+        stack into one (n^3, 6) array, magnetic columns zero when sides
+        holds the velocity flow only, whose Gram matrix holds every mean
+        product. The blocks advance by a lattice shift, so slice zero
+        decides."""
+        if sides not in self._moments:
+            flows = np.zeros((self.grid.n_x ** 3, 2, 3))
+            for s, side in enumerate(sides):
+                flows[:, s] = self.flow_slice(side, 0).reshape(-1, 3)
+            flows = flows.reshape(-1, 6)
+            table = moment_products(flows.T @ flows / len(flows))
+            table.setflags(write=False)
+            self._moments[sides] = table
+        return self._moments[sides]
 
     def transport_slice(self, j: int, direction) -> np.ndarray:
         """The time-cancelled transport source mu^-1 d_t(psi^2 phi^2 dir)
@@ -241,33 +263,42 @@ class BlockSet:
         return scal[..., None] * np.asarray(direction)
 
 
-# -- stacked envelopes ------------------------------------------------------------
+# -- frame families ----------------------------------------------------------------
 
-def envelope_stack(sets, pair, j: int) -> np.ndarray:
+def envelope_stack(sets, j: int, profile: str = "concentration") -> np.ndarray:
     """(n_x**3, len(sets)) envelopes on slice j: column i is sets[i]'s
-    profile_slice(pair[0], j) * profile_slice(pair[1], j), flattened."""
-    s_kind, c_kind = pair
+    profile_slice("shear", j) * profile_slice(profile, j), flattened.
+    Every flow rides the concentration, every potential the potential."""
     n3 = sets[0].grid.n_x ** 3
     out = np.empty((n3, len(sets)))
     for i, bs in enumerate(sets):
-        np.multiply(bs.profile_slice(s_kind, j).reshape(n3),
-                    bs.profile_slice(c_kind, j).reshape(n3), out=out[:, i])
+        np.multiply(bs.profile_slice("shear", j).reshape(n3),
+                    bs.profile_slice(profile, j).reshape(n3), out=out[:, i])
     return out
 
 
-def flow_terms(sets, kind: str):
-    """One flow kind as rank-one terms (pair, rows): flow_slice(kind, j) of
-    sets[i] is column i of envelope_stack(sets, pair, j) times row i of the
-    (len(sets), 3) table. The velocity and magnetic flows share the pair
-    (shear, concentration)."""
-    parts = [bs._flow_parts(kind) for bs in sets]
-    return parts[0][:2], np.array([coef * direction
-                                   for _, _, coef, direction in parts])
+@dataclass(frozen=True, eq=False)
+class Family:
+    """One frame family as rank-one terms: flow_slice(side, j) of sets[i]
+    is column i of envelope_stack(sets, j) times the side's columns of row
+    i of flows, [velocity | magnetic]; flow_slice(side + "_potential", j)
+    likewise with envelope_stack(sets, j, "potential") and potentials.
+    sides names the flows the frames carry: magnetic frames both, velocity
+    frames the velocity flow, so their magnetic columns are zero. Build
+    with `family`."""
+
+    name: str
+    sets: tuple
+    flows: np.ndarray  # (k, 6)
+    potentials: np.ndarray  # (k, 6)
+    sides: tuple
 
 
-def family_sets(frames, blocks, grid) -> list:
-    """The block sets of frames in frame order, validated: each is in
-    blocks, lives on grid and was sampled for the frame it is keyed by."""
+def family(name: str, frames, blocks, grid) -> Family:
+    """The Family of frames, in frame order, validated: each block set is
+    in blocks, lives on grid and was sampled for the frame it is keyed by."""
+    if name not in ("magnetic", "velocity"):
+        raise ValueError(f"unknown frame family {name!r}")
     sets = []
     for fr in frames:
         try:
@@ -280,32 +311,16 @@ def family_sets(frames, blocks, grid) -> list:
             raise ValueError(f"block set keyed {fr.name} was sampled for "
                              f"frame {bs.frame.name}")
         sets.append(bs)
-    return sets
-
-
-def carried_kinds(family: str, kinds) -> tuple:
-    """What a family's frames carry of a (velocity, magnetic) pair of flow
-    kinds or directions: magnetic frames both, velocity frames the first."""
-    return tuple(kinds) if family == "magnetic" else tuple(kinds[:1])
-
-
-def family_terms(family: str, frames, blocks, grid):
-    """(sets, flows, potentials) of one frame family: the family_sets and,
-    as flow_terms (pair, (k, 6) [velocity | magnetic] rows), the flows on
-    (shear, concentration) and the double-curl potentials on (shear,
-    potential). Velocity frames get zero magnetic rows."""
-    sets = family_sets(frames, blocks, grid)
-    terms = []
-    for kinds in (("velocity", "magnetic"),
-                  ("velocity_potential", "magnetic_potential")):
-        rows = np.zeros((len(sets), 6))
-        pairs = set()
-        for side, kind in enumerate(carried_kinds(family, kinds)):
-            pair, rows[:, 3 * side:3 * side + 3] = flow_terms(sets, kind)
-            pairs.add(pair)
-        [pair] = pairs  # both kinds ride one envelope pair
-        terms.append((pair, rows))
-    return (sets, *terms)
+    sides = ("velocity", "magnetic") if name == "magnetic" else ("velocity",)
+    flows, potentials = np.zeros((len(sets), 6)), np.zeros((len(sets), 6))
+    for s, side in enumerate(sides):
+        for i, bs in enumerate(sets):
+            for rows, kind in ((flows, side),
+                               (potentials, f"{side}_potential")):
+                rows[i, 3 * s:3 * s + 3] = bs._flow_parts(kind)[2]
+    flows.setflags(write=False)
+    potentials.setflags(write=False)
+    return Family(name, tuple(sets), flows, potentials, sides)
 
 
 def moment_products(moments) -> np.ndarray:

@@ -12,25 +12,25 @@ mean drift of the squared oscillation profile through its antiderivative.
 Every block field is rank one, a scalar envelope times a constant frame
 vector, so nothing here loops over frames: per time slice and family the
 six envelopes stack into one (n^3, 6) array that meets constant tables
-(blocks.family_terms rows, their flow_products) in one product, and every
+(the rows of a blocks.Family, their flow_products) in one product, and every
 gradient, divergence or double curl is one transform pair per slice. The
 velocity family drives no magnetic part, so its magnetic tables are zero.
 
 Every balance these parts rely on can be evaluated literally on the
 grid, one term group at a time. The verifiers here do exactly that and
-compare against tolerances that grow with the measured spectral tail of
-the amplitudes; each report holds the residuals, the tail and each
-residual's tail-scaled tolerance (cilab.checks), so concentrated inputs
-near the grid limit degrade the tolerance instead of silently failing.
-Only the sums that a time derivative needs are held as whole fields;
-every other term group and the residual are formed one slice at a time
-with running maxima, in the same order of operations as the whole-field
-expressions, and each time derivative a residual slice reads is one row
-of the time differentiation matrix, D[j] @ X (field.ddt_slice). Every
-slice loop runs on the slice pool of cilab.threads: a slice writes only
-its own output slice, and maxima are folded in slice order afterwards.
+gate each residual at the tolerance they are given (cilab.checks); each
+report holds the residuals, any monitored values and each residual's
+tolerance. No tolerance grows with the inputs, so amplitudes the grid
+does not resolve fail these gates. Only the sums that a time derivative
+needs are held as whole fields; every other term group and the residual
+are formed one slice at a time with running maxima, in the same order of
+operations as the whole-field expressions, and each time derivative a
+residual slice reads is one row of the time differentiation matrix,
+D[j] @ X (field.ddt_slice). Every slice loop runs on the slice pool of
+cilab.threads: a slice writes only its own output slice, and maxima are
+folded in slice order afterwards.
 Block second moments enter the low-frequency correctors as measured grid
-means of the flow products (blocks.moment_products), not as continuum
+means of the flow products (BlockSet.moments), not as continuum
 values, so the balances close at grid level. Those mean matrices M_(k)
 are constant, so the low-frequency terms need only
 V = sum_k M_(k) grad a_(k)^2: the corrector drives h V, the balance's
@@ -55,21 +55,18 @@ import numpy as np
 
 from . import spectral
 from .amplitudes import AmplitudeSet, dilate_support
-from .blocks import (carried_kinds, envelope_stack, family_sets,
-                     family_terms, flow_products, moment_products)
+from .blocks import envelope_stack, family, flow_products
 from .checks import fold_maxima, gate
 from .field import Field, ddt, ddt_slice, peak_abs
 from .spectral_ops import _div_rel_defect, _mean_free3, leray, p_neq0
 from .threads import map_slices
-
-_TAIL_FACTOR = 10.0
 
 # summation order of the frame families on every slice
 _FAMILIES = ("magnetic", "velocity")
 
 
 class CorrectorIdentityError(RuntimeError):
-    """A perturbation balance missed its tail-scaled tolerance."""
+    """A perturbation balance or increment missed its tolerance."""
 
 
 # -- shared plumbing -----------------------------------------------------------
@@ -82,24 +79,26 @@ def _as_samples(profile, grid, what):
     return vals
 
 
-def _cutoff(amps, family):
-    return amps.f_b if family == "magnetic" else amps.f_u
+def _require_vector_on(grid, what, *fields):
+    for f in fields:
+        if f.grid != grid:
+            raise ValueError(f"{what} lives on a different grid")
+        if f.rank != 1:
+            raise ValueError(f"{what} must be a vector field")
 
 
 def _active(amps, families, j):
-    """Entries of families (name first) whose cutoff is nonzero on slice j,
-    with their squared amplitudes appended; the rest add exactly zero."""
-    for entry in families:
-        if _cutoff(amps, entry[0])[j] != 0.0:
-            yield entry + (amps.squared_slice(entry[0], j),)
+    """(family, squared amplitudes) of each blocks.Family whose cutoff is
+    nonzero on slice j; the rest add exactly zero."""
+    for fam in families:
+        if amps.cutoff(fam.name)[j] != 0.0:
+            yield fam, amps.squared_slice(fam.name, j)
 
 
-def _families(amps, blocks):
-    """(family, sets, flows, potentials) per family in summation order, as
-    blocks.family_terms gives them."""
-    return [(family, *family_terms(family, amps.frames(family), blocks,
-                                   amps.grid))
-            for family in _FAMILIES]
+def _families(amps, blocks, names=_FAMILIES):
+    """The blocks.Family of each frame family in names, in that order."""
+    return [family(name, amps.frames(name), blocks, amps.grid)
+            for name in names]
 
 
 def _families_at(amps, blocks, mu):
@@ -108,8 +107,8 @@ def _families_at(amps, blocks, mu):
     if not mu > 0.0:
         raise ValueError("the temporal parts need a positive transport rate")
     families = _families(amps, blocks)
-    for _, sets, _, _ in families:
-        for bs in sets:
+    for fam in families:
+        for bs in fam.sets:
             if bs.params.mu != mu:
                 raise ValueError(
                     f"block set {bs.frame.name} was sampled at transport rate "
@@ -145,55 +144,33 @@ def _abs_maxima(*arrays):
     return np.array([np.abs(a).max() for a in arrays])
 
 
-def _gate(report, names, tol):
-    """Gate each (key, label) of names at max(tol, _TAIL_FACTOR times the
-    report's amplitude tail); with np.maximum a NaN tail keeps that
-    tolerance NaN, which nothing is within."""
-    tail = report["amplitude_tail"]
-    effective = float(np.maximum(tol, _TAIL_FACTOR * tail))
-    return gate(report, [(key, label, effective) for key, label in names],
-                CorrectorIdentityError)
-
-
 # -- measured block moments -----------------------------------------------------
 
 def _moment_tables(amps, blocks):
-    """Per family, the measured mean matrices of the velocity and magnetic
-    equations as one (k, 6, 3) table, row k holding M_vel(k), M_mag(k): the
-    grid means of the flow products of each frame's sampled flows, which
+    """Per family, velocity first, the measured mean matrices of the
+    velocity and magnetic equations as one (k, 6, 3) table, row k holding
+    M_vel(k), M_mag(k): the grid means of the flow products of each frame's
+    sampled flows (BlockSet.moments, measured once per block set), which
     the correctors must consume, not the continuum moments, for the
-    balances to close. The blocks advance by a lattice shift, so slice zero
-    decides. Per frame the carried flows stack into one (n^3, 6) array,
-    magnetic columns zero on velocity frames, whose Gram matrix holds every
-    mean product; the frames are spread over the slice pool."""
-    frames = [(family, bs) for family in ("velocity", "magnetic")
-              for bs in family_sets(amps.frames(family), blocks, amps.grid)]
-
-    def means(i):
-        family, bs = frames[i]
-        kinds = carried_kinds(family, ("velocity", "magnetic"))
-        flows = np.zeros((amps.grid.n_x ** 3, 2, 3))
-        for side, kind in enumerate(kinds):
-            flows[:, side] = bs.flow_slice(kind, 0).reshape(-1, 3)
-        flows = flows.reshape(-1, 6)
-        return moment_products(flows.T @ flows / len(flows))
-
-    tables = map_slices(means, range(len(frames)))
-    n_u = len(amps.frames("velocity"))
-    return [("velocity", np.array(tables[:n_u])),
-            ("magnetic", np.array(tables[n_u:]))]
+    balances to close. The frames are spread over the slice pool."""
+    families = _families(amps, blocks, ("velocity", "magnetic"))
+    frames = [(bs, fam.sides) for fam in families for bs in fam.sets]
+    tables = map_slices(lambda i: frames[i][0].moments(frames[i][1]),
+                        range(len(frames)))
+    n_u = len(families[0].sets)
+    return [(fam.name, np.array(rows)) for fam, rows
+            in zip(families, (tables[:n_u], tables[n_u:]))]
 
 
-def _drift_spectrum(amps, tables, j, tails=None):
+def _drift_spectrum(amps, tables, j):
     """Half spectrum of V = sum_k M_(k) grad a_(k)^2 = div sum_k M_(k)
     a_(k)^2 on slice j for both equations, (n, n, n//2 + 1, 2, 3) or None,
-    straight from the spectra of the squares; the squares' tails are
-    appended to tails when given."""
+    straight from the spectra of the squares."""
     spec = None
-    for _, table, a2 in _active(amps, tables, j):
-        if tails is not None:
-            tails.append(("amplitude_tail", spectral.tail(a2.sum(axis=-1))))
-        spec = spectral.div_spectrum(a2, table, spec)
+    for name, table in tables:
+        if amps.cutoff(name)[j] != 0.0:
+            spec = spectral.div_spectrum(amps.squared_slice(name, j), table,
+                                         spec)
     if spec is None:
         return None
     return spec.reshape(spec.shape[:3] + (2, 3))
@@ -219,13 +196,9 @@ class Perturbation:
     d_o: Field
 
     def __post_init__(self):
-        grid = self.w_p.grid
-        for part in (self.w_p, self.w_c, self.w_t, self.w_o,
-                     self.d_p, self.d_c, self.d_t, self.d_o):
-            if part.grid != grid:
-                raise ValueError("perturbation parts live on different grids")
-            if part.rank != 1:
-                raise ValueError("perturbation parts must be vector fields")
+        _require_vector_on(self.w_p.grid, "perturbation part", self.w_p,
+                           self.w_c, self.w_t, self.w_o, self.d_p, self.d_c,
+                           self.d_t, self.d_o)
 
     @property
     def grid(self):
@@ -233,12 +206,6 @@ class Perturbation:
 
 
 # -- builders --------------------------------------------------------------------
-
-def _weighted_sum(coef, sets, pair, table, j):
-    """One family's sum_k coef_k envelope_k table_k on slice j, (n^3, 6)
-    [velocity | magnetic], for coef of shape (n^3, k)."""
-    return (coef * envelope_stack(sets, pair, j)) @ table
-
 
 def principal_parts(amps: AmplitudeSet, blocks: dict, g):
     """Sum amplitude times oscillation times velocity flow over both frame
@@ -253,10 +220,10 @@ def principal_parts(amps: AmplitudeSet, blocks: dict, g):
     def fill(j):
         if g[j] == 0.0:
             return
-        for _, sets, (pair, table), _, a2 in _active(amps, families, j):
-            amp = np.sqrt(a2).reshape(-1, len(sets))
-            out[:, j] += _sides(_weighted_sum(g[j] * amp, sets, pair, table,
-                                              j), n)
+        for fam, a2 in _active(amps, families, j):
+            amp = np.sqrt(a2).reshape(-1, len(fam.sets))
+            out[:, j] += _sides(
+                (g[j] * amp * envelope_stack(fam.sets, j)) @ fam.flows, n)
 
     map_slices(fill, range(grid.n_t))
     return Field(out[0], grid, _take=True), Field(out[1], grid, _take=True)
@@ -287,11 +254,12 @@ def incompressibility_correctors(amps: AmplitudeSet, blocks: dict, g,
         if not active:
             return
         pot = 0.0
-        for _, sets, (pair, table), (pot_pair, pot_table), a2 in active:
-            amp = np.sqrt(a2).reshape(-1, len(sets))
-            out[:, j] += _sides(_weighted_sum(g[j] * amp, sets, pair, table,
-                                              j), n)
-            pot = pot + _weighted_sum(amp, sets, pot_pair, pot_table, j)
+        for fam, a2 in active:
+            amp = np.sqrt(a2).reshape(-1, len(fam.sets))
+            out[:, j] += _sides(
+                (g[j] * amp * envelope_stack(fam.sets, j)) @ fam.flows, n)
+            pot = pot + (amp * envelope_stack(fam.sets, j, "potential")
+                         ) @ fam.potentials
         np.subtract(_sides(spectral.curl_curl(
             g[j] * pot.reshape(n, n, n, 2, 3)), n), out[:, j], out=out[:, j])
 
@@ -322,10 +290,10 @@ def temporal_correctors_t(amps: AmplitudeSet, blocks: dict, g, mu: float,
             return
         g2 = g[j] ** 2
         active = False
-        for _, sets, (pair, dirs), _, a2 in _active(amps, families, j):
-            a2 = a2.reshape(-1, len(sets))
+        for fam, a2 in _active(amps, families, j):
+            a2 = a2.reshape(-1, len(fam.sets))
             _add_sides(acc, j, _sides(
-                (g2 * a2 * envelope_stack(sets, pair, j) ** 2) @ dirs, n))
+                (g2 * a2 * envelope_stack(fam.sets, j) ** 2) @ fam.flows, n))
             active = True
         if active:  # an idle slice stays unwritten
             for side in acc:
@@ -381,12 +349,20 @@ def temporal_correctors_o(amps: AmplitudeSet, blocks: dict, h, sigma: float,
 
 # -- balance verifiers -----------------------------------------------------------
 
-def _require_vector_on(grid, what, *fields):
-    for f in fields:
-        if f.grid != grid:
-            raise ValueError(f"{what} lives on a different grid")
-        if f.rank != 1:
-            raise ValueError(f"{what} must be a vector field")
+def _transport_tables(fam, s):
+    """Side s's tables of one family for the temporal balance: ks, the
+    (k, 3) directions its frames' squares are differentiated along (k1,
+    then k2 on magnetic frames), and on the side's columns, contiguous, the
+    flow directions, their flow_products and the gradient transfer, one
+    row per frame and direction."""
+    dirs = fam.flows
+    k1, k2 = dirs[:, :3], dirs[:, 3:]
+    ks = (k1, k2)[:len(fam.sides)]
+    transfer = np.stack([dirs, -np.hstack([k2, k1])], axis=1)[
+        :, :len(ks)].reshape(-1, 6)
+    cols = slice(3 * s, 3 * s + 3)
+    return (ks, *(np.ascontiguousarray(table[:, cols])
+                  for table in (dirs, flow_products(dirs), transfer)))
 
 
 def verify_divfree_representation(amps, blocks, g, w_p, w_c, d_p, d_c,
@@ -417,7 +393,7 @@ def verify_divfree_representation(amps, blocks, g, w_p, w_c, d_p, d_c,
                        axis=-2)
         terms = spectral.div_terms(lhs)
         nyquist = np.zeros(2)
-        for a in range(3) if n % 2 == 0 else ():  # odd n: no plane n/2
+        for a in range(3):
             x = np.moveaxis(lhs, a, 0)
             alt = np.abs(x[0::2].sum(axis=0) - x[1::2].sum(axis=0)) / n
             nyquist = np.maximum(nyquist, alt.max(axis=(0, 1, 3)))
@@ -433,10 +409,10 @@ def verify_divfree_representation(amps, blocks, g, w_p, w_c, d_p, d_c,
         if g[j] == 0.0:
             return updates
         pot = np.zeros((n ** 3, 6))
-        for _, sets, _, (pair, table), a2 in _active(amps, families, j):
-            updates.append(("amplitude_tail", spectral.tail(a2.sum(axis=-1))))
-            amp = np.sqrt(a2).reshape(-1, len(sets))
-            pot += _weighted_sum(amp, sets, pair, table, j)
+        for fam, a2 in _active(amps, families, j):
+            amp = np.sqrt(a2).reshape(-1, len(fam.sets))
+            pot += (amp * envelope_stack(fam.sets, j, "potential")
+                    ) @ fam.potentials
         rhs = spectral.curl_curl(g[j] * pot.reshape(n, n, n, 2, 3))
         for s, (key, _, _) in enumerate(keys):
             left, right = lhs[..., s, :], rhs[..., s, :]
@@ -445,17 +421,18 @@ def verify_divfree_representation(amps, blocks, g, w_p, w_c, d_p, d_c,
             updates.append((key, float(np.abs(left - right).max()) / scale))
         return updates
 
-    report = fold_maxima(
-        dict.fromkeys(sum(keys, ()) + ("amplitude_tail",), 0.0),
-        map_slices(residuals, range(grid.n_t)))
-    _gate(report, (("velocity_representation",
-                    "velocity double-curl representation residual"),
-                   ("magnetic_representation",
-                    "magnetic double-curl representation residual")), tol)
-    return _gate(report, (("velocity_divergence",
-                           "velocity incompressibility residual"),
-                          ("magnetic_divergence",
-                           "magnetic incompressibility residual")), div_tol)
+    report = fold_maxima(dict.fromkeys(sum(keys, ()), 0.0),
+                         map_slices(residuals, range(grid.n_t)))
+    gate(report, [("velocity_representation",
+                   "velocity double-curl representation residual", tol),
+                  ("magnetic_representation",
+                   "magnetic double-curl representation residual", tol)],
+         CorrectorIdentityError)
+    return gate(report, [("velocity_divergence",
+                          "velocity incompressibility residual", div_tol),
+                         ("magnetic_divergence",
+                          "magnetic incompressibility residual", div_tol)],
+                CorrectorIdentityError)
 
 
 def verify_temporal_balance(amps, blocks, g, mu: float, w_t, d_t,
@@ -477,71 +454,52 @@ def verify_temporal_balance(amps, blocks, g, mu: float, w_t, d_t,
     oscillation transport g^2 div sum_k a_k^2 P_k goes through no time
     derivative, so the residual pass forms it slice by slice and never
     stores it. The magnetic side skips the velocity family, whose magnetic
-    tables are zero, and re-transforms the magnetic family's squares; the
-    amplitude tail is taken on the velocity side's sweep."""
+    tables are zero, and re-transforms the magnetic family's squares."""
     grid = amps.grid
     n = grid.n_x
     g = _as_samples(g, grid, "oscillation profile g")
     _require_vector_on(grid, "temporal corrector", w_t, d_t)
-    families = []
-    for family, sets, (pair, dirs), _ in _families_at(amps, blocks, mu):
-        k1, k2 = dirs[:, :3], dirs[:, 3:]
-        # rows: per frame, derivative along k1 then k2 (none for velocity)
-        ks = carried_kinds(family, (k1, k2))
-        transfer = np.stack([dirs, -np.hstack([k2, k1])], axis=1)[
-            :, :len(ks)].reshape(-1, 6)
-        families.append((family, sets, pair, dirs, flow_products(dirs), ks,
-                         transfer))
+    families = _families_at(amps, blocks, mu)
     g2_all = g ** 2
-    report = {"amplitude_tail": 0.0}
+    report = {}
     for s, (side, part) in enumerate((("velocity", w_t), ("magnetic", d_t))):
-        # the families this side carries, with its columns of their tables
-        cols = slice(3 * s, 3 * s + 3)
-        carried = [(family, sets, pair, np.ascontiguousarray(dirs[:, cols]),
-                    np.ascontiguousarray(products[:, cols]), ks,
-                    np.ascontiguousarray(transfer[:, cols]))
-                   for family, sets, pair, dirs, products, ks, transfer
-                   in families if s < len(ks)]
+        carried = [fam for fam in families if side in fam.sides]
+        tables = {fam.name: _transport_tables(fam, s) for fam in carried}
         acc, drift = np.zeros(grid.shape + (3,)), np.zeros(grid.shape + (3,))
 
-        def terms(j, g2, sets, pair, dirs, ks, transfer, a2):
+        def terms(j, g2, fam, a2):
             """One family's transport charge and gradient transfer on slice
             j, as (n, n, n, 3) each. The products are taken in place, and
             the derivatives die on return, before the next family's."""
-            derivs = spectral.directional(a2, ks).reshape(n ** 3, len(sets),
-                                                          -1)
-            env2 = envelope_stack(sets, pair, j) ** 2
+            ks, dirs, _, transfer = tables[fam.name]
+            derivs = spectral.directional(a2, ks).reshape(
+                n ** 3, len(fam.sets), -1)
+            env2 = envelope_stack(fam.sets, j) ** 2
             derivs *= env2[:, :, None]
             gradient = g2 * (derivs.reshape(n ** 3, -1) @ transfer)
             del derivs
-            env2 *= a2.reshape(-1, len(sets))
+            env2 *= a2.reshape(-1, len(fam.sets))
             return ((g2 * (env2 @ dirs)).reshape(n, n, n, 3),
                     gradient.reshape(n, n, n, 3))
 
         def sweep(j):
             if g[j] == 0.0:
-                return []
-            tails = []
-            for (_, sets, pair, dirs, _, ks, transfer,
-                 a2) in _active(amps, carried, j):
-                if s == 0:
-                    tails.append(("amplitude_tail",
-                                  spectral.tail(a2.sum(axis=-1))))
-                charge, gradient = terms(j, g[j] ** 2, sets, pair, dirs, ks,
-                                         transfer, a2)
+                return
+            for fam, a2 in _active(amps, carried, j):
+                charge, gradient = terms(j, g[j] ** 2, fam, a2)
                 acc[j] += charge
                 drift[j] += gradient
-            return tails
 
-        fold_maxima(report, map_slices(sweep, range(grid.n_t)))
+        map_slices(sweep, range(grid.n_t))
         # profile drift, time-derivative half:
         # - mu^{-1} envelope^2 k d_t(a^2 g^2)
-        for family, sets, pair, _, _, ks, _ in carried:
-            for i, bs in enumerate(sets):
+        for fam in carried:
+            dirs = tables[fam.name][1]
+            for i, bs in enumerate(fam.sets):
                 q = np.empty(grid.shape)
 
                 def fill(j):
-                    q[j] = g2_all[j] * amps.squared_component_slice(family,
+                    q[j] = g2_all[j] * amps.squared_component_slice(fam.name,
                                                                     i, j)
 
                 map_slices(fill, range(grid.n_t))
@@ -549,9 +507,9 @@ def verify_temporal_balance(amps, blocks, g, mu: float, w_t, d_t,
                 q = None
 
                 def pull(j):
-                    pulled = (envelope_stack([bs], pair, j) ** 2
+                    pulled = (envelope_stack([bs], j) ** 2
                               * dq[j].reshape(-1, 1) / mu)
-                    drift[j] -= (pulled * ks[s][i]).reshape(n, n, n, 3)
+                    drift[j] -= (pulled * dirs[i]).reshape(n, n, n, 3)
 
                 map_slices(pull, range(grid.n_t))
                 dq = None
@@ -561,10 +519,10 @@ def verify_temporal_balance(amps, blocks, g, mu: float, w_t, d_t,
             or None where g or every cutoff vanishes."""
             spec = None
             if g[j] != 0.0:
-                for (_, sets, pair, _, products, _, _,
-                     a2) in _active(amps, carried, j):
-                    weight = (a2.reshape(-1, len(sets))
-                              * envelope_stack(sets, pair, j) ** 2)
+                for fam, a2 in _active(amps, carried, j):
+                    products = tables[fam.name][2]
+                    weight = (a2.reshape(-1, len(fam.sets))
+                              * envelope_stack(fam.sets, j) ** 2)
                     spec = spectral.div_spectrum(weight.reshape(n, n, n, -1),
                                                  products, spec)
             if spec is None:
@@ -589,11 +547,12 @@ def verify_temporal_balance(amps, blocks, g, mu: float, w_t, d_t,
         acc = drift = None
         report[f"{side}_temporal_balance"] = float(
             peaks[0] / max(*peaks[1:], amps.delta_next))
-    return _gate(report,
-                 (("velocity_temporal_balance",
-                   "velocity temporal corrector balance residual"),
-                  ("magnetic_temporal_balance",
-                   "magnetic temporal corrector balance residual")), tol)
+    return gate(report, [
+        ("velocity_temporal_balance",
+         "velocity temporal corrector balance residual", tol),
+        ("magnetic_temporal_balance",
+         "magnetic temporal corrector balance residual", tol)],
+        CorrectorIdentityError)
 
 
 def verify_low_frequency_balance(amps, blocks, h, sigma: float, g, w_o, d_o,
@@ -614,16 +573,14 @@ def verify_low_frequency_balance(amps, blocks, h, sigma: float, g, w_o, d_o,
     drift = _side_fields(grid)
 
     def sweep(j):
-        tails = []
-        spec = _drift_spectrum(amps, tables, j, tails)
+        spec = _drift_spectrum(amps, tables, j)
         if spec is not None:
             for side, term in zip(drift, np.moveaxis(spectral.irfft(
                     spec, grid.n_x), 3, 0)):
                 side[j] = term
-        return tails
 
-    report = fold_maxima({"amplitude_tail": 0.0},
-                          map_slices(sweep, range(grid.n_t)))
+    map_slices(sweep, range(grid.n_t))
+    report = {}
     g2m1 = g ** 2 - 1.0
     for s, (side, part) in enumerate((("velocity", w_o), ("magnetic", d_o))):
         def residual(j):
@@ -640,12 +597,12 @@ def verify_low_frequency_balance(amps, blocks, h, sigma: float, g, w_o, d_o,
         drift[s] = None
         report[f"{side}_low_frequency_balance"] = float(
             peaks[0] / max(*peaks[1:], amps.delta_next))
-    return _gate(report,
-                 (("velocity_low_frequency_balance",
-                   "velocity low-frequency corrector balance residual"),
-                  ("magnetic_low_frequency_balance",
-                   "magnetic low-frequency corrector balance residual")),
-                 tol)
+    return gate(report, [
+        ("velocity_low_frequency_balance",
+         "velocity low-frequency corrector balance residual", tol),
+        ("magnetic_low_frequency_balance",
+         "magnetic low-frequency corrector balance residual", tol)],
+        CorrectorIdentityError)
 
 
 # -- assembly ---------------------------------------------------------------------

@@ -11,8 +11,8 @@ multipliers between one forward and one inverse transform:
 `leray_spectrum` and `div_spectrum`, which forms the spectrum of a tensor
 divergence from the spectra of its weights.
 Wavenumber tables are float, built once per (n, trailing) and shared
-read-only; no other module builds one. The even symbols and `tail` read
-the raw integers (`wavenumbers`); every operator made of derivatives reads
+read-only; no other module builds one. The even symbols read the raw
+integers (`wavenumbers`); every operator made of derivatives reads
 `derivatives`, zero at k_a = +-n/2, where cos(n x_a / 2) has zero slope on
 the grid (S. G. Johnson, Notes on FFT-based differentiation, MIT 2011).
 Time multipliers are real circulant matrices (`circulant`).
@@ -24,7 +24,6 @@ installed there see every call.
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 import scipy.fft as sfft
@@ -224,16 +223,3 @@ def div_spectrum(weights, table, out=None):
         out += term
     return out
 
-
-def tail(scalar):
-    """High-mode mass fraction of one scalar slice: an aliasing indicator,
-    not a norm. Modes above half the Nyquist band in any direction count."""
-    n = scalar.shape[0]
-    k1, k2, k3, _ = wavenumbers(n)
-    spec = rfft(scalar)
-    cut = n // 4
-    high = (np.abs(k1) > cut) | (np.abs(k2) > cut) | (k3 > cut)
-    total = float((np.abs(spec) ** 2).sum())
-    if total <= 0.0:
-        return 0.0
-    return math.sqrt(float((np.abs(spec[high]) ** 2).sum()) / total)

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cilab.blocks import (
-    BlockParams, BlockSet, block_norm, family_terms, flow_products,
-    flow_terms, measure_intermittency, measure_product_intermittency,
+    BlockParams, BlockSet, block_norm, envelope_stack, family, flow_products,
+    measure_intermittency, measure_product_intermittency,
     predicted_block_norm, predicted_product_norm, product_norm,
     sample_blocks,
 )
@@ -177,7 +177,7 @@ class TestSampling:
 
 
 class TestFlowAlgebra:
-    """family_terms and flow_products state the two flow rules once:
+    """blocks.Family and flow_products state the two flow rules once:
     velocity frames carry W = psi phi k1 only, magnetic frames also
     D = psi phi k2, and the products are W (x) W - D (x) D in the velocity
     equation and D (x) W - W (x) D in the magnetic one."""
@@ -187,47 +187,86 @@ class TestFlowAlgebra:
         params = BlockParams(lam=1, mu=1.0, n_conc_harmonics=1)
         blocks = {fr.name: sample_blocks(fr, params, dense_grid, base)
                   for fr in geom.lambda_b + geom.lambda_u}
-        return {family: (frames, family_terms(family, frames, blocks,
-                                              dense_grid))
-                for family, frames in (("magnetic", geom.lambda_b),
-                                       ("velocity", geom.lambda_u))}
+        return {name: (frames, family(name, frames, blocks, dense_grid))
+                for name, frames in (("magnetic", geom.lambda_b),
+                                     ("velocity", geom.lambda_u))}
 
-    @pytest.mark.parametrize("family", ["magnetic", "velocity"])
-    def test_family_terms_rows_are_flow_terms(self, families, family):
-        frames, (sets, flows, potentials) = families[family]
-        assert [bs.frame.name for bs in sets] == [fr.name for fr in frames]
-        for (pair, rows), kinds, want_pair in (
-                (flows, ("velocity", "magnetic"), ("shear", "concentration")),
-                (potentials, ("velocity_potential", "magnetic_potential"),
-                 ("shear", "potential"))):
-            assert pair == want_pair
-            assert rows.shape == (len(sets), 6)
-            assert np.array_equal(rows[:, :3], flow_terms(sets, kinds[0])[1])
-            if family == "magnetic":
-                want = flow_terms(sets, kinds[1])[1]
-                assert np.array_equal(rows[:, 3:], want)
-            else:
-                assert not rows[:, 3:].any()
+    @pytest.mark.parametrize("name", ["magnetic", "velocity"])
+    def test_family_rows_are_the_frame_directions(self, families, name):
+        frames, fam = families[name]
+        assert fam.name == name
+        assert [bs.frame.name for bs in fam.sets] == [fr.name for fr in frames]
+        assert fam.sides == (("velocity", "magnetic") if name == "magnetic"
+                             else ("velocity",))
+        for rows in (fam.flows, fam.potentials):
+            assert rows.shape == (len(frames), 6)
+            assert not rows.flags.writeable
+        inv_pot = np.array([1.0 / fr.denom ** 2 for fr in frames])[:, None]
+        k1 = np.stack([fr.k1 for fr in frames])
+        k2 = np.stack([fr.k2 for fr in frames])
+        assert np.array_equal(fam.flows[:, :3], k1)
+        assert np.array_equal(fam.potentials[:, :3], inv_pot * k1)
+        if name == "magnetic":
+            assert np.array_equal(fam.flows[:, 3:], k2)
+            assert np.array_equal(fam.potentials[:, 3:], inv_pot * k2)
+        else:
+            assert not fam.flows[:, 3:].any()
+            assert not fam.potentials[:, 3:].any()
+
+    @pytest.mark.parametrize("name", ["magnetic", "velocity"])
+    @pytest.mark.parametrize("j", [0, 5])
+    def test_every_flow_is_its_envelope_times_its_row(self, families, name,
+                                                      j):
+        # the rank-one identity the builders and verifiers rest on, bitwise
+        _, fam = families[name]
+        n = fam.sets[0].grid.n_x
+        for rows, profile, suffix in ((fam.flows, "concentration", ""),
+                                      (fam.potentials, "potential",
+                                       "_potential")):
+            env = envelope_stack(fam.sets, j, profile)
+            for i, bs in enumerate(fam.sets):
+                for s, side in enumerate(fam.sides):
+                    want = bs.flow_slice(side + suffix, j)
+                    got = (env[:, i, None] * rows[i, 3 * s:3 * s + 3])
+                    assert np.array_equal(got.reshape(n, n, n, 3), want), (
+                        bs.frame.name, side + suffix)
+
+    def test_family_validates_its_block_sets(self, geom, families,
+                                             dense_grid):
+        _, mag = families["magnetic"]
+        blocks = {bs.frame.name: bs for bs in mag.sets}
+        missing = dict(blocks)
+        del missing[geom.lambda_b[1].name]
+        with pytest.raises(ValueError, match="missing block set"):
+            family("magnetic", geom.lambda_b, missing, dense_grid)
+        swapped = dict(blocks)
+        swapped[geom.lambda_b[1].name] = blocks[geom.lambda_b[2].name]
+        with pytest.raises(ValueError, match="sampled for frame"):
+            family("magnetic", geom.lambda_b, swapped, dense_grid)
+        with pytest.raises(ValueError, match="different grid"):
+            family("magnetic", geom.lambda_b, blocks, Grid4(n_t=8, n_x=64))
+        with pytest.raises(ValueError, match="unknown frame family"):
+            family("pressure", geom.lambda_b, blocks, dense_grid)
 
     def test_magnetic_products_are_the_skew_generators(self, families):
-        frames, (_, (_, flows), _) = families["magnetic"]
+        frames, fam = families["magnetic"]
         want = np.stack([skew_generator(fr) for fr in frames])
-        assert np.array_equal(flow_products(flows)[:, 3:], want)
+        assert np.array_equal(flow_products(fam.flows)[:, 3:], want)
 
     def test_velocity_products_are_the_sym_generators(self, families):
-        frames, (_, (_, flows), _) = families["velocity"]
+        frames, fam = families["velocity"]
         want = np.stack([sym_generator(fr) for fr in frames])
-        assert np.array_equal(flow_products(flows)[:, :3], want)
+        assert np.array_equal(flow_products(fam.flows)[:, :3], want)
 
     def test_magnetic_velocity_product_is_the_imbalance(self, families):
-        frames, (_, (_, flows), _) = families["magnetic"]
+        frames, fam = families["magnetic"]
         want = np.stack([np.outer(fr.k1, fr.k1) - np.outer(fr.k2, fr.k2)
                          for fr in frames])
-        assert np.array_equal(flow_products(flows)[:, :3], want)
+        assert np.array_equal(flow_products(fam.flows)[:, :3], want)
 
     def test_velocity_frames_drive_no_magnetic_product(self, families):
-        _, (_, (_, flows), _) = families["velocity"]
-        assert not flow_products(flows)[:, 3:].any()
+        _, fam = families["velocity"]
+        assert not flow_products(fam.flows)[:, 3:].any()
 
 
 def worst(report):

@@ -17,7 +17,7 @@ from cilab import spectral
 from cilab.amplitudes import (
     CancellationError, build_amplitudes, dilate_support, verify_cancellation,
 )
-from cilab.blocks import BlockParams, sample_blocks
+from cilab.blocks import BlockParams, BlockSet, moment_products, sample_blocks
 from cilab.field import Field, ddt, div_tensor, grad, to_spectral
 from cilab.geometry import ConstructionError, build_geometry
 from cilab.grid import Grid4
@@ -26,6 +26,7 @@ from cilab.spectral_ops import (
     _mean_free3, biot_savart, frac_laplacian, inv_div_skew, inv_div_sym,
     leray, p_neq0,
 )
+from cilab.threads import map_slices
 
 from conftest import random_divfree, random_field
 from oracles import (
@@ -134,15 +135,12 @@ def ref_mean_matrices(amps, blocks):
     return m_vel, m_mag
 
 
-def ref_gate(report, tol, tail, keys=None):
-    """The tail and, for each key (by default every residual), its
-    tail-scaled tolerance."""
+def ref_gate(report, tol, keys=None):
+    """For each key (by default every residual), its raw tolerance."""
     if keys is None:
-        keys = [k for k in report if k != "amplitude_tail"
-                and not k.endswith("_tolerance")]
-    report["amplitude_tail"] = tail
+        keys = [k for k in report if not k.endswith("_tolerance")]
     for key in keys:
-        report[f"{key}_tolerance"] = max(tol, pt._TAIL_FACTOR * tail)
+        report[f"{key}_tolerance"] = tol
     return report
 
 
@@ -154,7 +152,7 @@ def ref_principal(amps, blocks, g):
         if g[j] == 0.0:
             continue
         for family, triples in ref_families(amps, blocks).items():
-            if pt._cutoff(amps, family)[j] == 0.0:
+            if amps.cutoff(family)[j] == 0.0:
                 continue
             amp = np.sqrt(amps.squared_slice(family, j))
             for i, fr, bs in triples:
@@ -173,7 +171,7 @@ def ref_incompressibility(amps, blocks, g):
         pot_w = np.zeros(grid.shape[1:] + (3,))
         pot_d = np.zeros(grid.shape[1:] + (3,))
         for family, triples in ref_families(amps, blocks).items():
-            if pt._cutoff(amps, family)[j] == 0.0:
+            if amps.cutoff(family)[j] == 0.0:
                 continue
             amp = np.sqrt(amps.squared_slice(family, j))
             for i, fr, bs in triples:
@@ -194,7 +192,7 @@ def ref_temporal_t(amps, blocks, g, mu):
         if g[j] == 0.0:
             continue
         for family, triples in ref_families(amps, blocks).items():
-            if pt._cutoff(amps, family)[j] == 0.0:
+            if amps.cutoff(family)[j] == 0.0:
                 continue
             a2 = amps.squared_slice(family, j)
             for i, fr, bs in triples:
@@ -216,7 +214,7 @@ def ref_temporal_o(amps, blocks, h, sigma):
         if h[j] == 0.0:
             continue
         for family in ("velocity", "magnetic"):
-            if pt._cutoff(amps, family)[j] == 0.0:
+            if amps.cutoff(family)[j] == 0.0:
                 continue
             grads = ref_grad3(amps.squared_slice(family, j))
             for i, fr in enumerate(amps.frames(family)):
@@ -244,7 +242,6 @@ def ref_divfree(amps, blocks, g, w_p, w_c, d_p, d_c, tol=1e-7, div_tol=1e-8):
     report = {"velocity_representation": 0.0, "magnetic_representation": 0.0,
               "velocity_divergence": 0.0, "magnetic_divergence": 0.0,
               "velocity_nyquist_share": 0.0, "magnetic_nyquist_share": 0.0}
-    tail = 0.0
     for j in range(grid.n_t):
         wsum = w_p[j] + w_c[j]
         dsum = d_p[j] + d_c[j]
@@ -262,11 +259,9 @@ def ref_divfree(amps, blocks, g, w_p, w_c, d_p, d_c, tol=1e-7, div_tol=1e-8):
         pot_w = np.zeros(grid.shape[1:] + (3,))
         pot_d = np.zeros(grid.shape[1:] + (3,))
         for family, triples in ref_families(amps, blocks).items():
-            if pt._cutoff(amps, family)[j] == 0.0:
+            if amps.cutoff(family)[j] == 0.0:
                 continue
-            a2 = amps.squared_slice(family, j)
-            tail = max(tail, spectral.tail(a2.sum(axis=-1)))
-            amp = np.sqrt(a2)
+            amp = np.sqrt(amps.squared_slice(family, j))
             for i, fr, bs in triples:
                 coef = (g[j] * amp[..., i])[..., None]
                 pot_w += coef * bs.flow_slice("velocity_potential", j)
@@ -279,10 +274,10 @@ def ref_divfree(amps, blocks, g, w_p, w_c, d_p, d_c, tol=1e-7, div_tol=1e-8):
                         amps.delta_next)
             report[key] = max(report[key],
                               float(np.abs(lhs - rhs).max()) / scale)
-    ref_gate(report, tol, tail, ("velocity_representation",
-                                 "magnetic_representation"))
-    return ref_gate(report, div_tol, tail, ("velocity_divergence",
-                                            "magnetic_divergence"))
+    ref_gate(report, tol, ("velocity_representation",
+                           "magnetic_representation"))
+    return ref_gate(report, div_tol, ("velocity_divergence",
+                                      "magnetic_divergence"))
 
 
 def ref_temporal_balance(amps, blocks, g, mu, w_t, d_t, tol=1e-6):
@@ -292,7 +287,6 @@ def ref_temporal_balance(amps, blocks, g, mu, w_t, d_t, tol=1e-6):
     acc = {"velocity": np.zeros(shape_v), "magnetic": np.zeros(shape_v)}
     osc = {"velocity": np.zeros(shape_v), "magnetic": np.zeros(shape_v)}
     drift = {"velocity": np.zeros(shape_v), "magnetic": np.zeros(shape_v)}
-    tail = 0.0
     for j in range(grid.n_t):
         if g[j] == 0.0:
             continue
@@ -300,10 +294,9 @@ def ref_temporal_balance(amps, blocks, g, mu, w_t, d_t, tol=1e-6):
         tens_v = np.zeros(grid.shape[1:] + (3, 3))
         tens_m = np.zeros(grid.shape[1:] + (3, 3))
         for family, triples in families.items():
-            if pt._cutoff(amps, family)[j] == 0.0:
+            if amps.cutoff(family)[j] == 0.0:
                 continue
             a2 = amps.squared_slice(family, j)
-            tail = max(tail, spectral.tail(a2.sum(axis=-1)))
             grads = ref_grad3(a2)
             for i, fr, bs in triples:
                 flow_w = bs.flow_slice("velocity", j)
@@ -348,7 +341,7 @@ def ref_temporal_balance(amps, blocks, g, mu, w_t, d_t, tol=1e-6):
         scale = max(evolution.max_abs(), transport.max_abs(),
                     pressure.max_abs(), transfer.max_abs(), amps.delta_next)
         report[f"{side}_temporal_balance"] = float(np.abs(resid).max()) / scale
-    return ref_gate(report, tol, tail)
+    return ref_gate(report, tol)
 
 
 def ref_low_frequency_balance(amps, blocks, h, sigma, g, w_o, d_o, tol=1e-6):
@@ -357,14 +350,12 @@ def ref_low_frequency_balance(amps, blocks, h, sigma, g, w_o, d_o, tol=1e-6):
     shape_v = grid.shape + (3,)
     residue = {"velocity": np.zeros(shape_v), "magnetic": np.zeros(shape_v)}
     wander = {"velocity": np.zeros(shape_v), "magnetic": np.zeros(shape_v)}
-    tail = 0.0
     g2m1 = g ** 2 - 1.0
     for j in range(grid.n_t):
         for family in ("velocity", "magnetic"):
-            if pt._cutoff(amps, family)[j] == 0.0:
+            if amps.cutoff(family)[j] == 0.0:
                 continue
             a2 = amps.squared_slice(family, j)
-            tail = max(tail, spectral.tail(a2.sum(axis=-1)))
             grads = ref_grad3(a2)
             for i, fr in enumerate(amps.frames(family)):
                 ga2 = grads[..., i, :]
@@ -399,7 +390,7 @@ def ref_low_frequency_balance(amps, blocks, h, sigma, g, w_o, d_o, tol=1e-6):
                     transfer.max_abs(), amps.delta_next)
         report[f"{side}_low_frequency_balance"] = \
             float(np.abs(resid).max()) / scale
-    return ref_gate(report, tol, tail)
+    return ref_gate(report, tol)
 
 
 # -- fixtures ----------------------------------------------------------------------
@@ -588,6 +579,49 @@ class TestMoments:
                                        mean(d, w) - mean(w, d)])
                 assert rel_max(rows, want) < 1e-12, fr.name
 
+    def test_tables_are_measured_once_per_block_set(self, built,
+                                                    monkeypatch):
+        """Each block set measures its table once: a second call samples
+        no flow, and both calls give, bit for bit, the Gram matrix of the
+        set's carried flows stacked as one (n^3, 6) array on the slice
+        pool, magnetic columns zero on velocity frames."""
+        amps, blocks = built[:2]
+        base = make_spatial_profiles()
+        fresh = {name: sample_blocks(bs.frame, bs.params, bs.grid, base)
+                 for name, bs in blocks.items()}
+        kinds = []
+        flow_slice = BlockSet.flow_slice
+
+        def counted(self, kind, j):
+            kinds.append(kind)
+            return flow_slice(self, kind, j)
+
+        monkeypatch.setattr(BlockSet, "flow_slice", counted)
+        first = pt._moment_tables(amps, fresh)
+        assert sorted(kinds) == ["magnetic"] * 6 + ["velocity"] * 12
+        kinds.clear()
+        second = pt._moment_tables(amps, fresh)
+        assert kinds == []
+        frames = [(family, fresh[fr.name]) for family in ("velocity",
+                                                          "magnetic")
+                  for fr in amps.frames(family)]
+
+        def means(i):
+            family, bs = frames[i]
+            flows = np.zeros((amps.grid.n_x ** 3, 2, 3))
+            flows[:, 0] = flow_slice(bs, "velocity", 0).reshape(-1, 3)
+            if family == "magnetic":
+                flows[:, 1] = flow_slice(bs, "magnetic", 0).reshape(-1, 3)
+            flows = flows.reshape(-1, 6)
+            return moment_products(flows.T @ flows / len(flows))
+
+        want = map_slices(means, range(len(frames)))
+        for tables in (first, second):
+            assert [family for family, _ in tables] == ["velocity",
+                                                        "magnetic"]
+            got = [rows for _, table in tables for rows in table]
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
 
 def passing_tol(report, keys):
     return 2.0 * max(report[k] for k in keys)
@@ -603,10 +637,9 @@ class TestVerifiers:
                                  "magnetic_representation"))
         div_tol = passing_tol(want, ("velocity_divergence",
                                      "magnetic_divergence"))
-        ref_gate(want, tol, want["amplitude_tail"],
+        ref_gate(want, tol,
                  ("velocity_representation", "magnetic_representation"))
-        ref_gate(want, div_tol, want["amplitude_tail"],
-                 ("velocity_divergence", "magnetic_divergence"))
+        ref_gate(want, div_tol, ("velocity_divergence", "magnetic_divergence"))
         got = pt.verify_divfree_representation(
             amps, blocks, g, *(parts[k] for k in names), tol=tol,
             div_tol=div_tol)
@@ -629,7 +662,6 @@ class TestVerifiers:
             tol=inf, div_tol=inf)
         assert_reports_match(got, want)
         worst = want["velocity_representation"]
-        assert worst > pt._TAIL_FACTOR * want["amplitude_tail"]
         with pytest.raises(pt.CorrectorIdentityError,
                            match="velocity double-curl representation"):
             pt.verify_divfree_representation(
@@ -677,7 +709,7 @@ class TestVerifiers:
                                  "magnetic_temporal_balance"))
         got = pt.verify_temporal_balance(amps, blocks, g, MU, parts["w_t"],
                                          parts["d_t"], tol=tol)
-        assert_reports_match(got, ref_gate(want, tol, want["amplitude_tail"]))
+        assert_reports_match(got, ref_gate(want, tol))
 
     def test_low_frequency_balance_report(self, built, reference_parts):
         amps, blocks, g, h, sigma, parts = built
@@ -688,7 +720,38 @@ class TestVerifiers:
                                  "magnetic_low_frequency_balance"))
         got = pt.verify_low_frequency_balance(
             amps, blocks, h, sigma, g, parts["w_o"], parts["d_o"], tol=tol)
-        assert_reports_match(got, ref_gate(want, tol, want["amplitude_tail"]))
+        assert_reports_match(got, ref_gate(want, tol))
+
+
+    @pytest.mark.parametrize("name", ["divfree_representation",
+                                      "temporal_balance",
+                                      "low_frequency_balance"])
+    def test_gates_at_the_raw_tolerance(self, built, name):
+        # every gated residual's tolerance is the one the caller passed,
+        # far below the residuals' scale here, and no tail is measured
+        amps, blocks, g, h, sigma, parts = built
+        verify = {
+            "divfree_representation":
+                lambda tol: pt.verify_divfree_representation(
+                    amps, blocks, g, parts["w_p"], parts["w_c"],
+                    parts["d_p"], parts["d_c"], tol=tol, div_tol=tol),
+            "temporal_balance": lambda tol: pt.verify_temporal_balance(
+                amps, blocks, g, MU, parts["w_t"], parts["d_t"], tol=tol),
+            "low_frequency_balance":
+                lambda tol: pt.verify_low_frequency_balance(
+                    amps, blocks, h, sigma, g, parts["w_o"], parts["d_o"],
+                    tol=tol),
+        }[name]
+        report = verify(float("inf"))
+        gated = [key for key in report if key.startswith(("velocity_",
+                                                          "magnetic_"))
+                 and not key.endswith(("_tolerance", "_share"))]
+        assert len(gated) == (4 if name == "divfree_representation" else 2)
+        tol = 2.0 * max(report[key] for key in gated)
+        report = verify(tol)
+        assert "amplitude_tail" not in report
+        assert {key: report[f"{key}_tolerance"] for key in gated} == \
+            dict.fromkeys(gated, tol)
 
 
 class TestWindowedVerifiers:
@@ -718,7 +781,7 @@ class TestWindowedVerifiers:
         got = self._reports(lambda: pt.verify_temporal_balance(
             amps, blocks, g, MU, parts["w_t"], parts["d_t"], tol=tol),
             monkeypatch)
-        assert_reports_match(got, ref_gate(want, tol, want["amplitude_tail"]))
+        assert_reports_match(got, ref_gate(want, tol))
 
     def test_low_frequency_balance_report(self, windowed, monkeypatch):
         amps, blocks, g, h, sigma, parts = windowed
@@ -729,7 +792,7 @@ class TestWindowedVerifiers:
         got = self._reports(lambda: pt.verify_low_frequency_balance(
             amps, blocks, h, sigma, g, parts["w_o"], parts["d_o"], tol=tol),
             monkeypatch)
-        assert_reports_match(got, ref_gate(want, tol, want["amplitude_tail"]))
+        assert_reports_match(got, ref_gate(want, tol))
 
 
 def _with_nan(part, j):
@@ -793,6 +856,21 @@ class TestNonFiniteParts:
 
 
 # -- assembly ----------------------------------------------------------------------
+
+class TestPerturbation:
+    def test_parts_are_vector_fields_on_one_grid(self, built):
+        parts = built[-1]
+        grid = parts["w_p"].grid
+        coarse = Grid4(16, 16)
+        with pytest.raises(ValueError, match="^perturbation part lives on a "
+                                             "different grid$"):
+            pt.Perturbation(**dict(parts, d_o=Field(
+                np.zeros(coarse.shape + (3,)), coarse)))
+        with pytest.raises(ValueError, match="^perturbation part must be a "
+                                             "vector field$"):
+            pt.Perturbation(**dict(parts, w_t=Field(np.zeros(grid.shape),
+                                                    grid)))
+
 
 def _state(grid, seed):
     """A band-limited mollified state pair (u_l, B_l)."""
