@@ -44,7 +44,8 @@ import numpy as np
 
 from .blocks import envelope_stack, family, flow_products
 from .checks import fold_maxima, gate
-from .field import SKEW_PAIRS, SYM_PAIRS, Field, frobenius_weights
+from .field import (SKEW_PAIRS, SYM_PAIRS, Field, frobenius_weights,
+                    peak_abs)
 from .geometry import ConstructionError, GeometrySet
 from .grid import Grid4
 from .profiles import _bump
@@ -132,8 +133,26 @@ def temporal_cutoff(support_mask, grid: Grid4, ell: float) -> np.ndarray:
 def _frobenius(compact, pairs):
     """Pointwise Frobenius norm of the tensors with these compact
     components."""
-    return np.sqrt((compact * compact * frobenius_weights(pairs)).sum(
-        axis=-1))
+    sq = compact * compact
+    sq *= frobenius_weights(pairs)
+    return np.sqrt(sq.sum(axis=-1))
+
+
+def _frobenius_full(t):
+    """Pointwise Frobenius norm of the 3x3 tensors t, squared one x1 plane
+    at a time."""
+    out = np.empty(t.shape[:-2])
+    for i, plane in enumerate(t):
+        out[i] = (plane ** 2).sum(axis=(-2, -1))
+    return np.sqrt(out, out=out)
+
+
+def _class_defect(t, op):
+    """max |op(t_ab, t_ba)| over the 3x3 entries of t, one pair of
+    entries at a time: np.subtract measures symmetry, np.add skewness. A
+    NaN stays."""
+    return float(np.max([peak_abs(op(t[..., a, b], t[..., b, a]))
+                         for a in range(3) for b in range(a, 3)]))
 
 
 _STRESSES = {"velocity": SYM_PAIRS, "magnetic": SKEW_PAIRS}
@@ -310,6 +329,9 @@ def build_amplitudes(R_l_u: Field, R_l_B: Field, delta_next: float,
     rho_b, stress_b, rho_u, stress_u = (_block(data, name) for name in _BLOCKS)
     peak_u = np.zeros(grid.n_t)
     peak_b = np.zeros(grid.n_t)
+    # per-slice max |entry| of each stress, for the class-check scales
+    abs_u = np.zeros(grid.n_t)
+    abs_b = np.zeros(grid.n_t)
     idle = np.zeros(grid.n_t, dtype=bool)
     base_b = 2.0 / geom.eps_b * delta_next
 
@@ -321,33 +343,36 @@ def build_amplitudes(R_l_u: Field, R_l_B: Field, delta_next: float,
         idle[j] = not (carries_u or carries_b)
         defects = []
         if carries_u:
-            stress_u[j] = r_u[..., SYM_PAIRS[0], SYM_PAIRS[1]]
-            peak_u[j] = np.sqrt((r_u ** 2).sum(axis=(-2, -1))).max()
+            abs_u[j] = peak_abs(r_u)
+            for p, (r, c) in enumerate(zip(*SYM_PAIRS)):
+                stress_u[j, ..., p] = r_u[..., r, c]
+            peak_u[j] = _frobenius_full(r_u).max()
             trace = r_u[..., 0, 0] + r_u[..., 1, 1] + r_u[..., 2, 2]
-            defects += [
-                ("symmetric",
-                 float(np.abs(r_u - np.swapaxes(r_u, -1, -2)).max())),
-                ("trace", float(np.abs(trace).max()))]
+            defects += [("symmetric", _class_defect(r_u, np.subtract)),
+                        ("trace", peak_abs(trace))]
         if not carries_b:
             rho_b[j] = base_b
             return defects
-        stress_b[j] = r_b[..., SKEW_PAIRS[0], SKEW_PAIRS[1]]
-        frob_b = np.sqrt((r_b ** 2).sum(axis=(-2, -1)))
+        abs_b[j] = peak_abs(r_b)
+        for p, (r, c) in enumerate(zip(*SKEW_PAIRS)):
+            stress_b[j, ..., p] = r_b[..., r, c]
+        frob_b = _frobenius_full(r_b)
         rho_b[j] = base_b * chi(frob_b / delta_next)
         peak_b[j] = frob_b.max()
-        return defects + [
-            ("skew", float(np.abs(r_b + np.swapaxes(r_b, -1, -2)).max())),
-            ("ball", float((frob_b / rho_b[j]).max()))]
+        return defects + [("skew", _class_defect(r_b, np.add)),
+                          ("ball", float((frob_b / rho_b[j]).max()))]
 
     defects = fold_maxima(dict.fromkeys(("symmetric", "trace", "skew", "ball"),
                                         0.0),
                           map_slices(split, range(grid.n_t)))
-    scale_u = 1e-10 * max(1.0, R_l_u.max_abs())
+    # the whole-field max |entry|: np.max keeps a NaN as a whole-field
+    # pass does, where Python's max would drop it by its position
+    scale_u = 1e-10 * max(1.0, float(abs_u.max()))
     gate(defects, [
         ("symmetric", "velocity stress must be symmetric (defect)", scale_u),
         ("trace", "velocity stress must be traceless (defect)", scale_u),
         ("skew", "magnetic stress must be skew-symmetric (defect)",
-         1e-10 * max(1.0, R_l_B.max_abs()))], ValueError)
+         1e-10 * max(1.0, float(abs_b.max())))], ValueError)
     gate(defects, [("ball", "magnetic stress left the geometry ball: ratio",
                     geom.eps_b * (1.0 + 1e-12))], ConstructionError)
     f_b = temporal_cutoff(slice_support(peak_b), grid, ell)
@@ -418,26 +443,44 @@ def verify_cancellation(amps: AmplitudeSet, blocks: dict, temporal=None,
         families.append((fam, flow_products(fam.flows)[:, side][:, rows, cols]))
     identity = np.equal(*SYM_PAIRS).astype(float)  # compact(Id)
 
+    def target(name, j):
+        """The identity's right side on slice j, (n, n, n, 3 or 6)."""
+        if name == "magnetic":
+            return -amps.stress_b[j]
+        out = (amps.rho_u.data[j][..., None] * amps.f_u[j] ** 2) * identity
+        out -= amps.stress_u[j]
+        out -= amps._g_b(j)
+        return out
+
     def residuals(j):
+        """Both sides of each identity, formed in the buffers of the
+        squared envelopes and the products."""
         updates = []
-        targets = {
-            "magnetic": -amps.stress_b[j],
-            "velocity": (amps.rho_u.data[j][..., None] * amps.f_u[j] ** 2)
-                        * identity - amps.stress_u[j] - amps._g_b(j),
-        }
         g2 = g_sq[j]
         for fam, prods in families:
             a2 = amps.squared_slice(fam.name, j).reshape(-1, len(fam.sets))
-            env2 = envelope_stack(fam.sets, j) ** 2
+            env2 = envelope_stack(fam.sets, j)
+            np.square(env2, out=env2)
             mean = env2.mean(axis=0)
             updates.append(("moment_defect", float(np.abs(
                 mean[:, None] * prods - prods).max())))
-            lhs = (a2 * (g2 * env2)) @ prods
-            rhs = (targets[fam.name].reshape(len(lhs), -1)
-                   + (a2 * (g2 * (env2 - mean) + (g2 - 1.0) * mean)) @ prods)
-            scale = max(np.abs(lhs).max(), np.abs(rhs).max(),
-                        amps.delta_next)
-            updates.append((fam.name, float(np.abs(lhs - rhs).max()) / scale))
+            weight = g2 * env2
+            weight *= a2
+            lhs = weight @ prods
+            del weight
+            # a2 (g2 (env2 - mean) + (g2 - 1) mean), in env2's buffer
+            env2 -= mean
+            env2 *= g2
+            env2 += (g2 - 1.0) * mean
+            env2 *= a2
+            del a2
+            rhs = env2 @ prods
+            del env2
+            rhs += target(fam.name, j).reshape(len(lhs), -1)
+            scale = max(peak_abs(lhs), peak_abs(rhs), amps.delta_next)
+            updates.append((fam.name, peak_abs(np.subtract(lhs, rhs, out=rhs))
+                            / scale))
+            del lhs, rhs  # before the next family's squares
         return updates
 
     report = fold_maxima(

@@ -86,9 +86,11 @@ class Mollifier:
 
     def _smooth(self, source, g: Grid4, comp):
         """The mollified array (n_t, n, n, n) + comp with slices source(j):
-        a 3D transform pair per slice, then the time matrix per x1 plane."""
+        per slice, a 3D transform pair per component, multiplied in place,
+        so a pool thread holds one component's spectrum; then the time
+        matrix per x1 plane."""
         self.validate(g)
-        k1, k2, k3, _ = spectral.wavenumbers(g.n_x, len(comp))
+        k1, k2, k3, _ = spectral.wavenumbers(g.n_x)
         # symbols of flat tables: a broadcast table may sum in another order
         mx = self.spatial_symbol(k1.ravel())
         mult = (mx.reshape(k1.shape) * mx.reshape(k2.shape)
@@ -96,9 +98,11 @@ class Mollifier:
         out = np.empty(g.shape + comp)
 
         def space(j):
-            spec = spectral.rfft(source(j))
-            spec *= mult
-            out[j] = spectral.irfft(spec, g.n_x)
+            src, dst = source(j), out[j]
+            for c in np.ndindex(comp):
+                spec = spectral.rfft(src[(...,) + c])
+                spec *= mult
+                dst[(...,) + c] = spectral.irfft(spec, g.n_x)
 
         map_slices(space, range(g.n_t))
         mat = spectral.time_multiplier_matrix(self.temporal_symbol, g.n_t)
@@ -129,55 +133,74 @@ def _check_mollified(name: str, given: Field, source: Field, mol: Mollifier):
 _SYM_DIAG = tuple(p for p, (r, c) in enumerate(zip(*SYM_PAIRS)) if r == c)
 
 
-def _drop_trace(t):
-    """The compact symmetric t less a third of its trace on the diagonal,
-    the trace summed in diagonal order."""
-    out = t.copy()
-    tr = (t[..., _SYM_DIAG[0]] + t[..., _SYM_DIAG[1]]
-          + t[..., _SYM_DIAG[2]]) / 3.0
-    for p in _SYM_DIAG:
-        out[..., p] -= tr
+def _third_trace(t):
+    """A third of the trace of the compact symmetric t, summed in diagonal
+    order."""
+    return (t[..., _SYM_DIAG[0]] + t[..., _SYM_DIAG[1]]
+            + t[..., _SYM_DIAG[2]]) / 3.0
+
+
+def _pair_products(x, y, z, w, pairs):
+    """x_r y_c - z_r w_c at each (r, c) of pairs, written column by column
+    into one compact array."""
+    out = np.empty(x.shape[:-1] + (len(pairs[0]),))
+    for p, (r, c) in enumerate(zip(*pairs)):
+        np.multiply(x[..., r], y[..., c], out=out[..., p])
+        out[..., p] -= z[..., r] * w[..., c]
     return out
 
 
 def _sym_flux(u, b):
     """The traceless part of u (x) u - b (x) b on its SYM_PAIRS components."""
-    rows, cols = SYM_PAIRS
-    return _drop_trace(u[..., rows] * u[..., cols]
-                       - b[..., rows] * b[..., cols])
+    out = _pair_products(u, u, b, b, SYM_PAIRS)
+    tr = _third_trace(out)
+    for p in _SYM_DIAG:
+        out[..., p] -= tr
+    return out
 
 
 def _skew_flux(u, b):
     """b (x) u - u (x) b on its SKEW_PAIRS components."""
-    rows, cols = SKEW_PAIRS
-    return b[..., rows] * u[..., cols] - u[..., rows] * b[..., cols]
+    return _pair_products(b, u, u, b, SKEW_PAIRS)
 
 
-def _commutator(mol, flux, pairs, sign, project, label, state_q, state_l,
-                scale, tol=1e-12):
-    """project(flux(state_l) - mollified flux(state_q)), slice by slice.
+def _commutator(mol, flux, pairs, sign, label, state_q, state_l, scale,
+                tol=1e-12):
+    """The class projection of flux(state_l) - mollified flux(state_q),
+    slice by slice.
 
     The full quadratic flux is exactly symmetric (sign 1) or exactly skew
     (sign -1): IEEE products commute and negation is exact. So flux gives
     only its independent components, at (rows, columns) `pairs`, and the
     lift, the mollification, the subtraction and the class projection all
     act on those; the symmetric part of a symmetric tensor is itself, so
-    project only takes the trace off (sym) or is the identity (skew). This
+    the projection only takes a third of the trace off the diagonal (sym)
+    or is the identity (skew). It runs in place, column by column. This
     gives the values the full 3x3 algebra would, and each output slice is
-    written once per pair by field.expand. The projection's defect is
-    checked against tol times the quadratic input size scale: a commutator
-    that is pure rounding noise must still pass."""
+    written once per pair by field.expand. The projection's defect, the
+    largest change it makes, is checked against tol times the quadratic
+    input size scale: a commutator that is pure rounding noise must still
+    pass."""
     grid = state_q[0].grid
     base = mol._smooth(lambda j: flux(*(f.data[j] for f in state_q)), grid,
                        (len(pairs[0]),))
     out = np.zeros(grid.shape + (3, 3))
+    diag = _SYM_DIAG if sign == 1.0 else ()
 
     def subtract(j):
         given = flux(*(f.data[j] for f in state_l))
         given -= base[j]
-        projected = project(given)
-        expand(projected, pairs, sign, out=out[j])
-        return float(np.abs(given - projected).max())
+        tr = _third_trace(given) if diag else None
+        defect = np.zeros(())
+        for p in range(given.shape[-1]):
+            col = given[..., p]
+            projected = col - tr if p in diag else col
+            # np.maximum: a NaN column keeps the defect NaN
+            defect = np.maximum(defect, np.abs(col - projected).max())
+            if projected is not col:
+                col[...] = projected
+        expand(given, pairs, sign, out=out[j])
+        return float(defect)
 
     defect = float(np.max(map_slices(subtract, range(grid.n_t))))
     gate({"defect": defect / scale},
@@ -198,10 +221,10 @@ def commutator_stresses(u_q: Field, B_q: Field, u_l: Field, B_l: Field,
     _check_mollified("u_l", u_l, u_q, mol)
     _check_mollified("B_l", B_l, B_q, mol)
     qscale = max(u_q.max_abs(), B_q.max_abs(), 1e-150) ** 2
-    r_u = _commutator(mol, _sym_flux, SYM_PAIRS, 1.0, _drop_trace,
-                      "symmetric traceless", (u_q, B_q), (u_l, B_l), qscale)
-    r_b = _commutator(mol, _skew_flux, SKEW_PAIRS, -1.0, lambda t: t, "skew",
+    r_u = _commutator(mol, _sym_flux, SYM_PAIRS, 1.0, "symmetric traceless",
                       (u_q, B_q), (u_l, B_l), qscale)
+    r_b = _commutator(mol, _skew_flux, SKEW_PAIRS, -1.0, "skew", (u_q, B_q),
+                      (u_l, B_l), qscale)
     return r_u, r_b
 
 

@@ -12,9 +12,12 @@ mean drift of the squared oscillation profile through its antiderivative.
 Every block field is rank one, a scalar envelope times a constant frame
 vector, so nothing here loops over frames: per time slice and family the
 six envelopes stack into one (n^3, 6) array that meets constant tables
-(the rows of a blocks.Family, their flow_products) in one product, and every
-gradient, divergence or double curl is one transform pair per slice. The
-velocity family drives no magnetic part, so its magnetic tables are zero.
+(the rows of a blocks.Family, their flow_products) in one product. Every
+gradient, divergence or double curl transforms one side (velocity or
+magnetic) or one component at a time, and each product is formed in the
+buffer of the squares it starts from, so a pool thread holds a few
+slices of temporaries. The velocity family drives no magnetic part, so
+its magnetic tables are zero.
 
 Every balance these parts rely on can be evaluated literally on the
 grid, one term group at a time. The verifiers here do exactly that and
@@ -88,11 +91,9 @@ def _require_vector_on(grid, what, *fields):
 
 
 def _active(amps, families, j):
-    """(family, squared amplitudes) of each blocks.Family whose cutoff is
-    nonzero on slice j; the rest add exactly zero."""
-    for fam in families:
-        if amps.cutoff(fam.name)[j] != 0.0:
-            yield fam, amps.squared_slice(fam.name, j)
+    """The blocks.Family of each frame family whose cutoff is nonzero on
+    slice j; the rest add exactly zero."""
+    return [fam for fam in families if amps.cutoff(fam.name)[j] != 0.0]
 
 
 def _families(amps, blocks, names=_FAMILIES):
@@ -139,9 +140,59 @@ def _solenoidal(acc, grid):
             for _ in range(len(acc))]
 
 
+def _balance(evolution, source, pressure, transfer):
+    """The balance residual ((evolution + source) - pressure) - transfer
+    of one slice, in one buffer."""
+    out = evolution + source
+    out -= pressure
+    out -= transfer
+    return out
+
+
 def _abs_maxima(*arrays):
     """max |a| of each array, as one array for running maxima."""
-    return np.array([np.abs(a).max() for a in arrays])
+    return np.array([peak_abs(a) for a in arrays])
+
+
+# Each slice's products are formed in the buffer of the squares that
+# AmplitudeSet.squared_slice returns, in the order of operations of the
+# whole-field expressions; a buffer passed on as a temporary is released
+# by the callee once read.
+
+def _amplitudes(amps, fam, j):
+    """The amplitudes a_k of fam on slice j as (n^3, k)."""
+    a2 = amps.squared_slice(fam.name, j)
+    return np.sqrt(a2, out=a2).reshape(-1, len(fam.sets))
+
+
+def _flow_weights(fam, amp, j, g):
+    """g a_k times the flow envelopes of fam on slice j, formed as (g a)
+    envelope in the buffer of the amplitudes amp."""
+    amp *= g
+    amp *= envelope_stack(fam.sets, j)
+    return amp
+
+
+def _square_weights(amps, fam, j, g2=1.0):
+    """g^2 a_k^2 times the squared flow envelopes of fam on slice j, (n, n,
+    n, k), formed as (g^2 a^2) envelope^2; a factor g^2 = 1 is exact and
+    skipped."""
+    a2 = amps.squared_slice(fam.name, j)
+    weights = a2.reshape(-1, len(fam.sets))
+    if g2 != 1.0:
+        weights *= g2
+    env = envelope_stack(fam.sets, j)
+    weights *= np.square(env, out=env)
+    return a2
+
+
+def _add_potential(pot, fam, amp, j):
+    """pot += (a_k potential envelope_k) @ the potential table of fam, on
+    slice j, reading the amplitudes amp."""
+    env = envelope_stack(fam.sets, j, "potential")
+    env *= amp
+    del amp
+    pot += env @ fam.potentials
 
 
 # -- measured block moments -----------------------------------------------------
@@ -220,10 +271,9 @@ def principal_parts(amps: AmplitudeSet, blocks: dict, g):
     def fill(j):
         if g[j] == 0.0:
             return
-        for fam, a2 in _active(amps, families, j):
-            amp = np.sqrt(a2).reshape(-1, len(fam.sets))
-            out[:, j] += _sides(
-                (g[j] * amp * envelope_stack(fam.sets, j)) @ fam.flows, n)
+        for fam in _active(amps, families, j):
+            out[:, j] += _sides(_flow_weights(fam, _amplitudes(amps, fam, j),
+                                              j, g[j]) @ fam.flows, n)
 
     map_slices(fill, range(grid.n_t))
     return Field(out[0], grid, _take=True), Field(out[1], grid, _take=True)
@@ -235,9 +285,9 @@ def incompressibility_correctors(amps: AmplitudeSet, blocks: dict, g,
     of the summed potentials, curl curl (g sum_k a_k potential_k), minus
     the principal slice, formed as principal_parts forms it. Principal plus
     incompressibility parts are then that double curl to rounding, and
-    divergence-free to rounding (spectral.derivatives). One double
-    curl per slice serves both sides and both families; slices where g or
-    both cutoffs vanish stay exactly zero.
+    divergence-free to rounding (spectral.derivatives). The potentials
+    of both families sum first, then one double curl per side; slices
+    where g or both cutoffs vanish stay exactly zero.
 
     With check=True the double-curl representation and the divergence of
     the completed parts are verified (this rebuilds the principal parts;
@@ -250,18 +300,21 @@ def incompressibility_correctors(amps: AmplitudeSet, blocks: dict, g,
     out = np.zeros((2,) + grid.shape + (3,))
 
     def fill(j):
-        active = list(_active(amps, families, j)) if g[j] != 0.0 else []
+        if g[j] == 0.0:
+            return
+        active = _active(amps, families, j)
         if not active:
             return
-        pot = 0.0
-        for fam, a2 in active:
-            amp = np.sqrt(a2).reshape(-1, len(fam.sets))
-            out[:, j] += _sides(
-                (g[j] * amp * envelope_stack(fam.sets, j)) @ fam.flows, n)
-            pot = pot + (amp * envelope_stack(fam.sets, j, "potential")
-                         ) @ fam.potentials
-        np.subtract(_sides(spectral.curl_curl(
-            g[j] * pot.reshape(n, n, n, 2, 3)), n), out[:, j], out=out[:, j])
+        pot = np.zeros((n ** 3, 6))
+        for fam in active:
+            amp = _amplitudes(amps, fam, j)
+            _add_potential(pot, fam, amp, j)
+            out[:, j] += _sides(_flow_weights(fam, amp, j, g[j]) @ fam.flows,
+                                n)
+            del amp  # before the next family's
+        pot *= g[j]
+        for s, side in enumerate(_sides(pot, n)):
+            np.subtract(spectral.curl_curl(side), out[s, j], out=out[s, j])
 
     map_slices(fill, range(grid.n_t))
     w_c, d_c = (Field(out[0], grid, _take=True),
@@ -289,12 +342,10 @@ def temporal_correctors_t(amps: AmplitudeSet, blocks: dict, g, mu: float,
         if g[j] == 0.0:
             return
         g2 = g[j] ** 2
-        active = False
-        for fam, a2 in _active(amps, families, j):
-            a2 = a2.reshape(-1, len(fam.sets))
-            _add_sides(acc, j, _sides(
-                (g2 * a2 * envelope_stack(fam.sets, j) ** 2) @ fam.flows, n))
-            active = True
+        active = _active(amps, families, j)
+        for fam in active:
+            _add_sides(acc, j, _sides(_square_weights(
+                amps, fam, j, g2).reshape(-1, len(fam.sets)) @ fam.flows, n))
         if active:  # an idle slice stays unwritten
             for side in acc:
                 side[j] *= -1.0 / mu
@@ -337,7 +388,8 @@ def temporal_correctors_o(amps: AmplitudeSet, blocks: dict, h, sigma: float,
         if spec is not None:
             spectral.leray_spectrum(spec)
             spec *= h[j] * (-1.0 / sigma)
-            out[:, j] = np.moveaxis(spectral.irfft(spec, n), 3, 0)
+            for s in range(2):
+                out[s, j] = spectral.irfft(spec[..., s, :], n)
 
     map_slices(fill, range(grid.n_t))
     w_o, d_o = (Field(out[0], grid, _take=True),
@@ -386,39 +438,45 @@ def verify_divfree_representation(amps, blocks, g, w_p, w_c, d_p, d_c,
     families = _families(amps, blocks)
     keys = [(f"{s}_representation", f"{s}_divergence", f"{s}_nyquist_share")
             for s in ("velocity", "magnetic")]
+    sides = ((w_p, w_c), (d_p, d_c))
+
+    def lhs(j, s):
+        """Side s of principal plus incompressibility parts on slice j."""
+        return np.add(*(part.data[j] for part in sides[s]))
 
     def residuals(j):
+        """One side at a time: its divergence terms and Nyquist content,
+        then the double curl of its potential sum."""
         updates = []
-        lhs = np.stack([w_p.data[j] + w_c.data[j], d_p.data[j] + d_c.data[j]],
-                       axis=-2)
-        terms = spectral.div_terms(lhs)
-        nyquist = np.zeros(2)
-        for a in range(3):
-            x = np.moveaxis(lhs, a, 0)
-            alt = np.abs(x[0::2].sum(axis=0) - x[1::2].sum(axis=0)) / n
-            nyquist = np.maximum(nyquist, alt.max(axis=(0, 1, 3)))
         for s, (_, div_key, share_key) in enumerate(keys):
-            side = terms[..., s, :]
-            scale = float(np.abs(side).max())
+            left = lhs(j, s)
+            nyquist = 0.0
+            for a in range(3):
+                x = np.moveaxis(left, a, 0)
+                alt = np.abs(x[0::2].sum(axis=0) - x[1::2].sum(axis=0)) / n
+                nyquist = np.maximum(nyquist, alt.max())
+            terms = spectral.div_terms(left)
+            scale = peak_abs(terms)
             if scale != 0.0:  # a NaN slice counts
-                updates.append((div_key, float(
-                    np.abs(side.sum(axis=-1)).max()) / scale))
-            peak = peak_abs(lhs[..., s, :])
+                updates.append((div_key, peak_abs(terms.sum(axis=-1)) / scale))
+            del terms
+            peak = peak_abs(left)
             if peak != 0.0:
-                updates.append((share_key, float(nyquist[s]) / peak))
+                updates.append((share_key, float(nyquist) / peak))
+            del left
         if g[j] == 0.0:
             return updates
         pot = np.zeros((n ** 3, 6))
-        for fam, a2 in _active(amps, families, j):
-            amp = np.sqrt(a2).reshape(-1, len(fam.sets))
-            pot += (amp * envelope_stack(fam.sets, j, "potential")
-                    ) @ fam.potentials
-        rhs = spectral.curl_curl(g[j] * pot.reshape(n, n, n, 2, 3))
-        for s, (key, _, _) in enumerate(keys):
-            left, right = lhs[..., s, :], rhs[..., s, :]
-            scale = max(float(np.abs(left).max()), float(np.abs(right).max()),
-                        amps.delta_next)
-            updates.append((key, float(np.abs(left - right).max()) / scale))
+        for fam in _active(amps, families, j):
+            _add_potential(pot, fam, _amplitudes(amps, fam, j), j)
+        pot *= g[j]
+        for s, ((key, _, _), gpot) in enumerate(zip(keys, _sides(pot, n))):
+            right = spectral.curl_curl(gpot)
+            left = lhs(j, s)
+            scale = max(peak_abs(left), peak_abs(right), amps.delta_next)
+            updates.append((key, peak_abs(np.subtract(left, right, out=right))
+                            / scale))
+            del left, right
         return updates
 
     report = fold_maxima(dict.fromkeys(sum(keys, ()), 0.0),
@@ -467,28 +525,35 @@ def verify_temporal_balance(amps, blocks, g, mu: float, w_t, d_t,
         tables = {fam.name: _transport_tables(fam, s) for fam in carried}
         acc, drift = np.zeros(grid.shape + (3,)), np.zeros(grid.shape + (3,))
 
-        def terms(j, g2, fam, a2):
-            """One family's transport charge and gradient transfer on slice
-            j, as (n, n, n, 3) each. The products are taken in place, and
-            the derivatives die on return, before the next family's."""
+        def add_terms(j, g2, fam, a2):
+            """Add one family's transport charge onto acc and its gradient
+            transfer onto drift on slice j. The products are taken in
+            place, in the buffers of the derivatives and of the squares
+            a2, and nothing outlives the call."""
             ks, dirs, _, transfer = tables[fam.name]
             derivs = spectral.directional(a2, ks).reshape(
                 n ** 3, len(fam.sets), -1)
-            env2 = envelope_stack(fam.sets, j) ** 2
+            env2 = envelope_stack(fam.sets, j)
+            np.square(env2, out=env2)
             derivs *= env2[:, :, None]
-            gradient = g2 * (derivs.reshape(n ** 3, -1) @ transfer)
+            weights = a2.reshape(-1, len(fam.sets))
+            weights *= env2
+            del env2, a2
+            charge = weights @ dirs
+            del weights
+            charge *= g2
+            acc[j] += charge.reshape(n, n, n, 3)
+            del charge
+            gradient = derivs.reshape(n ** 3, -1) @ transfer
             del derivs
-            env2 *= a2.reshape(-1, len(fam.sets))
-            return ((g2 * (env2 @ dirs)).reshape(n, n, n, 3),
-                    gradient.reshape(n, n, n, 3))
+            gradient *= g2
+            drift[j] += gradient.reshape(n, n, n, 3)
 
         def sweep(j):
             if g[j] == 0.0:
                 return
-            for fam, a2 in _active(amps, carried, j):
-                charge, gradient = terms(j, g[j] ** 2, fam, a2)
-                acc[j] += charge
-                drift[j] += gradient
+            for fam in _active(amps, carried, j):
+                add_terms(j, g[j] ** 2, fam, amps.squared_slice(fam.name, j))
 
         map_slices(sweep, range(grid.n_t))
         # profile drift, time-derivative half:
@@ -507,9 +572,13 @@ def verify_temporal_balance(amps, blocks, g, mu: float, w_t, d_t,
                 q = None
 
                 def pull(j):
-                    pulled = (envelope_stack([bs], j) ** 2
-                              * dq[j].reshape(-1, 1) / mu)
-                    drift[j] -= (pulled * dirs[i]).reshape(n, n, n, 3)
+                    # envelope^2 dq / mu in one buffer, then per component
+                    pulled = envelope_stack([bs], j).reshape(n, n, n)
+                    np.square(pulled, out=pulled)
+                    pulled *= dq[j]
+                    pulled /= mu
+                    for c in range(3):
+                        drift[j][..., c] -= pulled * dirs[i, c]
 
                 map_slices(pull, range(grid.n_t))
                 dq = None
@@ -518,13 +587,9 @@ def verify_temporal_balance(amps, blocks, g, mu: float, w_t, d_t,
             """The side's oscillation transport on slice j, (n, n, n, 3),
             or None where g or every cutoff vanishes."""
             spec = None
-            if g[j] != 0.0:
-                for fam, a2 in _active(amps, carried, j):
-                    products = tables[fam.name][2]
-                    weight = (a2.reshape(-1, len(fam.sets))
-                              * envelope_stack(fam.sets, j) ** 2)
-                    spec = spectral.div_spectrum(weight.reshape(n, n, n, -1),
-                                                 products, spec)
+            for fam in _active(amps, carried, j) if g[j] != 0.0 else ():
+                spec = spectral.div_spectrum(_square_weights(amps, fam, j),
+                                             tables[fam.name][2], spec)
             if spec is None:
                 return None
             out = spectral.irfft(spec, n)
@@ -535,11 +600,16 @@ def verify_temporal_balance(amps, blocks, g, mu: float, w_t, d_t,
             osc = oscillation(j)
             evolution = ddt_slice(part.data, j)
             charge = _mean_free3(ddt_slice(acc, j))
-            pressure = (charge - spectral.leray(charge)) * (1.0 / mu)
+            pressure = spectral.leray(charge)
+            np.subtract(charge, pressure, out=pressure)
+            del charge
+            pressure *= 1.0 / mu
             transport = (np.zeros(evolution.shape) if osc is None
                          else _mean_free3(osc))
+            del osc
             transfer = _mean_free3(drift[j])
-            return _abs_maxima(evolution + transport - pressure - transfer,
+            return _abs_maxima(_balance(evolution, transport, pressure,
+                                        transfer),
                                evolution, transport, pressure, transfer)
 
         peaks = np.max(map_slices(residual, range(grid.n_t)), axis=0,
@@ -575,9 +645,8 @@ def verify_low_frequency_balance(amps, blocks, h, sigma: float, g, w_o, d_o,
     def sweep(j):
         spec = _drift_spectrum(amps, tables, j)
         if spec is not None:
-            for side, term in zip(drift, np.moveaxis(spectral.irfft(
-                    spec, grid.n_x), 3, 0)):
-                side[j] = term
+            for s, side in enumerate(drift):
+                side[j] = spectral.irfft(spec[..., s, :], grid.n_x)
 
     map_slices(sweep, range(grid.n_t))
     report = {}
@@ -586,10 +655,12 @@ def verify_low_frequency_balance(amps, blocks, h, sigma: float, g, w_o, d_o,
         def residual(j):
             evolution = ddt_slice(part.data, j)
             res = _mean_free3(g2m1[j] * drift[s][j])
-            pressure = res - spectral.leray(res)
+            pressure = spectral.leray(res)
+            np.subtract(res, pressure, out=pressure)
             transfer = spectral.leray(_mean_free3(
-                h[j] * ddt_slice(drift[s], j))) * (-1.0 / sigma)
-            return _abs_maxima(evolution + res - pressure - transfer,
+                h[j] * ddt_slice(drift[s], j)))
+            transfer *= -1.0 / sigma
+            return _abs_maxima(_balance(evolution, res, pressure, transfer),
                                evolution, res, pressure, transfer)
 
         peaks = np.max(map_slices(residual, range(grid.n_t)), axis=0,

@@ -4,12 +4,13 @@ package's one spectral layer.
 Every operator here acts on one time slice: an array whose first three
 axes are the spatial axes (n, n, n), with component axes trailing. Each
 call makes one forward and one inverse real 3D transform, however many
-component axes the slice carries. Whole (n_t, n, n, n, ...) fields go
-through `field._slicewise`, which runs a kernel from here on each time
-slice. Two helpers act on half spectra instead, so a caller can chain
-multipliers between one forward and one inverse transform:
-`leray_spectrum` and `div_spectrum`, which forms the spectrum of a tensor
-divergence from the spectra of its weights.
+component axes the slice carries; `directional` transforms one component
+at a time, with one inverse transform per direction table. Whole (n_t, n,
+n, n, ...) fields go through `field._slicewise`, which runs a kernel from
+here on each time slice. Two helpers act on half spectra instead, so a
+caller can chain multipliers between one forward and one inverse
+transform: `leray_spectrum` and `div_spectrum`, which forms the spectrum
+of a tensor divergence from the spectra of its weights.
 Wavenumber tables are float, built once per (n, trailing) and shared
 read-only; no other module builds one. The even symbols read the raw
 integers (`wavenumbers`); every operator made of derivatives reads
@@ -103,25 +104,28 @@ def irfft(spec, n: int):
 def directional(arr, dirs):
     """Derivatives of each component i of arr (..., k) along row i (or the
     only row) of each table in dirs, stacked last; np.eye(3)[:, None]
-    gives the gradient, (grad u)_ij = d_j u_i."""
-    k1, k2, k3, _ = _tables(arr)
-    spec = rfft(arr)
-    out = np.empty(spec.shape + (len(dirs),), dtype=spec.dtype)
-    for d, rows in enumerate(dirs):
-        np.multiply(spec, 1j * (k1 * rows[:, 0] + k2 * rows[:, 1]
-                                + k3 * rows[:, 2]), out=out[..., d])
-    del spec
-    return irfft(out, arr.shape[0])
+    gives the gradient, (grad u)_ij = d_j u_i. One component at a time:
+    its forward transform, then one inverse transform per table, written
+    into the output, so one component's spectrum is live at a time."""
+    n = arr.shape[0]
+    k1, k2, k3, _ = derivatives(n)
+    out = np.empty(arr.shape + (len(dirs),))
+    for c in np.ndindex(arr.shape[3:]):
+        spec = rfft(arr[(...,) + c])
+        for d, rows in enumerate(dirs):
+            r = rows[c[-1] if len(rows) > 1 else 0]
+            out[(...,) + c + (d,)] = irfft(
+                spec * (1j * (k1 * r[0] + k2 * r[1] + k3 * r[2])), n)
+    return out
 
 
 def div_terms(arr):
     """The three terms d_a arr[..., a] of the divergence that contracts the
     last axis, stacked on that axis."""
     spec = rfft(arr)
-    out = np.empty_like(spec)
     for a, k in enumerate(_tables(arr, 1)[:3]):
-        np.multiply(spec[..., a], 1j * k, out=out[..., a])
-    return irfft(out, arr.shape[0])
+        spec[..., a] *= 1j * k
+    return irfft(spec, arr.shape[0])
 
 
 def div(arr):
@@ -152,10 +156,11 @@ def curl_curl(vec):
     k1, k2, k3, ksq = _tables(vec, 1)
     spec = rfft(vec)
     kdotv = k1 * spec[..., 0] + k2 * spec[..., 1] + k3 * spec[..., 2]
-    out = np.empty_like(spec)
+    # in place: each component reads only itself and k'.v
     for axis, k in enumerate((k1, k2, k3)):
-        out[..., axis] = ksq * spec[..., axis] - k * kdotv
-    return irfft(out, vec.shape[0])
+        spec[..., axis] = ksq * spec[..., axis] - k * kdotv
+    del kdotv
+    return irfft(spec, vec.shape[0])
 
 
 def leray_spectrum(spec):
@@ -210,16 +215,23 @@ def div_spectrum(weights, table, out=None):
     whose last axis the divergence contracts; added onto out, (n, n,
     n//2 + 1, c), when given. T is never formed: one forward transform per
     weight component, then per direction b one (modes, k) @ (k, c) product
-    of the weights' spectrum with i table[..., b], times k_b."""
+    of the weights' spectrum with i table[..., b], times k_b, taken a
+    quarter of the x1 planes at a time (each mode's product is the same
+    dot product over k, so the split leaves every value as it was)."""
     n, k = weights.shape[0], weights.shape[-1]
     coef = rfft(weights)
+    # a caller that passes a temporary frees it here, before the products
+    del weights
     shape = coef.shape[:3] + (table.shape[1],)
     if out is None:
         out = np.zeros(shape, dtype=coef.dtype)
-    coef = coef.reshape(-1, k)
+    step = max(1, n // 4)
     for b, kb in enumerate(derivatives(n, 1)[:3]):
-        term = (coef @ (1j * table[..., b])).reshape(shape)
-        term *= kb
-        out += term
+        tb = 1j * table[..., b]
+        kb = np.broadcast_to(kb, shape[:3] + (1,))
+        for lo in range(0, n, step):
+            part = coef[lo:lo + step]
+            term = (part.reshape(-1, k) @ tb).reshape(part.shape[:3] + (-1,))
+            term *= kb[lo:lo + step]
+            out[lo:lo + step] += term
     return out
-

@@ -14,10 +14,13 @@ A wider map runs each slice on a pool thread. Inside a pool thread every
 scipy.fft transform gets one worker and a nested map runs inline; outside,
 transforms get `thread_count()` workers. While the map runs, numpy's
 OpenBLAS is pinned to one thread (the slices already fill the cores) and
-its previous count is restored afterwards; after the map, glibc's
-`malloc_trim(0)` hands back what the pool threads freed, which their
-malloc arenas would otherwise keep. A library that is not found is
-skipped and the map still runs on the pool.
+its previous count is restored afterwards. After the map, glibc's
+`malloc_trim(0)` returns the free pages inside every malloc arena, but
+not the top chunk of a pool thread's arena: glibc shrinks that only once
+it exceeds twice its adaptive mmap threshold. So the largest per-slice
+working set any pool kernel reached stays resident after the map, and
+the slice kernels keep theirs to a few slices. A library that is not
+found is skipped and the map still runs on the pool.
 
 Callers keep results serial: each slice writes only its own output slice,
 running maxima are reduced afterwards in slice order, and the error raised
