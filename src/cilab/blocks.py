@@ -127,11 +127,12 @@ def sample_blocks(frame, params: BlockParams, grid: Grid4,
 
 
 class BlockSet:
-    """Grid evaluators for one frame's flows, correctors, and profiles.
+    """Grid evaluators for one frame's flows, potentials, and profiles.
 
     Immutable after construction; index arrays and value tables are built
-    lazily and cached. Scalar profile kinds are the two phase profiles and
-    their phase derivatives; flow kinds are the separable vector fields.
+    lazily and cached. Scalar profile kinds are the shear profile and its
+    phase rate, the concentration and the potential; flow kinds are the
+    separable vector fields and their double-curl potentials.
     """
 
     __slots__ = ("frame", "params", "grid", "shear_band", "conc_band",
@@ -183,17 +184,16 @@ class BlockSet:
         doubled so index + offset never needs a modulo."""
         if kind not in self._tables:
             n_x, n_t = self.grid.n_x, self.grid.n_t
-            if kind in ("shear", "shear_rate", "shear_curvature"):
+            if kind in ("shear", "shear_rate"):
                 band = self.shear_band.derivative(
-                    ("shear", "shear_rate", "shear_curvature").index(kind))
+                    ("shear", "shear_rate").index(kind))
                 L = n_x * n_t
                 theta0 = -np.pi * (sum(self.a_int) + self.rate)
                 vals = band(theta0 + 2.0 * np.pi * np.arange(L) / L)
                 vals = np.concatenate([vals, vals])
-            elif kind in ("concentration", "potential", "potential_rate"):
+            elif kind in ("concentration", "potential"):
                 band = {"concentration": self.conc_band,
-                        "potential": self.potential_band,
-                        "potential_rate": self.potential_band.derivative(1)}[kind]
+                        "potential": self.potential_band}[kind]
                 theta0 = -np.pi * sum(self.m_int)
                 vals = band(theta0 + 2.0 * np.pi * np.arange(n_x) / n_x)
             else:
@@ -215,14 +215,11 @@ class BlockSet:
         """(shear kind, second profile kind, row) of a flow kind: the flow
         is the product of the two profiles times the constant row."""
         inv_pot = 1.0 / (self.params.lam * self.frame.denom) ** 2
-        rp2 = self.params.r_perp ** 2
         table = {
             "velocity": ("shear", "concentration", 1.0, self.frame.k1),
             "magnetic": ("shear", "concentration", 1.0, self.frame.k2),
             "velocity_potential": ("shear", "potential", inv_pot, self.frame.k1),
-            "velocity_corrector": ("shear_rate", "potential_rate", rp2, self.frame.k),
             "magnetic_potential": ("shear", "potential", inv_pot, self.frame.k2),
-            "magnetic_corrector": ("shear_curvature", "potential", -rp2, self.frame.k2),
         }
         if kind not in table:
             raise ValueError(f"unknown flow kind {kind!r}")

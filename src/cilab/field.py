@@ -2,10 +2,13 @@
 
 A Field is a read-only array of real samples on a Grid4 and nothing else:
 it caches no spectrum and has no file format. Every algebraic operation
-returns a new Field. The spatial calculus (`grad`, `div_tensor`) and the
-whole-field forms of `spectral_ops` run a slice kernel of cilab.spectral
-on each time slice through `_slicewise`, and `ddt` applies the matrix D
-along time. `to_spectral` is left for the divergence gate.
+returns a new Field. `ddt` applies the matrix D along time. Spatial
+operators are slice kernels of cilab.spectral that their callers map over
+the time slices; `_slicewise` maps one for the whole-field names the
+benchmark reaches. Three of those live here: the benchmark's kernel
+microbenchmarks time `grad` and `div_tensor`, which the step never calls,
+and the 4D transform `to_spectral`, which the step reaches only through
+the divergence gate `spectral_ops._div_rel_defect`.
 
 Component layout is trailing: scalars are (n_t, n_x, n_x, n_x), vectors
 append one length-3 axis, rank-2 tensors append two. The divergence of a
@@ -54,10 +57,6 @@ class Field:
     def spatial_means(self) -> np.ndarray:
         """Mean over the spatial torus, one value per time sample."""
         return self.data.mean(axis=(1, 2, 3))
-
-    def is_mean_free(self, tol: float = 1e-12) -> bool:
-        scale = max(np.abs(self.data).max(), 1e-300)
-        return bool(np.abs(self.spatial_means()).max() <= tol * scale)
 
     # -- arithmetic ---------------------------------------------------------
 

@@ -61,7 +61,7 @@ from .amplitudes import AmplitudeSet, dilate_support
 from .blocks import envelope_stack, family, flow_products
 from .checks import fold_maxima, gate
 from .field import Field, ddt, ddt_slice, peak_abs
-from .spectral_ops import _div_rel_defect, _mean_free3, leray, p_neq0
+from .spectral_ops import _div_rel_defect, leray, p_neq0
 from .threads import map_slices
 
 # summation order of the frame families on every slice
@@ -599,15 +599,15 @@ def verify_temporal_balance(amps, blocks, g, mu: float, w_t, d_t,
         def residual(j):
             osc = oscillation(j)
             evolution = ddt_slice(part.data, j)
-            charge = _mean_free3(ddt_slice(acc, j))
+            charge = spectral.mean_free(ddt_slice(acc, j))
             pressure = spectral.leray(charge)
             np.subtract(charge, pressure, out=pressure)
             del charge
             pressure *= 1.0 / mu
             transport = (np.zeros(evolution.shape) if osc is None
-                         else _mean_free3(osc))
+                         else spectral.mean_free(osc))
             del osc
-            transfer = _mean_free3(drift[j])
+            transfer = spectral.mean_free(drift[j])
             return _abs_maxima(_balance(evolution, transport, pressure,
                                         transfer),
                                evolution, transport, pressure, transfer)
@@ -654,10 +654,10 @@ def verify_low_frequency_balance(amps, blocks, h, sigma: float, g, w_o, d_o,
     for s, (side, part) in enumerate((("velocity", w_o), ("magnetic", d_o))):
         def residual(j):
             evolution = ddt_slice(part.data, j)
-            res = _mean_free3(g2m1[j] * drift[s][j])
+            res = spectral.mean_free(g2m1[j] * drift[s][j])
             pressure = spectral.leray(res)
             np.subtract(res, pressure, out=pressure)
-            transfer = spectral.leray(_mean_free3(
+            transfer = spectral.leray(spectral.mean_free(
                 h[j] * ddt_slice(drift[s], j)))
             transfer *= -1.0 / sigma
             return _abs_maxima(_balance(evolution, res, pressure, transfer),

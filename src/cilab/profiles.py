@@ -351,9 +351,6 @@ class BandProfile:
         c[0] = 0.0
         return BandProfile(c)
 
-    def mean(self) -> float:
-        return float(self.coef[0].real)
-
     def mean_sq(self) -> float:
         """Circle mean of f^2; also the exact lattice mean on any uniform
         lattice with more than twice the band's points (Parseval)."""

@@ -5,12 +5,19 @@ Every operator here acts on one time slice: an array whose first three
 axes are the spatial axes (n, n, n), with component axes trailing. Each
 call makes one forward and one inverse real 3D transform, however many
 component axes the slice carries; `directional` transforms one component
-at a time, with one inverse transform per direction table. Whole (n_t, n,
-n, n, ...) fields go through `field._slicewise`, which runs a kernel from
-here on each time slice. Two helpers act on half spectra instead, so a
-caller can chain multipliers between one forward and one inverse
-transform: `leray_spectrum` and `div_spectrum`, which forms the spectrum
-of a tensor divergence from the spectra of its weights.
+at a time, with one inverse transform per direction table, and
+`mean_free` makes none. A caller maps a kernel over the time slices of a
+whole (n_t, n, n, n, ...) field; `field._slicewise` does so for the
+whole-field names the benchmark still reaches (`field.grad`,
+`field.div_tensor`, `spectral_ops.leray` and `p_neq0`). The kernels accept
+every input: the right inverses (`inv_div_sym`, `inv_div_skew`, the
+Biot-Savart law `curl(..., inverse_laplacian=True)`) state what they
+return on a slice that has a mean or a gradient part, and a caller that
+needs a mean-free or divergence-free input checks it. Two helpers act on
+half spectra instead, so a caller can chain multipliers between one
+forward and one inverse transform: `leray_spectrum` and `div_spectrum`,
+which forms the spectrum of a tensor divergence from the spectra of its
+weights.
 Wavenumber tables are float, built once per (n, trailing) and shared
 read-only; no other module builds one. The even symbols read the raw
 integers (`wavenumbers`); every operator made of derivatives reads
@@ -138,7 +145,8 @@ def div(arr):
 
 def curl(vec, inverse_laplacian: bool = False):
     """Curl over the last axis; with inverse_laplacian, curl (-Laplace)^-1,
-    which annihilates the zero mode."""
+    the Biot-Savart law: it annihilates the zero mode and any gradient
+    part, and its curl is the Leray projection of vec less its mean."""
     k1, k2, k3, ksq = _tables(vec, 1)
     spec = rfft(vec)
     out = np.empty_like(spec)
@@ -163,6 +171,18 @@ def curl_curl(vec):
     return irfft(spec, vec.shape[0])
 
 
+def mean_free(slab):
+    """One slice minus its spatial mean: the multiplier that zeroes the
+    spatial zero mode, without a transform. The sum runs over x1, then x2,
+    then x3, each an elementwise sum of n arrays in an order numpy fixes:
+    unlike a BLAS product it does not follow the BLAS thread count, and it
+    beats numpy's strided mean."""
+    total = slab
+    for _ in range(3):
+        total = total.reshape(slab.shape[0], -1).sum(axis=0)
+    return slab - (total / slab.shape[0] ** 3).reshape(slab.shape[3:])
+
+
 def leray_spectrum(spec):
     """The Helmholtz projection P_H on the half spectrum of a vector array
     (component axis last), in place; the identity on spatial means."""
@@ -181,16 +201,18 @@ def leray(vec):
 
 
 def frac_laplacian(arr, alpha: float):
-    """(-Laplace)^alpha of every component, for alpha > 0; the zero mode
-    is annihilated."""
+    """(-Laplace)^alpha of every component, for alpha >= 0; for alpha > 0
+    the zero mode is annihilated, and alpha = 0 is the identity."""
+    if alpha < 0:
+        raise ValueError("alpha must be nonnegative")
     ksq = wavenumbers(arr.shape[0], arr.ndim - 3)[3]
     return irfft(rfft(arr) * ksq ** alpha, arr.shape[0])
 
 
 def inv_div_sym(vec):
     """The symmetric traceless right inverse of the tensor divergence,
-    mode by mode: div R = vec and R = R^T with tr R = 0 on mean-free
-    slices; the zero mode is annihilated."""
+    mode by mode: R = R^T and tr R = 0, and div R is vec less its spatial
+    mean, so div R = vec on a mean-free slice."""
     *ks, ksq = _tables(vec, 1)
     spec = rfft(vec)
     inv = safe_inv(ksq)
@@ -207,6 +229,22 @@ def inv_div_sym(vec):
             if a != b:
                 out[..., b, a] = term
     return irfft(out, vec.shape[0])
+
+
+def inv_div_skew(vec):
+    """The skew right inverse of the tensor divergence, R_ij = eps_ijk c_k
+    with c = curl (-Laplace)^-1 vec: div R is the Leray projection of vec
+    less its spatial mean, so div R = vec on a mean-free divergence-free
+    slice. The entries are written here: field.expand would be a circular
+    import."""
+    c = curl(vec, inverse_laplacian=True)
+    out = np.zeros(c.shape[:-1] + (3, 3))
+    # (R_01, R_02, R_12) = (c_2, -c_1, c_0), mirrored with the other sign
+    for (r, col), comp in zip(((0, 1), (0, 2), (1, 2)),
+                              (c[..., 2], -c[..., 1], c[..., 0])):
+        out[..., r, col] = comp
+        np.negative(comp, out=out[..., col, r])
+    return out
 
 
 def div_spectrum(weights, table, out=None):

@@ -14,7 +14,7 @@ import scipy.fft as sfft
 
 from cilab import spectral
 from cilab.amplitudes import _BLOCKS, AmplitudeSet, _block, dilate_support
-from cilab.blocks import _phase_rate
+from cilab.blocks import BlockSet, _phase_rate
 from cilab.checks import fold_maxima, gate
 from cilab.field import (SKEW_PAIRS, SYM_PAIRS, Field, expand, lebesgue_norm,
                          to_spectral)
@@ -116,11 +116,13 @@ def verify_identities(blocks, time_indices=None, tol: float = 1e-7):
         step = max(1, grid.n_t // 4)
         time_indices = range(0, grid.n_t, step)
 
+    correctors = corrector_sets(blocks)
+
     def residuals(j):
         W = blocks.flow_slice("velocity", j)
-        Wct = blocks.flow_slice("velocity_corrector", j)
+        Wct = corrector_slice(correctors, "velocity", j)
         D = blocks.flow_slice("magnetic", j)
-        Dct = blocks.flow_slice("magnetic_corrector", j)
+        Dct = corrector_slice(correctors, "magnetic", j)
         updates = []
 
         lhs = W + Wct
@@ -161,11 +163,44 @@ def verify_identities(blocks, time_indices=None, tol: float = 1e-7):
                 BlockIdentityError)
 
 
+def corrector_sets(blocks):
+    """Block sets on the lattice of blocks whose "shear" and "potential"
+    profiles are the two profiles of a side's double-curl corrector: psi'
+    and Phi' on the velocity side, psi'' and Phi on the magnetic side.
+    Each samples its tables lazily, so build them once per block set."""
+    def sampled(shear, potential):
+        return BlockSet(blocks.frame, blocks.params, blocks.grid,
+                        shear_band=shear, conc_band=blocks.conc_band,
+                        potential_band=potential)
+
+    return {"velocity": sampled(blocks.shear_band.derivative(1),
+                                blocks.potential_band.derivative(1)),
+            "magnetic": sampled(blocks.shear_band.derivative(2),
+                                blocks.potential_band)}
+
+
+def corrector_slice(sets, side: str, j: int) -> np.ndarray:
+    """One time sample of a side's corrector, the flow's complement in the
+    double curl of its potential: r_perp^2 psi' Phi' k on the velocity
+    side, -r_perp^2 psi'' Phi k2 on the magnetic side; sets from
+    corrector_sets."""
+    bs = sets[side]
+    rp2 = bs.params.r_perp ** 2
+    row = rp2 * bs.frame.k if side == "velocity" else -rp2 * bs.frame.k2
+    scal = bs.profile_slice("shear", j) * bs.profile_slice("potential", j)
+    return scal[..., None] * row
+
+
 def flow_field(blocks, kind: str) -> Field:
-    """A block set's flow on every time slice, from flow_slice."""
+    """A block set's flow on every time slice, from flow_slice, or a
+    side's corrector ("velocity_corrector", "magnetic_corrector") from
+    corrector_slice."""
+    side, corrector = kind.split("_")[0], kind.endswith("_corrector")
+    sets = corrector_sets(blocks) if corrector else None
     out = np.empty(blocks.grid.shape + (3,))
     for j in range(blocks.grid.n_t):
-        out[j] = blocks.flow_slice(kind, j)
+        out[j] = (corrector_slice(sets, side, j) if corrector
+                  else blocks.flow_slice(kind, j))
     return Field(out, blocks.grid, _take=True)
 
 

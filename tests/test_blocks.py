@@ -155,8 +155,8 @@ class TestSampling:
         assert np.abs(W - W[0]).max() == 0.0
 
     def test_slice_matches_field(self, banded_blocks):
-        field = flow_field(banded_blocks, "magnetic_corrector")
-        assert np.array_equal(field.data[3], banded_blocks.flow_slice("magnetic_corrector", 3))
+        field = flow_field(banded_blocks, "magnetic_potential")
+        assert np.array_equal(field.data[3], banded_blocks.flow_slice("magnetic_potential", 3))
 
     def test_slice_matches_direct_phase_evaluation(self, banded_blocks):
         # spot-check the integer table lookup against a direct evaluation

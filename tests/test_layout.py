@@ -1,13 +1,14 @@
 """Package layout: every definition in src/cilab is reached from the
-benchmark's step or waits on a named ROADMAP item, and no module imports a
-name it does not use. Reference implementations that only tests call live
+benchmark's step or waits on a named ROADMAP item, no module imports a
+name it does not use, and cilab.spectral_ops keeps only the whole-field
+names bench/ reaches. Reference implementations that only tests call live
 in tests/oracles.py.
 
 Reachability is a walk by name over the syntax trees. Its roots are the
 names bench/*.py uses and the names src's module-level code uses (not its
 imports); a def or class is reached when a root or a reached definition
 uses its name, and a dunder method with its class. Matching by name can
-miss dead code (any `.mean` reaches every method called `mean`); a
+miss dead code (any `.name` reaches every method called `name`); a
 definition reached only through a string, as getattr does, is flagged.
 """
 
@@ -24,9 +25,10 @@ MODULES = {path.stem: ast.parse(path.read_text())
 # deletes its entries.
 WAITING = {
     4: ("blocks.BlockSet.transport_slice",),
-    5: ("spectral_ops.biot_savart",),
-    8: ("spectral_ops.inv_div_sym", "spectral_ops.inv_div_skew",
-        "spectral_ops.frac_laplacian", "mollify.mollified_pressure"),
+    # the Biot-Savart law is spectral.curl with inverse_laplacian=True
+    5: ("spectral.curl",),
+    8: ("spectral.inv_div_sym", "spectral.inv_div_skew",
+        "spectral.frac_laplacian", "mollify.mollified_pressure"),
     10: ("field.lebesgue_norm", "blocks.block_norm",
          "blocks.predicted_block_norm",
          "blocks.measure_intermittency", "blocks.product_norm",
@@ -38,6 +40,11 @@ WAITING = {
 # (module, name) imported only to be imported from there: bench/child.py
 # takes fft_workers from cilab.grid
 RE_EXPORTS = {("grid", "fft_workers")}
+
+
+# what cilab.spectral_ops may define besides the names bench/ reaches: the
+# 4D divergence gate (ROADMAP item 11) and its vector check
+SPECTRAL_OPS_OWN = {"_div_rel_defect", "_require_vector"}
 
 
 def _names(node) -> set:
@@ -132,3 +139,26 @@ def test_no_unused_module_level_import():
                     if name not in loaded
                     and (module, name) not in RE_EXPORTS]
     assert not unused, f"unused imports {unused}"
+
+
+def test_spectral_ops_keeps_only_what_the_benchmark_reaches():
+    # spatial operators are slice kernels in cilab.spectral; the
+    # whole-field forms stay only where bench/ names them, as an attribute
+    # or as the string a tracer patches (bench/tracing.py patches
+    # (spectral_ops, "leray"))
+    reached = set()
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        reached |= _names(tree) | {
+            node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    defined = set()
+    for stmt in MODULES["spectral_ops"].body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(stmt.name)
+        elif isinstance(stmt, ast.Assign):
+            defined |= set().union(*map(_names, stmt.targets))
+    extra = sorted(defined - reached - SPECTRAL_OPS_OWN)
+    assert not extra, (
+        f"cilab.spectral_ops defines {extra}, which bench/ does not reach: "
+        "put a spatial operator in cilab.spectral as a slice kernel")

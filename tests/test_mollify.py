@@ -16,10 +16,9 @@ from cilab.mollify import (
     Mollifier, commutator_stresses, mollified_pressure, mollify,
 )
 from cilab.profiles import fit_loglog
-from cilab.spectral_ops import frac_laplacian
 
 from conftest import random_divfree, random_field
-from test_spectral_ops import traced_peak
+from test_spectral_ops import frac_laplacian, traced_peak
 from oracles import (
     _outer, commutator_reference, mollify_4d, per_slice, spatial_kernel,
     temporal_kernel, to_physical,
@@ -435,14 +434,19 @@ class TestMollifiedSystemClosure:
 
     NU, ETA = 0.7, 0.4
 
+    @staticmethod
+    def dissipation(f, alpha):
+        """(-Laplace)^alpha f, the slice kernel on every time slice."""
+        return Field(frac_laplacian(f.data, alpha), f.grid, _take=True)
+
     def momentum(self, u, b, p, alpha):
-        return (ddt(u) + self.NU * frac_laplacian(u, alpha)
+        return (ddt(u) + self.NU * self.dissipation(u, alpha)
                 + div_tensor(Field(_outer(u.data, u.data)
                                    - _outer(b.data, b.data), u.grid))
                 + grad(p))
 
     def induction(self, u, b, alpha):
-        return (ddt(b) + self.ETA * frac_laplacian(b, alpha)
+        return (ddt(b) + self.ETA * self.dissipation(b, alpha)
                 + div_tensor(Field(_outer(b.data, u.data)
                                    - _outer(u.data, b.data), u.grid)))
 

@@ -22,10 +22,7 @@ from cilab.field import Field, ddt, div_tensor, grad, to_spectral
 from cilab.geometry import ConstructionError, build_geometry
 from cilab.grid import Grid4
 from cilab.profiles import BumpTrain, make_spatial_profiles, make_temporal
-from cilab.spectral_ops import (
-    _mean_free3, biot_savart, frac_laplacian, inv_div_skew, inv_div_sym,
-    leray, p_neq0,
-)
+from cilab.spectral_ops import leray, p_neq0
 from cilab.threads import map_slices
 
 from conftest import random_divfree, random_field
@@ -413,16 +410,17 @@ def temporal():
     return make_temporal(BumpTrain(m0=2), tau=1, sigma=1, n_t=16)
 
 
-def _build(geom, temporal, window=None):
+def _build(geom, temporal, window=None, ell=0.7):
     """The smallest grid the blocks accept at n_conc_harmonics=1, random
-    admissible stresses, optionally confined to a window of time slices."""
+    admissible stresses, optionally confined to a window of time slices,
+    and amplitudes whose cutoffs smooth the support at scale ell."""
     grid = Grid4(16, 38)
     rng = np.random.default_rng(11)
     r_u, r_b = stress_pair(grid, rng)
     if window is not None:
         r_u = Field(r_u.data * window[:, None, None, None, None, None], grid)
         r_b = Field(r_b.data * window[:, None, None, None, None, None], grid)
-    amps = build_amplitudes(r_u, r_b, 0.25, geom, grid, ell=0.7)
+    amps = build_amplitudes(r_u, r_b, 0.25, geom, grid, ell=ell)
     params = BlockParams(lam=1, mu=MU, n_conc_harmonics=1)
     base = make_spatial_profiles()
     blocks = {fr.name: sample_blocks(fr, params, grid, base)
@@ -450,14 +448,28 @@ def windowed(geom, temporal):
     return _build(geom, temporal, WINDOW)
 
 
+# at ell 0.7 the cutoffs of 16 slices take no smoothing tap, so they are
+# exactly 0 or 1; at 1.8 one tap each side ramps them through 0.038 and
+# 0.962, the values 32 slices take at ell 0.9
+RAMP_ELL = 1.8
+
+
 @pytest.fixture(scope="module")
-def reference_parts(built):
-    amps, blocks, g, h, sigma, _ = built
+def ramped(geom, temporal):
+    return _build(geom, temporal, WINDOW, ell=RAMP_ELL)
+
+
+def _reference_parts(amps, blocks, g, h, sigma):
     out = dict(zip(("w_p", "d_p"), ref_principal(amps, blocks, g)))
     out.update(zip(("w_c", "d_c"), ref_incompressibility(amps, blocks, g)))
     out.update(zip(("w_t", "d_t"), ref_temporal_t(amps, blocks, g, MU)))
     out.update(zip(("w_o", "d_o"), ref_temporal_o(amps, blocks, h, sigma)))
     return out
+
+
+@pytest.fixture(scope="module")
+def reference_parts(built):
+    return _reference_parts(*built[:5])
 
 
 def rel_max(a, b):
@@ -556,6 +568,47 @@ class TestBuilders:
 
 
 # -- verifiers ---------------------------------------------------------------------
+
+class TestFractionalCutoffs:
+    """Builders and the cancellation check where a cutoff lies strictly
+    between 0 and 1: there every square is scaled by the cutoff squared."""
+
+    @staticmethod
+    def _ramp(amps, family):
+        cutoff = amps.cutoff(family)
+        ramp = np.flatnonzero((cutoff > 0.0) & (cutoff < 1.0))
+        assert len(ramp) == 4 and cutoff[ramp].min() < 0.05, cutoff
+        return ramp
+
+    @pytest.mark.parametrize("family,name", [("magnetic", "f_b"),
+                                             ("velocity", "f_u")])
+    def test_squares_scale_by_the_squared_cutoff(self, ramped, family, name):
+        amps = ramped[0]
+        whole = replaced(amps, **{name: np.ones(amps.grid.n_t)})
+        for j in self._ramp(amps, family):
+            f = amps.cutoff(family)[j]
+            assert np.array_equal(amps.squared_slice(family, j),
+                                  whole.squared_slice(family, j) * f ** 2)
+
+    def test_cancellation_holds(self, ramped):
+        amps, blocks = ramped[:2]
+        report = verify_cancellation(amps, blocks)
+        for key in ("moment_defect", "magnetic", "velocity"):
+            assert report[key] <= 1e-10, key
+
+    @pytest.fixture(scope="class")
+    def ramped_reference(self, ramped):
+        return _reference_parts(*ramped[:5])
+
+    @pytest.mark.parametrize("name", PART_NAMES)
+    def test_part_matches_per_frame_reference(self, ramped, ramped_reference,
+                                              name):
+        amps, parts = ramped[0], ramped[-1]
+        got, want = parts[name].data, ramped_reference[name]
+        ramp = self._ramp(amps, "velocity")
+        assert np.abs(want[ramp]).max() > 0.0
+        assert rel_max(got, want) <= 1e-12
+
 
 class TestMoments:
     def test_tables_are_the_mean_flow_products(self, built):
@@ -1188,12 +1241,12 @@ class TestOperators:
 
     def test_whole_field_forms_stack_their_slice_kernels(self, small_grid):
         # each whole-field form is its slice kernel run on every time slice
-        # and stacked, bitwise
+        # and stacked, bitwise; the skew inverse divergence writes
+        # eps_ijk c_k of the Biot-Savart potential c, bitwise
         rng = np.random.default_rng(5)
         scalar = random_field(small_grid, rng)
         vec = random_field(small_grid, rng, rank=1)
         tens = random_field(small_grid, rng, rank=2)
-        mean_free = p_neq0(vec)
         divfree = random_divfree(small_grid, rng)
         eye = np.eye(3)[:, None]
         potential = per_slice(spectral.curl, divfree.data,
@@ -1202,23 +1255,17 @@ class TestOperators:
         for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
             levi_civita[i, j, k], levi_civita[j, i, k] = 1.0, -1.0
         pairs = (
-            (grad(scalar), per_slice(spectral.directional,
-                                     scalar.data[..., None], eye)[..., 0, :]),
-            (grad(vec), per_slice(spectral.directional, vec.data, eye)),
-            (div_tensor(tens), per_slice(spectral.div, tens.data)),
-            (leray(vec), per_slice(spectral.leray, vec.data)),
-            (mean_free, per_slice(_mean_free3, vec.data)),
-            (frac_laplacian(vec, 0.6),
-             per_slice(spectral.frac_laplacian, vec.data, 0.6)),
-            (inv_div_sym(mean_free),
-             per_slice(spectral.inv_div_sym, mean_free.data)),
-            (inv_div_skew(divfree),
+            (grad(scalar).data, per_slice(
+                spectral.directional, scalar.data[..., None], eye)[..., 0, :]),
+            (grad(vec).data, per_slice(spectral.directional, vec.data, eye)),
+            (div_tensor(tens).data, per_slice(spectral.div, tens.data)),
+            (leray(vec).data, per_slice(spectral.leray, vec.data)),
+            (p_neq0(vec).data, per_slice(spectral.mean_free, vec.data)),
+            (per_slice(spectral.inv_div_skew, divfree.data),
              np.einsum("ijk,...k->...ij", levi_civita, potential)),
-            (biot_savart(mean_free), per_slice(
-                spectral.curl, mean_free.data, inverse_laplacian=True)),
         )
         for whole, stacked in pairs:
-            assert np.array_equal(whole.data, stacked)
+            assert np.array_equal(whole, stacked)
 
     def test_field_calculus_matches_per_component(self, small_grid):
         rng = np.random.default_rng(9)

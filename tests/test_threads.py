@@ -13,6 +13,8 @@ from cilab.grid import Grid4
 from cilab.profiles import make_spatial_profiles
 from cilab.threads import fft_workers, map_slices, thread_count
 
+from oracles import corrector_sets, corrector_slice
+
 
 def _in_thread(fn, timeout=60.0):
     """fn() on a fresh thread, joined with a timeout; its result."""
@@ -96,10 +98,16 @@ class TestMap:
         frame = build_geometry().lambda_u[0]
         params = BlockParams(lam=1, mu=0.2, n_conc_harmonics=1)
         base = make_spatial_profiles()
-        kinds = ("velocity", "velocity_corrector", "magnetic_corrector")
+
+        def samples(blocks, correctors, j):
+            # the correctors' block sets fill their own tables lazily too
+            return [blocks.flow_slice("velocity", j),
+                    corrector_slice(correctors, "velocity", j),
+                    corrector_slice(correctors, "magnetic", j)]
+
         monkeypatch.setenv("CILAB_THREADS", "1")
         serial = sample_blocks(frame, params, grid, base)
-        want = [[serial.flow_slice(kind, j) for kind in kinds]
+        want = [samples(serial, corrector_sets(serial), j)
                 for j in range(grid.n_t)]
         monkeypatch.setenv("CILAB_THREADS", "8")
         interval = sys.getswitchinterval()
@@ -107,8 +115,9 @@ class TestMap:
         try:
             for _ in range(3):
                 fresh = sample_blocks(frame, params, grid, base)
+                correctors = corrector_sets(fresh)
                 got = _in_thread(lambda: map_slices(
-                    lambda j: [fresh.flow_slice(kind, j) for kind in kinds],
+                    lambda j: samples(fresh, correctors, j),
                     range(grid.n_t)))
                 for j in range(grid.n_t):
                     for a, b in zip(got[j], want[j]):
