@@ -115,7 +115,8 @@ def temporal_cutoff(support_mask, grid: Grid4, ell: float) -> np.ndarray:
         return np.zeros(grid.n_t)
     if mask.all():
         return np.ones(grid.n_t)
-    grown = dilate_support(mask, int(math.floor(0.5 * ell / grid.dt)))
+    reach = int(math.floor(0.5 * ell / grid.dt))
+    grown = dilate_support(mask, reach)
     taps = int(math.floor(0.25 * ell / grid.dt))
     if taps == 0:
         return grown.astype(float)
@@ -125,6 +126,9 @@ def temporal_cutoff(support_mask, grid: Grid4, ell: float) -> np.ndarray:
     out = np.zeros(grid.n_t)
     for off, w in zip(offsets, weights):
         out += w * np.roll(grown, off)
+    # the weights sum to one only up to rounding: a slice whose whole
+    # window lies in the grown mask is one exactly
+    out[dilate_support(mask, reach - taps)] = 1.0
     return np.clip(out, 0.0, 1.0)
 
 
@@ -306,9 +310,9 @@ def build_amplitudes(R_l_u: Field, R_l_B: Field, delta_next: float,
     slice passes on the pool: the first checks the stress classes, keeps
     the independent components and forms rho_B; the second forms G_B and
     rho_u. A slice where both stresses vanish costs no work and no memory:
-    its stress components are left unwritten zeros and rho_B there is
-    2 delta_next / eps_B, and where f_b vanishes too, G_B is zero and
-    rho_u is 2 delta_next / eps_u. Every gate raises unless its defect is
+    its stress components are left unwritten zeros, rho_B there is
+    2 delta_next / eps_B, G_B is zero whatever f_b, and rho_u is
+    2 delta_next / eps_u. Every gate raises unless its defect is
     within tolerance, so a NaN never passes. The set holds no reference to
     the inputs.
     """
@@ -384,8 +388,9 @@ def build_amplitudes(R_l_u: Field, R_l_B: Field, delta_next: float,
     base_u = 2.0 / geom.eps_u * delta_next
 
     def fill(j):
-        if idle[j] and f_b[j] == 0.0:
-            # G_B carries the factor f_b^2, so R_u + G_B is zero here
+        if idle[j]:
+            # G_B is linear in the stress rows, since the rho_B rows of its
+            # tables are zero, so R_u + G_B is zero here
             rho_u[j] = base_u
             return []
         g_b = amps._g_b(j)

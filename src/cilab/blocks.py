@@ -12,7 +12,8 @@ Grid samples are produced through integer phase tables: with lam r_perp
 and the phase rate lam r_perp N mu integral, both phases live on finite
 lattices (n_x points in space, n_x * n_t in space-time), every grid value
 is a table lookup, and the sampled fields are exactly the band-limited
-trig polynomials they claim to be. The resolution validator enforces the
+trig polynomials they claim to be. A BlockSet builds its tables and
+lattice indices when it is sampled; only its moments are cached. The resolution validator enforces the
 alias-free bound for quadratic products of the bands, which is the
 condition under which spectral derivatives of block products are exact.
 
@@ -26,6 +27,7 @@ factor into 1D (or, for gradient tensors, 2D) profile integrals.
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -109,7 +111,6 @@ def sample_blocks(frame, params: BlockParams, grid: Grid4,
     if base is None:
         base = make_spatial_profiles()
     _validate_resolution(frame, params, grid)
-    rate = _phase_rate(frame, params)
 
     potential_raw = band_project(rescaled(base.Phi, params.r_perp),
                                  params.n_conc_harmonics)
@@ -126,18 +127,30 @@ def sample_blocks(frame, params: BlockParams, grid: Grid4,
                     potential_band=potential_raw.scaled(factor))
 
 
+def _lattice_index(vec, n: int) -> np.ndarray:
+    """Read-only (vec . i) mod n at the n^3 spatial lattice points i: a
+    phase's position on its n-point lattice."""
+    i = np.arange(n, dtype=np.int64)
+    idx = (i[:, None, None] * (vec[0] % n) + i[None, :, None] * (vec[1] % n)
+           + i[None, None, :] * (vec[2] % n)) % n
+    idx.setflags(write=False)
+    return idx
+
+
 class BlockSet:
     """Grid evaluators for one frame's flows, potentials, and profiles.
 
-    Immutable after construction; index arrays and value tables are built
-    lazily and cached. Scalar profile kinds are the shear profile and its
-    phase rate, the concentration and the potential; flow kinds are the
-    separable vector fields and their double-curl potentials.
+    Every phase table and lattice index is built here, read-only, so the
+    profile and flow slices add nothing to the set; only the moments are
+    measured on demand and kept. Scalar profile kinds are the shear profile
+    and its phase rate, the concentration and the potential; flow kinds
+    are the separable vector fields and their double-curl potentials, each
+    the shear profile times a second profile times a constant row.
     """
 
     __slots__ = ("frame", "params", "grid", "shear_band", "conc_band",
-                 "potential_band", "a_int", "m_int", "rate", "_idx", "_tables",
-                 "_moments")
+                 "potential_band", "a_int", "m_int", "rate", "tables",
+                 "shear_index", "conc_index", "flows", "_moments")
 
     def __init__(self, frame, params: BlockParams, grid: Grid4,
                  shear_band: BandProfile, conc_band: BandProfile,
@@ -152,84 +165,53 @@ class BlockSet:
         self.a_int = tuple(lr * c for c in frame.k1_num)
         self.m_int = tuple(lr * c for c in frame.k_num)
         self.rate = _phase_rate(frame, params)
-        self._idx = {}
-        self._tables = {}
-        self._moments = {}
-
-    # -- phase lattice -----------------------------------------------------
-
-    def _space_index(self, vec) -> np.ndarray:
-        key = ("ix", vec)
-        if key not in self._idx:
-            n = self.grid.n_x
-            i = np.arange(n, dtype=np.int64)
-            acc = (i[:, None, None] * (vec[0] % n)
-                   + i[None, :, None] * (vec[1] % n)
-                   + i[None, None, :] * (vec[2] % n)) % n
-            acc.setflags(write=False)
-            self._idx[key] = acc
-        return self._idx[key]
-
-    def _shear_index(self) -> np.ndarray:
+        n_x, n_t = grid.n_x, grid.n_t
+        # the shear phase on its n_x n_t space-time lattice, the
+        # concentration phase on its n_x spatial one
+        L = n_x * n_t
+        xi_s = (-np.pi * (sum(self.a_int) + self.rate)
+                + 2.0 * np.pi * np.arange(L) / L)
+        xi_c = -np.pi * sum(self.m_int) + 2.0 * np.pi * np.arange(n_x) / n_x
+        # shear tables are doubled so index + offset never needs a modulo
+        tables = {"shear": np.tile(shear_band(xi_s), 2),
+                  "shear_rate": np.tile(shear_band.derivative(1)(xi_s), 2),
+                  "concentration": conc_band(xi_c),
+                  "potential": potential_band(xi_c)}
+        for tab in tables.values():
+            tab.setflags(write=False)
+        self.tables = MappingProxyType(tables)
         # premultiplied by n_t so a time offset below L can be added directly
-        key = "shear_ix"
-        if key not in self._idx:
-            acc = self._space_index(self.a_int) * self.grid.n_t
-            acc.setflags(write=False)
-            self._idx[key] = acc
-        return self._idx[key]
-
-    def _table(self, kind: str) -> np.ndarray:
-        """Profile values over the full phase lattice; shear tables are
-        doubled so index + offset never needs a modulo."""
-        if kind not in self._tables:
-            n_x, n_t = self.grid.n_x, self.grid.n_t
-            if kind in ("shear", "shear_rate"):
-                band = self.shear_band.derivative(
-                    ("shear", "shear_rate").index(kind))
-                L = n_x * n_t
-                theta0 = -np.pi * (sum(self.a_int) + self.rate)
-                vals = band(theta0 + 2.0 * np.pi * np.arange(L) / L)
-                vals = np.concatenate([vals, vals])
-            elif kind in ("concentration", "potential"):
-                band = {"concentration": self.conc_band,
-                        "potential": self.potential_band}[kind]
-                theta0 = -np.pi * sum(self.m_int)
-                vals = band(theta0 + 2.0 * np.pi * np.arange(n_x) / n_x)
-            else:
-                raise ValueError(f"unknown profile kind {kind!r}")
-            vals.setflags(write=False)
-            self._tables[kind] = vals
-        return self._tables[kind]
+        self.shear_index = _lattice_index(self.a_int, n_x) * n_t
+        self.shear_index.setflags(write=False)
+        self.conc_index = _lattice_index(self.m_int, n_x)
+        # flow kind -> (second profile, constant row)
+        inv_pot = 1.0 / (params.lam * frame.denom) ** 2
+        flows = {"velocity": ("concentration", frame.k1),
+                 "magnetic": ("concentration", frame.k2),
+                 "velocity_potential": ("potential", inv_pot * frame.k1),
+                 "magnetic_potential": ("potential", inv_pot * frame.k2)}
+        for _, row in flows.values():
+            row.setflags(write=False)
+        self.flows = MappingProxyType(flows)
+        self._moments = {}
 
     def profile_slice(self, kind: str, j: int) -> np.ndarray:
         """One time sample of a scalar profile, shape (n_x, n_x, n_x)."""
-        tab = self._table(kind)
+        if kind not in self.tables:
+            raise ValueError(f"unknown profile kind {kind!r}")
+        tab = self.tables[kind]
         if kind.startswith("shear"):
             n_x, n_t = self.grid.n_x, self.grid.n_t
             off = ((self.rate * int(j)) % n_t) * n_x
-            return tab[off:].take(self._shear_index())  # no index temporary
-        return tab[self._space_index(self.m_int)]
-
-    def _flow_parts(self, kind: str):
-        """(shear kind, second profile kind, row) of a flow kind: the flow
-        is the product of the two profiles times the constant row."""
-        inv_pot = 1.0 / (self.params.lam * self.frame.denom) ** 2
-        table = {
-            "velocity": ("shear", "concentration", 1.0, self.frame.k1),
-            "magnetic": ("shear", "concentration", 1.0, self.frame.k2),
-            "velocity_potential": ("shear", "potential", inv_pot, self.frame.k1),
-            "magnetic_potential": ("shear", "potential", inv_pot, self.frame.k2),
-        }
-        if kind not in table:
-            raise ValueError(f"unknown flow kind {kind!r}")
-        s_kind, c_kind, coef, direction = table[kind]
-        return s_kind, c_kind, coef * direction
+            return tab[off:].take(self.shear_index)  # no index temporary
+        return tab[self.conc_index]
 
     def flow_slice(self, kind: str, j: int) -> np.ndarray:
         """One time sample of a flow, shape (n_x, n_x, n_x, 3)."""
-        s_kind, c_kind, row = self._flow_parts(kind)
-        scal = self.profile_slice(s_kind, j) * self.profile_slice(c_kind, j)
+        if kind not in self.flows:
+            raise ValueError(f"unknown flow kind {kind!r}")
+        c_kind, row = self.flows[kind]
+        scal = self.profile_slice("shear", j) * self.profile_slice(c_kind, j)
         return scal[..., None] * row
 
     def moments(self, sides) -> np.ndarray:
@@ -314,7 +296,7 @@ def family(name: str, frames, blocks, grid) -> Family:
         for i, bs in enumerate(sets):
             for rows, kind in ((flows, side),
                                (potentials, f"{side}_potential")):
-                rows[i, 3 * s:3 * s + 3] = bs._flow_parts(kind)[2]
+                rows[i, 3 * s:3 * s + 3] = bs.flows[kind][1]
     flows.setflags(write=False)
     potentials.setflags(write=False)
     return Family(name, tuple(sets), flows, potentials, sides)

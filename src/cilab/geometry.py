@@ -68,10 +68,6 @@ class Frame:
             raise ConstructionError(f"{self.name}: frame is not right-handed")
 
     @property
-    def k(self) -> np.ndarray:
-        return np.array(self.k_num, dtype=float) / self.denom
-
-    @property
     def k1(self) -> np.ndarray:
         return np.array(self.k1_num, dtype=float) / self.denom
 

@@ -1,7 +1,7 @@
 """Uniform space-time grid on the periodic box [-pi, pi)^4.
 
 The time circle is the first axis; the three spatial axes follow. A Grid4
-holds sizes, spacings and sample coordinates only; every wavenumber table,
+holds sizes, spacings and the time samples only; every wavenumber table,
 spatial or temporal, comes from cilab.spectral. Fields interoperate when
 their grids compare equal.
 """
@@ -55,13 +55,3 @@ class Grid4:
     def t(self) -> np.ndarray:
         """Time samples in [-pi, pi)."""
         return -np.pi + self.dt * np.arange(self.n_t)
-
-    def x(self) -> np.ndarray:
-        """Spatial samples in [-pi, pi), same for each axis."""
-        return -np.pi + self.dx * np.arange(self.n_x)
-
-    def axes(self):
-        """Broadcastable (t, x1, x2, x3) coordinate arrays."""
-        t = self.t()[:, None, None, None]
-        x = self.x()
-        return t, x[None, :, None, None], x[None, None, :, None], x[None, None, None, :]

@@ -11,8 +11,10 @@ def small_grid():
 
 def random_scalar(grid, rng, k_max=4):
     """Band-limited random real scalar with modes inside |k_i| <= k_max."""
+    from oracles import axes
+
     data = np.zeros(grid.shape)
-    t, x1, x2, x3 = grid.axes()
+    t, x1, x2, x3 = axes(grid)
     n_waves = 6
     for _ in range(n_waves):
         k = rng.integers(-k_max, k_max + 1, size=4)

@@ -29,6 +29,15 @@ from cilab.threads import fft_workers
 
 # -- field --------------------------------------------------------------------
 
+def axes(grid: Grid4):
+    """Broadcastable (t, x1, x2, x3) coordinate arrays of a grid, each
+    spatial axis sampled like time at -pi + dx i."""
+    t = grid.t()[:, None, None, None]
+    x = -np.pi + grid.dx * np.arange(grid.n_x)
+    return (t, x[None, :, None, None], x[None, None, :, None],
+            x[None, None, None, :])
+
+
 def to_physical(coeffs, grid: Grid4) -> np.ndarray:
     """Inverse of field.to_spectral, the whole-field space-time transform;
     returns the real sample array."""
@@ -186,7 +195,8 @@ def corrector_slice(sets, side: str, j: int) -> np.ndarray:
     corrector_sets."""
     bs = sets[side]
     rp2 = bs.params.r_perp ** 2
-    row = rp2 * bs.frame.k if side == "velocity" else -rp2 * bs.frame.k2
+    k = np.array(bs.frame.k_num) / bs.frame.denom
+    row = rp2 * k if side == "velocity" else -rp2 * bs.frame.k2
     scal = bs.profile_slice("shear", j) * bs.profile_slice("potential", j)
     return scal[..., None] * row
 

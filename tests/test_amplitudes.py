@@ -3,6 +3,7 @@ supports, affine structure, idle-slice storage, and the two cancellation
 identities."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -25,7 +26,7 @@ from cilab.profiles import BumpTrain, make_spatial_profiles, make_temporal
 
 from conftest import random_field
 from oracles import (
-    _skew, _sym, _traceless, amplitude, g_b_slice, l2_report, replaced,
+    _skew, _sym, _traceless, amplitude, axes, g_b_slice, l2_report, replaced,
     skew_generator, stress_slice, sym_generator,
 )
 from test_spectral_ops import traced_peak
@@ -160,6 +161,28 @@ class TestTemporalCutoff:
         assert f[0] == pytest.approx(1.0, abs=1e-12)
         assert f[127] == pytest.approx(1.0, abs=1e-12)
         assert f[64] == 0.0
+
+    @pytest.mark.parametrize("n_t", [16, 32, 64, 128])
+    def test_exactly_one_on_the_quarter_neighborhood(self, n_t):
+        # the kernel weights sum to one only up to rounding, so a plain
+        # mollification reads 1 - 1.1e-16 on some support slices; one run
+        # of width 1-5, alone or beside a second run after a gap of 1-7
+        g = Grid4(n_t, 8)
+        idx = np.arange(n_t)
+        for ell in np.linspace(0.3, 2.5, 45):
+            taps = int(math.floor(0.25 * ell / g.dt))
+            for width in range(1, 6):
+                for gap in (None,) + tuple(range(1, 8)):
+                    mask = (idx >= 3) & (idx < 3 + width)
+                    if gap is not None:
+                        lo = 3 + width + gap
+                        mask |= (idx >= lo) & (idx < lo + width)
+                    f = temporal_cutoff(mask, g, ell)
+                    dist = np.min([np.minimum((idx - s) % n_t,
+                                              (s - idx) % n_t)
+                                   for s in idx[mask]], axis=0)
+                    assert np.all(f[dist <= taps] == 1.0), (ell, width, gap)
+                    assert np.all((f >= 0.0) & (f <= 1.0))
 
     def test_coarse_grid_degenerates_to_indicator(self):
         g = Grid4(8, 8)
@@ -316,7 +339,7 @@ class TestBuildAmplitudes:
         unit = Field(seed.data / np.sqrt(
             (seed.data ** 2).sum(axis=(-2, -1), keepdims=True)), grid)
         delta = 0.2
-        bulk = (3.1 + np.cos(grid.x()))[None, :, None, None] * delta
+        bulk = (3.1 + np.cos(axes(grid)[1])) * delta
         r_b = Field(bulk[..., None, None] * unit.data, grid, _take=True)
         r_u = 0.0 * Field(_traceless(_sym(
             random_field(grid, rng, rank=2).data)), grid)
@@ -671,6 +694,14 @@ class TestIdleSlices:
         assert np.all(amps.stress_b[idle] == 0.0)
         assert np.all(amps.peak_u[idle] == 0.0)
         assert np.all(amps.peak_b[idle] == 0.0)
+
+    def test_g_b_does_not_read_rho_b(self, windowed):
+        # G_B is the magnetic rows times these tables, so on an idle slice,
+        # whose stress rows are zero, it is zero whatever f_b, and
+        # build_amplitudes skips the slice
+        amps = windowed[2]
+        assert not amps._g_b_table[0].any()
+        assert not amps._g_b_share[0].any()
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="lazily mapped zero pages are glibc's")

@@ -18,9 +18,9 @@ from cilab.grid import Grid4, GridResolutionError
 from cilab.profiles import BandProfile, fit_loglog, make_spatial_profiles
 
 from oracles import (
-    IDENTITY_NAMES, BlockIdentityError, flow_field, pair_support_fraction,
-    profile_field, skew_generator, support_fraction, sym_generator,
-    verify_identities,
+    IDENTITY_NAMES, BlockIdentityError, axes, flow_field,
+    pair_support_fraction, profile_field, skew_generator, support_fraction,
+    sym_generator, verify_identities,
 )
 
 
@@ -126,7 +126,8 @@ class TestSampling:
         g_shear = grad(profile_field(banded_blocks, "shear"))
         assert np.abs(g_conc.data @ np.asarray(f.k1)).max() < 1e-10
         assert np.abs(g_conc.data @ np.asarray(f.k2)).max() < 1e-10
-        assert np.abs(g_shear.data @ np.asarray(f.k)).max() < 1e-10
+        k = np.array(f.k_num) / f.denom
+        assert np.abs(g_shear.data @ k).max() < 1e-10
 
     def test_second_moments(self, banded_blocks):
         f = banded_blocks.frame
@@ -162,7 +163,7 @@ class TestSampling:
         # spot-check the integer table lookup against a direct evaluation
         g = banded_blocks.grid
         j, ii = 5, (7, 21, 40)
-        x = g.x()
+        x = axes(g)[1][0, :, 0, 0]
         xi = sum(a * x[i] for a, i in zip(banded_blocks.a_int, ii))
         xi += banded_blocks.rate * g.t()[j]
         want = banded_blocks.shear_band(np.array([xi]))[0]
@@ -170,10 +171,75 @@ class TestSampling:
         assert abs(want - got) < 1e-12
 
     def test_unknown_kinds_rejected(self, banded_blocks):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown profile kind"):
             banded_blocks.profile_slice("vorticity", 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown flow kind"):
             banded_blocks.flow_slice("pressure", 0)
+        # the corrector flows are test-only block sets (oracles)
+        with pytest.raises(ValueError, match="unknown flow kind"):
+            banded_blocks.flow_slice("velocity_corrector", 0)
+
+
+PROFILE_KINDS = ("shear", "shear_rate", "concentration", "potential")
+FLOW_KINDS = ("velocity", "magnetic", "velocity_potential",
+              "magnetic_potential")
+
+
+class TestBlockSetContract:
+    """A BlockSet is complete when it is sampled: its tables, indices and
+    flow rows are built then and read-only, and sampling adds nothing to
+    it but the moments it measures."""
+
+    @pytest.fixture(scope="class")
+    def sets(self, geom, base, dense_grid):
+        params = BlockParams(lam=1, mu=1.0, n_conc_harmonics=1)
+        return {fr.name: sample_blocks(fr, params, dense_grid, base)
+                for fr in geom.lambda_b + geom.lambda_u}
+
+    def test_only_the_moments_are_cached(self):
+        assert [s for s in BlockSet.__slots__ if s.startswith("_")] == [
+            "_moments"]
+
+    def test_tables_indices_and_rows_are_read_only(self, sets):
+        for bs in sets.values():
+            assert set(bs.tables) == set(PROFILE_KINDS)
+            assert set(bs.flows) == set(FLOW_KINDS)
+            arrays = [*bs.tables.values(), bs.shear_index, bs.conc_index,
+                      *(row for _, row in bs.flows.values())]
+            assert not any(arr.flags.writeable for arr in arrays)
+            with pytest.raises(TypeError):
+                bs.tables["shear"] = bs.tables["potential"]
+            with pytest.raises(TypeError):
+                bs.flows["velocity"] = bs.flows["magnetic"]
+
+    def test_sampling_adds_nothing(self, geom, base, dense_grid):
+        params = BlockParams(lam=1, mu=1.0, n_conc_harmonics=1)
+        blocks = {fr.name: sample_blocks(fr, params, dense_grid, base)
+                  for fr in geom.lambda_b}
+        bs = blocks[geom.lambda_b[0].name]
+        before = {name: getattr(bs, name) for name in BlockSet.__slots__}
+        tables, flows = dict(bs.tables), dict(bs.flows)
+        for j in range(dense_grid.n_t):
+            for kind in PROFILE_KINDS:
+                bs.profile_slice(kind, j)
+            for kind in FLOW_KINDS:
+                bs.flow_slice(kind, j)
+        family("magnetic", geom.lambda_b, blocks, dense_grid)
+        for name, value in before.items():
+            assert getattr(bs, name) is value, name
+        assert bs._moments == {}
+        assert dict(bs.tables) == tables
+        assert all(bs.flows[kind] is parts for kind, parts in flows.items())
+
+    def test_resampling_is_bitwise_equal(self, geom, base, dense_grid, sets):
+        params = BlockParams(lam=1, mu=1.0, n_conc_harmonics=1)
+        for fr in geom.lambda_b + geom.lambda_u:
+            again = sample_blocks(fr, params, dense_grid, base)
+            for kind in PROFILE_KINDS:
+                for j in range(dense_grid.n_t):
+                    assert np.array_equal(
+                        again.profile_slice(kind, j),
+                        sets[fr.name].profile_slice(kind, j)), (fr.name, kind)
 
 
 class TestFlowAlgebra:

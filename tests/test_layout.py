@@ -6,10 +6,12 @@ in tests/oracles.py.
 
 Reachability is a walk by name over the syntax trees. Its roots are the
 names bench/*.py uses and the names src's module-level code uses (not its
-imports); a def or class is reached when a root or a reached definition
-uses its name, and a dunder method with its class. Matching by name can
-miss dead code (any `.name` reaches every method called `name`); a
-definition reached only through a string, as getattr does, is flagged.
+imports); a module-level def or class is reached when a root or a reached
+definition uses its name, a method only when one accesses an attribute of
+that name (`.name`; a bare local `name` does not count), and a dunder
+method with its class. Matching by name can miss dead code (any `.name`
+reaches every method called `name`); a definition reached only through a
+string, as getattr does, is flagged.
 """
 
 import ast
@@ -48,14 +50,16 @@ SPECTRAL_OPS_OWN = {"_div_rel_defect", "_require_vector"}
 
 
 def _names(node) -> set:
-    return {sub.id if isinstance(sub, ast.Name) else sub.attr
+    """The bare names node uses and, marked by a leading dot, the
+    attributes it accesses."""
+    return {sub.id if isinstance(sub, ast.Name) else "." + sub.attr
             for sub in ast.walk(node)
             if isinstance(sub, (ast.Name, ast.Attribute))}
 
 
 def _walk():
     """{qualified name: node} of every module- and class-level def and
-    class, and the names the roots use."""
+    class, and the names the roots use (_names)."""
     defs = {}
     used = set().union(*(_names(ast.parse(path.read_text()))
                          for path in sorted((ROOT / "bench").glob("*.py"))))
@@ -92,8 +96,10 @@ def _reached(defs, used, roots=()) -> set:
         for qual, node in defs.items():
             owner, name = qual.rsplit(".", 1)
             dunder = name.startswith("__") and name.endswith("__")
-            if qual not in reached and (name in used
-                                        or dunder and owner in reached):
+            # a method is reached through an attribute, anything else
+            # through either
+            named = "." + name in used or owner not in defs and name in used
+            if qual not in reached and (named or dunder and owner in reached):
                 reached.add(qual)
                 used |= _names(node)
                 grew = True
@@ -149,7 +155,7 @@ def test_spectral_ops_keeps_only_what_the_benchmark_reaches():
     reached = set()
     for path in sorted((ROOT / "bench").glob("*.py")):
         tree = ast.parse(path.read_text())
-        reached |= _names(tree) | {
+        reached |= {name.lstrip(".") for name in _names(tree)} | {
             node.value for node in ast.walk(tree)
             if isinstance(node, ast.Constant) and isinstance(node.value, str)}
     defined = set()
@@ -157,7 +163,8 @@ def test_spectral_ops_keeps_only_what_the_benchmark_reaches():
         if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
             defined.add(stmt.name)
         elif isinstance(stmt, ast.Assign):
-            defined |= set().union(*map(_names, stmt.targets))
+            defined |= {name.lstrip(".") for target in stmt.targets
+                        for name in _names(target)}
     extra = sorted(defined - reached - SPECTRAL_OPS_OWN)
     assert not extra, (
         f"cilab.spectral_ops defines {extra}, which bench/ does not reach: "

@@ -20,7 +20,7 @@ from cilab.profiles import fit_loglog
 from conftest import random_divfree, random_field
 from test_spectral_ops import frac_laplacian, traced_peak
 from oracles import (
-    _outer, commutator_reference, mollify_4d, per_slice, spatial_kernel,
+    _outer, axes, commutator_reference, mollify_4d, per_slice, spatial_kernel,
     temporal_kernel, to_physical,
 )
 
@@ -117,7 +117,7 @@ class TestMollify:
         assert (mollify(f, 0.9) - f).max_abs() < 1e-13
 
     def test_sin_is_eigenfunction(self, grid):
-        x1 = grid.axes()[1]
+        x1 = axes(grid)[1]
         f = Field(np.broadcast_to(np.sin(x1), grid.shape).copy(), grid)
         ell = 0.9
         damped = mollify(f, ell)
@@ -134,7 +134,7 @@ class TestMollify:
 
     def test_time_harmonic_damped_and_lagged(self, grid):
         # one-sided kernel: cos(t) picks up the full complex symbol
-        t = grid.axes()[0]
+        t = axes(grid)[0]
         f = Field(np.broadcast_to(np.cos(t), grid.shape).copy(), grid)
         ell = 0.9
         sym = Mollifier(ell).temporal_symbol(1)[0]
@@ -298,7 +298,7 @@ class TestCommutatorStresses:
         # u = A sin(x1) e2: the quadratic commutator reduces to damped
         # sin^2 with symbol factors at wavenumbers one and two
         amp, ell = 1.3, 0.9
-        x1 = grid.axes()[1][0, :, 0, 0]
+        x1 = axes(grid)[1][0, :, 0, 0]
         f = x_profile_field(grid, amp * np.sin(x1), E2)
         zero = Field(np.zeros(grid.shape + (3,)), grid)
         mol = Mollifier(ell)

@@ -27,7 +27,7 @@ from cilab.threads import map_slices
 
 from conftest import random_divfree, random_field
 from oracles import (
-    assemble_iterate_whole_field, per_slice, replaced, spectral_derivative,
+    assemble_iterate_whole_field, axes, per_slice, replaced, spectral_derivative,
     to_physical,
 )
 from test_amplitudes import stress_pair
@@ -979,7 +979,7 @@ class TestAssembleIterate:
         j = int(np.flatnonzero(outside)[0])
         d_o = parts["d_o"].data.copy()
         # sin(x2) e1 is divergence-free and mean-free
-        d_o[j, ..., 0] += 1e-6 * np.sin(amps.grid.axes()[2][0])
+        d_o[j, ..., 0] += 1e-6 * np.sin(axes(amps.grid)[2][0])
         pert = pt.Perturbation(**dict(parts, d_o=Field(d_o, amps.grid)))
         with pytest.raises(pt.CorrectorIdentityError,
                            match="^magnetic perturbation leaks outside the "

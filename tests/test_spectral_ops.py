@@ -18,7 +18,7 @@ from cilab.mollify import Mollifier
 from cilab.spectral_ops import leray, p_neq0
 
 from conftest import random_divfree, random_field
-from oracles import _skew, _sym, per_slice, to_physical
+from oracles import _skew, _sym, axes, per_slice, to_physical
 
 
 def rel_max(a, b):
@@ -327,7 +327,7 @@ def biot_savart(b):
 class TestBiotSavart:
     def test_shear_eigenfield_oracle(self, small_grid):
         # B = (sin x3, cos x3, 0) is a curl eigenfield: A equals B
-        _, _, _, x3 = small_grid.axes()
+        _, _, _, x3 = axes(small_grid)
         data = np.zeros(small_grid.shape + (3,))
         data[..., 0] = np.sin(x3)
         data[..., 1] = np.cos(x3)
