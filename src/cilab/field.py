@@ -2,9 +2,10 @@
 
 A Field is a read-only array of real samples on a Grid4 and nothing else:
 it caches no spectrum and has no file format. Every algebraic operation
-returns a new Field. `ddt` applies the matrix D along time. Spatial
-operators are slice kernels of cilab.spectral that their callers map over
-the time slices; `_slicewise` maps one for the whole-field names the
+returns a new Field. `ddt` applies the matrix D along time
+(`spectral.derivative_matrix`). Spatial operators are slice kernels of
+cilab.spectral that their callers map over the time slices;
+`_slicewise` maps one for the whole-field names the
 benchmark reaches. Three of those live here: the benchmark's kernel
 microbenchmarks time `grad` and `div_tensor`, which the step never calls,
 and the 4D transform `to_spectral`, which the step reaches only through
@@ -16,8 +17,6 @@ tensor contracts the second index, (div A)_i = d_j A_ij.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 import scipy.fft as sfft
@@ -107,35 +106,19 @@ def to_spectral(data, grid: Grid4) -> np.ndarray:
                       workers=fft_workers())
 
 
-@functools.lru_cache(maxsize=None)
-def time_derivative_matrix(n_t: int) -> np.ndarray:
-    """The n_t x n_t spectral differentiation matrix D on the time samples
-    (Trefethen, Spectral Methods in MATLAB, ch. 3): (D f)_j is the slope at
-    t_j of the trigonometric interpolant of f with its Nyquist mode
-    k_t = +-n_t/2 set to zero. D is circulant and skew,
-    D_jl = (-1)^(j-l) cot((j-l) dt / 2) / 2 off the diagonal; the entry at
-    offset n_t/2, cot(pi/2) / 2, is set to exactly 0. Read-only."""
-    dt = 2.0 * np.pi / n_t
-    row = np.zeros(n_t)
-    m = np.arange(1, n_t // 2)
-    row[m] = 0.5 * (-1.0) ** m / np.tan(0.5 * m * dt)
-    row[n_t - m] = -row[m]
-    return spectral.circulant(row)
-
-
 def ddt_slice(data, j: int) -> np.ndarray:
     """Slice j of the time derivative of a sample array whose first axis is
-    time: D[j] @ data, one row of `time_derivative_matrix`, so no
+    time: D[j] @ data, one row of `spectral.derivative_matrix`, so no
     whole-field derivative is built."""
     n_t = data.shape[0]
-    row = time_derivative_matrix(n_t)[j]
+    row = spectral.derivative_matrix(n_t)[j]
     return (row @ data.reshape(n_t, -1)).reshape(data.shape[1:])
 
 
 def ddt(f: Field) -> Field:
     """d_t f: D applied along the time axis, with no spatial transform."""
     n_t = f.grid.n_t
-    out = time_derivative_matrix(n_t) @ f.data.reshape(n_t, -1)
+    out = spectral.derivative_matrix(n_t) @ f.data.reshape(n_t, -1)
     return Field(out.reshape(f.data.shape), f.grid, _take=True)
 
 
@@ -158,7 +141,7 @@ def _slicewise(f: Field, kernel, comp=None) -> Field:
 
 def grad(f: Field) -> Field:
     """Gradient of a scalar (vector) or of a vector (tensor, (grad u)_ij = d_j u_i),
-    from one forward and one inverse spatial transform per nonzero slice."""
+    from D along each axis of each component of every nonzero slice."""
     if f.rank > 1:
         raise ValueError("grad is defined for scalar and vector fields")
 

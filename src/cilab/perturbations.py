@@ -12,11 +12,11 @@ mean drift of the squared oscillation profile through its antiderivative.
 Every block field is rank one, a scalar envelope times a constant frame
 vector, so nothing here loops over frames: per time slice and family the
 six envelopes stack into one (n^3, 6) array that meets constant tables
-(the rows of a blocks.Family, their flow_products) in one product. Every
-gradient, divergence or double curl transforms one side (velocity or
-magnetic) or one component at a time, and each product is formed in the
-buffer of the squares it starts from, so a pool thread holds a few
-slices of temporaries. The velocity family drives no magnetic part, so
+(the rows of a blocks.Family, their flow_products) in one product. A
+gradient or divergence applies the derivative matrix D along each axis
+of one component at a time, a double curl transforms one side (velocity
+or magnetic), and each product is formed in the buffer of the squares it
+starts from, so a pool thread holds a few slices of temporaries. The velocity family drives no magnetic part, so
 its magnetic tables are zero.
 
 Every balance these parts rely on can be evaluated literally on the
@@ -512,7 +512,8 @@ def verify_temporal_balance(amps, blocks, g, mu: float, w_t, d_t,
     oscillation transport g^2 div sum_k a_k^2 P_k goes through no time
     derivative, so the residual pass forms it slice by slice and never
     stores it. The magnetic side skips the velocity family, whose magnetic
-    tables are zero, and re-transforms the magnetic family's squares."""
+    tables are zero, and differentiates the magnetic family's squares
+    again."""
     grid = amps.grid
     n = grid.n_x
     g = _as_samples(g, grid, "oscillation profile g")

@@ -2,11 +2,12 @@
 package's one spectral layer.
 
 Every operator here acts on one time slice: an array whose first three
-axes are the spatial axes (n, n, n), with component axes trailing. Each
-call makes one forward and one inverse real 3D transform, however many
-component axes the slice carries; `directional` transforms one component
-at a time, with one inverse transform per direction table, and
-`mean_free` makes none. A caller maps a kernel over the time slices of a
+axes are the spatial axes (n, n, n), with component axes trailing. The
+first derivatives (`directional`, `div_terms`, `div`) apply the matrix D
+along each axis of one component at a time (`along`) and, like
+`mean_free`, make no transform; every other call makes one forward and
+one inverse real 3D transform, however many component axes the slice
+carries. A caller maps a kernel over the time slices of a
 whole (n_t, n, n, n, ...) field; `field._slicewise` does so for the
 whole-field names the benchmark still reaches (`field.grad`,
 `field.div_tensor`, `spectral_ops.leray` and `p_neq0`). The kernels accept
@@ -22,8 +23,9 @@ Wavenumber tables are float, built once per (n, trailing) and shared
 read-only; no other module builds one. The even symbols read the raw
 integers (`wavenumbers`); every operator made of derivatives reads
 `derivatives`, zero at k_a = +-n/2, where cos(n x_a / 2) has zero slope on
-the grid (S. G. Johnson, Notes on FFT-based differentiation, MIT 2011).
-Time multipliers are real circulant matrices (`circulant`).
+the grid (S. G. Johnson, Notes on FFT-based differentiation, MIT 2011),
+as does D (`derivative_matrix`). Other separable multipliers, in space or
+time, are real circulant matrices per axis too (`multiplier_matrix`).
 
 The field transforms are looked up on scipy.fft at call time, so wrappers
 installed there see every call.
@@ -73,18 +75,45 @@ def circulant(col) -> np.ndarray:
     return mat
 
 
-def time_multiplier_matrix(symbol, n_t: int) -> np.ndarray:
-    """The circulant matrix of the Hermitian time multiplier symbol(k_t) on
-    n_t samples, whose Nyquist mode n_t/2 takes the real part of its symbol
-    as in D; cached by the symbol's values."""
-    half = symbol(np.arange(n_t // 2 + 1, dtype=np.float64))
-    return _time_multiplier(tuple(half), n_t)
+def multiplier_matrix(symbol, n: int) -> np.ndarray:
+    """The circulant matrix of the Hermitian multiplier symbol(k) on n
+    samples of one axis, whose Nyquist mode n/2 takes the real part of its
+    symbol as in D; cached by the symbol's values."""
+    half = symbol(np.arange(n // 2 + 1, dtype=np.float64))
+    return _multiplier(tuple(half), n)
 
 
 @functools.lru_cache(maxsize=None)
-def _time_multiplier(half, n_t: int) -> np.ndarray:
+def _multiplier(half, n: int) -> np.ndarray:
     # numpy's irfft builds a table; it reads the real part at Nyquist
-    return circulant(np.fft.irfft(np.array(half), n_t))
+    return circulant(np.fft.irfft(np.array(half), n))
+
+
+@functools.lru_cache(maxsize=None)
+def derivative_matrix(n: int) -> np.ndarray:
+    """The spectral differentiation matrix D on n (even) samples of one
+    axis, space or time (Trefethen, Spectral Methods in MATLAB, ch. 3):
+    (D f)_j is the slope at x_j of the trigonometric interpolant of f with
+    its Nyquist mode set to zero. D is circulant and skew, D_jl =
+    (-1)^(j-l) cot((j-l) dx / 2) / 2 off the diagonal, exactly 0 at offset
+    n/2. Read-only."""
+    dx = 2.0 * np.pi / n
+    row = np.zeros(n)
+    m = np.arange(1, n // 2)
+    row[m] = 0.5 * (-1.0) ** m / np.tan(0.5 * m * dx)
+    row[n - m] = -row[m]
+    return circulant(row)
+
+
+def along(mat, x, axis: int) -> np.ndarray:
+    """mat applied along spatial axis `axis` of one component slice x:
+    one matrix product, for the middle axis one per x1 plane."""
+    x = np.ascontiguousarray(x)
+    if axis == 0:
+        return (mat @ x.reshape(len(mat), -1)).reshape(x.shape)
+    if axis == 1:
+        return np.matmul(mat, x)
+    return (x.reshape(-1, len(mat)) @ mat.T).reshape(x.shape)
 
 
 def _tables(arr, contracted=0):
@@ -111,36 +140,34 @@ def irfft(spec, n: int):
 def directional(arr, dirs):
     """Derivatives of each component i of arr (..., k) along row i (or the
     only row) of each table in dirs, stacked last; np.eye(3)[:, None]
-    gives the gradient, (grad u)_ij = d_j u_i. One component at a time:
-    its forward transform, then one inverse transform per table, written
-    into the output, so one component's spectrum is live at a time."""
-    n = arr.shape[0]
-    k1, k2, k3, _ = derivatives(n)
+    gives the gradient, (grad u)_ij = d_j u_i. One component and one
+    table at a time: r_a D along each axis a whose entry r_a of the row is
+    not zero, summed in axis order."""
+    mat = derivative_matrix(arr.shape[0])
     out = np.empty(arr.shape + (len(dirs),))
     for c in np.ndindex(arr.shape[3:]):
-        spec = rfft(arr[(...,) + c])
+        x = np.ascontiguousarray(arr[(...,) + c])
         for d, rows in enumerate(dirs):
-            r = rows[c[-1] if len(rows) > 1 else 0]
-            out[(...,) + c + (d,)] = irfft(
-                spec * (1j * (k1 * r[0] + k2 * r[1] + k3 * r[2])), n)
+            r, total = rows[c[-1] if len(rows) > 1 else 0], 0.0
+            for a in np.flatnonzero(r):
+                total += along(r[a] * mat, x, a)
+            out[(...,) + c + (d,)] = total
     return out
 
 
 def div_terms(arr):
     """The three terms d_a arr[..., a] of the divergence that contracts the
-    last axis, stacked on that axis."""
-    spec = rfft(arr)
-    for a, k in enumerate(_tables(arr, 1)[:3]):
-        spec[..., a] *= 1j * k
-    return irfft(spec, arr.shape[0])
+    last axis, stacked on that axis: D along axis a of component a."""
+    mat = derivative_matrix(arr.shape[0])
+    out = np.empty(arr.shape)
+    for c in np.ndindex(arr.shape[3:]):
+        out[(...,) + c] = along(mat, arr[(...,) + c], c[-1])
+    return out
 
 
 def div(arr):
     """Divergence contracting the last axis, d_a arr[..., a]."""
-    k1, k2, k3, _ = _tables(arr, 1)
-    spec = rfft(arr)
-    return irfft(1j * (k1 * spec[..., 0] + k2 * spec[..., 1]
-                       + k3 * spec[..., 2]), arr.shape[0])
+    return div_terms(arr).sum(axis=-1)
 
 
 def curl(vec, inverse_laplacian: bool = False):

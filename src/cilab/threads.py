@@ -3,24 +3,24 @@
 Every spatial operator of a step acts on each time slice alone, so the
 slice loops of the builders, the verifiers, the amplitudes, the slice-wise
 projections, the mollifier and the commutators go through `map_slices`.
-The pool is `thread_count()` threads wide: `CILAB_THREADS`, by default the
+A map is `thread_count()` threads wide: `CILAB_THREADS`, by default the
 number of CPUs this process may run on, but at most `DEFAULT_WIDTH_CAP`.
+The calling thread takes slices beside `thread_count() - 1` pool threads.
 Each thread keeps one slice of temporaries in flight, so peak memory grows
-with the width; a wider pool is asked for explicitly. At width 1
-`map_slices` is the plain serial loop: it starts no thread, leaves BLAS
-alone and trims nothing.
+with the width; a wider pool is asked for explicitly.
 
-A wider map runs each slice on a pool thread. Inside a pool thread every
-scipy.fft transform gets one worker and a nested map runs inline; outside,
-transforms get `thread_count()` workers. While the map runs, numpy's
-OpenBLAS is pinned to one thread (the slices already fill the cores) and
-its previous count is restored afterwards. After the map, glibc's
+While a map runs, each scipy.fft transform in it gets one worker and a
+nested map runs inline; outside, transforms get `thread_count()` workers.
+numpy's OpenBLAS is pinned to one thread at every width (the slices fill
+the cores, and a threaded OpenBLAS is slow on one slice's small products)
+and its previous count is restored afterwards. After the map, glibc's
 `malloc_trim(0)` returns the free pages inside every malloc arena, but
 not the top chunk of a pool thread's arena: glibc shrinks that only once
 it exceeds twice its adaptive mmap threshold. So the largest per-slice
-working set any pool kernel reached stays resident after the map, and
-the slice kernels keep theirs to a few slices. A library that is not
-found is skipped and the map still runs on the pool.
+working set a pool thread reached stays resident after the map, and the
+slice kernels keep theirs to a few slices; the calling thread allocates
+from the main arena, whose top the trim returns. A library that is not
+found is skipped and the map still runs.
 
 Callers keep results serial: each slice writes only its own output slice,
 running maxima are reduced afterwards in slice order, and the error raised
@@ -35,9 +35,9 @@ import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 
 _local = threading.local()
-# held while a map runs on the pool; a map that finds it taken runs inline
+# held while a map runs; a map that finds it taken runs inline
 _busy = threading.Lock()
-_pool = None  # (width, executor), built at the first map that needs it
+_pool = None  # (helpers, executor), built at the first map that needs it
 _native = None  # (get, set) of the OpenBLAS thread count, and malloc_trim
 
 # the widest default whose time and peak memory have been measured (2 CPUs)
@@ -66,13 +66,9 @@ def thread_count() -> int:
 
 
 def fft_workers() -> int:
-    """Worker count for scipy.fft: one inside a pool thread, the pool
-    width elsewhere."""
+    """Worker count for scipy.fft: one inside a map, the pool width
+    elsewhere."""
     return 1 if getattr(_local, "inside", False) else thread_count()
-
-
-def _mark_inside():
-    _local.inside = True
 
 
 def _executor(width: int) -> ThreadPoolExecutor:
@@ -80,8 +76,7 @@ def _executor(width: int) -> ThreadPoolExecutor:
     if _pool is None or _pool[0] != width:
         if _pool is not None:
             _pool[1].shutdown()
-        _pool = (width, ThreadPoolExecutor(width, "cilab-slice",
-                                           initializer=_mark_inside))
+        _pool = (width, ThreadPoolExecutor(width, "cilab-slice"))
     return _pool[1]
 
 
@@ -129,24 +124,42 @@ def _handles():
 
 
 def map_slices(fn, slices) -> list:
-    """[fn(j) for j in slices], with the calls spread over the slice pool.
+    """[fn(j) for j in slices], with the calls spread over the calling
+    thread and the slice pool.
 
     Results come back in slice order; if calls fail, the first failing
     slice's exception is raised once every call has finished."""
     slices = list(slices)
-    width = thread_count()
-    if (width == 1 or not slices or getattr(_local, "inside", False)
+    if (not slices or getattr(_local, "inside", False)
             or not _busy.acquire(blocking=False)):
         return [fn(j) for j in slices]
+    todo, results = iter(range(len(slices))), [None] * len(slices)
+    take = threading.Lock()
+
+    def drain():
+        _local.inside = True
+        while True:
+            with take:
+                k = next(todo, None)
+            if k is None:
+                return
+            try:
+                results[k] = (True, fn(slices[k]))
+            except BaseException as exc:  # raised below, in slice order
+                results[k] = (False, exc)
+
     try:
-        pool = _executor(width)
         blas, trim = _handles()
         saved = None
         if blas is not None:
             saved = blas[0]()
             blas[1](1)
         try:
-            futures = [pool.submit(fn, j) for j in slices]
+            width = thread_count()
+            futures = [_executor(width - 1).submit(drain)
+                       for _ in range(min(width, len(slices)) - 1)]
+            drain()
+            _local.inside = False
             wait(futures)
         finally:
             if saved is not None:
@@ -155,5 +168,8 @@ def map_slices(fn, slices) -> list:
                 trim(0)
     finally:
         _busy.release()
-    return [f.result() for f in futures]
+    for ok, value in results:
+        if not ok:
+            raise value
+    return [value for _, value in results]
 

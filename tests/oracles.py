@@ -97,6 +97,41 @@ def per_slice(kernel, data, *args, **kwargs):
     return np.stack([kernel(s, *args, **kwargs) for s in data])
 
 
+# FFT forms of the kernels that cilab.spectral applies as circulant matrices
+# along each axis: each multiplies one 3D spectrum by the symbol
+
+def fft_directional(arr, dirs):
+    """spectral.directional by one forward transform per component and one
+    inverse transform per table."""
+    n = arr.shape[0]
+    k1, k2, k3, _ = spectral.derivatives(n)
+    out = np.empty(arr.shape + (len(dirs),))
+    for c in np.ndindex(arr.shape[3:]):
+        spec = spectral.rfft(arr[(...,) + c])
+        for d, rows in enumerate(dirs):
+            r = rows[c[-1] if len(rows) > 1 else 0]
+            out[(...,) + c + (d,)] = spectral.irfft(
+                spec * (1j * (k1 * r[0] + k2 * r[1] + k3 * r[2])), n)
+    return out
+
+
+def fft_div_terms(arr):
+    """spectral.div_terms on the spectrum of arr."""
+    spec = spectral.rfft(arr)
+    tables = spectral.derivatives(arr.shape[0], arr.ndim - 4)
+    for a, k in enumerate(tables[:3]):
+        spec[..., a] *= 1j * k
+    return spectral.irfft(spec, arr.shape[0])
+
+
+def fft_div(arr):
+    """spectral.div on the spectrum of arr."""
+    k1, k2, k3, _ = spectral.derivatives(arr.shape[0], arr.ndim - 4)
+    spec = spectral.rfft(arr)
+    return spectral.irfft(1j * (k1 * spec[..., 0] + k2 * spec[..., 1]
+                                + k3 * spec[..., 2]), arr.shape[0])
+
+
 # -- blocks -------------------------------------------------------------------
 
 IDENTITY_NAMES = ("velocity_potential_curl", "velocity_solenoidal",
@@ -510,6 +545,20 @@ def mollify_4d(data, grid, ell):
     coef *= mx.reshape(k2.shape)
     coef *= mol.spatial_symbol(k3.ravel()).reshape(k3.shape)
     return to_physical(coef, grid)
+
+
+def mollify_fft(data, grid, ell):
+    """The Mollifier with its spatial symbol multiplied onto each slice's
+    3D spectrum, then its time matrix along the time axis."""
+    mol = Mollifier(ell)
+    k1, k2, k3, _ = spectral.wavenumbers(grid.n_x, data.ndim - 4)
+    mx = mol.spatial_symbol(k1.ravel())
+    mult = (mx.reshape(k1.shape) * mx.reshape(k2.shape)
+            * mol.spatial_symbol(k3.ravel()).reshape(k3.shape))
+    space = np.stack([spectral.irfft(spectral.rfft(s) * mult, grid.n_x)
+                      for s in data])
+    mat = spectral.multiplier_matrix(mol.temporal_symbol, grid.n_t)
+    return np.tensordot(mat, space, 1)
 
 
 def _sym_quad(u, b):

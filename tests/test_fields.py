@@ -6,7 +6,7 @@ import pytest
 from cilab import spectral
 from cilab.field import (
     SKEW_PAIRS, SYM_PAIRS, Field, ddt, ddt_slice, div_tensor, dot, expand,
-    grad, lebesgue_norm, time_derivative_matrix, to_spectral,
+    grad, lebesgue_norm, to_spectral,
 )
 from cilab.grid import Grid4, GridResolutionError
 
@@ -149,7 +149,7 @@ class TestCalculus:
             assert np.abs(row - whole[j]).max() <= 1e-14 * np.abs(whole).max()
 
     def test_time_derivative_matrix(self):
-        d = time_derivative_matrix(16)
+        d = spectral.derivative_matrix(16)
         assert not d.flags.writeable
         # circulant and skew, the Nyquist-offset entry exactly zero
         for j in range(16):

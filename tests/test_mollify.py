@@ -18,10 +18,12 @@ from cilab.mollify import (
 from cilab.profiles import fit_loglog
 
 from conftest import random_divfree, random_field
-from test_spectral_ops import frac_laplacian, traced_peak
+from test_spectral_ops import (
+    frac_laplacian, noise_slice, rel_max, traced_peak,
+)
 from oracles import (
-    _outer, axes, commutator_reference, mollify_4d, per_slice, spatial_kernel,
-    temporal_kernel, to_physical,
+    _outer, _skew, _sym, axes, commutator_reference, mollify_4d, mollify_fft,
+    per_slice, spatial_kernel, temporal_kernel, to_physical,
 )
 
 E2 = np.array([0.0, 1.0, 0.0])
@@ -192,6 +194,39 @@ class TestMollify:
         got = mollify(f, 0.9).data
         assert np.abs(got - want).max() <= 1e-15 * f.max_abs()
 
+    @pytest.mark.parametrize("band", [False, True], ids=["noise", "band"])
+    @pytest.mark.parametrize("n", [8, 38, 48, 64])
+    def test_is_the_fft_form(self, n, band):
+        # the spatial matrix along each axis against the product symbol on
+        # each slice's 3D spectrum (tests/oracles.py)
+        g = Grid4(16, n)
+        data = np.stack([noise_slice(n, (), band, n + j) for j in range(16)])
+        got = mollify(Field(data, g, _take=True), 2.0).data
+        assert rel_max(got, mollify_fft(data, g, 2.0)) <= 1e-14
+
+    @pytest.mark.parametrize("project,sign", [(_sym, 1.0), (_skew, -1.0)],
+                             ids=["sym", "skew"])
+    def test_exact_class_stresses_keep_their_class(self, grid, project, sign):
+        # an exactly symmetric or skew stress is mollified on its
+        # independent entries, and its mirrors are written from them
+        data = project(random_field(grid, np.random.default_rng(17), 2).data)
+        got = mollify(Field(data, grid, _take=True), 0.9).data
+        assert np.array_equal(got, sign * np.swapaxes(got, 4, 5))
+        if sign < 0:
+            assert not np.diagonal(got, axis1=4, axis2=5).any()
+        assert rel_max(got, mollify_fft(data, grid, 0.9)) <= 1e-14
+        # one entry off its class takes all nine components
+        data = data.copy()
+        data[3, 1, 2, 3, 0, 1] += 0.5
+        generic = mollify(Field(data, grid, _take=True), 0.9).data
+        assert not np.array_equal(generic, sign * np.swapaxes(generic, 4, 5))
+        assert rel_max(generic, mollify_fft(data, grid, 0.9)) <= 1e-14
+
+    @pytest.mark.parametrize("comp", [(), (3,), (3, 3)])
+    def test_zero_stays_exactly_zero(self, grid, comp):
+        zero = Field(np.zeros(grid.shape + comp), grid)
+        assert not mollify(zero, 0.9).data.any()
+
     def test_unresolvable_scale_rejected(self, grid):
         f = Field(np.zeros(grid.shape), grid)
         with pytest.raises(GridResolutionError):
@@ -351,10 +386,10 @@ class TestCommutatorStresses:
 
 
 class TestWorkingSet:
-    """The mollifier transforms one component of a slice at a time, and
-    the commutators form their compact fluxes and projections column by
-    column in place, so a pool thread holds about one slice of
-    temporaries."""
+    """The mollifier smooths one component of a slice at a time, and
+    the commutators write their compact fluxes into the array they
+    mollify and project them column by column in place, so a thread
+    holds about one slice of temporaries."""
 
     ELL = 2.0
 

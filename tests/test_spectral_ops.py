@@ -18,7 +18,10 @@ from cilab.mollify import Mollifier
 from cilab.spectral_ops import leray, p_neq0
 
 from conftest import random_divfree, random_field
-from oracles import _skew, _sym, axes, per_slice, to_physical
+from oracles import (
+    _skew, _sym, axes, fft_directional, fft_div, fft_div_terms, per_slice,
+    to_physical,
+)
 
 
 def rel_max(a, b):
@@ -196,6 +199,42 @@ class TestHalfSpectra:
         assert rel_max(spectral.irfft(spec, n), want) <= 1e-13
 
 
+def noise_slice(n, comp, band, seed):
+    """White noise on an (n, n, n) + comp slice, which fills every plane of
+    the spectrum, or with band its modes |k_a| <= n // 4 only."""
+    noise = np.random.default_rng(seed).standard_normal((n, n, n) + comp)
+    if not band:
+        return noise
+    k1, k2, k3, _ = spectral.wavenumbers(n, len(comp))
+    keep = np.maximum(np.maximum(np.abs(k1), np.abs(k2)), k3) <= n // 4
+    return spectral.irfft(spectral.rfft(noise) * keep, n)
+
+
+@pytest.mark.parametrize("band", [False, True], ids=["noise", "band"])
+@pytest.mark.parametrize("n", [8, 38, 48, 64])
+class TestCirculantKernels:
+    """The first derivatives are D along each axis; each equals its FFT
+    form in tests/oracles.py to rounding."""
+
+    def test_directional_is_the_fft_form(self, n, band):
+        arr = noise_slice(n, (4,), band, n)
+        tables = np.random.default_rng(n + 1).standard_normal((2, 4, 3))
+        for dirs in (tables, np.eye(3)[:, None]):
+            want = fft_directional(arr, dirs)
+            assert rel_max(spectral.directional(arr, dirs), want) <= 1e-14
+
+    def test_divergences_are_the_fft_forms(self, n, band):
+        arr = noise_slice(n, (2, 3), band, n + 2)
+        assert rel_max(spectral.div_terms(arr), fft_div_terms(arr)) <= 1e-14
+        assert rel_max(spectral.div(arr), fft_div(arr)) <= 1e-14
+
+    def test_a_zero_slice_stays_zero(self, n, band):
+        zero = np.zeros((n, n, n, 3))
+        assert not spectral.directional(zero, np.eye(3)[:, None]).any()
+        assert not spectral.div_terms(zero).any()
+        assert not spectral.div(zero).any()
+
+
 class TestDerivativeRule:
     """One Nyquist rule for every derivative: the multipliers of
     spectral.derivatives vanish at k_a = +-n/2."""
@@ -350,9 +389,9 @@ class TestBiotSavart:
 @pytest.mark.parametrize("n_t,ell", [(8, 2.0), (16, 0.9), (32, 0.9)])
 def test_time_multiplier_matrix_is_a_shared_read_only_circulant(n_t, ell):
     symbol = Mollifier(ell).temporal_symbol
-    mat = spectral.time_multiplier_matrix(symbol, n_t)
+    mat = spectral.multiplier_matrix(symbol, n_t)
     assert mat.shape == (n_t, n_t)
-    assert mat is spectral.time_multiplier_matrix(
+    assert mat is spectral.multiplier_matrix(
         Mollifier(ell).temporal_symbol, n_t)
     with pytest.raises(ValueError):
         mat[0, 0] = 1.0

@@ -71,9 +71,14 @@ class TestMap:
             return name, map_slices(
                 lambda k: threading.current_thread().name, range(3))
 
-        for outer, names in _in_thread(lambda: map_slices(inner, range(4))):
-            assert outer.startswith("cilab-slice")
-            assert names == [outer] * 3
+        def outer():
+            return threading.current_thread().name, map_slices(inner, range(4))
+
+        caller, got = _in_thread(outer)
+        for name, names in got:
+            # the calling thread drains slices beside the pool threads
+            assert name.startswith("cilab-slice") or name == caller
+            assert names == [name] * 3
 
     def test_blas_thread_count_is_restored(self, monkeypatch):
         blas = threads._handles()[0]
@@ -86,6 +91,22 @@ class TestMap:
             put(2)
             inside = map_slices(lambda j: get(), range(4))
             assert inside == [1] * 4
+            assert get() == 2
+        finally:
+            put(saved)
+
+    def test_serial_map_pins_blas_to_one_thread(self, monkeypatch):
+        # a threaded OpenBLAS takes milliseconds for the small products of
+        # one slice that one thread does in a fraction of one
+        blas = threads._handles()[0]
+        if blas is None:
+            pytest.skip("no OpenBLAS thread-count handle in this process")
+        get, put = blas
+        saved = get()
+        monkeypatch.setenv("CILAB_THREADS", "1")
+        try:
+            put(2)
+            assert map_slices(lambda j: get(), range(3)) == [1] * 3
             assert get() == 2
         finally:
             put(saved)
