@@ -97,6 +97,15 @@ def peak_abs(data) -> float:
     return abs(float(np.maximum(data.max(), -data.min())))
 
 
+def _require_vector_on(grid, what, *fields):
+    """Raise a ValueError naming `what` unless all are vectors on grid."""
+    for f in fields:
+        if f.grid != grid:
+            raise ValueError(f"{what} lives on a different grid")
+        if f.rank != 1:
+            raise ValueError(f"{what} must be a vector field")
+
+
 # -- spectral transforms -----------------------------------------------------
 
 def to_spectral(data, grid: Grid4) -> np.ndarray:

@@ -29,7 +29,8 @@ import numpy as np
 
 from . import spectral
 from .checks import gate
-from .field import SKEW_PAIRS, SYM_PAIRS, Field, dot, expand, peak_abs
+from .field import (SKEW_PAIRS, SYM_PAIRS, Field, _require_vector_on, dot,
+                    expand, peak_abs)
 from .grid import Grid4, GridResolutionError
 from .profiles import _bump, bump_integral
 from .threads import map_slices
@@ -84,64 +85,40 @@ class Mollifier:
                 f"(time) need four cells at dx={dx:g}, dt={dt:g}")
 
     def apply(self, f: Field) -> Field:
-        """The mollified field. A 3x3 tensor that is exactly symmetric or
-        skew keeps its class bitwise: its first x1 plane picks the class,
-        and its slices are checked as its independent entries alone are
-        mollified; a slice off the class sends it to the full path."""
-        args = (lambda j, dst: f.data[j], f.grid, f.data.shape[4:])
-        cls = [c for c in _CLASSES if f.rank == 2
-               and _mirrored(f.data[0, 0], c[1])]
-        out = self._smooth(*args, *cls[0]) if cls else None
-        return Field(self._smooth(*args) if out is None else out, f.grid,
-                     _take=True)
+        """The mollified field."""
+        return Field(self._smooth(lambda j, dst: f.data[j], f.grid,
+                                  f.data.shape[4:]), f.grid, _take=True)
 
-    def _smooth(self, source, g: Grid4, comp, pairs=None, sign=1.0):
+    def _smooth(self, source, g: Grid4, comp):
         """The mollified array (n_t, n, n, n) + comp; source(j, dst) gives
-        input slice j, maybe written into dst, the output slice. The
-        spatial matrix runs along each axis of one component of a slice,
-        then the time matrix on a few x2 rows at a time. With pairs, only
-        those entries of a 3x3 tensor of class sign are mollified, then
-        mirrored; None if a slice is not of that class."""
+        input slice j, maybe written into dst, the output slice. The spatial
+        matrix runs along each axis of each nonzero component of a slice (a
+        zero one stays zero), then the time matrix on a few x2 rows at a
+        time; mirrored entries take the same products and stay mirrored."""
         self.validate(g)
         space = spectral.multiplier_matrix(self.spatial_symbol, g.n_x)
-        places = list(np.ndindex(comp) if pairs is None else zip(*pairs))
         out = np.zeros(g.shape + comp)
 
         def smooth_space(j):
             src = source(j, out[j])
-            if pairs is not None and not _mirrored(src, sign):
-                return False
-            for c in places:
+            for c in np.ndindex(comp):
                 x = src[(...,) + c]
+                if not x.any():
+                    continue
                 for axis in range(3):
                     x = spectral.along(space, x, axis)
                 out[(j, ...) + c] = x
-            return True
 
-        if not all(map_slices(smooth_space, range(g.n_t))):
-            return None
+        map_slices(smooth_space, range(g.n_t))
         mat = spectral.multiplier_matrix(self.temporal_symbol, g.n_t)
 
         def smooth_time(i):
             for k in range(0, g.n_x, _TIME_ROWS):
                 x = out[:, i, k:k + _TIME_ROWS]
                 x[...] = (mat @ x.reshape(g.n_t, -1)).reshape(x.shape)
-            for r, c in zip(*SKEW_PAIRS) if pairs else ():  # off-diagonal
-                np.multiply(out[:, i, ..., r, c], sign, out=out[:, i, ..., c, r])
 
         map_slices(smooth_time, range(g.n_x))
         return out
-
-
-# the classes of 3x3 tensors held by their independent entries
-_CLASSES = ((SYM_PAIRS, 1.0), (SKEW_PAIRS, -1.0))
-
-
-def _mirrored(s, sign) -> bool:
-    """Whether each entry of the 3x3 samples s is exactly sign times its
-    mirror, so that a skew diagonal is zero."""
-    return all(np.array_equal(s[..., c, r], sign * s[..., r, c])
-               for r, c in zip(*SYM_PAIRS))
 
 
 def mollify(f: Field, ell: float) -> Field:
@@ -249,6 +226,8 @@ def commutator_stresses(u_q: Field, B_q: Field, u_l: Field, B_l: Field,
     magnetic commutator; output symmetry classes are exact, with the
     projection defect checked against 1e-12.
     """
+    for name, f in (("u_q", u_q), ("B_q", B_q), ("u_l", u_l), ("B_l", B_l)):
+        _require_vector_on(u_q.grid, name, f)
     mol = Mollifier(ell)
     _check_mollified("u_l", u_l, u_q, mol)
     _check_mollified("B_l", B_l, B_q, mol)

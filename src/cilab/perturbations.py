@@ -60,7 +60,7 @@ from . import spectral
 from .amplitudes import AmplitudeSet, dilate_support
 from .blocks import envelope_stack, family, flow_products
 from .checks import fold_maxima, gate
-from .field import Field, ddt, ddt_slice, peak_abs
+from .field import Field, _require_vector_on, ddt, ddt_slice, peak_abs
 from .spectral_ops import _div_rel_defect, leray, p_neq0
 from .threads import map_slices
 
@@ -80,14 +80,6 @@ def _as_samples(profile, grid, what):
     if vals.shape != (grid.n_t,):
         raise ValueError(f"{what} must provide one sample per time slice")
     return vals
-
-
-def _require_vector_on(grid, what, *fields):
-    for f in fields:
-        if f.grid != grid:
-            raise ValueError(f"{what} lives on a different grid")
-        if f.rank != 1:
-            raise ValueError(f"{what} must be a vector field")
 
 
 def _active(amps, families, j):

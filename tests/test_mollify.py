@@ -207,20 +207,45 @@ class TestMollify:
     @pytest.mark.parametrize("project,sign", [(_sym, 1.0), (_skew, -1.0)],
                              ids=["sym", "skew"])
     def test_exact_class_stresses_keep_their_class(self, grid, project, sign):
-        # an exactly symmetric or skew stress is mollified on its
-        # independent entries, and its mirrors are written from them
+        # an entry and its mirror, equal up to an exact sign, go through
+        # the same matrix products, so an exactly symmetric or skew stress
+        # keeps its class bit for bit; a skew zero diagonal stays zero
         data = project(random_field(grid, np.random.default_rng(17), 2).data)
         got = mollify(Field(data, grid, _take=True), 0.9).data
         assert np.array_equal(got, sign * np.swapaxes(got, 4, 5))
         if sign < 0:
             assert not np.diagonal(got, axis1=4, axis2=5).any()
         assert rel_max(got, mollify_fft(data, grid, 0.9)) <= 1e-14
-        # one entry off its class takes all nine components
+        # one entry off its class: the output leaves the class too
         data = data.copy()
         data[3, 1, 2, 3, 0, 1] += 0.5
         generic = mollify(Field(data, grid, _take=True), 0.9).data
         assert not np.array_equal(generic, sign * np.swapaxes(generic, 4, 5))
         assert rel_max(generic, mollify_fft(data, grid, 0.9)) <= 1e-14
+
+    @pytest.mark.parametrize("project,sign,zero_slices,calls", [
+        (_skew, -1.0, (0,), 270), (_sym, 1.0, (), 432)],
+        ids=["skew_first_slice_zero", "sym_dense"])
+    def test_smooths_each_nonzero_component_slice_once(
+            self, monkeypatch, project, sign, zero_slices, calls):
+        # three spatial passes per nonzero component slice and none for a
+        # zero one: 15 slices of 6 off-diagonal skew entries, 16 slices of
+        # all 9 symmetric ones
+        g = Grid4(16, 16)
+        data = project(random_field(g, np.random.default_rng(5), 2).data)
+        data[list(zero_slices)] = 0.0
+        seen = []
+        along = spectral.along
+
+        def counted(*args):
+            seen.append(1)
+            return along(*args)
+
+        monkeypatch.setattr(spectral, "along", counted)
+        got = mollify(Field(data, g, _take=True), 2.0).data
+        assert len(seen) == calls
+        assert np.array_equal(got, sign * np.swapaxes(got, 4, 5))
+        assert rel_max(got, mollify_fft(data, g, 2.0)) <= 1e-14
 
     @pytest.mark.parametrize("comp", [(), (3,), (3, 3)])
     def test_zero_stays_exactly_zero(self, grid, comp):
@@ -257,6 +282,29 @@ class TestCommutatorStresses:
             commutator_stresses(u, b, u, b_l, 0.9)
         with pytest.raises(ValueError, match="B_l"):
             commutator_stresses(u, b, u_l, mollify(b, 1.2), 0.9)
+
+    @pytest.mark.parametrize("arg,bad", [
+        ("u_q", "scalar"), ("B_q", "grid"), ("u_l", "scalar"),
+        ("B_l", "grid")])
+    def test_non_vector_or_off_grid_input_rejected_before_any_work(
+            self, grid, monkeypatch, arg, bad):
+        rng = np.random.default_rng(11)
+        u = random_divfree(grid, rng)
+        b = random_divfree(grid, rng)
+        args = {"u_q": u, "B_q": b, "u_l": mollify(u, 0.9),
+                "B_l": mollify(b, 0.9)}
+        if bad == "scalar":
+            args[arg] = Field(args[arg].data[..., 0].copy(), grid, _take=True)
+            match = f"{arg} must be a vector field"
+        else:
+            other = Grid4(n_t=32, n_x=16)
+            args[arg] = Field(args[arg].data[::2].copy(), other, _take=True)
+            match = f"{arg} lives on a different grid"
+        seen = []
+        monkeypatch.setattr(spectral, "along", lambda *a: seen.append(1))
+        with pytest.raises(ValueError, match=match):
+            commutator_stresses(*args.values(), 0.9)
+        assert not seen
 
     def test_nan_state_rejected(self, grid):
         # a NaN in u_q spreads over its mollification, so the defect of u_l
