@@ -79,16 +79,14 @@ def chi(z):
 
 # -- temporal cutoffs ---------------------------------------------------------
 
-_SUPPORT_RTOL = 1e-12
-
-
-def slice_support(slice_norms, rtol=_SUPPORT_RTOL):
-    """Boolean mask of time slices carrying the field, by relative norm."""
+def slice_support(slice_norms):
+    """Boolean mask of time slices carrying the field: norm above 1e-12 of
+    the peak."""
     norms = np.asarray(slice_norms, dtype=float)
     peak = norms.max() if norms.size else 0.0
     if peak <= 0.0:
         return np.zeros(norms.shape, dtype=bool)
-    return norms > rtol * peak
+    return norms > 1e-12 * peak
 
 
 def dilate_support(mask, reach):
@@ -411,8 +409,8 @@ def build_amplitudes(R_l_u: Field, R_l_B: Field, delta_next: float,
 
 # -- cancellation identities --------------------------------------------------
 
-def verify_cancellation(amps: AmplitudeSet, blocks: dict, temporal=None,
-                        time_indices=None, tol: float = 1e-7) -> dict:
+def verify_cancellation(amps: AmplitudeSet, blocks: dict,
+                        temporal=None) -> dict:
     """Evaluate both cancellation identities literally on the grid.
 
     blocks maps frame names to BlockSet instances on the amplitude grid,
@@ -421,7 +419,7 @@ def verify_cancellation(amps: AmplitudeSet, blocks: dict, temporal=None,
     assembled term by term per time slice; the report carries the worst
     relative residual per identity ("magnetic", "velocity") and the worst
     deviation of the grid block moments from the frame generators
-    ("moment_defect"), each gated at tol through cilab.checks, in
+    ("moment_defect"), each gated at 1e-7 through cilab.checks, in
     diagnostic order: block moments, then magnetic cancellation, then
     velocity cancellation. A family's products P in its own equation (P_m
     magnetic, P_v velocity, blocks.flow_products) are exactly its
@@ -433,8 +431,6 @@ def verify_cancellation(amps: AmplitudeSet, blocks: dict, temporal=None,
     as one (n^3, 6) @ (6, 3 or 6) product.
     """
     grid = amps.grid
-    if time_indices is None:
-        time_indices = range(grid.n_t)
     g_sq = np.ones(grid.n_t)
     if temporal is not None:
         g_sq = temporal.g(grid.t()) ** 2
@@ -490,9 +486,10 @@ def verify_cancellation(amps: AmplitudeSet, blocks: dict, temporal=None,
 
     report = fold_maxima(
         dict.fromkeys(("moment_defect", "magnetic", "velocity"), 0.0),
-        map_slices(residuals, time_indices))
+        map_slices(residuals, range(grid.n_t)))
     return gate(report, [
         ("moment_defect",
-         "block second moments deviate from the frame generators by", tol),
-        ("magnetic", "magnetic cancellation residual", tol),
-        ("velocity", "velocity cancellation residual", tol)], CancellationError)
+         "block second moments deviate from the frame generators by", 1e-7),
+        ("magnetic", "magnetic cancellation residual", 1e-7),
+        ("velocity", "velocity cancellation residual", 1e-7)],
+        CancellationError)

@@ -5,8 +5,10 @@ dict, folding per-slice maxima with `fold_maxima`, and hands it to `gate`
 with the tolerance of each gated key. `gate` records each tolerance under
 `<key>_tolerance` and raises the check's error type unless every gated
 residual satisfies `value <= tol`; every comparison with a NaN is false, so
-a NaN residual or tolerance never passes. The error names every failure in
-gate order and carries them as `failures = ((key, value), ...)`.
+a NaN residual or tolerance never passes; each check fixes its own. The
+error names every failure in gate order, carries them as `failures =
+((key, value), ...)` and the report as `report`: every residual measured
+before the check stopped.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ def fold_maxima(report: dict, per_slice) -> dict:
 def gate(report: dict, gates, error) -> dict:
     """Record each (key, label, tol) of gates as report[key + "_tolerance"]
     and raise error naming every key whose value is not <= tol, as
-    "<label> <value> exceeds <tol>" joined by "; ". Returns report."""
+    "<label> <value> exceeds <tol>" joined by "; ", report attached as
+    its .report. Returns report."""
     failures = []
     for key, label, tol in gates:
         report[key + "_tolerance"] = tol
@@ -37,5 +40,6 @@ def gate(report: dict, gates, error) -> dict:
         exc = error("; ".join(f"{label} {value:g} exceeds {tol:g}"
                               for _, label, value, tol in failures))
         exc.failures = tuple((key, value) for key, _, value, _ in failures)
+        exc.report = report
         raise exc
     return report

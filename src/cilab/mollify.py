@@ -172,7 +172,7 @@ def _flux(u, b, sign, out, minus=False):
     return out
 
 
-def _commutator(mol, sign, label, state_q, state_l, scale, tol=1e-12):
+def _commutator(mol, sign, label, state_q, state_l, scale):
     """The class projection of the flux of state_l less the mollified flux
     of state_q, slice by slice.
 
@@ -186,7 +186,7 @@ def _commutator(mol, sign, label, state_q, state_l, scale, tol=1e-12):
     mollified array, and the projection runs there in place, column by
     column. This gives the values the full 3x3 algebra would, and each
     output slice is written once per pair by field.expand. The projection's
-    defect, the largest change it makes, is checked against tol times the
+    defect, the largest change it makes, is checked against 1e-12 times the
     quadratic input size scale: a commutator of rounding noise must pass."""
     grid = state_q[0].grid
     pairs = SYM_PAIRS if sign > 0 else SKEW_PAIRS
@@ -214,7 +214,7 @@ def _commutator(mol, sign, label, state_q, state_l, scale, tol=1e-12):
     defect = float(np.max(map_slices(subtract, range(grid.n_t))))
     gate({"defect": defect / scale},
          [("defect", f"commutator stress is not {label}: relative defect",
-           tol)], ValueError)
+           1e-12)], ValueError)
     return Field(out, grid, _take=True)
 
 

@@ -21,17 +21,17 @@ its magnetic tables are zero.
 
 Every balance these parts rely on can be evaluated literally on the
 grid, one term group at a time. The verifiers here do exactly that and
-gate each residual at the tolerance they are given (cilab.checks); each
-report holds the residuals, any monitored values and each residual's
-tolerance. No tolerance grows with the inputs, so amplitudes the grid
+gate each residual at the check's own fixed tolerance (cilab.checks);
+each report holds the residuals, any monitored values and each
+residual's tolerance, and a failing check's error carries it as
+`report`. No tolerance grows with the inputs, so amplitudes the grid
 does not resolve fail these gates. Only the sums that a time derivative
 needs are held as whole fields; every other term group and the residual
-are formed one slice at a time with running maxima, in the same order of
-operations as the whole-field expressions, and each time derivative a
-residual slice reads is one row of the time differentiation matrix,
-D[j] @ X (field.ddt_slice). Every slice loop runs on the slice pool of
-cilab.threads: a slice writes only its own output slice, and maxima are
-folded in slice order afterwards.
+are formed one slice at a time with running maxima, in the same order
+of operations as the whole-field expressions, and each time derivative
+a residual slice reads is one row of D, D[j] @ X (field.ddt_slice).
+Every slice loop runs on the slice pool of cilab.threads: a slice writes
+only its own output slice, and maxima are folded in slice order afterwards.
 Block second moments enter the low-frequency correctors as measured grid
 means of the flow products (BlockSet.moments), not as continuum
 values, so the balances close at grid level. Those mean matrices M_(k)
@@ -409,12 +409,11 @@ def _transport_tables(fam, s):
                   for table in (dirs, flow_products(dirs), transfer)))
 
 
-def verify_divfree_representation(amps, blocks, g, w_p, w_c, d_p, d_c,
-                                  tol: float = 1e-7, div_tol: float = 1e-8):
+def verify_divfree_representation(amps, blocks, g, w_p, w_c, d_p, d_c):
     """Check, slice by slice, that principal plus incompressibility parts
-    equal the double curl of the summed potentials, and that their
-    divergence vanishes against the gradient scale. Returns the residual
-    report; raises naming the violated balance.
+    equal the double curl of the summed potentials (to 1e-7), and that
+    their divergence vanishes against the gradient scale (to 1e-8).
+    Returns the residual report; raises naming the violated balance.
 
     The builder forms w_c and d_c as that double curl minus its own
     principal sum, so on parts it built the representation residual is
@@ -474,19 +473,18 @@ def verify_divfree_representation(amps, blocks, g, w_p, w_c, d_p, d_c,
     report = fold_maxima(dict.fromkeys(sum(keys, ()), 0.0),
                          map_slices(residuals, range(grid.n_t)))
     gate(report, [("velocity_representation",
-                   "velocity double-curl representation residual", tol),
+                   "velocity double-curl representation residual", 1e-7),
                   ("magnetic_representation",
-                   "magnetic double-curl representation residual", tol)],
+                   "magnetic double-curl representation residual", 1e-7)],
          CorrectorIdentityError)
     return gate(report, [("velocity_divergence",
-                          "velocity incompressibility residual", div_tol),
+                          "velocity incompressibility residual", 1e-8),
                          ("magnetic_divergence",
-                          "magnetic incompressibility residual", div_tol)],
+                          "magnetic incompressibility residual", 1e-8)],
                 CorrectorIdentityError)
 
 
-def verify_temporal_balance(amps, blocks, g, mu: float, w_t, d_t,
-                            tol: float = 1e-6):
+def verify_temporal_balance(amps, blocks, g, mu: float, w_t, d_t):
     """Evaluate both transport balances literally, in four term groups:
     corrector evolution plus oscillation transport against the pressure
     gradient plus the gradient-transfer and profile-drift remainders.
@@ -612,19 +610,20 @@ def verify_temporal_balance(amps, blocks, g, mu: float, w_t, d_t,
             peaks[0] / max(*peaks[1:], amps.delta_next))
     return gate(report, [
         ("velocity_temporal_balance",
-         "velocity temporal corrector balance residual", tol),
+         "velocity temporal corrector balance residual", 1e-6),
         ("magnetic_temporal_balance",
-         "magnetic temporal corrector balance residual", tol)],
+         "magnetic temporal corrector balance residual", 1e-6)],
         CorrectorIdentityError)
 
 
-def verify_low_frequency_balance(amps, blocks, h, sigma: float, g, w_o, d_o,
-                                 tol: float = 1e-6):
+def verify_low_frequency_balance(amps, blocks, h, sigma: float, g,
+                                 w_o, d_o):
     """Evaluate both low-frequency balances literally: corrector evolution
     plus the squared-profile residue (g^2 - 1) V against the pressure
     gradient plus the antiderivative-weighted gradient drift h d_t V, with
-    V = sum_k M_(k) grad a_(k)^2 formed once per slice. Relies on
-    h' = sigma (g^2 - 1) holding exactly for the supplied profile pair."""
+    V = sum_k M_(k) grad a_(k)^2 formed once per slice. That trade relies
+    on h' = sigma (g^2 - 1) for the supplied profile pair, so D h is gated
+    against it first ("profile_pair_defect", relative, at 1e-12)."""
     grid = amps.grid
     h = _as_samples(h, grid, "antiderivative profile h")
     g = _as_samples(g, grid, "oscillation profile g")
@@ -632,6 +631,13 @@ def verify_low_frequency_balance(amps, blocks, h, sigma: float, g, w_o, d_o,
         raise ValueError("the low-frequency balance needs a positive "
                          "oscillation rate sigma")
     _require_vector_on(grid, "low-frequency corrector", w_o, d_o)
+    g2m1 = g ** 2 - 1.0
+    slope = sigma * g2m1
+    defect = peak_abs(spectral.derivative_matrix(grid.n_t) @ h - slope)
+    report = {"profile_pair_defect": defect / max(peak_abs(slope), 1e-300)}
+    gate(report, [("profile_pair_defect", "profile pair (g, h) breaks h' = "
+                   "sigma (g^2 - 1): relative defect", 1e-12)],
+         CorrectorIdentityError)
     tables = _moment_tables(amps, blocks)
     drift = _side_fields(grid)
 
@@ -642,8 +648,6 @@ def verify_low_frequency_balance(amps, blocks, h, sigma: float, g, w_o, d_o,
                 side[j] = spectral.irfft(spec[..., s, :], grid.n_x)
 
     map_slices(sweep, range(grid.n_t))
-    report = {}
-    g2m1 = g ** 2 - 1.0
     for s, (side, part) in enumerate((("velocity", w_o), ("magnetic", d_o))):
         def residual(j):
             evolution = ddt_slice(part.data, j)
@@ -663,19 +667,19 @@ def verify_low_frequency_balance(amps, blocks, h, sigma: float, g, w_o, d_o,
             peaks[0] / max(*peaks[1:], amps.delta_next))
     return gate(report, [
         ("velocity_low_frequency_balance",
-         "velocity low-frequency corrector balance residual", tol),
+         "velocity low-frequency corrector balance residual", 1e-6),
         ("magnetic_low_frequency_balance",
-         "magnetic low-frequency corrector balance residual", tol)],
+         "magnetic low-frequency corrector balance residual", 1e-6)],
         CorrectorIdentityError)
 
 
 # -- assembly ---------------------------------------------------------------------
 
 def assemble_iterate(u_l: Field, B_l: Field, pert: Perturbation,
-                     amps: AmplitudeSet, tol: float = 1e-8):
+                     amps: AmplitudeSet):
     """Add the perturbation totals onto the mollified state and gate the
-    result: the totals must be solenoidal and spatially mean-free to
-    tolerance, and must vanish outside the three-ell time neighborhood of
+    result: the totals must be solenoidal and spatially mean-free to 1e-8,
+    and must vanish (to 1e-10) outside the three-ell time neighborhood of
     the stress support. Returns the next state pair and the increment
     report. Means are validated, never subtracted: forcing them to zero
     would feed an unaccounted time-dependent constant into the stress.
@@ -717,9 +721,9 @@ def assemble_iterate(u_l: Field, B_l: Field, pert: Perturbation,
             np.abs(stats[:, s, :3]).max() / max(peaks[s], 1e-300))
         gate(report, [
             (f"{name}_divergence_defect",
-             f"{name} perturbation is not solenoidal: relative defect", tol),
+             f"{name} perturbation is not solenoidal: relative defect", 1e-8),
             (f"{name}_mean_defect", f"{name} perturbation is not spatially "
-             "mean-free: relative defect", tol)], CorrectorIdentityError)
+             "mean-free: relative defect", 1e-8)], CorrectorIdentityError)
     mask = amps.stress_support()
     outside = mask.any() & ~dilate_support(
         mask, int(math.ceil(3.0 * amps.ell / grid.dt)))

@@ -16,19 +16,14 @@ from __future__ import annotations
 import numpy as np
 
 from . import spectral
-from .field import Field, _slicewise, to_spectral
-
-
-def _require_vector(f: Field):
-    if f.rank != 1:
-        raise ValueError("expected a vector field")
+from .field import Field, _require_vector_on, _slicewise, to_spectral
 
 
 def _div_rel_defect(f: Field) -> float:
     """Relative size of div f (multipliers k') against the gradient scale
     of f (raw |k|). Each component's 4D spectrum is scaled in place and
     summed into one accumulator, so two spectra are live at most."""
-    _require_vector(f)
+    _require_vector_on(f.grid, "divergence gate input", f)
     ks = spectral.derivatives(f.grid.n_x)[:3]
     kmag = np.sqrt(spectral.wavenumbers(f.grid.n_x)[3])
     div = None
@@ -63,5 +58,5 @@ def p_neq0(f: Field) -> Field:
 def leray(f: Field) -> Field:
     """Helmholtz projection onto divergence-free fields, identity on means,
     by one 3D transform pair per nonzero slice."""
-    _require_vector(f)
+    _require_vector_on(f.grid, "leray input", f)
     return _slicewise(f, spectral.leray)

@@ -50,3 +50,15 @@ def random_divfree(grid, rng, k_max=4):
 
     f = p_neq0(random_field(grid, rng, rank=1, k_max=k_max))
     return Field(per_slice(spectral.curl, f.data), grid, _take=True)
+
+
+def report_of(check, *args):
+    """A check's report, passing or failing: a failing gate's error carries
+    every residual the check measured before it stopped as `report`."""
+    from cilab.amplitudes import CancellationError
+    from cilab.perturbations import CorrectorIdentityError
+
+    try:
+        return check(*args)
+    except (CancellationError, CorrectorIdentityError) as exc:
+        return exc.report

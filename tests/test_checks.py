@@ -52,6 +52,18 @@ class TestGate:
         # the tolerances are recorded before the raise
         assert report["b_tolerance"] == 1.0
 
+    def test_error_carries_the_report_it_gated(self):
+        # every residual measured before the check stopped, with the
+        # tolerances recorded so far: a second gate never ran
+        report = {"a": 0.5, "b": 2.0, "c": 0.0, "later": 9.0}
+        with pytest.raises(Failed) as err:
+            gate(report, self.GATES, Failed)
+        assert err.value.report is report
+        assert report == {"a": 0.5, "b": 2.0, "c": 0.0, "later": 9.0,
+                          "a_tolerance": 1.0, "b_tolerance": 1.0,
+                          "c_tolerance": 1.0}
+        assert "later_tolerance" not in err.value.report
+
     def test_error_type_is_the_callers(self):
         with pytest.raises(ValueError) as err:
             gate({"a": 3.0}, [("a", "a", 1.0)], ValueError)

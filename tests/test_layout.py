@@ -1,8 +1,8 @@
 """Package layout: every definition in src/cilab is reached from the
 benchmark's step or waits on a named ROADMAP item, no module imports a
-name it does not use, and cilab.spectral_ops keeps only the whole-field
-names bench/ reaches. Reference implementations that only tests call live
-in tests/oracles.py.
+name it does not use, cilab.spectral_ops keeps only the whole-field names
+bench/ reaches, and no caller can set a check's tolerance or scope.
+Reference implementations that only tests call live in tests/oracles.py.
 
 Reachability is a walk by name over the syntax trees. Its roots are the
 names bench/*.py uses and the names src's module-level code uses (not its
@@ -45,8 +45,12 @@ RE_EXPORTS = {("grid", "fft_workers")}
 
 
 # what cilab.spectral_ops may define besides the names bench/ reaches: the
-# 4D divergence gate (ROADMAP item 11) and its vector check
-SPECTRAL_OPS_OWN = {"_div_rel_defect", "_require_vector"}
+# 4D divergence gate (ROADMAP item 11)
+SPECTRAL_OPS_OWN = {"_div_rel_defect"}
+
+# parameter names that would let a caller loosen a gate or narrow what a
+# check reads
+GATE_KNOBS = {"tol", "div_tol", "rtol", "time_indices"}
 
 
 def _names(node) -> set:
@@ -169,3 +173,16 @@ def test_spectral_ops_keeps_only_what_the_benchmark_reaches():
     assert not extra, (
         f"cilab.spectral_ops defines {extra}, which bench/ does not reach: "
         "put a spatial operator in cilab.spectral as a slice kernel")
+
+
+def test_no_definition_takes_a_gate_tolerance_or_scope():
+    # each check fixes its tolerances and reads every slice; a caller
+    # that wants a failing check's residuals reads the error's report
+    knobs = [f"{module}.{getattr(node, 'name', 'lambda')}({arg.arg})"
+             for module, tree in MODULES.items() for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.Lambda))
+             for arg in (node.args.posonlyargs + node.args.args
+                         + node.args.kwonlyargs)
+             if arg.arg in GATE_KNOBS]
+    assert not knobs, f"{knobs} let a caller set a gate"
