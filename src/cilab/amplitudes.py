@@ -310,9 +310,9 @@ def build_amplitudes(R_l_u: Field, R_l_B: Field, delta_next: float,
     rho_u. A slice where both stresses vanish costs no work and no memory:
     its stress components are left unwritten zeros, rho_B there is
     2 delta_next / eps_B, G_B is zero whatever f_b, and rho_u is
-    2 delta_next / eps_u. Every gate raises unless its defect is
-    within tolerance, so a NaN never passes. The set holds no reference to
-    the inputs.
+    2 delta_next / eps_u. The stress classes are gated after the first
+    pass, as preconditions, and both balls together after the second; a
+    NaN passes no gate. The set holds no reference to the inputs.
     """
     if R_l_u.grid != grid:
         raise ValueError("velocity stress lives on a different grid")
@@ -362,11 +362,12 @@ def build_amplitudes(R_l_u: Field, R_l_B: Field, delta_next: float,
         rho_b[j] = base_b * chi(frob_b / delta_next)
         peak_b[j] = frob_b.max()
         return defects + [("skew", _class_defect(r_b, np.add)),
-                          ("ball", float((frob_b / rho_b[j]).max()))]
+                          ("magnetic_ball", float((frob_b / rho_b[j]).max()))]
 
-    defects = fold_maxima(dict.fromkeys(("symmetric", "trace", "skew", "ball"),
-                                        0.0),
-                          map_slices(split, range(grid.n_t)))
+    defects = fold_maxima(
+        dict.fromkeys(("symmetric", "trace", "skew", "magnetic_ball",
+                       "velocity_ball"), 0.0),
+        map_slices(split, range(grid.n_t)))
     # the whole-field max |entry|: np.max keeps a NaN as a whole-field
     # pass does, where Python's max would drop it by its position
     scale_u = 1e-10 * max(1.0, float(abs_u.max()))
@@ -375,8 +376,6 @@ def build_amplitudes(R_l_u: Field, R_l_B: Field, delta_next: float,
         ("trace", "velocity stress must be traceless (defect)", scale_u),
         ("skew", "magnetic stress must be skew-symmetric (defect)",
          1e-10 * max(1.0, float(abs_b.max())))], ValueError)
-    gate(defects, [("ball", "magnetic stress left the geometry ball: ratio",
-                    geom.eps_b * (1.0 + 1e-12))], ConstructionError)
     f_b = temporal_cutoff(slice_support(peak_b), grid, ell)
     # rho_u and f_u are filled in below; G_B reads only the magnetic rows
     amps = AmplitudeSet(geom=geom, grid=grid, delta_next=delta_next, ell=ell,
@@ -395,11 +394,13 @@ def build_amplitudes(R_l_u: Field, R_l_B: Field, delta_next: float,
         frob_u = _frobenius(stress_u[j] + g_b, SYM_PAIRS)
         rho_u[j] = base_u * chi(frob_u / delta_next)
         peak_gb[j] = _frobenius(g_b, SYM_PAIRS).max()
-        return [("ball", float((frob_u / rho_u[j]).max()))]
+        return [("velocity_ball", float((frob_u / rho_u[j]).max()))]
 
-    gate(fold_maxima({"ball": 0.0}, map_slices(fill, range(grid.n_t))),
-         [("ball", "velocity stress left the geometry ball: ratio",
-           geom.eps_u * (1.0 + 1e-12))], ConstructionError)
+    gate(fold_maxima(defects, map_slices(fill, range(grid.n_t))), [
+        ("magnetic_ball", "magnetic stress left the geometry ball: ratio",
+         geom.eps_b * (1.0 + 1e-12)),
+        ("velocity_ball", "velocity stress left the geometry ball: ratio",
+         geom.eps_u * (1.0 + 1e-12))], ConstructionError)
     for arr in (data, peak_u, peak_b):
         arr.setflags(write=False)
     amps.f_u = temporal_cutoff(slice_support(peak_u) | slice_support(peak_gb),

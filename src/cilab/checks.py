@@ -1,14 +1,14 @@
 """The one gate every check goes through.
 
-A check measures its residuals (and any monitored values) into a plain
+A check measures all its residuals (and any monitored values) into a plain
 dict, folding per-slice maxima with `fold_maxima`, and hands it to `gate`
-with the tolerance of each gated key. `gate` records each tolerance under
-`<key>_tolerance` and raises the check's error type unless every gated
-residual satisfies `value <= tol`; every comparison with a NaN is false, so
-a NaN residual or tolerance never passes; each check fixes its own. The
-error names every failure in gate order, carries them as `failures =
-((key, value), ...)` and the report as `report`: every residual measured
-before the check stopped.
+once, with the tolerance of each gated key; only input preconditions are
+gated before. `gate` records each tolerance under `<key>_tolerance` and
+raises the check's error type unless every gated residual satisfies
+`value <= tol`; every comparison with a NaN is false, so a NaN residual or
+tolerance never passes; each check fixes its own. The error names every
+failure in gate order, carries them as `failures = ((key, value), ...)`
+and the report as `report`: every residual the check measures.
 """
 
 from __future__ import annotations

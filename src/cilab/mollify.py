@@ -30,7 +30,7 @@ import numpy as np
 from . import spectral
 from .checks import gate
 from .field import (SKEW_PAIRS, SYM_PAIRS, Field, _require_vector_on, dot,
-                    expand, peak_abs)
+                    expand)
 from .grid import Grid4, GridResolutionError
 from .profiles import _bump, bump_integral
 from .threads import map_slices
@@ -126,16 +126,6 @@ def mollify(f: Field, ell: float) -> Field:
     return Mollifier(ell).apply(f)
 
 
-def _check_mollified(name: str, given: Field, source: Field, mol: Mollifier):
-    want = mol._smooth(lambda j, dst: source.data[j], source.grid,
-                       source.data.shape[4:])
-    scale = max(peak_abs(want), 1e-300)
-    defect = peak_abs(np.subtract(given.data, want, out=want))
-    gate({name: defect / scale},
-         [(name, f"{name} does not equal the scale-{mol.ell:g} mollification "
-           "of its source: relative defect", 1e-8)], ValueError)
-
-
 # positions of the diagonal entries among the SYM_PAIRS components
 _SYM_DIAG = tuple(p for p, (r, c) in enumerate(zip(*SYM_PAIRS)) if r == c)
 
@@ -172,9 +162,9 @@ def _flux(u, b, sign, out, minus=False):
     return out
 
 
-def _commutator(mol, sign, label, state_q, state_l, scale):
+def _commutator(mol, sign, state_q, state_l, scale):
     """The class projection of the flux of state_l less the mollified flux
-    of state_q, slice by slice.
+    of state_q, slice by slice, and its projection's largest change over scale.
 
     The full quadratic flux is exactly symmetric (sign 1) or exactly skew
     (sign -1): IEEE products commute and negation is exact. So _flux gives
@@ -185,9 +175,7 @@ def _commutator(mol, sign, label, state_q, state_l, scale):
     or is the identity (skew). Each flux is written into its slice of the
     mollified array, and the projection runs there in place, column by
     column. This gives the values the full 3x3 algebra would, and each
-    output slice is written once per pair by field.expand. The projection's
-    defect, the largest change it makes, is checked against 1e-12 times the
-    quadratic input size scale: a commutator of rounding noise must pass."""
+    output slice is written once per pair by field.expand."""
     grid = state_q[0].grid
     pairs = SYM_PAIRS if sign > 0 else SKEW_PAIRS
     base = mol._smooth(
@@ -212,10 +200,7 @@ def _commutator(mol, sign, label, state_q, state_l, scale):
         return float(defect)
 
     defect = float(np.max(map_slices(subtract, range(grid.n_t))))
-    gate({"defect": defect / scale},
-         [("defect", f"commutator stress is not {label}: relative defect",
-           1e-12)], ValueError)
-    return Field(out, grid, _take=True)
+    return Field(out, grid, _take=True), defect / scale
 
 
 def commutator_stresses(u_q: Field, B_q: Field, u_l: Field, B_l: Field,
@@ -223,18 +208,33 @@ def commutator_stresses(u_q: Field, B_q: Field, u_l: Field, B_l: Field,
     """Quadratic mollification commutators of the relaxed system.
 
     Returns the symmetric traceless velocity commutator and the skew
-    magnetic commutator; output symmetry classes are exact, with the
-    projection defect checked against 1e-12.
+    magnetic commutator; output symmetry classes are exact. The relative
+    mollification defects of u_l and B_l are preconditions; both class
+    projection defects are gated against 1e-12 times the quadratic input
+    size scale: a commutator of rounding noise must pass.
     """
     for name, f in (("u_q", u_q), ("B_q", B_q), ("u_l", u_l), ("B_l", B_l)):
         _require_vector_on(u_q.grid, name, f)
     mol = Mollifier(ell)
-    _check_mollified("u_l", u_l, u_q, mol)
-    _check_mollified("B_l", B_l, B_q, mol)
+    report = {}
+    for name, given, source in (("u_l", u_l, u_q), ("B_l", B_l, B_q)):
+        want = mol.apply(source)
+        report[name] = (given - want).max_abs() / max(want.max_abs(), 1e-300)
+        del want
+    gate(report, [(name, f"{name} does not equal the scale-{mol.ell:g} "
+                   "mollification of its source: relative defect", 1e-8)
+                  for name in report], ValueError)
     qscale = max(u_q.max_abs(), B_q.max_abs(), 1e-150) ** 2
-    r_u = _commutator(mol, 1.0, "symmetric traceless", (u_q, B_q),
-                      (u_l, B_l), qscale)
-    r_b = _commutator(mol, -1.0, "skew", (u_q, B_q), (u_l, B_l), qscale)
+    r_u, report["velocity_commutator"] = _commutator(
+        mol, 1.0, (u_q, B_q), (u_l, B_l), qscale)
+    r_b, report["magnetic_commutator"] = _commutator(
+        mol, -1.0, (u_q, B_q), (u_l, B_l), qscale)
+    gate(report, [
+        ("velocity_commutator",
+         "commutator stress is not symmetric traceless: relative defect",
+         1e-12),
+        ("magnetic_commutator", "commutator stress is not skew: relative "
+         "defect", 1e-12)], ValueError)
     return r_u, r_b
 
 

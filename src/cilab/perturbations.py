@@ -472,16 +472,14 @@ def verify_divfree_representation(amps, blocks, g, w_p, w_c, d_p, d_c):
 
     report = fold_maxima(dict.fromkeys(sum(keys, ()), 0.0),
                          map_slices(residuals, range(grid.n_t)))
-    gate(report, [("velocity_representation",
-                   "velocity double-curl representation residual", 1e-7),
-                  ("magnetic_representation",
-                   "magnetic double-curl representation residual", 1e-7)],
-         CorrectorIdentityError)
-    return gate(report, [("velocity_divergence",
-                          "velocity incompressibility residual", 1e-8),
-                         ("magnetic_divergence",
-                          "magnetic incompressibility residual", 1e-8)],
-                CorrectorIdentityError)
+    return gate(report, [
+        ("velocity_representation",
+         "velocity double-curl representation residual", 1e-7),
+        ("magnetic_representation",
+         "magnetic double-curl representation residual", 1e-7),
+        ("velocity_divergence", "velocity incompressibility residual", 1e-8),
+        ("magnetic_divergence", "magnetic incompressibility residual", 1e-8)],
+        CorrectorIdentityError)
 
 
 def verify_temporal_balance(amps, blocks, g, mu: float, w_t, d_t):
@@ -686,9 +684,10 @@ def assemble_iterate(u_l: Field, B_l: Field, pert: Perturbation,
 
     One slice pass forms each total ((p + c) + t) + o and its slice means,
     peak and squared norm, skipping a side's slice where all its parts are
-    zero. Once the gates pass, each total becomes the next state in place:
-    w + u_l is u_l + w bit for bit, and no third and fourth field is held
-    while the divergence gates transform the totals."""
+    zero. Every defect, leak and increment of both sides is measured before
+    the one gate; once it passes, each total becomes the next state in
+    place: w + u_l is u_l + w bit for bit, and no third and fourth field is
+    held while the divergence defects transform the totals."""
     grid = amps.grid
     _require_vector_on(grid, "state field", u_l, B_l)
     if pert.grid != grid:
@@ -711,34 +710,33 @@ def assemble_iterate(u_l: Field, B_l: Field, pert: Perturbation,
         return stats
 
     stats = np.array(map_slices(fill, range(grid.n_t)))
-    peaks = stats[..., 3].max(axis=0)
-    report = {}
+    # floored; np.maximum keeps a NaN peak, so its side's ratios are NaN
+    peaks = np.maximum(stats[..., 3].max(axis=0), 1e-300)
+    mask = amps.stress_support()
+    outside = mask.any() & ~dilate_support(
+        mask, int(math.ceil(3.0 * amps.ell / grid.dt)))
+    report, gates, leaks = {}, [], []
     for s, (name, _, _) in enumerate(sides):
         # a view, so the Field freezes it and not the total
         report[f"{name}_divergence_defect"] = _div_rel_defect(
             Field(totals[s][...], grid, _take=True))
         report[f"{name}_mean_defect"] = float(
-            np.abs(stats[:, s, :3]).max() / max(peaks[s], 1e-300))
-        gate(report, [
-            (f"{name}_divergence_defect",
-             f"{name} perturbation is not solenoidal: relative defect", 1e-8),
-            (f"{name}_mean_defect", f"{name} perturbation is not spatially "
-             "mean-free: relative defect", 1e-8)], CorrectorIdentityError)
-    mask = amps.stress_support()
-    outside = mask.any() & ~dilate_support(
-        mask, int(math.ceil(3.0 * amps.ell / grid.dt)))
-    for s, (name, _, _) in enumerate(sides):
-        report[f"{name}_support_leak"] = (float(
+            np.abs(stats[:, s, :3]).max() / peaks[s])
+        report[f"{name}_support_leak"] = float(
             stats[outside, s, 3].max(initial=0.0) / peaks[s])
-            if peaks[s] > 0.0 else 0.0)
-        gate(report, [(f"{name}_support_leak", f"{name} perturbation leaks "
-                       "outside the dilated stress support: relative slice "
-                       "norm", 1e-10)], CorrectorIdentityError)
         # L^infinity in time of L^2 in space
         report[f"{name}_increment"] = float(np.sqrt(
             stats[:, s, 4].max() * (2.0 * np.pi / grid.n_x) ** 3))
+        gates += [(f"{name}_divergence_defect", f"{name} perturbation is not "
+                   "solenoidal: relative defect", 1e-8),
+                  (f"{name}_mean_defect", f"{name} perturbation is not "
+                   "spatially mean-free: relative defect", 1e-8)]
+        leaks.append((f"{name}_support_leak", f"{name} perturbation leaks "
+                      "outside the dilated stress support: relative slice "
+                      "norm", 1e-10))
     report["increment_over_sqrt_delta"] = (
         report["velocity_increment"] / math.sqrt(amps.delta_next))
+    gate(report, gates + leaks, CorrectorIdentityError)
     for total, (_, state, _) in zip(totals, sides):
         total += state.data
     return (*(Field(total, grid, _take=True) for total in totals), report)

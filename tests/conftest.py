@@ -54,7 +54,7 @@ def random_divfree(grid, rng, k_max=4):
 
 def report_of(check, *args):
     """A check's report, passing or failing: a failing gate's error carries
-    every residual the check measured before it stopped as `report`."""
+    every residual the check measures as `report`."""
     from cilab.amplitudes import CancellationError
     from cilab.perturbations import CorrectorIdentityError
 

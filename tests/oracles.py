@@ -591,11 +591,13 @@ def commutator_reference(u_q, B_q, u_l, B_l, ell):
 def assemble_iterate_whole_field(u_l, B_l, pert, amps, tol: float = 1e-8):
     """perturbations.assemble_iterate on whole fields: each total
     ((p + c) + t) + o is one array, read by `spatial_means`, `max_abs`, the
-    slice maxima of its absolute value and `lebesgue_norm`; the magnetic
-    total is summed only once the velocity side passes."""
+    slice maxima of its absolute value and `lebesgue_norm`; both totals are
+    measured before the one gate."""
     grid = amps.grid
-    report = {}
-    totals = []
+    report, gates, leaks, totals = {}, [], [], []
+    mask = amps.stress_support()
+    allowed = (dilate_support(mask, int(math.ceil(3.0 * amps.ell / grid.dt)))
+               if mask.any() else np.ones_like(mask))
     for name, parts in (("velocity", (pert.w_p, pert.w_c, pert.w_t, pert.w_o)),
                         ("magnetic", (pert.d_p, pert.d_c, pert.d_t, pert.d_o))):
         data = parts[0].data + parts[1].data
@@ -607,31 +609,24 @@ def assemble_iterate_whole_field(u_l, B_l, pert, amps, tol: float = 1e-8):
         report[f"{name}_divergence_defect"] = _div_rel_defect(inc)
         report[f"{name}_mean_defect"] = (
             float(np.abs(inc.spatial_means()).max()) / max(peak, 1e-300))
-        gate(report, [
-            (f"{name}_divergence_defect",
-             f"{name} perturbation is not solenoidal: relative defect", tol),
-            (f"{name}_mean_defect", f"{name} perturbation is not spatially "
-             "mean-free: relative defect", tol)], CorrectorIdentityError)
-    w, d = totals
-    mask = amps.stress_support()
-    for name, inc in (("velocity", w), ("magnetic", d)):
-        leak = 0.0
-        if mask.any() and not mask.all():
-            allowed = dilate_support(
-                mask, int(math.ceil(3.0 * amps.ell / grid.dt)))
-            if not allowed.all():
-                norms = np.abs(inc.data).max(axis=(1, 2, 3, 4))
-                peak = norms.max()
-                if peak > 0.0:
-                    leak = float(norms[~allowed].max()) / peak
-        report[f"{name}_support_leak"] = leak
-        gate(report, [(f"{name}_support_leak", f"{name} perturbation leaks "
-                       "outside the dilated stress support: relative slice "
-                       "norm", 1e-10)], CorrectorIdentityError)
-    report["velocity_increment"] = lebesgue_norm(w, np.inf, 2.0)
-    report["magnetic_increment"] = lebesgue_norm(d, np.inf, 2.0)
+        norms = np.abs(inc.data).max(axis=(1, 2, 3, 4))
+        # a NaN peak gives a NaN leak
+        report[f"{name}_support_leak"] = (
+            float(norms[~allowed].max(initial=0.0)) / norms.max()
+            if norms.max() != 0.0 else 0.0)
+        report[f"{name}_increment"] = lebesgue_norm(inc, np.inf, 2.0)
+        gates += [(f"{name}_divergence_defect",
+                   f"{name} perturbation is not solenoidal: relative defect",
+                   tol),
+                  (f"{name}_mean_defect", f"{name} perturbation is not "
+                   "spatially mean-free: relative defect", tol)]
+        leaks.append((f"{name}_support_leak", f"{name} perturbation leaks "
+                      "outside the dilated stress support: relative slice "
+                      "norm", 1e-10))
     report["increment_over_sqrt_delta"] = (
         report["velocity_increment"] / math.sqrt(amps.delta_next))
+    gate(report, gates + leaks, CorrectorIdentityError)
+    w, d = totals
     return u_l + w, B_l + d, report
 
 

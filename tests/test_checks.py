@@ -53,8 +53,8 @@ class TestGate:
         assert report["b_tolerance"] == 1.0
 
     def test_error_carries_the_report_it_gated(self):
-        # every residual measured before the check stopped, with the
-        # tolerances recorded so far: a second gate never ran
+        # the report it was given, with this gate's tolerances: a key the
+        # gate does not name gets none
         report = {"a": 0.5, "b": 2.0, "c": 0.0, "later": 9.0}
         with pytest.raises(Failed) as err:
             gate(report, self.GATES, Failed)

@@ -331,8 +331,9 @@ class TestCommutatorStresses:
         defects = []
 
         def recording_gate(report, gates, error):
-            if "defect" in report:
-                defects.append(report["defect"])
+            if "velocity_commutator" in report:
+                defects.extend(report[key] for key in ("velocity_commutator",
+                                                       "magnetic_commutator"))
             return gate(report, gates, error)
 
         monkeypatch.setenv("CILAB_THREADS", threads)

@@ -12,15 +12,19 @@ import numpy as np
 import pytest
 import scipy.fft as sfft
 
+from cilab import amplitudes as amplitudes_module
+from cilab import mollify as mollify_module
 from cilab import perturbations as pt
 from cilab import spectral
 from cilab.amplitudes import (
     CancellationError, build_amplitudes, dilate_support, verify_cancellation,
 )
 from cilab.blocks import BlockParams, BlockSet, moment_products, sample_blocks
+from cilab.checks import gate
 from cilab.field import Field, ddt, div_tensor, grad, to_spectral
 from cilab.geometry import ConstructionError, build_geometry
 from cilab.grid import Grid4
+from cilab.mollify import commutator_stresses, mollify
 from cilab.profiles import BumpTrain, make_spatial_profiles, make_temporal
 from cilab.spectral_ops import leray, p_neq0
 from cilab.threads import map_slices
@@ -688,11 +692,6 @@ class TestMoments:
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
-def residuals(report):
-    """A report without its tolerances."""
-    return {k: v for k, v in report.items() if not k.endswith("_tolerance")}
-
-
 # each check's own tolerance per gated key
 TOLERANCES = {
     "divfree_representation": {"velocity_representation": 1e-7,
@@ -717,8 +716,8 @@ class TestVerifiers:
             amps, blocks, g, *(parts[k] for k in names))
         assert_reports_match(got, want)
         # a w_c slice off by half of itself must be caught, and the error
-        # must carry every residual as the reference reports it
-        inf = float("inf")
+        # must carry every residual and tolerance as the reference reports
+        # them
         j = next(j for j in range(amps.grid.n_t)
                  if g[j] != 0.0 and amps.f_u[j] != 0.0)
         ref_w_c = reference_parts["w_c"].copy()
@@ -727,8 +726,7 @@ class TestVerifiers:
         w_c[j] *= 1.5
         w_c = Field(w_c, amps.grid, _take=True)
         want = ref_divfree(amps, blocks, g, reference_parts["w_p"], ref_w_c,
-                           reference_parts["d_p"], reference_parts["d_c"],
-                           tol=inf, div_tol=inf)
+                           reference_parts["d_p"], reference_parts["d_c"])
         with pytest.raises(pt.CorrectorIdentityError,
                            match="^velocity double-curl representation "
                                  "residual") as err:
@@ -736,7 +734,7 @@ class TestVerifiers:
                 amps, blocks, g, parts["w_p"], w_c, parts["d_p"],
                 parts["d_c"])
         assert want["velocity_representation"] > 1e-7
-        assert_reports_match(residuals(err.value.report), residuals(want))
+        assert_reports_match(err.value.report, want)
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_representation_is_exact_on_generic_inputs(self, built, threads,
@@ -833,6 +831,117 @@ class TestVerifiers:
             TOLERANCES[name]
 
 
+def _broken_slice(part):
+    """A copy of part with its largest slice made 1.5 times itself plus a
+    thousandth of its peak: no balance and no zero mean survives that."""
+    data = part.data.copy()
+    peaks = np.abs(data).max(axis=(1, 2, 3, 4))
+    j = peaks.argmax()
+    data[j] *= 1.5
+    data[j] += 1e-3 * peaks[j]
+    return Field(data, part.grid, _take=True)
+
+
+class TestCompleteReports:
+    """A check measures every residual before its one gate, so the report
+    a failing check carries holds every key and `<key>_tolerance` that it
+    holds when every gate passes."""
+
+    CHECKS = ["cancellation", "divfree_representation", "temporal_balance",
+              "low_frequency_balance", "assemble_iterate", "build_amplitudes",
+              "commutator_stresses"]
+
+    def _case(self, name, built, geom, monkeypatch):
+        """The check's module and error type, and a call of it on sound
+        inputs and one on inputs with one stage broken."""
+        amps, blocks, g, h, sigma, parts = built
+        if name == "cancellation":
+            broken = replaced(amps, f_b=0.9 * np.ones_like(amps.f_b))
+            return (amplitudes_module, CancellationError,
+                    lambda: verify_cancellation(amps, blocks),
+                    lambda: verify_cancellation(broken, blocks))
+        if name in ("divfree_representation", "temporal_balance",
+                    "low_frequency_balance", "assemble_iterate"):
+            check, part, args = {
+                "divfree_representation": (
+                    pt.verify_divfree_representation, "w_c",
+                    lambda p: (amps, blocks, g, p["w_p"], p["w_c"], p["d_p"],
+                               p["d_c"])),
+                "temporal_balance": (
+                    pt.verify_temporal_balance, "w_t",
+                    lambda p: (amps, blocks, g, MU, p["w_t"], p["d_t"])),
+                "low_frequency_balance": (
+                    pt.verify_low_frequency_balance, "w_o",
+                    lambda p: (amps, blocks, h, sigma, g, p["w_o"],
+                               p["d_o"])),
+                "assemble_iterate": (
+                    pt.assemble_iterate, "w_t",
+                    lambda p: (*_state(amps.grid, 3), pt.Perturbation(**p),
+                               amps)),
+            }[name]
+            broken = dict(parts, **{part: _broken_slice(parts[part])})
+            return (pt, pt.CorrectorIdentityError,
+                    lambda: check(*args(parts)), lambda: check(*args(broken)))
+        if name == "build_amplitudes":
+            grid = Grid4(8, 16)
+            r_u, r_b = stress_pair(grid, np.random.default_rng(11))
+
+            def build():
+                return build_amplitudes(r_u, r_b, 0.3, geom, grid, ell=0.7)
+
+            def broken():
+                # a cutoff far below its wedge leaves both balls
+                chi = amplitudes_module.chi
+                monkeypatch.setattr(amplitudes_module, "chi",
+                                    lambda z: 1e-3 * chi(z))
+                build()
+
+            return amplitudes_module, ConstructionError, build, broken
+        grid = Grid4(n_t=64, n_x=16)
+        rng = np.random.default_rng(11)
+        u, b = random_divfree(grid, rng), random_divfree(grid, rng)
+
+        def commutators():
+            return commutator_stresses(u, b, mollify(u, 0.9), mollify(b, 0.9),
+                                       0.9)
+
+        def broken():
+            # a projection that moves the diagonal by one breaks the
+            # velocity commutator's class
+            third = mollify_module._third_trace
+            monkeypatch.setattr(mollify_module, "_third_trace",
+                                lambda t: third(t) + 1.0)
+            commutators()
+
+        return mollify_module, ValueError, commutators, broken
+
+    @pytest.mark.parametrize("name", CHECKS)
+    def test_failing_report_is_complete(self, built, geom, name,
+                                        monkeypatch):
+        module, error, sound, broken = self._case(name, built, geom,
+                                                  monkeypatch)
+        gated = []
+
+        def passing_gate(report, gates, err):
+            # the real gate, but the check runs on past a failure, so the
+            # last report gated holds what a passing report holds
+            gated.append(report)
+            try:
+                return gate(report, gates, err)
+            except err:
+                return report
+
+        with monkeypatch.context() as mp:
+            mp.setattr(module, "gate", passing_gate)
+            sound()
+        want = set(gated[-1])
+        assert any(key.endswith("_tolerance") for key in want)
+        with pytest.raises(error) as exc:
+            broken()
+        assert exc.value.failures
+        assert set(exc.value.report) == want
+
+
 class TestWindowedVerifiers:
     """The balance verifiers on stresses confined to WINDOW: on the slices
     outside it g is nonzero but no family is active, so the oscillation
@@ -927,8 +1036,11 @@ class TestNonFiniteParts:
                                                 self._slice(built))})
         state = Field(np.zeros(amps.grid.shape + (3,)), amps.grid)
         with pytest.raises(pt.CorrectorIdentityError,
-                           match=f"^{side} perturbation [^;]* defect nan"):
+                           match=f"^{side} perturbation [^;]* defect nan") \
+                as err:
             pt.assemble_iterate(state, state, pt.Perturbation(**broken), amps)
+        # the side's peak is NaN, so its leak is NaN, not 0.0
+        assert np.isnan(err.value.report[f"{side}_support_leak"])
 
 
 # -- assembly ----------------------------------------------------------------------
