@@ -461,7 +461,7 @@ def verify_cancellation(amps: AmplitudeSet, blocks: dict,
         g2 = g_sq[j]
         for fam, prods in families:
             a2 = amps.squared_slice(fam.name, j).reshape(-1, len(fam.sets))
-            env2 = envelope_stack(fam.sets, j)
+            env2 = envelope_stack(fam, j)
             np.square(env2, out=env2)
             mean = env2.mean(axis=0)
             updates.append(("moment_defect", float(np.abs(

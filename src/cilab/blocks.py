@@ -10,12 +10,14 @@ space, so the identities hold for the materialized fields up to rounding.
 
 Grid samples are produced through integer phase tables: with lam r_perp
 and the phase rate lam r_perp N mu integral, both phases live on finite
-lattices (n_x points in space, n_x * n_t in space-time), every grid value
-is a table lookup, and the sampled fields are exactly the band-limited
-trig polynomials they claim to be. A BlockSet builds its tables and
-lattice indices when it is sampled; only its moments are cached. The resolution validator enforces the
-alias-free bound for quadratic products of the bands, which is the
-condition under which spectral derivatives of block products are exact.
+lattices (n_x points in space, n_x * n_t in space-time), so a slice reads
+an n_x x n_x phase plane through one joint lattice index per BlockSet,
+and the sampled fields are exactly the band-limited trig polynomials they
+claim to be. A profile is one gather from a plane constant along one
+phase, a family's envelopes one gather from its sets' stacked planes
+shear x profile. The resolution validator enforces the alias-free bound
+for quadratic products of the bands, under which spectral derivatives of
+block products are exact.
 
 Band truncation deliberately changes the profile shapes, so the sampled
 fields keep the algebraic structure but not the concentration scaling
@@ -25,6 +27,7 @@ integer phase directions are jointly equidistributed, so mixed norms
 factor into 1D (or, for gradient tensors, 2D) profile integrals.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -127,22 +130,21 @@ def sample_blocks(frame, params: BlockParams, grid: Grid4,
                     potential_band=potential_raw.scaled(factor))
 
 
-def _lattice_index(vec, n: int) -> np.ndarray:
-    """Read-only (vec . i) mod n at the n^3 spatial lattice points i: a
-    phase's position on its n-point lattice."""
-    i = np.arange(n, dtype=np.int64)
-    idx = (i[:, None, None] * (vec[0] % n) + i[None, :, None] * (vec[1] % n)
-           + i[None, None, :] * (vec[2] % n)) % n
-    idx.setflags(write=False)
-    return idx
+def _joint_index(a_int, m_int, n: int) -> np.ndarray:
+    """n (a . i mod n) + (m . i mod n) at the n^3 spatial lattice points i:
+    where the shear and concentration phases sit on the n x n plane."""
+    i = np.arange(n, dtype=np.intp)
+    shear, conc = ((i[:, None, None] * (v[0] % n) + i[None, :, None] * (v[1] % n)
+                    + i[None, None, :] * (v[2] % n)) % n for v in (a_int, m_int))
+    return n * shear + conc
 
 
 class BlockSet:
     """Grid evaluators for one frame's flows, potentials, and profiles.
 
-    Every phase table and lattice index is built here, read-only, so the
-    profile and flow slices add nothing to the set; only the moments are
-    measured on demand and kept. Scalar profile kinds are the shear profile
+    Every phase table and the joint lattice index are built here,
+    read-only, so the profile and flow slices add nothing to the set; only
+    the moments are measured on demand and kept. Scalar profile kinds are the shear profile
     and its phase rate, the concentration and the potential; flow kinds
     are the separable vector fields and their double-curl potentials, each
     the shear profile times a second profile times a constant row.
@@ -150,7 +152,7 @@ class BlockSet:
 
     __slots__ = ("frame", "params", "grid", "shear_band", "conc_band",
                  "potential_band", "a_int", "m_int", "rate", "tables",
-                 "shear_index", "conc_index", "flows", "_moments")
+                 "index", "flows", "_moments")
 
     def __init__(self, frame, params: BlockParams, grid: Grid4,
                  shear_band: BandProfile, conc_band: BandProfile,
@@ -172,7 +174,7 @@ class BlockSet:
         xi_s = (-np.pi * (sum(self.a_int) + self.rate)
                 + 2.0 * np.pi * np.arange(L) / L)
         xi_c = -np.pi * sum(self.m_int) + 2.0 * np.pi * np.arange(n_x) / n_x
-        # shear tables are doubled so index + offset never needs a modulo
+        # shear tables are doubled so offset + position needs no modulo
         tables = {"shear": np.tile(shear_band(xi_s), 2),
                   "shear_rate": np.tile(shear_band.derivative(1)(xi_s), 2),
                   "concentration": conc_band(xi_c),
@@ -180,10 +182,8 @@ class BlockSet:
         for tab in tables.values():
             tab.setflags(write=False)
         self.tables = MappingProxyType(tables)
-        # premultiplied by n_t so a time offset below L can be added directly
-        self.shear_index = _lattice_index(self.a_int, n_x) * n_t
-        self.shear_index.setflags(write=False)
-        self.conc_index = _lattice_index(self.m_int, n_x)
+        self.index = _joint_index(self.a_int, self.m_int, n_x)
+        self.index.setflags(write=False)
         # flow kind -> (second profile, constant row)
         inv_pot = 1.0 / (params.lam * frame.denom) ** 2
         flows = {"velocity": ("concentration", frame.k1),
@@ -195,16 +195,26 @@ class BlockSet:
         self.flows = MappingProxyType(flows)
         self._moments = {}
 
+    def _row(self, kind: str, j: int) -> np.ndarray:
+        """A profile's n_x values on slice j, one per phase lattice point."""
+        tab, n_x, n_t = self.tables[kind], self.grid.n_x, self.grid.n_t
+        off = ((self.rate * int(j)) % n_t) * n_x
+        return tab[off:off + n_x * n_t:n_t] if kind.startswith("shear") else tab
+
+    def plane(self, j: int, profile: str = "concentration") -> np.ndarray:
+        """The (n_x, n_x) phase plane of the envelope shear x profile on
+        slice j: flows ride the concentration, potentials the potential."""
+        if profile not in ("concentration", "potential"):
+            raise ValueError(f"no envelope rides the profile {profile!r}")
+        return np.multiply.outer(self._row("shear", j), self._row(profile, j))
+
     def profile_slice(self, kind: str, j: int) -> np.ndarray:
         """One time sample of a scalar profile, shape (n_x, n_x, n_x)."""
         if kind not in self.tables:
             raise ValueError(f"unknown profile kind {kind!r}")
-        tab = self.tables[kind]
-        if kind.startswith("shear"):
-            n_x, n_t = self.grid.n_x, self.grid.n_t
-            off = ((self.rate * int(j)) % n_t) * n_x
-            return tab[off:].take(self.shear_index)  # no index temporary
-        return tab[self.conc_index]
+        row, n = self._row(kind, j), self.grid.n_x
+        plane = np.repeat(row, n) if kind.startswith("shear") else np.tile(row, n)
+        return plane[self.index]
 
     def flow_slice(self, kind: str, j: int) -> np.ndarray:
         """One time sample of a flow, shape (n_x, n_x, n_x, 3)."""
@@ -244,24 +254,28 @@ class BlockSet:
 
 # -- frame families ----------------------------------------------------------------
 
-def envelope_stack(sets, j: int, profile: str = "concentration") -> np.ndarray:
-    """(n_x**3, len(sets)) envelopes on slice j: column i is sets[i]'s
-    profile_slice("shear", j) * profile_slice(profile, j), flattened.
-    Every flow rides the concentration, every potential the potential."""
-    n3 = sets[0].grid.n_x ** 3
-    out = np.empty((n3, len(sets)))
-    for i, bs in enumerate(sets):
-        np.multiply(bs.profile_slice("shear", j).reshape(n3),
-                    bs.profile_slice(profile, j).reshape(n3), out=out[:, i])
-    return out
+def envelope_stack(fam, j: int, profile: str = "concentration") -> np.ndarray:
+    """(n_x**3, k) envelopes of fam on slice j, column i sets[i]'s plane(j,
+    profile) at its joint index: one gather of the stacked planes."""
+    return np.stack([bs.plane(j, profile) for bs in fam.sets]).ravel()[fam.index]
+
+
+@functools.lru_cache(maxsize=8)
+def _family_index(phases, n: int) -> np.ndarray:
+    """Read-only (n^3, k) index into k stacked n x n planes, column i the
+    joint index of phases[i] plus i n^2; one per phases and n for a step."""
+    index = np.stack([_joint_index(a_int, m_int, n).ravel() + i * n * n
+                      for i, (a_int, m_int) in enumerate(phases)], axis=1)
+    index.setflags(write=False)
+    return index
 
 
 @dataclass(frozen=True, eq=False)
 class Family:
     """One frame family as rank-one terms: flow_slice(side, j) of sets[i]
-    is column i of envelope_stack(sets, j) times the side's columns of row
-    i of flows, [velocity | magnetic]; flow_slice(side + "_potential", j)
-    likewise with envelope_stack(sets, j, "potential") and potentials.
+    is column i of envelope_stack(family, j) times the side's columns of
+    row i of flows, [velocity | magnetic]; flow_slice(side + "_potential",
+    j) likewise with envelope_stack(family, j, "potential") and potentials.
     sides names the flows the frames carry: magnetic frames both, velocity
     frames the velocity flow, so their magnetic columns are zero. Build
     with `family`."""
@@ -271,6 +285,7 @@ class Family:
     flows: np.ndarray  # (k, 6)
     potentials: np.ndarray  # (k, 6)
     sides: tuple
+    index: np.ndarray  # (n_x**3, k), _family_index
 
 
 def family(name: str, frames, blocks, grid) -> Family:
@@ -299,7 +314,8 @@ def family(name: str, frames, blocks, grid) -> Family:
                 rows[i, 3 * s:3 * s + 3] = bs.flows[kind][1]
     flows.setflags(write=False)
     potentials.setflags(write=False)
-    return Family(name, tuple(sets), flows, potentials, sides)
+    return Family(name, tuple(sets), flows, potentials, sides, _family_index(
+        tuple((bs.a_int, bs.m_int) for bs in sets), grid.n_x))
 
 
 def moment_products(moments) -> np.ndarray:

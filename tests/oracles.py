@@ -207,6 +207,25 @@ def verify_identities(blocks, time_indices=None, tol: float = 1e-7):
                 BlockIdentityError)
 
 
+def ref_envelope_stack(sets, j: int, profile: str) -> np.ndarray:
+    """(n_x**3, len(sets)) envelopes on slice j, two gathers and a product
+    per set: the shear phase's lattice position times n_t, offset by the
+    slice's time shift, into the doubled shear table, times the profile's
+    table at the concentration phase's lattice position."""
+    n, n_t = sets[0].grid.n_x, sets[0].grid.n_t
+    i = np.arange(n)
+    out = np.empty((n ** 3, len(sets)))
+    for col, bs in enumerate(sets):
+        shear_index, conc_index = (
+            (i[:, None, None] * (v[0] % n) + i[None, :, None] * (v[1] % n)
+             + i[None, None, :] * (v[2] % n)) % n
+            for v in (bs.a_int, bs.m_int))
+        off = ((bs.rate * j) % n_t) * n
+        np.multiply(bs.tables["shear"][off:].take(shear_index * n_t).ravel(),
+                    bs.tables[profile][conc_index].ravel(), out=out[:, col])
+    return out
+
+
 def corrector_sets(blocks):
     """Block sets on the lattice of blocks whose "shear" and "potential"
     profiles are the two profiles of a side's double-curl corrector: psi'

@@ -19,8 +19,8 @@ from cilab.profiles import BandProfile, fit_loglog, make_spatial_profiles
 
 from oracles import (
     IDENTITY_NAMES, BlockIdentityError, axes, flow_field,
-    pair_support_fraction, profile_field, skew_generator, support_fraction,
-    sym_generator, verify_identities,
+    pair_support_fraction, profile_field, ref_envelope_stack,
+    skew_generator, support_fraction, sym_generator, verify_identities,
 )
 
 
@@ -160,15 +160,21 @@ class TestSampling:
         assert np.array_equal(field.data[3], banded_blocks.flow_slice("magnetic_potential", 3))
 
     def test_slice_matches_direct_phase_evaluation(self, banded_blocks):
-        # spot-check the integer table lookup against a direct evaluation
-        g = banded_blocks.grid
-        j, ii = 5, (7, 21, 40)
-        x = axes(g)[1][0, :, 0, 0]
-        xi = sum(a * x[i] for a, i in zip(banded_blocks.a_int, ii))
-        xi += banded_blocks.rate * g.t()[j]
-        want = banded_blocks.shear_band(np.array([xi]))[0]
-        got = banded_blocks.profile_slice("shear", j)[ii]
-        assert abs(want - got) < 1e-12
+        # every slice of every profile kind against its band profile at the
+        # continuous phases a.x + rate t and m.x
+        bs = banded_blocks
+        x = [xa[0] for xa in axes(bs.grid)[1:]]
+        xi_s = sum(a * xa for a, xa in zip(bs.a_int, x))
+        xi_c = sum(m * xa for m, xa in zip(bs.m_int, x))
+        for j, t in enumerate(bs.grid.t()):
+            for kind, want in (
+                    ("shear", bs.shear_band(xi_s + bs.rate * t)),
+                    ("shear_rate",
+                     bs.shear_band.derivative(1)(xi_s + bs.rate * t)),
+                    ("concentration", bs.conc_band(xi_c)),
+                    ("potential", bs.potential_band(xi_c))):
+                got = bs.profile_slice(kind, j)
+                assert np.abs(got - want).max() <= 1e-12, (kind, j)
 
     def test_unknown_kinds_rejected(self, banded_blocks):
         with pytest.raises(ValueError, match="unknown profile kind"):
@@ -200,11 +206,17 @@ class TestBlockSetContract:
         assert [s for s in BlockSet.__slots__ if s.startswith("_")] == [
             "_moments"]
 
-    def test_tables_indices_and_rows_are_read_only(self, sets):
+    def test_tables_indices_and_rows_are_read_only(self, sets, dense_grid):
+        # one joint lattice index per set, into the n_x x n_x phase plane
+        assert "index" in BlockSet.__slots__
+        assert not {"shear_index", "conc_index"} & set(BlockSet.__slots__)
         for bs in sets.values():
             assert set(bs.tables) == set(PROFILE_KINDS)
             assert set(bs.flows) == set(FLOW_KINDS)
-            arrays = [*bs.tables.values(), bs.shear_index, bs.conc_index,
+            assert bs.index.dtype == np.intp
+            assert bs.index.shape == (dense_grid.n_x,) * 3
+            assert 0 <= bs.index.min() and bs.index.max() < dense_grid.n_x ** 2
+            arrays = [*bs.tables.values(), bs.index,
                       *(row for _, row in bs.flows.values())]
             assert not any(arr.flags.writeable for arr in arrays)
             with pytest.raises(TypeError):
@@ -230,6 +242,16 @@ class TestBlockSetContract:
         assert bs._moments == {}
         assert dict(bs.tables) == tables
         assert all(bs.flows[kind] is parts for kind, parts in flows.items())
+
+    def test_families_share_one_read_only_index(self, geom, sets,
+                                                dense_grid):
+        first, again = (family("magnetic", geom.lambda_b, sets, dense_grid)
+                        for _ in range(2))
+        assert again.index is first.index
+        assert not first.index.flags.writeable
+        n2 = dense_grid.n_x ** 2
+        cols = np.stack([bs.index.ravel() for bs in first.sets], axis=1)
+        assert np.array_equal(first.index, cols + n2 * np.arange(len(cols.T)))
 
     def test_resampling_is_bitwise_equal(self, geom, base, dense_grid, sets):
         params = BlockParams(lam=1, mu=1.0, n_conc_harmonics=1)
@@ -289,13 +311,41 @@ class TestFlowAlgebra:
         for rows, profile, suffix in ((fam.flows, "concentration", ""),
                                       (fam.potentials, "potential",
                                        "_potential")):
-            env = envelope_stack(fam.sets, j, profile)
+            env = envelope_stack(fam, j, profile)
             for i, bs in enumerate(fam.sets):
                 for s, side in enumerate(fam.sides):
                     want = bs.flow_slice(side + suffix, j)
                     got = (env[:, i, None] * rows[i, 3 * s:3 * s + 3])
                     assert np.array_equal(got.reshape(n, n, n, 3), want), (
                         bs.frame.name, side + suffix)
+
+    def test_envelopes_ride_only_the_concentration_or_the_potential(
+            self, families):
+        _, fam = families["magnetic"]
+        for profile in ("shear", "shear_rate", "vorticity"):
+            with pytest.raises(ValueError, match=repr(profile)):
+                envelope_stack(fam, 0, profile)
+
+    @pytest.mark.parametrize("n_t,n_x,mu,n_conc", [(16, 38, 0.2, 1),
+                                                   (16, 48, 0.2, 1),
+                                                   (8, 64, 1.0, 2)])
+    def test_envelopes_are_the_two_gather_envelopes(self, geom, base, n_t,
+                                                    n_x, mu, n_conc):
+        # bitwise: one gather of the stacked planes outer(shear_j, second)
+        # against a shear and a concentration gather and their product
+        grid = Grid4(n_t, n_x)
+        params = BlockParams(lam=1, mu=mu, n_conc_harmonics=n_conc)
+        blocks = {fr.name: sample_blocks(fr, params, grid, base)
+                  for fr in geom.lambda_b + geom.lambda_u}
+        for name, frames in (("magnetic", geom.lambda_b),
+                             ("velocity", geom.lambda_u)):
+            fam = family(name, frames, blocks, grid)
+            for profile in ("concentration", "potential"):
+                for j in range(n_t):
+                    assert np.array_equal(
+                        envelope_stack(fam, j, profile),
+                        ref_envelope_stack(fam.sets, j, profile)), (
+                            name, profile, j)
 
     def test_family_validates_its_block_sets(self, geom, families,
                                              dense_grid):
